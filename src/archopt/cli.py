@@ -21,9 +21,9 @@ import numpy as np
 
 from .antipatterns import Thresholds, detect
 from .model import Architecture, ModelFormatError, load, validate
-from .moea import Evaluator, ParetoFront, SearchConfig, front_to_json_dict, run
+from .moea import ParetoFront, SearchConfig, _compute_metrics, front_to_json_dict, run
 from .pareto import hypervolume
-from .perfqn import SolverError
+from .perfqn import SolverError, solve_amva, to_qn
 from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
@@ -50,45 +50,17 @@ class ConfigError(ValueError):
 class RunConfig:
     model: str
     output_dir: str = "archopt-out"
-    algorithm: str = "nsga2"
-    seed: int = 0
-    population: int = 32
-    archive_size: int = 32
-    sequence_length: int = 4
-    crossover_prob: float = 0.8
-    mutation_prob: float | None = None
-    divisions: int = 8
-    budget_seconds: float | None = None
-    max_evaluations: int | None = None
-    use_pas_objective: bool = True
-    allow_new_nodes: bool = True
-    workers: int = 1
-    brf: dict[ActionKind, float] = field(default_factory=lambda: dict(DEFAULT_BRF))
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    # compare-only grids; fall back to the scalar fields when absent
+    # SearchConfig keyword arguments from the config keys that name its
+    # fields; every default lives on SearchConfig
+    search: dict = field(default_factory=dict)
+    # compare-only grids; absent means the single value in ``search``
     algorithms: list[str] | None = None
     budgets_seconds: list[float] | None = None
     budgets_evaluations: list[int] | None = None
     seeds: list[int] | None = None
 
-    def search_config(self, algorithm=None, seed=None, budget_seconds=None, max_evaluations=None, use_pas=None):
-        return SearchConfig(
-            algorithm=algorithm or self.algorithm,
-            seed=self.seed if seed is None else seed,
-            population=self.population,
-            archive_size=self.archive_size,
-            sequence_length=self.sequence_length,
-            crossover_prob=self.crossover_prob,
-            mutation_prob=self.mutation_prob,
-            divisions=self.divisions,
-            budget_seconds=self.budget_seconds if budget_seconds is None else budget_seconds,
-            max_evaluations=self.max_evaluations if max_evaluations is None else max_evaluations,
-            use_pas_objective=self.use_pas_objective if use_pas is None else use_pas,
-            allow_new_nodes=self.allow_new_nodes,
-            workers=self.workers,
-            brf=self.brf,
-            thresholds=self.thresholds,
-        )
+    def search_config(self, **overrides) -> SearchConfig:
+        return SearchConfig(**{**self.search, **overrides})
 
 
 def _parse_brf(raw: dict) -> dict[ActionKind, float]:
@@ -114,22 +86,23 @@ def load_config(path: str) -> RunConfig:
     if "model" not in raw:
         raise ConfigError(f"{path}: required key 'model' is missing")
 
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    search_keys = set(SearchConfig.__dataclass_fields__)
+    run_keys = set(RunConfig.__dataclass_fields__) - {"search"}
+    unknown = set(raw) - search_keys - run_keys
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
 
-    kwargs = dict(raw)
-    if "brf" in kwargs:
-        kwargs["brf"] = _parse_brf(kwargs["brf"])
-    if "thresholds" in kwargs:
-        kwargs["thresholds"] = Thresholds(**kwargs["thresholds"])
-    config = RunConfig(**kwargs)
-
+    search = {key: value for key, value in raw.items() if key in search_keys}
+    if "brf" in search:
+        search["brf"] = _parse_brf(search["brf"])
+    if "thresholds" in search:
+        search["thresholds"] = Thresholds(**search["thresholds"])
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        config.seed = int(env_seed)
-    if config.budget_seconds is None and config.max_evaluations is None \
+        search["seed"] = int(env_seed)
+    config = RunConfig(search=search, **{key: value for key, value in raw.items() if key in run_keys})
+
+    if search.get("budget_seconds") is None and search.get("max_evaluations") is None \
             and config.budgets_seconds is None and config.budgets_evaluations is None:
         raise ConfigError(f"{path}: set budget_seconds and/or max_evaluations")
     return config
@@ -197,36 +170,24 @@ def _performance_report(perf) -> dict:
 
 def cmd_eval(args) -> int:
     arch = _load_model(args.model)
-    config = load_config(args.config) if args.config else None
-    brf = config.brf if config else dict(DEFAULT_BRF)
-    thresholds = config.thresholds if config else Thresholds()
-
-    search = SearchConfig(max_evaluations=0, brf=brf, thresholds=thresholds)
-    evaluator = Evaluator(arch, search)
-    if args.sequence:
-        seq = _load_sequence(args.sequence)
-    else:
-        seq = RefactoringSequence(())
-    individual = evaluator.evaluate(seq)
-    if not individual.valid:
-        print("error: candidate architecture could not be evaluated", file=sys.stderr)
+    config = load_config(args.config) if args.config else RunConfig(model=args.model)
+    search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
+    seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
+    metrics, _, reason, perf = _compute_metrics(
+        arch, solve_amva(to_qn(arch)), seq, search.brf, search.thresholds
+    )
+    if metrics is None:
+        print(f"error: candidate architecture could not be evaluated: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
-
-    folded_perf = evaluator.initial_perf if not args.sequence else None
-    if folded_perf is None:
-        from .perfqn import solve_amva, to_qn
-        from .refactoring import apply_sequence
-
-        folded_perf = solve_amva(to_qn(apply_sequence(arch, seq)))
 
     report = {
         "model": args.model,
         "sequence": sequence_to_text(seq),
-        "perfQ": individual.metrics.perfq,
-        "reliability": individual.metrics.reliability,
-        "pas": individual.metrics.pas,
-        "distance": individual.metrics.distance,
-        "performance": _performance_report(folded_perf),
+        "perfQ": metrics.perfq,
+        "reliability": metrics.reliability,
+        "pas": metrics.pas,
+        "distance": metrics.distance,
+        "performance": _performance_report(perf),
     }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -278,13 +239,18 @@ def front_csv_text(front: ParetoFront) -> str:
 
 
 def _run_id_from_meta(meta: dict) -> str:
-    budget = []
-    if meta.get("budget_seconds") is not None:
-        budget.append(f"{meta['budget_seconds']:g}s")
-    if meta.get("max_evaluations") is not None:
-        budget.append(f"{meta['max_evaluations']}ev")
     mode = "4obj" if meta.get("use_pas_objective", True) else "3obj"
-    return f"{meta['algorithm']}-{'-'.join(budget)}-{mode}-seed{meta['seed']}"
+    return f"{meta['algorithm']}-{_budget_label(meta)}-{mode}-seed{meta['seed']}"
+
+
+def _budget_label(values: dict) -> str:
+    """Budget of a run's metadata or of a config's search values."""
+    parts = []
+    if values.get("budget_seconds") is not None:
+        parts.append(f"{values['budget_seconds']:g}s")
+    if values.get("max_evaluations") is not None:
+        parts.append(f"{values['max_evaluations']}ev")
+    return "-".join(parts) or "none"
 
 
 def write_front(front: ParetoFront, out_dir: Path) -> tuple[Path, Path]:
@@ -298,8 +264,6 @@ def write_front(front: ParetoFront, out_dir: Path) -> tuple[Path, Path]:
 
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
-    if args.workers is not None:
-        config.workers = args.workers
     arch = _load_model(config.model)
     front = run(arch, config.search_config())
     csv_path, json_path = write_front(front, Path(config.output_dir))
@@ -323,24 +287,16 @@ COMPARE_COLUMNS = [
 ]
 
 
-def _budget_cells(config: RunConfig) -> list[tuple[str, float | None, int | None]]:
-    cells: list[tuple[str, float | None, int | None]] = []
-    if config.budgets_seconds:
-        cells.extend((f"{b:g}s", float(b), None) for b in config.budgets_seconds)
-    if config.budgets_evaluations:
-        cells.extend((f"{b}ev", None, int(b)) for b in config.budgets_evaluations)
-    if not cells:
-        cells.append((_budget_label(config), config.budget_seconds, config.max_evaluations))
-    return cells
+def _budget_cells(config: RunConfig) -> list[tuple[str, dict]]:
+    """(label, SearchConfig overrides) per budget of the grid."""
+    cells = [(f"{b:g}s", {"budget_seconds": float(b)}) for b in config.budgets_seconds or ()]
+    cells += [(f"{b}ev", {"max_evaluations": int(b)}) for b in config.budgets_evaluations or ()]
+    return cells or [(_budget_label(config.search), {})]
 
 
-def _budget_label(config: RunConfig) -> str:
-    parts = []
-    if config.budget_seconds is not None:
-        parts.append(f"{config.budget_seconds:g}s")
-    if config.max_evaluations is not None:
-        parts.append(f"{config.max_evaluations}ev")
-    return "-".join(parts) or "none"
+def _grid(key: str, values: list | None) -> list[dict]:
+    """SearchConfig overrides for each value of a compare grid."""
+    return [{key: value} for value in values] if values else [{}]
 
 
 def _front_points(front: ParetoFront) -> np.ndarray:
@@ -366,31 +322,23 @@ def _reference_point(fronts: list[ParetoFront]) -> np.ndarray:
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
-    if args.workers is not None:
-        config.workers = args.workers
     arch = _load_model(config.model)
-    algorithms = config.algorithms or [config.algorithm]
-    seeds = config.seeds or [config.seed]
-    cells = _budget_cells(config)
     out_dir = Path(config.output_dir)
 
     runs: list[tuple[dict, ParetoFront]] = []
-    for algorithm in algorithms:
-        for budget_label, budget_s, budget_ev in cells:
+    for algorithm in _grid("algorithm", config.algorithms):
+        for budget_label, budget in _budget_cells(config):
             for use_pas in (True, False):
-                for seed in seeds:
-                    search = config.search_config(
-                        algorithm=algorithm, seed=seed,
-                        budget_seconds=budget_s, max_evaluations=budget_ev, use_pas=use_pas,
-                    )
+                for seed in _grid("seed", config.seeds):
+                    search = config.search_config(**algorithm, **budget, **seed, use_pas_objective=use_pas)
                     front = run(arch, search)
-                    tag = _run_id_from_meta(front.metadata)
-                    write_front(front, out_dir / "runs" / tag)
+                    meta = front.metadata
+                    write_front(front, out_dir / "runs" / _run_id_from_meta(meta))
                     key = {
-                        "algorithm": algorithm,
+                        "algorithm": meta["algorithm"],
                         "budget": budget_label,
                         "pas_objective": "with" if use_pas else "without",
-                        "seed": seed,
+                        "seed": meta["seed"],
                     }
                     runs.append((key, front))
 
@@ -497,12 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="run one optimization and write front.csv / front.json")
     p_opt.add_argument("--config", required=True, help="run config JSON file")
-    p_opt.add_argument("--workers", type=int, help="parallel candidate evaluation (default from config, 1)")
 
     p_cmp = sub.add_parser("compare", help="algorithm x budget x seed grid, with and without the antipattern objective")
     p_cmp.add_argument("--config", required=True, help="run config JSON file with algorithms/budgets/seeds lists")
     p_cmp.add_argument("--gnuplot", action="store_true", help="also write plain columnar compare.dat")
-    p_cmp.add_argument("--workers", type=int, help="parallel candidate evaluation (default from config, 1)")
 
     return parser
 

@@ -1,36 +1,12 @@
-"""Numeric hot kernels: MVA recursions and pairwise dominance.
+"""Numeric hot kernels in numpy: MVA recursions and Pareto dominance.
 
-Each kernel exists twice: a loop-based version compiled with numba's
-``@njit`` and a vectorized pure-numpy fallback.  The JIT path is used when
-numba imports cleanly and the environment variable ``ARCHOPT_NUMBA`` is not
-set to ``0``/``false``/``off``.  Both paths are exported with ``_py`` /
-``_jit`` suffixes so they can be benchmarked against each other (see
-``benchmarks/bench_kernels.py``).
+``dominates`` is the one dominance rule of the package; the sorting,
+archive and hypervolume code in ``pareto`` and ``moea`` all build on it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("ARCHOPT_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        njit = None
-        USE_NUMBA = False
-else:
-    njit = None
-
-HAS_NUMBA = njit is not None
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +19,7 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _exact_mva_loops(demands, think_time, population):
-    n_stations = demands.shape[0]
-    q = np.zeros(n_stations)
-    r = np.zeros(n_stations)
-    x = 0.0
-    r_total = 0.0
-    for n in range(1, population + 1):
-        r_total = 0.0
-        for k in range(n_stations):
-            r[k] = demands[k] * (1.0 + q[k])
-            r_total += r[k]
-        x = n / (think_time + r_total)
-        for k in range(n_stations):
-            q[k] = x * r[k]
-    return x, r_total, r, q
-
-
-def _exact_mva_py(demands, think_time, population):
+def exact_mva(demands, think_time, population):
     q = np.zeros_like(demands)
     r = np.zeros_like(demands)
     x = 0.0
@@ -84,42 +43,7 @@ def _exact_mva_py(demands, think_time, population):
 # ---------------------------------------------------------------------------
 
 
-def _amva_loops(demands, populations, think_times, tol, max_iter):
-    n_stations, n_classes = demands.shape
-    q = np.empty((n_stations, n_classes))
-    for k in range(n_stations):
-        for j in range(n_classes):
-            q[k, j] = populations[j] / n_stations
-    r = np.empty((n_stations, n_classes))
-    x = np.zeros(n_classes)
-    r_class = np.zeros(n_classes)
-    residual = 0.0
-    for it in range(max_iter):
-        for j in range(n_classes):
-            r_total = 0.0
-            for k in range(n_stations):
-                q_station = 0.0
-                for i in range(n_classes):
-                    q_station += q[k, i]
-                arrival_q = q_station - q[k, j] / populations[j]
-                r[k, j] = demands[k, j] * (1.0 + arrival_q)
-                r_total += r[k, j]
-            x[j] = populations[j] / (think_times[j] + r_total)
-            r_class[j] = r_total
-        residual = 0.0
-        for k in range(n_stations):
-            for j in range(n_classes):
-                q_new = x[j] * r[k, j]
-                diff = abs(q_new - q[k, j])
-                if diff > residual:
-                    residual = diff
-                q[k, j] = q_new
-        if residual < tol:
-            return x, r_class, q, it + 1, residual, True
-    return x, r_class, q, max_iter, residual, False
-
-
-def _amva_py(demands, populations, think_times, tol, max_iter):
+def amva(demands, populations, think_times, tol, max_iter):
     n_stations, n_classes = demands.shape
     q = np.broadcast_to(populations / n_stations, (n_stations, n_classes)).copy()
     residual = 0.0
@@ -137,54 +61,20 @@ def _amva_py(demands, populations, think_times, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# Pairwise Pareto dominance (minimization).
-#
-# dom[i, j] is True iff point i dominates point j: i <= j in every
-# objective and i < j in at least one.
+# Pareto dominance (minimization).
 # ---------------------------------------------------------------------------
 
 
-def _dominance_matrix_loops(points):
-    n, dim = points.shape
-    dom = np.zeros((n, n), dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            not_worse = True
-            strictly_better = False
-            for m in range(dim):
-                if points[i, m] > points[j, m]:
-                    not_worse = False
-                    break
-                if points[i, m] < points[j, m]:
-                    strictly_better = True
-            dom[i, j] = not_worse and strictly_better
-    return dom
+def dominates(a, b):
+    """True where a is <= b in every objective and < in at least one.
+
+    Broadcasts over leading axes: an (n, d) array against a (d,) point
+    gives one answer per row."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a <= b).all(-1) & (a < b).any(-1)
 
 
-def _dominance_matrix_py(points):
-    not_worse = (points[:, None, :] <= points[None, :, :]).all(axis=2)
-    strictly_better = (points[:, None, :] < points[None, :, :]).any(axis=2)
-    return not_worse & strictly_better
-
-
-if HAS_NUMBA:
-    _exact_mva_jit = njit(cache=True)(_exact_mva_loops)
-    _amva_jit = njit(cache=True)(_amva_loops)
-    _dominance_matrix_jit = njit(cache=True)(_dominance_matrix_loops)
-    exact_mva = _exact_mva_jit
-    amva = _amva_jit
-    dominance_matrix = _dominance_matrix_jit
-else:
-    exact_mva = _exact_mva_py
-    amva = _amva_py
-    dominance_matrix = _dominance_matrix_py
-
-
-def warmup() -> None:
-    """Run every kernel once on tiny inputs so JIT compilation happens here,
-    not inside a timed search loop."""
-    exact_mva(np.array([0.1]), 0.0, 1)
-    amva(np.array([[0.1]]), np.array([1.0]), np.array([0.0]), 1e-6, 100)
-    dominance_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+def dominance_matrix(points):
+    """dom[i, j] is True iff point i dominates point j."""
+    return dominates(points[:, None, :], points[None, :, :])

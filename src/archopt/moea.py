@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import kernels
 from .antipatterns import Thresholds, detect
 from .model import Architecture, RoutingError, digest, validate
-from .pareto import crowding_distance, fast_nondominated_sort, nondominated_indices
+from .pareto import admit, crowding_distance, fast_nondominated_sort, nondominated_indices
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, to_qn
 from .refactoring import (
     DEFAULT_BRF,
@@ -55,7 +54,6 @@ class SearchConfig:
     max_evaluations: int | None = None
     use_pas_objective: bool = True
     allow_new_nodes: bool = True
-    workers: int = 1
     brf: dict[ActionKind, float] = field(default_factory=lambda: dict(DEFAULT_BRF))
     thresholds: Thresholds = field(default_factory=Thresholds)
 
@@ -114,26 +112,23 @@ def _compute_metrics(
     seq: RefactoringSequence,
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
-) -> tuple[EvalMetrics | None, str, str]:
-    """Returns (metrics or None, phenotype digest, failure reason)."""
+) -> tuple[EvalMetrics | None, str, str, PerformanceResult | None]:
+    """Returns (metrics or None, phenotype digest, failure reason, the
+    folded architecture's performance or None)."""
     folded = apply_sequence(initial, seq)
     phenotype = digest(folded)
     try:
         perf = solve_amva(to_qn(folded))
         rel = compute_reliability(folded)
     except (SolverError, RoutingError, ValueError) as exc:
-        return None, phenotype, str(exc)
+        return None, phenotype, str(exc), None
     metrics = EvalMetrics(
         perfq=perfq(initial_perf, perf),
         reliability=rel.overall,
         pas=len(detect(folded, perf, thresholds)),
         distance=distance(seq, brf),
     )
-    return metrics, phenotype, ""
-
-
-def _evaluate_remote(args) -> tuple[EvalMetrics | None, str, str]:
-    return _compute_metrics(*args)
+    return metrics, phenotype, "", perf
 
 
 class Evaluator:
@@ -156,12 +151,6 @@ class Evaluator:
         self._front_points = np.empty((0, 4 if config.use_pas_objective else 3))
         self.solver_evaluations = 0
         self.cache_hits = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def _record(self, seq: RefactoringSequence, result: tuple[EvalMetrics | None, str, str]) -> Individual:
         metrics, phenotype, reason = result
@@ -183,17 +172,11 @@ class Evaluator:
 
     def _admit_to_front(self, individual: Individual) -> None:
         candidate = np.array(individual.objectives)
-        points = self._front_points
-        if points.shape[0]:
-            if bool(((points <= candidate).all(axis=1) & (points < candidate).any(axis=1)).any()):
-                return
-            doomed = (candidate <= points).all(axis=1) & (candidate < points).any(axis=1)
-            if doomed.any():
-                keep = ~doomed
-                self._front = [ind for ind, k in zip(self._front, keep) if k]
-                points = points[keep]
-        self._front = self._front + [individual]
-        self._front_points = np.vstack([points, candidate[None, :]])
+        keep = admit(self._front_points, candidate)
+        if keep is None:
+            return
+        self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
+        self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
 
     @property
     def front(self) -> list[Individual]:
@@ -206,8 +189,10 @@ class Evaluator:
         if cached is not None:
             self.cache_hits += 1
             return cached
-        result = _compute_metrics(self.initial, self.initial_perf, seq, self.config.brf, self.config.thresholds)
-        return self._record(seq, result)
+        metrics, phenotype, reason, _ = _compute_metrics(
+            self.initial, self.initial_perf, seq, self.config.brf, self.config.thresholds
+        )
+        return self._record(seq, (metrics, phenotype, reason))
 
     def evaluate_many(
         self,
@@ -217,51 +202,14 @@ class Evaluator:
     ) -> list[Individual]:
         """Evaluate in submission order; under a deadline or evaluation cap
         the remainder of the batch is skipped once the budget runs out."""
-        if self.config.workers <= 1:
-            out = []
-            for seq in seqs:
-                if out:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        break
-                    if max_evaluations is not None and self.solver_evaluations >= max_evaluations:
-                        break
-                out.append(self.evaluate(seq))
-            return out
-
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
-        # admit batch items with the same rules as the serial path so an
-        # evaluation budget yields an identical trajectory
-        start = self.solver_evaluations
-        admitted: list[int] = []
-        pending: list[tuple[int, RefactoringSequence]] = []
-        submitted: set[tuple] = set()
-        for i, seq in enumerate(seqs):
-            if admitted:
+        out = []
+        for seq in seqs:
+            if out:
                 if deadline is not None and time.monotonic() >= deadline:
                     break
-                if max_evaluations is not None and start + len(pending) >= max_evaluations:
+                if max_evaluations is not None and self.solver_evaluations >= max_evaluations:
                     break
-            key = _genotype_key(seq)
-            if key not in self._cache and key not in submitted:
-                submitted.add(key)
-                pending.append((i, seq))
-            admitted.append(i)
-        args = [
-            (self.initial, self.initial_perf, seq, self.config.brf, self.config.thresholds)
-            for _, seq in pending
-        ]
-        recorded: dict[int, Individual] = {}
-        for (i, seq), result in zip(pending, self._pool.map(_evaluate_remote, args)):
-            # merged in submission order so trajectories stay reproducible
-            recorded[i] = self._record(seq, result)
-        out = []
-        for i in admitted:
-            if i in recorded:
-                out.append(recorded[i])
-            else:
-                self.cache_hits += 1
-                out.append(self._cache[_genotype_key(seqs[i])])
+            out.append(self.evaluate(seq))
         return out
 
 
@@ -495,22 +443,17 @@ class _HyperGrid:
 
 
 def _pesa2_insert(archive: list[Individual], candidate: Individual, capacity: int, grid: _HyperGrid) -> list[Individual]:
-    points = [ind.objectives for ind in archive]
-    for p in points:
-        if _dominates_tuple(p, candidate.objectives):
-            return archive
-    archive = [ind for ind in archive if not _dominates_tuple(candidate.objectives, ind.objectives)]
-    archive.append(candidate)
+    point = np.array(candidate.objectives)
+    keep = admit(np.array([ind.objectives for ind in archive]).reshape(-1, point.size), point)
+    if keep is None:
+        return archive
+    archive = [ind for ind, k in zip(archive, keep) if k] + [candidate]
     if len(archive) > capacity:
         cells = grid.cells(archive)
         crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
         evict = cells[crowded_key][0]  # oldest member of the most crowded cell
         archive = archive[:evict] + archive[evict + 1 :]
     return archive
-
-
-def _dominates_tuple(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
@@ -558,7 +501,7 @@ def _initial_population(evaluator: Evaluator, rng: np.random.Generator, budget: 
         random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
         for _ in range(config.population)
     ]
-    return evaluator.evaluate_many(seqs, budget.deadline)
+    return evaluator.evaluate_many(seqs, budget.deadline, config.max_evaluations)
 
 
 _RUNNERS = {"nsga2": _run_nsga2, "spea2": _run_spea2, "pesa2": _run_pesa2}
@@ -573,13 +516,9 @@ def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | 
     """Run one optimization and return the cumulative Pareto front."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    kernels.warmup()
     evaluator = Evaluator(initial, config)  # also warms the solver path
     budget = _Budget(config)
-    try:
-        generations = _RUNNERS[config.algorithm](evaluator, rng, budget)
-    finally:
-        evaluator.close()
+    generations = _RUNNERS[config.algorithm](evaluator, rng, budget)
     wall = budget.elapsed()
 
     front = cumulative_front(evaluator)
@@ -598,7 +537,6 @@ def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | 
         "generations": generations,
         "budget_truncated": generations == 0,
         "wall_time_seconds": wall,
-        "kernel_backend": kernels.backend(),
         "initial_digest": evaluator.initial_digest,
     }
     log.info(

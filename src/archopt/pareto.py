@@ -6,13 +6,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .kernels import dominates
 
 
-def dominates(a, b) -> bool:
-    """True iff a is <= b in every objective and < in at least one."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(a <= b) and np.any(a < b))
+def admit(points: np.ndarray, candidate: np.ndarray) -> np.ndarray | None:
+    """Admission of ``candidate`` into the non-dominated set ``points``:
+    None when a member dominates it, else the mask of members it does not
+    dominate (the ones to keep)."""
+    if dominates(points, candidate).any():
+        return None
+    return ~dominates(candidate, points)
 
 
 def fast_nondominated_sort(points) -> list[list[int]]:
@@ -121,7 +124,8 @@ def hypervolume(points, reference_point) -> float:
     points = np.atleast_2d(points)
     if points.shape[1] != ref.shape[0]:
         raise ValueError(f"points have {points.shape[1]} objectives, reference has {ref.shape[0]}")
-    for row in points:
-        if not dominates(row, ref):
-            raise ValueError(f"point {row.tolist()} does not dominate reference {ref.tolist()}")
+    outside = ~dominates(points, ref)
+    if outside.any():
+        row = points[outside.argmax()]
+        raise ValueError(f"point {row.tolist()} does not dominate reference {ref.tolist()}")
     return float(_hv_sweep(points, ref))

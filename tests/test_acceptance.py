@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 
-from archopt import casestudies, kernels
+from archopt import casestudies
 from archopt.cli import main
 from archopt.model import load, validate
 from archopt.moea import SearchConfig, run
@@ -286,7 +286,6 @@ def test_c07_end_to_end_determinism(tmp_path):
         "seed": 17,
         "population": 16,
         "max_evaluations": 150,
-        "workers": 1,
     }
     outputs = []
     for tag in ("a", "b"):
@@ -300,7 +299,6 @@ def test_c07_end_to_end_determinism(tmp_path):
 
 def test_c08_budget_compliance():
     arch = casestudies.load_case_study("small")
-    kernels.warmup()
     solve_amva(to_qn(arch))  # warm solver path outside the timed region
     ok = True
     details = []

@@ -153,6 +153,8 @@ def test_optimize_seed_env_override(tmp_path, monkeypatch):
 def test_optimize_rejects_bad_config(tmp_path):
     config = write_config(tmp_path, max_evaluations=None)
     assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN
+    config = write_config(tmp_path, workers=2)
+    assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN
 
 
 def test_optimize_missing_config_usage_error():

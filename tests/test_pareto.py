@@ -53,6 +53,11 @@ def test_dominates_basics():
     assert dominates((1, 2), (1, 3))
     assert not dominates((1, 1), (1, 1))
     assert not dominates((1, 3), (2, 1))
+    rows = np.array([(1, 1), (1, 3), (2, 2), (3, 1), (2, 3)], dtype=float)
+    point = (2, 2)
+    assert dominates(rows, point).tolist() == [bool(dominates(row, point)) for row in rows]
+    assert dominates(rows, point).tolist() == [True, False, False, False, False]
+    assert dominates(point, rows).tolist() == [False, False, False, False, True]
 
 
 def test_sort_three_point_chain():
