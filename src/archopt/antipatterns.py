@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Architecture, invocation_matrix
+import numpy as np
+
+from .model import Architecture
 from .perfqn import PerformanceResult
 
 BLOB = "blob"
@@ -50,73 +52,63 @@ class Detection:
 def detect(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> list[Detection]:
     """All distinct (kind, element) detections, in deterministic order."""
     th = thresholds or Thresholds()
+    view = arch.compiled
     util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
-    owners = arch.owner_map()
-    ops = arch.operation_map()
-    node_of = {c.id: arch.deployment[c.id] for c in arch.components}
+    node_util = np.array([util[node.id] for node in view.nodes])
     detections: list[Detection] = []
 
-    invocations, _ = invocation_matrix(arch)
+    invocations, _ = view.routes
     mean_invocations = invocations.mean(axis=0)  # per scenario
-    for i, comp in enumerate(arch.components):
-        if util[node_of[comp.id]] < th.util_high:
-            continue
-        for j, scen in enumerate(arch.scenarios):
-            if invocations[i, j] > th.blob_share * mean_invocations[j]:
-                detections.append(
-                    Detection(
-                        kind=BLOB,
-                        elements=(comp.id,),
-                        scenario=scen.id,
-                        metrics=(
-                            ("invocations", float(invocations[i, j])),
-                            ("mean_invocations", float(mean_invocations[j])),
-                            ("node_utilization", util[node_of[comp.id]]),
-                        ),
-                    )
-                )
-                break  # one detection per component
+    comp_util = node_util[view.component_node]
+    heavy = invocations > th.blob_share * mean_invocations
+    # one detection per component, at its first heavy scenario
+    for i in np.flatnonzero((comp_util >= th.util_high) & heavy.any(axis=1)):
+        j = int(np.argmax(heavy[i]))
+        detections.append(
+            Detection(
+                kind=BLOB,
+                elements=(view.components[i].id,),
+                scenario=view.scenarios[j].id,
+                metrics=(
+                    ("invocations", float(invocations[i, j])),
+                    ("mean_invocations", float(mean_invocations[j])),
+                    ("node_utilization", float(comp_util[i])),
+                ),
+            )
+        )
 
-    node_ids = [n.id for n in arch.nodes]
-    for a in range(len(node_ids)):
-        for b in range(a + 1, len(node_ids)):
-            u_a, u_b = util[node_ids[a]], util[node_ids[b]]
-            high, low = max(u_a, u_b), min(u_a, u_b)
-            if high >= th.util_high and low <= th.util_low:
-                detections.append(
-                    Detection(
-                        kind=CONCURRENT_PROCESSING,
-                        elements=(node_ids[a], node_ids[b]),
-                        scenario=None,
-                        metrics=(("utilization_high", high), ("utilization_low", low)),
-                    )
-                )
+    first, second = np.triu_indices(len(view.nodes), 1)
+    high = np.maximum(node_util[first], node_util[second])
+    low = np.minimum(node_util[first], node_util[second])
+    for p in np.flatnonzero((high >= th.util_high) & (low <= th.util_low)):
+        detections.append(
+            Detection(
+                kind=CONCURRENT_PROCESSING,
+                elements=(view.nodes[first[p]].id, view.nodes[second[p]].id),
+                scenario=None,
+                metrics=(("utilization_high", float(high[p])), ("utilization_low", float(low[p]))),
+            )
+        )
 
-    flagged_ops: set[str] = set()
-    for comp in arch.components:
-        for op in comp.operations:
-            if op.id in flagged_ops or util[node_of[comp.id]] < th.util_high:
-                continue
-            for j, scen in enumerate(arch.scenarios):
-                total = sum(step.count * ops[step.operation].cpu_demand for step in scen.steps)
-                if total <= 0.0:
-                    continue
-                own = sum(step.count * op.cpu_demand for step in scen.steps if step.operation == op.id)
-                share = own / total
-                if share >= th.paf_demand_share:
-                    flagged_ops.add(op.id)
-                    detections.append(
-                        Detection(
-                            kind=PIPE_AND_FILTER,
-                            elements=(op.id,),
-                            scenario=scen.id,
-                            metrics=(
-                                ("demand_share", share),
-                                ("node_utilization", util[node_of[comp.id]]),
-                            ),
-                        )
-                    )
-                    break
+    # speed-independent demand of each step, summed per scenario and per
+    # (operation, scenario) in step order
+    step_demand = view.step_count * view.operation_demand[view.step_operation]
+    total = view.per_scenario(np.zeros_like(view.step_operation), 1, step_demand)[0]
+    own = view.per_scenario(view.step_operation, len(view.operations), step_demand)
+    share = np.divide(own, total, out=np.zeros_like(own), where=total > 0.0)
+    dominant = (total > 0.0) & (share >= th.paf_demand_share)
+    op_util = comp_util[view.operation_component]
+    # one detection per operation, at its first dominated scenario
+    for o in np.flatnonzero((op_util >= th.util_high) & dominant.any(axis=1)):
+        j = int(np.argmax(dominant[o]))
+        detections.append(
+            Detection(
+                kind=PIPE_AND_FILTER,
+                elements=(view.operations[o].id,),
+                scenario=view.scenarios[j].id,
+                metrics=(("demand_share", float(share[o, j])), ("node_utilization", float(op_util[o]))),
+            )
+        )
 
     return detections
 

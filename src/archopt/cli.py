@@ -29,6 +29,7 @@ from .refactoring import (
     ActionKind,
     InfeasibleActionError,
     RefactoringSequence,
+    apply_sequence,
     sequence_from_records,
     sequence_to_text,
 )
@@ -174,7 +175,7 @@ def cmd_eval(args) -> int:
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
     metrics, _, reason, perf = _compute_metrics(
-        arch, solve_amva(to_qn(arch)), seq, search.brf, search.thresholds
+        solve_amva(to_qn(arch)), seq, apply_sequence(arch, seq), search.brf, search.thresholds
     )
     if metrics is None:
         print(f"error: candidate architecture could not be evaluated: {reason}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Defines the component/node/link/scenario types, their well-formedness
 rules, JSON (de)serialization, and the derived matrices consumed by the
 performance and reliability evaluators.  Architecture values are treated
-as immutable after validation; refactoring produces new values.
+as immutable after validation; refactoring produces new values.  Each
+architecture compiles once, on first use, into a ``CompiledArchitecture``
+of index arrays that every derived matrix is read from.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,13 +99,16 @@ class Architecture:
                 return node
         raise KeyError(node_id)
 
+    @cached_property
+    def compiled(self) -> CompiledArchitecture:
+        """Index view of this architecture, built on first use and kept on
+        the instance (``cached_property`` writes ``__dict__``, which a frozen
+        dataclass allows), so it lives exactly as long as the architecture."""
+        return CompiledArchitecture(self)
+
     def owner_map(self) -> dict[str, Component]:
-        """Map operation id -> owning component."""
-        owners: dict[str, Component] = {}
-        for comp in self.components:
-            for op in comp.operations:
-                owners[op.id] = comp
-        return owners
+        """Map operation id -> owning component (shared; do not mutate)."""
+        return self.compiled.owners
 
     def operation_map(self) -> dict[str, Operation]:
         ops: dict[str, Operation] = {}
@@ -413,57 +419,144 @@ def load(document: str, check: bool = True) -> Architecture:
 
 
 # ---------------------------------------------------------------------------
-# Derived matrices
+# Compiled view and derived matrices
 # ---------------------------------------------------------------------------
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _pair_key(a: np.ndarray, b: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One integer per unordered node-index pair; negative if either is -1."""
+    return np.minimum(a, b) * n_nodes + np.maximum(a, b)
+
+
+class CompiledArchitecture:
+    """Index arrays of one architecture; build it with ``arch.compiled``.
+
+    Operations are numbered in component order, then in the order their
+    component lists them.  Steps are flattened in scenario order, then in
+    the order their scenario lists them.  Accumulating over the flat steps
+    therefore adds in the same order as a loop over the object graph,
+    which keeps every derived value bit-identical to such a loop.
+
+    Requires resolvable references (a deployment target for every
+    component, an owner for every step); a validated architecture has
+    them.  Only what the routing check needs is built eagerly, because
+    most architectures are feasibility probes that are checked and
+    dropped.  Routing itself is lazy (``routes``), so an unroutable
+    architecture still has demands.  The view shares the architecture's
+    element tuples, and every array it holds or returns is read-only,
+    because every reader of the architecture shares it.
+    """
+
+    def __init__(self, arch: Architecture):
+        self.nodes, self.components, self.scenarios = arch.nodes, arch.components, arch.scenarios
+        node_index = {n.id: k for k, n in enumerate(arch.nodes)}
+        op_index: dict[str, int] = {}
+        op_component = []
+        for i, comp in enumerate(arch.components):
+            for op in comp.operations:
+                op_index[op.id] = len(op_index)
+                op_component.append(i)
+        self.operation_component = _frozen(op_component, np.intp)
+        self.component_node = _frozen([node_index[arch.deployment[c.id]] for c in arch.components], np.intp)
+        self.step_scenario = _frozen([j for j, s in enumerate(arch.scenarios) for _ in s.steps], np.intp)
+        self.step_operation = _frozen([op_index[st.operation] for s in arch.scenarios for st in s.steps], np.intp)
+        self.step_count = _frozen([st.count for s in arch.scenarios for st in s.steps], float)
+        # (links, 2) node index of each link endpoint; -1 for a missing node
+        self.link_ends = _frozen(
+            [node_index.get(end, -1) for link in arch.links for end in link.endpoints], np.intp
+        ).reshape(-1, 2)
+
+    @cached_property
+    def operations(self) -> tuple[Operation, ...]:
+        """Every operation, in index order."""
+        return tuple(op for comp in self.components for op in comp.operations)
+
+    @cached_property
+    def owners(self) -> dict[str, Component]:
+        """Operation id -> owning component."""
+        return {op.id: comp for comp in self.components for op in comp.operations}
+
+    @cached_property
+    def operation_demand(self) -> np.ndarray:
+        return _frozen([op.cpu_demand for op in self.operations], float)
+
+    @property
+    def step_node(self) -> np.ndarray:
+        return self.component_node[self.operation_component[self.step_operation]]
+
+    def per_scenario(
+        self, rows: np.ndarray, n_rows: int, weights: np.ndarray, steps: slice | np.ndarray = slice(None)
+    ) -> np.ndarray:
+        """(n_rows, scenarios) sums of ``weights[steps]`` at (rows, scenario
+        of each step), added in step order."""
+        n_scen = len(self.scenarios)
+        flat = np.bincount(
+            rows * n_scen + self.step_scenario[steps], weights=weights[steps], minlength=n_rows * n_scen
+        )
+        out = flat.reshape(n_rows, n_scen)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def routes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Expected component invocations v[i, j] and link messages m[l, j].
+
+        The caller of step n is the component owning step n-1's operation;
+        the caller of the first step is the client, which sits outside all
+        nodes and therefore contributes no link messages.  A message is
+        charged to every link joining its node pair.  Raises
+        ``RoutingError`` when a cross-node call has no link; the error is
+        not memoized.
+        """
+        step_node, scen = self.step_node, self.step_scenario
+        n_nodes = len(self.nodes)
+        cross = np.flatnonzero((step_node[1:] != step_node[:-1]) & (scen[1:] == scen[:-1])) + 1
+        joins = _pair_key(step_node[cross - 1], step_node[cross], n_nodes)[:, None] == _pair_key(
+            self.link_ends[:, 0], self.link_ends[:, 1], n_nodes
+        )
+        unrouted = np.flatnonzero(~joins.any(axis=1))
+        if len(unrouted):
+            s = cross[unrouted[0]]
+            raise RoutingError(
+                f"scenario '{self.scenarios[scen[s]].id}': call to "
+                f"'{self.operations[self.step_operation[s]].id}' crosses nodes "
+                f"('{self.nodes[step_node[s - 1]].id}', '{self.nodes[step_node[s]].id}') with no connecting link"
+            )
+        # row-major, so messages accumulate in step order, then link order
+        rows, links = np.nonzero(joins)
+        invocations = self.per_scenario(
+            self.operation_component[self.step_operation], len(self.components), self.step_count
+        )
+        messages = self.per_scenario(links, len(self.link_ends), self.step_count, cross[rows])
+        return invocations, messages
+
+    @cached_property
+    def demands(self) -> np.ndarray:
+        """Per-node, per-scenario CPU demand in seconds (see ``demand_matrix``)."""
+        step_node = self.step_node
+        speed = np.array([n.speed_factor for n in self.nodes])
+        weights = self.step_count * self.operation_demand[self.step_operation] / speed[step_node]
+        return self.per_scenario(step_node, len(self.nodes), weights)
+
+
 def demand_matrix(arch: Architecture) -> np.ndarray:
-    """Per-node, per-scenario CPU demand in seconds.
+    """Per-node, per-scenario CPU demand in seconds (read-only).
 
     D[k, j] sums, over the operations deployed on node k, the scenario-j
     expected invocation count times the operation's cpu demand, divided by
     the node's speed factor.
     """
-    node_index = {n.id: k for k, n in enumerate(arch.nodes)}
-    owners = arch.owner_map()
-    ops = arch.operation_map()
-    demands = np.zeros((len(arch.nodes), len(arch.scenarios)))
-    for j, scen in enumerate(arch.scenarios):
-        for step in scen.steps:
-            comp = owners[step.operation]
-            k = node_index[arch.deployment[comp.id]]
-            speed = arch.nodes[k].speed_factor
-            demands[k, j] += step.count * ops[step.operation].cpu_demand / speed
-    return demands
+    return arch.compiled.demands
 
 
 def invocation_matrix(arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
-    """Expected component invocations v[i, j] and link messages m[l, j].
-
-    The caller of step n is the component owning step n-1's operation; the
-    caller of the first step is the client, which sits outside all nodes
-    and therefore contributes no link messages.
-    """
-    comp_index = {c.id: i for i, c in enumerate(arch.components)}
-    owners = arch.owner_map()
-    invocations = np.zeros((len(arch.components), len(arch.scenarios)))
-    messages = np.zeros((len(arch.links), len(arch.scenarios)))
-    for j, scen in enumerate(arch.scenarios):
-        caller_node: str | None = None  # client
-        for step in scen.steps:
-            callee = owners[step.operation]
-            callee_node = arch.deployment[callee.id]
-            invocations[comp_index[callee.id], j] += step.count
-            if caller_node is not None and caller_node != callee_node:
-                matched = False
-                for l, link in enumerate(arch.links):
-                    if link.connects(caller_node, callee_node):
-                        messages[l, j] += step.count
-                        matched = True
-                if not matched:
-                    raise RoutingError(
-                        f"scenario '{scen.id}': call to '{step.operation}' crosses nodes "
-                        f"('{caller_node}', '{callee_node}') with no connecting link"
-                    )
-            caller_node = callee_node
-    return invocations, messages
+    """Expected component invocations v[i, j] and link messages m[l, j]
+    (read-only); see ``CompiledArchitecture.routes``.  Raises
+    ``RoutingError`` when a cross-node call has no connecting link."""
+    return arch.compiled.routes

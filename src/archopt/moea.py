@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,11 +27,10 @@ from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
     RefactoringSequence,
+    _random_fold,
     _rebuild,
     apply_sequence,
     distance,
-    random_sequence,
-    repair,
     sequence_to_records,
 )
 from .reliability import reliability as compute_reliability
@@ -38,6 +39,9 @@ log = logging.getLogger("archopt.moea")
 
 ALGORITHMS = ("nsga2", "spea2", "pesa2")
 INVALID_SENTINEL = float("inf")
+
+# A candidate of the search: its genotype and the architecture it folds to.
+Candidate = tuple[RefactoringSequence, Architecture]
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,15 @@ class SearchConfig:
             raise ValueError("at least one of budget_seconds / max_evaluations must be set")
         if self.population < 4 or self.population % 2:
             raise ValueError(f"population must be >= 4 and even, got {self.population}")
+        for name in ("sequence_length", "archive_size", "divisions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("crossover_prob", "mutation_prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
+            raise ValueError(f"budget_seconds must be >= 0, got {self.budget_seconds}")
 
     @property
     def gene_mutation_prob(self) -> float:
@@ -107,15 +120,15 @@ def _genotype_key(seq: RefactoringSequence) -> tuple:
 
 
 def _compute_metrics(
-    initial: Architecture,
     initial_perf: PerformanceResult,
     seq: RefactoringSequence,
+    folded: Architecture,
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
 ) -> tuple[EvalMetrics | None, str, str, PerformanceResult | None]:
-    """Returns (metrics or None, phenotype digest, failure reason, the
-    folded architecture's performance or None)."""
-    folded = apply_sequence(initial, seq)
+    """Scores ``folded``, the architecture ``seq`` folds to.  Returns
+    (metrics or None, phenotype digest, failure reason, the folded
+    architecture's performance or None)."""
     phenotype = digest(folded)
     try:
         perf = solve_amva(to_qn(folded))
@@ -183,33 +196,37 @@ class Evaluator:
         """Non-dominated subset of every individual evaluated so far."""
         return list(self._front)
 
-    def evaluate(self, seq: RefactoringSequence) -> Individual:
+    def evaluate(self, seq: RefactoringSequence, folded: Architecture | None = None) -> Individual:
+        """Score a sequence; ``folded``, when given, must be the architecture
+        ``seq`` folds to from the initial one, and saves folding it again."""
         key = _genotype_key(seq)
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
+        if folded is None:
+            folded = apply_sequence(self.initial, seq)
         metrics, phenotype, reason, _ = _compute_metrics(
-            self.initial, self.initial_perf, seq, self.config.brf, self.config.thresholds
+            self.initial_perf, seq, folded, self.config.brf, self.config.thresholds
         )
         return self._record(seq, (metrics, phenotype, reason))
 
     def evaluate_many(
         self,
-        seqs: list[RefactoringSequence],
+        candidates: Iterable[Candidate],
         deadline: float | None = None,
         max_evaluations: int | None = None,
     ) -> list[Individual]:
         """Evaluate in submission order; under a deadline or evaluation cap
-        the remainder of the batch is skipped once the budget runs out."""
+        the remainder of the batch is neither drawn nor evaluated once the
+        budget runs out."""
         out = []
-        for seq in seqs:
-            if out:
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                if max_evaluations is not None and self.solver_evaluations >= max_evaluations:
-                    break
-            out.append(self.evaluate(seq))
+        for seq, folded in candidates:
+            out.append(self.evaluate(seq, folded))
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            if max_evaluations is not None and self.solver_evaluations >= max_evaluations:
+                break
         return out
 
 
@@ -218,12 +235,21 @@ class _Budget:
         self.seconds = config.budget_seconds
         self.max_evaluations = config.max_evaluations
         self.started = time.monotonic()
+        self.stalled = False
+        self._last_evaluations: int | None = None
 
     @property
     def deadline(self) -> float | None:
         return None if self.seconds is None else self.started + self.seconds
 
     def exhausted(self, evaluations: int) -> bool:
+        """Whether the search must stop.  The loops ask once per generation,
+        so an unchanged count means the last generation was all cache hits:
+        the search has stalled, and an evaluation cap would never be met."""
+        self.stalled = evaluations == self._last_evaluations
+        self._last_evaluations = evaluations
+        if self.stalled:
+            return True
         if self.seconds is not None and time.monotonic() - self.started >= self.seconds:
             return True
         if self.max_evaluations is not None and evaluations >= self.max_evaluations:
@@ -244,19 +270,20 @@ def crossover(
     b: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-) -> tuple[RefactoringSequence, RefactoringSequence]:
-    """Single-point crossover at a uniform cut in [1, L-1], then repair."""
+) -> tuple[Candidate, Candidate]:
+    """Single-point crossover at a uniform cut in [1, L-1], then repair;
+    returns each child with its folded architecture."""
     if len(a) != len(b):
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
     if length < 2:
-        return a, b
+        return (a, apply_sequence(initial, a)), (b, apply_sequence(initial, b))
     cut = int(rng.integers(1, length))
-    child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
-    child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
+    child_a = a.actions[:cut] + b.actions[cut:]
+    child_b = b.actions[:cut] + a.actions[cut:]
     return (
-        repair(initial, child_a, rng, allow_new_nodes=allow_new_nodes),
-        repair(initial, child_b, rng, allow_new_nodes=allow_new_nodes),
+        _rebuild(initial, child_a, rng, allow_new_nodes),
+        _rebuild(initial, child_b, rng, allow_new_nodes),
     )
 
 
@@ -266,26 +293,25 @@ def mutate(
     rng: np.random.Generator,
     gene_prob: float,
     allow_new_nodes: bool = True,
-) -> RefactoringSequence:
+) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
-    action at its prefix position; infeasible survivors are repaired."""
-    mutated, _ = _rebuild(initial, seq.actions, rng, allow_new_nodes, resample_probability=gene_prob)
-    return mutated
+    action at its prefix position; infeasible survivors are repaired.
+    Returns the child with its folded architecture."""
+    return _rebuild(initial, seq.actions, rng, allow_new_nodes, resample_probability=gene_prob)
 
 
-def _offspring_pair(
-    evaluator: Evaluator,
-    parents: tuple[RefactoringSequence, RefactoringSequence],
-    rng: np.random.Generator,
-) -> list[RefactoringSequence]:
+def _offspring(evaluator: Evaluator, select: Callable[[], Individual], rng: np.random.Generator) -> Iterator[Candidate]:
+    """One generation of children, bred two at a time from parents drawn by
+    ``select``.  Lazy, so each folded architecture is scored and dropped
+    before the next is built; scoring draws no random numbers, so the
+    children are the same as if all were bred first."""
     config = evaluator.config
-    a, b = parents
-    if rng.random() < config.crossover_prob:
-        a, b = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes)
-    children = []
-    for child in (a, b):
-        children.append(mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes))
-    return children
+    for _ in range(config.population // 2):
+        a, b = select().sequence, select().sequence
+        if rng.random() < config.crossover_prob:
+            (a, _), (b, _) = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes)
+        for child in (a, b):
+            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +364,8 @@ def _run_nsga2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
     generations = 0
     while not budget.exhausted(evaluator.solver_evaluations) and population:
         rank, crowding = _rank_and_crowding(population)
-        offspring: list[RefactoringSequence] = []
-        while len(offspring) < config.population:
-            pa = _nsga2_select_parent(population, rank, crowding, rng)
-            pb = _nsga2_select_parent(population, rank, crowding, rng)
-            offspring.extend(_offspring_pair(evaluator, (pa.sequence, pb.sequence), rng))
-        evaluated = evaluator.evaluate_many(offspring[: config.population], budget.deadline, config.max_evaluations)
+        select = partial(_nsga2_select_parent, population, rank, crowding, rng)
+        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
         population = _nsga2_survival(population + evaluated, config.population)
         generations += 1
     return generations
@@ -394,6 +416,11 @@ def _spea2_environmental(union: list[Individual], fitness: np.ndarray, dists: np
     return [union[i] for i in nondom]
 
 
+def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
+    i, j = _tournament(rng, len(archive))
+    return archive[i] if (fitness[i], i) <= (fitness[j], j) else archive[j]
+
+
 def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> int:
     config = evaluator.config
     population = _initial_population(evaluator, rng, budget)
@@ -406,14 +433,8 @@ def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
         if budget.exhausted(evaluator.solver_evaluations):
             break
         arch_fitness, _ = _spea2_fitness(archive)
-        offspring: list[RefactoringSequence] = []
-        while len(offspring) < config.population:
-            ia, ib = _tournament(rng, len(archive))
-            pa = archive[ia] if (arch_fitness[ia], ia) <= (arch_fitness[ib], ib) else archive[ib]
-            ic, id_ = _tournament(rng, len(archive))
-            pb = archive[ic] if (arch_fitness[ic], ic) <= (arch_fitness[id_], id_) else archive[id_]
-            offspring.extend(_offspring_pair(evaluator, (pa.sequence, pb.sequence), rng))
-        population = evaluator.evaluate_many(offspring[: config.population], budget.deadline, config.max_evaluations)
+        select = partial(_spea2_select_parent, archive, arch_fitness, rng)
+        population = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
         generations += 1
     return generations
 
@@ -477,13 +498,8 @@ def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
         archive = _pesa2_insert(archive, ind, config.archive_size, grid)
     generations = 0
     while archive and not budget.exhausted(evaluator.solver_evaluations):
-        cells = grid.cells(archive)
-        offspring: list[RefactoringSequence] = []
-        while len(offspring) < config.population:
-            pa = _pesa2_select(archive, cells, rng)
-            pb = _pesa2_select(archive, cells, rng)
-            offspring.extend(_offspring_pair(evaluator, (pa.sequence, pb.sequence), rng))
-        evaluated = evaluator.evaluate_many(offspring[: config.population], budget.deadline, config.max_evaluations)
+        select = partial(_pesa2_select, archive, grid.cells(archive), rng)
+        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
         for ind in evaluated:
             archive = _pesa2_insert(archive, ind, config.archive_size, grid)
         generations += 1
@@ -497,11 +513,11 @@ def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
 
 def _initial_population(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> list[Individual]:
     config = evaluator.config
-    seqs = [
-        random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
+    candidates = (
+        _random_fold(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
         for _ in range(config.population)
-    ]
-    return evaluator.evaluate_many(seqs, budget.deadline, config.max_evaluations)
+    )
+    return evaluator.evaluate_many(candidates, budget.deadline, config.max_evaluations)
 
 
 _RUNNERS = {"nsga2": _run_nsga2, "spea2": _run_spea2, "pesa2": _run_pesa2}
@@ -536,6 +552,7 @@ def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | 
         "cache_hits": evaluator.cache_hits,
         "generations": generations,
         "budget_truncated": generations == 0,
+        "stalled": budget.stalled,
         "wall_time_seconds": wall,
         "initial_digest": evaluator.initial_digest,
     }

@@ -26,7 +26,6 @@ from .model import (
     RoutingError,
     UsageScenario,
     invocation_matrix,
-    validate,
 )
 
 NEW_NODE_PREFIX = "new-node:"
@@ -345,13 +344,16 @@ _APPLIERS = {
 
 
 def _try_apply(arch: Architecture, action: RefactoringAction) -> tuple[Architecture | None, str]:
-    """Apply if feasible; return (result, "") or (None, reason)."""
+    """Apply if feasible; return (result, "") or (None, reason).
+
+    The input must be valid.  Each applier checks its own preconditions
+    and builds a result that keeps every ``validate`` invariant, so only
+    routing is checked here; that check compiles the result, and the
+    evaluator reuses the compiled view.
+    """
     result, reason = _APPLIERS[action.kind](arch, action)
     if result is None:
         return None, reason
-    violations = validate(result)
-    if violations:
-        return None, f"result would be invalid: {violations[0]}"
     try:
         invocation_matrix(result)
     except RoutingError as exc:
@@ -425,6 +427,27 @@ def _sample_action(arch: Architecture, kind: ActionKind, rng: np.random.Generato
     return RedeployComponent(comp.id, _pick(rng, targets))
 
 
+def _random_step(
+    arch: Architecture,
+    rng: np.random.Generator,
+    allow_new_nodes: bool,
+    max_tries: int = 50,
+) -> tuple[RefactoringAction, Architecture]:
+    """``random_action`` plus the architecture its accepted probe built."""
+    remaining = list(ActionKind)
+    while remaining:
+        kind = _pick(rng, remaining)
+        for _ in range(max_tries):
+            action = _sample_action(arch, kind, rng, allow_new_nodes)
+            if action is None:
+                break
+            result, _ = _try_apply(arch, action)
+            if result is not None:
+                return action, result
+        remaining.remove(kind)
+    raise NoFeasibleActionError("no feasible action exists for this architecture")
+
+
 def random_action(
     arch: Architecture,
     rng: np.random.Generator,
@@ -433,18 +456,8 @@ def random_action(
 ) -> RefactoringAction:
     """Sample a feasible action: kind uniformly, then parameters by
     reject-and-resample; falls back to the remaining kinds on exhaustion."""
-    remaining = list(ActionKind)
-    while remaining:
-        kind = _pick(rng, remaining)
-        for _ in range(max_tries):
-            action = _sample_action(arch, kind, rng, allow_new_nodes)
-            if action is None:
-                break
-            ok, _ = is_feasible(arch, action)
-            if ok:
-                return action
-        remaining.remove(kind)
-    raise NoFeasibleActionError("no feasible action exists for this architecture")
+    action, _ = _random_step(arch, rng, allow_new_nodes, max_tries)
+    return action
 
 
 def _rebuild(
@@ -465,8 +478,7 @@ def _rebuild(
                 repaired.append(action)
                 current = result
                 continue
-        action = random_action(current, rng, allow_new_nodes=allow_new_nodes)
-        current = apply(current, action)
+        action, current = _random_step(current, rng, allow_new_nodes)
         repaired.append(action)
     return RefactoringSequence(tuple(repaired)), current
 
@@ -489,13 +501,20 @@ def random_sequence(
     allow_new_nodes: bool = True,
 ) -> RefactoringSequence:
     """Sample a feasible sequence by chaining random actions."""
+    seq, _ = _random_fold(arch, length, rng, allow_new_nodes)
+    return seq
+
+
+def _random_fold(
+    arch: Architecture, length: int, rng: np.random.Generator, allow_new_nodes: bool
+) -> tuple[RefactoringSequence, Architecture]:
+    """``random_sequence`` plus its folded architecture."""
     current = arch
     actions = []
     for _ in range(length):
-        action = random_action(current, rng, allow_new_nodes=allow_new_nodes)
-        current = apply(current, action)
+        action, current = _random_step(current, rng, allow_new_nodes)
         actions.append(action)
-    return RefactoringSequence(tuple(actions))
+    return RefactoringSequence(tuple(actions)), current
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archopt import casestudies
 from archopt.antipatterns import (
     BLOB,
     CONCURRENT_PROCESSING,
     PIPE_AND_FILTER,
+    Detection,
     Thresholds,
     detect,
     pas_count,
 )
+from archopt.model import invocation_matrix
 from archopt.perfqn import PerformanceResult, solve_amva, to_qn
+from archopt.refactoring import apply_sequence, random_sequence
 from conftest import make_arch
 
 
@@ -134,3 +140,65 @@ def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
         perf = solve_amva(to_qn(arch))
         assert pas_count(arch, perf) >= 1
+
+
+def naive_detect(arch, perf, th):
+    """The object-graph loops the vectorized rules replaced."""
+    util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
+    ops = arch.operation_map()
+    node_of = {c.id: arch.deployment[c.id] for c in arch.components}
+    detections = []
+    invocations, _ = invocation_matrix(arch)
+    mean_invocations = invocations.mean(axis=0)
+    for i, comp in enumerate(arch.components):
+        if util[node_of[comp.id]] < th.util_high:
+            continue
+        for j, scen in enumerate(arch.scenarios):
+            if invocations[i, j] > th.blob_share * mean_invocations[j]:
+                metrics = (
+                    ("invocations", float(invocations[i, j])),
+                    ("mean_invocations", float(mean_invocations[j])),
+                    ("node_utilization", util[node_of[comp.id]]),
+                )
+                detections.append(Detection(BLOB, (comp.id,), scen.id, metrics))
+                break
+    node_ids = [n.id for n in arch.nodes]
+    for a in range(len(node_ids)):
+        for b in range(a + 1, len(node_ids)):
+            high = max(util[node_ids[a]], util[node_ids[b]])
+            low = min(util[node_ids[a]], util[node_ids[b]])
+            if high >= th.util_high and low <= th.util_low:
+                metrics = (("utilization_high", high), ("utilization_low", low))
+                detections.append(Detection(CONCURRENT_PROCESSING, (node_ids[a], node_ids[b]), None, metrics))
+    for comp in arch.components:
+        for op in comp.operations:
+            if util[node_of[comp.id]] < th.util_high:
+                continue
+            for scen in arch.scenarios:
+                total = sum(step.count * ops[step.operation].cpu_demand for step in scen.steps)
+                if total <= 0.0:
+                    continue
+                share = sum(step.count * op.cpu_demand for step in scen.steps if step.operation == op.id) / total
+                if share >= th.paf_demand_share:
+                    metrics = (("demand_share", share), ("node_utilization", util[node_of[comp.id]]))
+                    detections.append(Detection(PIPE_AND_FILTER, (op.id,), scen.id, metrics))
+                    break
+    return detections
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 6),
+    util_high=st.sampled_from([0.5, 0.8]),
+    blob_share=st.sampled_from([1.0, 2.0]),
+    paf_demand_share=st.sampled_from([0.2, 0.5]),
+)
+def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share, paf_demand_share):
+    arch = casestudies.load_case_study(name)
+    rng = np.random.default_rng(seed)
+    folded = apply_sequence(arch, random_sequence(arch, length, rng))
+    perf = perf_for(folded, rng.random(len(folded.nodes)))
+    th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
+    assert detect(folded, perf, th) == naive_detect(folded, perf, th)

@@ -150,11 +150,21 @@ def test_optimize_seed_env_override(tmp_path, monkeypatch):
     assert meta["seed"] == 99
 
 
-def test_optimize_rejects_bad_config(tmp_path):
-    config = write_config(tmp_path, max_evaluations=None)
-    assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN
-    config = write_config(tmp_path, workers=2)
-    assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN
+def test_optimize_rejects_bad_config(tmp_path, capsys):
+    bad = [
+        {"max_evaluations": None},
+        {"workers": 2},
+        {"sequence_length": 0},
+        {"archive_size": 0},
+        {"divisions": 0},
+        {"crossover_prob": 2.0},
+        {"mutation_prob": -1},
+        {"budget_seconds": -1},
+    ]
+    for overrides in bad:
+        config = write_config(tmp_path, **overrides)
+        assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN, overrides
+        assert next(iter(overrides)) in capsys.readouterr().err
 
 
 def test_optimize_missing_config_usage_error():

@@ -1,13 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archopt import casestudies
 from archopt.model import (
     Architecture,
     CallStep,
     Component,
     ModelFormatError,
+    NetworkLink,
     Operation,
     ProcessorNode,
     RoutingError,
@@ -19,6 +24,7 @@ from archopt.model import (
     to_dict,
     validate,
 )
+from archopt.refactoring import apply_sequence, random_sequence
 from conftest import make_arch
 
 
@@ -236,3 +242,100 @@ def test_all_zero_counts_give_zero_matrices(two_comp_arch):
     v, m = invocation_matrix(zeroed)
     assert (v >= 0).all() and not v.any()
     assert not m.any()
+
+
+# -- compiled view against the object-graph loops it replaced ----------------
+
+
+def naive_demand_matrix(arch):
+    node_index = {n.id: k for k, n in enumerate(arch.nodes)}
+    owners = {op.id: comp for comp in arch.components for op in comp.operations}
+    ops = arch.operation_map()
+    demands = np.zeros((len(arch.nodes), len(arch.scenarios)))
+    for j, scen in enumerate(arch.scenarios):
+        for step in scen.steps:
+            k = node_index[arch.deployment[owners[step.operation].id]]
+            demands[k, j] += step.count * ops[step.operation].cpu_demand / arch.nodes[k].speed_factor
+    return demands
+
+
+def naive_invocation_matrix(arch):
+    """Scans every link for every cross-node call; None if unroutable."""
+    comp_index = {c.id: i for i, c in enumerate(arch.components)}
+    owners = {op.id: comp for comp in arch.components for op in comp.operations}
+    invocations = np.zeros((len(arch.components), len(arch.scenarios)))
+    messages = np.zeros((len(arch.links), len(arch.scenarios)))
+    for j, scen in enumerate(arch.scenarios):
+        caller_node = None
+        for step in scen.steps:
+            callee = owners[step.operation]
+            callee_node = arch.deployment[callee.id]
+            invocations[comp_index[callee.id], j] += step.count
+            if caller_node is not None and caller_node != callee_node:
+                matched = False
+                for l, link in enumerate(arch.links):
+                    if link.connects(caller_node, callee_node):
+                        messages[l, j] += step.count
+                        matched = True
+                if not matched:
+                    return None
+            caller_node = callee_node
+    return invocations, messages
+
+
+def with_parallel_link(arch):
+    """A second link beside the first one, with its own failure probability."""
+    first = arch.links[0]
+    twin = NetworkLink(f"{first.id}_twin", first.endpoints, failure_probability=0.05, delay=first.delay)
+    return replace(arch, links=arch.links + (twin,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    parallel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 6),
+)
+def test_compiled_matrices_equal_naive_reference(name, parallel, seed, length):
+    arch = casestudies.load_case_study(name)
+    if parallel:
+        arch = with_parallel_link(arch)
+    folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed)))
+    invocations, messages = invocation_matrix(folded)
+    naive_invocations, naive_messages = naive_invocation_matrix(folded)
+    # same additions in the same order: equal to the last bit
+    np.testing.assert_array_equal(invocations, naive_invocations)
+    np.testing.assert_array_equal(messages, naive_messages)
+    np.testing.assert_array_equal(demand_matrix(folded), naive_demand_matrix(folded))
+
+
+def test_parallel_links_each_carry_every_message(two_comp_arch):
+    arch = with_parallel_link(two_comp_arch)
+    _, messages = invocation_matrix(arch)
+    np.testing.assert_array_equal(messages, [[1.0], [1.0]])
+    np.testing.assert_array_equal(messages, naive_invocation_matrix(arch)[1])
+
+
+def test_unroutable_models_fail_like_the_naive_reference():
+    arch = make_arch(
+        components=[("a", 0.0, [("opA", 0.1)]), ("b", 0.0, [("opB", 0.1)]), ("c", 0.0, [("opC", 0.1)])],
+        nodes=[("n1", 1.0, 1), ("n2", 1.0, 1), ("n3", 1.0, 1)],
+        deployment={"a": "n1", "b": "n2", "c": "n3"},
+        scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0), ("opC", 1.0)])],
+        links=[("l12", "n1", "n2", 0.0, 0.0)],
+    )
+    assert naive_invocation_matrix(arch) is None
+    with pytest.raises(RoutingError, match="call to 'opC' crosses nodes \\('n2', 'n3'\\)"):
+        invocation_matrix(arch)
+    # demand needs no routing
+    np.testing.assert_array_equal(demand_matrix(arch), naive_demand_matrix(arch))
+
+
+def test_compiled_matrices_are_read_only(two_comp_arch):
+    invocations, messages = invocation_matrix(two_comp_arch)
+    for matrix in (invocations, messages, demand_matrix(two_comp_arch)):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 99.0
+    assert invocation_matrix(two_comp_arch)[0][0, 0] == 3.0
+    assert two_comp_arch.compiled is two_comp_arch.compiled

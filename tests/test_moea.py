@@ -22,6 +22,7 @@ from archopt.refactoring import (
     CloneComponent,
     RedeployComponent,
     RefactoringSequence,
+    apply_sequence,
     random_sequence,
 )
 
@@ -42,6 +43,22 @@ def test_config_requires_budget():
 def test_config_population_must_be_even():
     with pytest.raises(ValueError, match="even"):
         SearchConfig(max_evaluations=10, population=7)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sequence_length", 0),
+        ("archive_size", 0),
+        ("divisions", 0),
+        ("crossover_prob", 2.0),
+        ("mutation_prob", -1.0),
+        ("budget_seconds", -1.0),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(max_evaluations=10, **{field: value})
 
 
 def test_objective_vector_modes():
@@ -69,6 +86,15 @@ def test_redeploying_hot_component_improves_perfq(small_arch):
     ind = evaluator.evaluate(seq)
     assert ind.metrics.perfq > 0.0
     assert ind.objectives[0] < 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_with_folded_matches_bare_evaluate(small_arch, seed):
+    seq = random_sequence(small_arch, 4, np.random.default_rng(seed))
+    bare = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq)
+    given = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq, apply_sequence(small_arch, seq))
+    assert given.objectives == bare.objectives
+    assert given.phenotype_digest == bare.phenotype_digest
 
 
 def test_evaluation_cache_skips_solver(small_arch):
@@ -132,9 +158,11 @@ def test_crossover_single_point_cut(small_arch):
             CloneComponent("auth", "app1"),
         )
     )
-    child_a, child_b = crossover(small_arch, a, b, FixedCutRng(2))
+    (child_a, folded_a), (child_b, folded_b) = crossover(small_arch, a, b, FixedCutRng(2))
     assert child_a.actions == a.actions[:2] + b.actions[2:]
     assert child_b.actions == b.actions[:2] + a.actions[2:]
+    assert folded_a == apply_sequence(small_arch, child_a)
+    assert folded_b == apply_sequence(small_arch, child_b)
 
 
 def test_crossover_deterministic(small_arch):
@@ -146,15 +174,17 @@ def test_crossover_deterministic(small_arch):
 
 def test_mutation_zero_probability_is_identity(small_arch):
     seq = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    out, folded = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
     assert out == seq
+    assert folded == apply_sequence(small_arch, seq)
 
 
 def test_mutation_deterministic(small_arch):
     seq = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out1 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
-    out2 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    (out1, folded1) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    (out2, folded2) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
+    assert folded1 == folded2 == apply_sequence(small_arch, out1)
 
 
 # -- SPEA2 internals --------------------------------------------------------------
@@ -261,6 +291,18 @@ def test_run_zero_budget_front_of_initial_population(small_arch):
     assert front.metadata["budget_truncated"]
     assert front.metadata["generations"] == 0
     assert len(front.individuals) >= 1
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
+def test_run_stops_when_a_generation_adds_no_evaluation(small_arch, algorithm):
+    # an empty plan is a single genotype, so its search could never finish
+    with pytest.raises(ValueError, match="sequence_length"):
+        SearchConfig(algorithm=algorithm, sequence_length=0, max_evaluations=40)
+    # few distinct one-action plans: offspring soon are all cache hits
+    config = SearchConfig(algorithm=algorithm, population=4, sequence_length=1, max_evaluations=500)
+    front = run(small_arch, config)
+    assert front.metadata["stalled"]
+    assert front.metadata["evaluations_used"] < 500
 
 
 def test_run_initial_population_respects_max_evaluations(small_arch):

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archopt import casestudies
 from archopt.model import demand_matrix, validate
 from archopt.refactoring import (
     DEFAULT_BRF,
@@ -255,3 +258,27 @@ def test_sequence_records_round_trip(small_arch):
     seq = random_sequence(small_arch, 4, rng)
     assert sequence_from_records(sequence_to_records(seq)) == seq
     assert sequence_from_text(sequence_to_text(seq)) == seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 8),
+    gene_prob=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_every_prefix_fold_is_valid(name, seed, length, gene_prob):
+    # actions keep every invariant by construction, so the program checks
+    # validity only where a model enters; this is the check it no longer runs
+    arch = casestudies.load_case_study(name)
+    rng = np.random.default_rng(seed)
+    seq = random_sequence(arch, length, rng)
+    if gene_prob:
+        # resampled genes land on prefixes the original sequence never saw
+        from archopt.moea import mutate
+
+        seq, _ = mutate(arch, seq, rng, gene_prob)
+    current = arch
+    for action in seq.actions:
+        current = apply(current, action)
+        assert validate(current) == []
