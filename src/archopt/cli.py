@@ -174,11 +174,11 @@ def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
-    metrics, _, reason, perf = _compute_metrics(
+    metrics, failure, perf = _compute_metrics(
         solve_amva(to_qn(arch)), seq, apply_sequence(arch, seq), search.brf, search.thresholds
     )
     if metrics is None:
-        print(f"error: candidate architecture could not be evaluated: {reason}", file=sys.stderr)
+        print(f"error: candidate architecture could not be evaluated: {failure}", file=sys.stderr)
         return EXIT_DOMAIN
 
     report = {

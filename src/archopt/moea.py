@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -39,9 +39,15 @@ log = logging.getLogger("archopt.moea")
 
 ALGORITHMS = ("nsga2", "spea2", "pesa2")
 INVALID_SENTINEL = float("inf")
+# What scoring a folded architecture may raise; each failure makes an
+# invalid individual, counted under the first of these classes it is.
+EVALUATION_FAILURES = (SolverError, RoutingError, ValueError)
 
 # A candidate of the search: its genotype and the architecture it folds to.
 Candidate = tuple[RefactoringSequence, Architecture]
+# A bred child: its genotype and its prefix folds (``folds[i]`` is the
+# architecture after the first i + 1 genes).
+Lineage = tuple[RefactoringSequence, tuple[Architecture, ...]]
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class EvalMetrics:
 @dataclass(frozen=True)
 class Individual:
     sequence: RefactoringSequence
-    phenotype_digest: str
+    phenotype_digest: str | None  # set for front entrants and invalid individuals
     metrics: EvalMetrics
     objectives: tuple[float, ...]  # active objective vector, minimized
     valid: bool
@@ -125,23 +131,22 @@ def _compute_metrics(
     folded: Architecture,
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
-) -> tuple[EvalMetrics | None, str, str, PerformanceResult | None]:
+) -> tuple[EvalMetrics | None, Exception | None, PerformanceResult | None]:
     """Scores ``folded``, the architecture ``seq`` folds to.  Returns
-    (metrics or None, phenotype digest, failure reason, the folded
-    architecture's performance or None)."""
-    phenotype = digest(folded)
+    (metrics, None, the folded architecture's performance), or
+    (None, the failure, None) when it cannot be scored."""
     try:
         perf = solve_amva(to_qn(folded))
         rel = compute_reliability(folded)
-    except (SolverError, RoutingError, ValueError) as exc:
-        return None, phenotype, str(exc), None
+    except EVALUATION_FAILURES as exc:
+        return None, exc, None
     metrics = EvalMetrics(
         perfq=perfq(initial_perf, perf),
         reliability=rel.overall,
         pas=len(detect(folded, perf, thresholds)),
         distance=distance(seq, brf),
     )
-    return metrics, phenotype, "", perf
+    return metrics, None, perf
 
 
 class Evaluator:
@@ -164,32 +169,41 @@ class Evaluator:
         self._front_points = np.empty((0, 4 if config.use_pas_objective else 3))
         self.solver_evaluations = 0
         self.cache_hits = 0
+        self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
-    def _record(self, seq: RefactoringSequence, result: tuple[EvalMetrics | None, str, str]) -> Individual:
-        metrics, phenotype, reason = result
+    def _record(
+        self,
+        seq: RefactoringSequence,
+        metrics: EvalMetrics | None,
+        failure: Exception | None,
+        folded: Architecture,
+    ) -> Individual:
+        """Store a scored candidate.  Its phenotype is digested only when
+        it is invalid (for the warning) or enters the cumulative front."""
         self.solver_evaluations += 1
+        order = len(self.all_individuals)
         if metrics is None:
-            log.warning("invalid individual (%s): %s", phenotype[:12], reason)
+            phenotype = digest(folded)
+            kind = next(cls for cls in EVALUATION_FAILURES if isinstance(failure, cls))
+            self.invalid_by_type[kind.__name__] += 1
+            log.warning("invalid individual (%s): %s", phenotype[:12], failure)
             sentinel = float("nan")
             metrics = EvalMetrics(sentinel, sentinel, 0, sentinel)
             dim = 4 if self.config.use_pas_objective else 3
-            objectives = (INVALID_SENTINEL,) * dim
-            individual = Individual(seq, phenotype, metrics, objectives, False, len(self.all_individuals))
+            individual = Individual(seq, phenotype, metrics, (INVALID_SENTINEL,) * dim, False, order)
         else:
             objectives = objective_vector(metrics, self.config.use_pas_objective)
-            individual = Individual(seq, phenotype, metrics, objectives, True, len(self.all_individuals))
-        self._cache[_genotype_key(seq)] = individual
-        self.all_individuals.append(individual)
-        self._admit_to_front(individual)
-        return individual
-
-    def _admit_to_front(self, individual: Individual) -> None:
+            individual = Individual(seq, None, metrics, objectives, True, order)
         candidate = np.array(individual.objectives)
         keep = admit(self._front_points, candidate)
-        if keep is None:
-            return
-        self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
-        self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
+        if keep is not None:
+            if individual.phenotype_digest is None:
+                individual = replace(individual, phenotype_digest=digest(folded))
+            self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
+            self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
+        self._cache[_genotype_key(seq)] = individual
+        self.all_individuals.append(individual)
+        return individual
 
     @property
     def front(self) -> list[Individual]:
@@ -206,10 +220,8 @@ class Evaluator:
             return cached
         if folded is None:
             folded = apply_sequence(self.initial, seq)
-        metrics, phenotype, reason, _ = _compute_metrics(
-            self.initial_perf, seq, folded, self.config.brf, self.config.thresholds
-        )
-        return self._record(seq, (metrics, phenotype, reason))
+        metrics, failure, _ = _compute_metrics(self.initial_perf, seq, folded, self.config.brf, self.config.thresholds)
+        return self._record(seq, metrics, failure, folded)
 
     def evaluate_many(
         self,
@@ -270,17 +282,17 @@ def crossover(
     b: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-) -> tuple[Candidate, Candidate]:
+) -> tuple[Lineage, Lineage]:
     """Single-point crossover at a uniform cut in [1, L-1], then repair;
-    returns each child with its folded architecture."""
+    returns each child with its prefix folds."""
     if len(a) != len(b):
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
-    if length < 2:
-        return (a, apply_sequence(initial, a)), (b, apply_sequence(initial, b))
-    cut = int(rng.integers(1, length))
-    child_a = a.actions[:cut] + b.actions[cut:]
-    child_b = b.actions[:cut] + a.actions[cut:]
+    child_a, child_b = a.actions, b.actions
+    if length >= 2:
+        cut = int(rng.integers(1, length))
+        child_a = a.actions[:cut] + b.actions[cut:]
+        child_b = b.actions[:cut] + a.actions[cut:]
     return (
         _rebuild(initial, child_a, rng, allow_new_nodes),
         _rebuild(initial, child_b, rng, allow_new_nodes),
@@ -293,25 +305,31 @@ def mutate(
     rng: np.random.Generator,
     gene_prob: float,
     allow_new_nodes: bool = True,
+    folds: tuple[Architecture, ...] = (),
 ) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
+    ``folds``, when given, are the prefix folds of ``seq`` (as ``crossover``
+    returns them); the genes before the first replaced one reuse them.
     Returns the child with its folded architecture."""
-    return _rebuild(initial, seq.actions, rng, allow_new_nodes, resample_probability=gene_prob)
+    child, built = _rebuild(initial, seq.actions, rng, allow_new_nodes, gene_prob, folds)
+    return child, built[-1] if built else initial
 
 
 def _offspring(evaluator: Evaluator, select: Callable[[], Individual], rng: np.random.Generator) -> Iterator[Candidate]:
     """One generation of children, bred two at a time from parents drawn by
-    ``select``.  Lazy, so each folded architecture is scored and dropped
-    before the next is built; scoring draws no random numbers, so the
-    children are the same as if all were bred first."""
+    ``select``.  Lazy, so only one pair's folds are held at a time; scoring
+    draws no random numbers, so the children are the same as if all were
+    bred first.  Mutation reuses crossover's prefix folds, so each gene of
+    a child folds once."""
     config = evaluator.config
     for _ in range(config.population // 2):
         a, b = select().sequence, select().sequence
+        pair: tuple[Lineage, Lineage] = ((a, ()), (b, ()))
         if rng.random() < config.crossover_prob:
-            (a, _), (b, _) = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes)
-        for child in (a, b):
-            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes)
+            pair = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes)
+        for child, folds in pair:
+            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +568,7 @@ def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | 
         "use_pas_objective": config.use_pas_objective,
         "evaluations_used": evaluator.solver_evaluations,
         "cache_hits": evaluator.cache_hits,
+        "invalid_by_type": dict(evaluator.invalid_by_type),
         "generations": generations,
         "budget_truncated": generations == 0,
         "stalled": budget.stalled,

@@ -466,21 +466,30 @@ def _rebuild(
     rng: np.random.Generator,
     allow_new_nodes: bool,
     resample_probability: float = 0.0,
-) -> tuple[RefactoringSequence, Architecture]:
-    """Walk the genes in prefix order, resampling forced or infeasible ones."""
+    folds: tuple[Architecture, ...] = (),
+) -> tuple[RefactoringSequence, tuple[Architecture, ...]]:
+    """Walk the genes in prefix order, resampling forced or infeasible ones.
+
+    Returns the repaired sequence and its prefix folds: ``folds[i]`` is the
+    architecture after its first ``i + 1`` genes.  Given the prefix folds of
+    ``actions``, a gene reuses its fold instead of applying again while
+    every earlier gene was kept; the force draws are the same either way.
+    """
     current = arch
     repaired: list[RefactoringAction] = []
-    for action in actions:
+    built: list[Architecture] = []
+    for index, action in enumerate(actions):
         force = resample_probability > 0.0 and rng.random() < resample_probability
+        result = None
         if not force:
-            result, _ = _try_apply(current, action)
-            if result is not None:
-                repaired.append(action)
-                current = result
-                continue
-        action, current = _random_step(current, rng, allow_new_nodes)
+            result = folds[index] if index < len(folds) else _try_apply(current, action)[0]
+        if result is None:
+            folds = ()  # the prefix has changed, so no later fold applies
+            action, result = _random_step(current, rng, allow_new_nodes)
         repaired.append(action)
-    return RefactoringSequence(tuple(repaired)), current
+        built.append(result)
+        current = result
+    return RefactoringSequence(tuple(repaired)), tuple(built)
 
 
 def repair(
@@ -532,15 +541,27 @@ def action_to_dict(action: RefactoringAction) -> dict:
     return {"kind": action.kind.value, "component": action.component, "target": action.target}
 
 
+_RECORD_FIELDS = {
+    ActionKind.CLONE: (CloneComponent, ("component", "target")),
+    ActionKind.MOVE_TO_NEW: (MoveOperationToNewComponent, ("operation", "target")),
+    ActionKind.MOVE_TO_COMPONENT: (MoveOperationToComponent, ("operation", "component")),
+    ActionKind.REDEPLOY: (RedeployComponent, ("component", "target")),
+}
+
+
 def action_from_dict(record: dict) -> RefactoringAction:
-    kind = ActionKind(record["kind"])
-    if kind == ActionKind.CLONE:
-        return CloneComponent(record["component"], record["target"])
-    if kind == ActionKind.MOVE_TO_NEW:
-        return MoveOperationToNewComponent(record["operation"], record["target"])
-    if kind == ActionKind.MOVE_TO_COMPONENT:
-        return MoveOperationToComponent(record["operation"], record["component"])
-    return RedeployComponent(record["component"], record["target"])
+    """Inverse of ``action_to_dict``; a malformed record raises ``ValueError``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"action record must be a JSON object, got {record!r}")
+    if "kind" not in record:
+        raise ValueError(f"action record {record!r} is missing key 'kind'")
+    cls, keys = _RECORD_FIELDS[ActionKind(record["kind"])]
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{record['kind']} action record {record!r} is missing key '{key}'")
+        if not isinstance(record[key], str):
+            raise ValueError(f"{record['kind']} action record {record!r}: '{key}' must be a string")
+    return cls(*(record[key] for key in keys))
 
 
 def sequence_to_records(seq: RefactoringSequence) -> list[dict]:

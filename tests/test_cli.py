@@ -105,6 +105,23 @@ def test_eval_infeasible_sequence_reports_index(tmp_path, capsys):
     assert "action 1" in err
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([{"kind": "redeploy", "component": "catalog"}], "missing key 'target'"),
+        (["redeploy"], "must be a JSON object"),
+        ([{"kind": "redeploy", "component": "catalog", "target": 5}], "'target' must be a string"),
+    ],
+)
+def test_eval_malformed_action_record_is_an_error_line(tmp_path, capsys, records, message):
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps(records))
+    assert main(["eval", SMALL, str(seq_path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 # -- optimize -----------------------------------------------------------------
 
 
@@ -117,6 +134,7 @@ def test_optimize_writes_front_files(tmp_path):
     assert rows
     front_json = json.loads((out_dir / "front.json").read_text())
     assert front_json["metadata"]["seed"] == 5
+    assert front_json["metadata"]["invalid_by_type"] == {"SolverError": 0, "RoutingError": 0, "ValueError": 0}
     assert len(front_json["solutions"]) == len(rows)
 
 

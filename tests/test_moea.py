@@ -1,6 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archopt import casestudies
+from archopt.cli import front_csv_text
+from archopt.model import RoutingError, digest, save
 from archopt.moea import (
     EvalMetrics,
     Evaluator,
@@ -17,6 +24,7 @@ from archopt.moea import (
     objective_vector,
     run,
 )
+from archopt.perfqn import SolverError
 from archopt.pareto import dominates
 from archopt.refactoring import (
     CloneComponent,
@@ -118,8 +126,11 @@ def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
         raise SolverError("did not converge", residual=1.0)
 
     monkeypatch.setattr(moea, "solve_amva", explode)
-    ind = evaluator.evaluate(RefactoringSequence((RedeployComponent("catalog", "spare"),)))
+    seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
+    ind = evaluator.evaluate(seq)
     assert not ind.valid
+    assert ind.phenotype_digest == digest(apply_sequence(small_arch, seq))
+    assert evaluator.invalid_by_type == {"SolverError": 1, "RoutingError": 0, "ValueError": 0}
     assert all(v == float("inf") for v in ind.objectives)
     # any valid individual dominates the sentinel
     assert dominates((0.0, -1.0, 0.0, 1.0), ind.objectives)
@@ -158,11 +169,13 @@ def test_crossover_single_point_cut(small_arch):
             CloneComponent("auth", "app1"),
         )
     )
-    (child_a, folded_a), (child_b, folded_b) = crossover(small_arch, a, b, FixedCutRng(2))
+    (child_a, folds_a), (child_b, folds_b) = crossover(small_arch, a, b, FixedCutRng(2))
     assert child_a.actions == a.actions[:2] + b.actions[2:]
     assert child_b.actions == b.actions[:2] + a.actions[2:]
-    assert folded_a == apply_sequence(small_arch, child_a)
-    assert folded_b == apply_sequence(small_arch, child_b)
+    for child, folds in ((child_a, folds_a), (child_b, folds_b)):
+        assert len(folds) == len(child)
+        for i, fold in enumerate(folds):
+            assert fold == apply_sequence(small_arch, RefactoringSequence(child.actions[: i + 1]))
 
 
 def test_crossover_deterministic(small_arch):
@@ -185,6 +198,26 @@ def test_mutation_deterministic(small_arch):
     (out2, folded2) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
     assert folded1 == folded2 == apply_sequence(small_arch, out1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+    gene_prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_prob):
+    arch = casestudies.load_case_study(name)
+    rng = np.random.default_rng(seed)
+    a, b = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
+    children = crossover(arch, a, b, rng)
+    for child, folds in children:
+        with_rng, without_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got, got_folded = mutate(arch, child, with_rng, gene_prob, folds=folds)
+        want, want_folded = mutate(arch, child, without_rng, gene_prob)
+        assert got == want
+        assert save(got_folded) == save(want_folded)
+        assert with_rng.bit_generator.state == without_rng.bit_generator.state
 
 
 # -- SPEA2 internals --------------------------------------------------------------
@@ -340,7 +373,7 @@ def test_run_three_objective_mode(small_arch):
 
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    evaluator._record(RefactoringSequence(()), (None, "digest", "solver blew up"))
+    evaluator._record(RefactoringSequence(()), None, SolverError("solver blew up", residual=1.0), small_arch)
     front = cumulative_front(evaluator)
     assert len(front) == 1
     assert not front[0].valid
@@ -357,3 +390,79 @@ def test_incremental_front_matches_batch_recompute(small_arch):
     points = [ind.objectives for ind in evaluator.all_individuals]
     expected = {id(evaluator.all_individuals[i]) for i in nondominated_indices(points)}
     assert {id(ind) for ind in evaluator.front} == expected
+
+
+def test_digest_only_for_front_entrants(small_arch):
+    config = SearchConfig(seed=4, max_evaluations=150, population=8)
+    evaluator = Evaluator(small_arch, config)
+    from archopt.moea import _Budget, _RUNNERS
+
+    _RUNNERS[config.algorithm](evaluator, np.random.default_rng(config.seed), _Budget(config))
+    digested = [ind for ind in evaluator.all_individuals if ind.phenotype_digest is not None]
+    assert 0 < len(digested) < len(evaluator.all_individuals)
+    for ind in evaluator.front:
+        assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
+
+
+def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
+    from archopt import moea
+
+    raised = {"SolverError": 0, "RoutingError": 0, "ValueError": 0}
+    calls = {"solve": 0, "reliability": 0}
+    real_solve, real_reliability = moea.solve_amva, moea.compute_reliability
+
+    def flaky_solve(qn):
+        calls["solve"] += 1
+        if calls["solve"] % 7 == 0:
+            raised["SolverError"] += 1
+            raise SolverError("did not converge", residual=1.0)
+        return real_solve(qn)
+
+    def flaky_reliability(arch):
+        calls["reliability"] += 1
+        if calls["reliability"] % 5 == 0:
+            raised["RoutingError"] += 1
+            raise RoutingError("no link")
+        if calls["reliability"] % 11 == 0:
+            raised["ValueError"] += 1
+            raise ValueError("bad value")
+        return real_reliability(arch)
+
+    monkeypatch.setattr(moea, "solve_amva", flaky_solve)
+    monkeypatch.setattr(moea, "compute_reliability", flaky_reliability)
+    front = run(small_arch, SearchConfig(seed=3, max_evaluations=80, population=8))
+    assert all(raised.values())
+    assert front.metadata["invalid_by_type"] == raised
+
+
+# front.csv sha256 of short fixed-seed searches.  A speedup must keep these
+# bytes; a change that alters them changes the search's behaviour.
+FRONT_CSV_SHA256 = {
+    "nsga2": "e4b859ccd26e2cf648db7b4bb319c664a98b66b064b4f26dc072cc9a3f8ec333",
+    "spea2": "2b15b39a7c9c60cbb5903702642bf52a6e9966504ff49130fc92304cf06ba531",
+    "pesa2": "ac94955b9a7b082008d187a43562c8ef82ae6083bbe4384945e6205aa8964f0b",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(FRONT_CSV_SHA256))
+def test_front_csv_bytes_match_recorded(small_arch, algorithm):
+    config = SearchConfig(algorithm=algorithm, seed=1, population=16, archive_size=16, max_evaluations=200)
+    text = front_csv_text(run(small_arch, config))
+    assert hashlib.sha256(text.encode()).hexdigest() == FRONT_CSV_SHA256[algorithm]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 8),
+)
+def test_evaluate_bounds_on_random_feasible_sequences(name, seed, length):
+    arch = casestudies.load_case_study(name)
+    seq = random_sequence(arch, length, np.random.default_rng(seed))
+    ind = Evaluator(arch, SearchConfig(max_evaluations=0)).evaluate(seq)  # must not raise
+    if ind.valid:
+        assert -1.0 <= ind.metrics.perfq <= 1.0
+        assert 0.0 <= ind.metrics.reliability <= 1.0
+    else:
+        assert all(v == float("inf") for v in ind.objectives)
