@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .antipatterns import Thresholds, detect
-from .model import Architecture, ModelFormatError, load, validate
-from .moea import ParetoFront, SearchConfig, _compute_metrics, front_to_json_dict, run
+from .model import Architecture, ModelFormatError, _is_number, load, validate
+from .moea import ParetoFront, SearchConfig, _compute_metrics, front_to_json_dict, objective_vector, run
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
 from .refactoring import (
@@ -64,17 +64,28 @@ class RunConfig:
         return SearchConfig(**{**self.search, **overrides})
 
 
-def _parse_brf(raw: dict) -> dict[ActionKind, float]:
+def _parse_brf(raw) -> dict[ActionKind, float]:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"brf: must be an object of action kind -> factor, got {raw!r}")
     table = dict(DEFAULT_BRF)
     for key, value in raw.items():
         try:
             kind = ActionKind(key)
         except ValueError as exc:
             raise ConfigError(f"brf: unknown action kind '{key}'") from exc
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _is_number(value) or value <= 0:
             raise ConfigError(f"brf.{key}: factor must be a positive number")
         table[kind] = float(value)
     return table
+
+
+def _parse_thresholds(raw) -> Thresholds:
+    if not isinstance(raw, dict) or not all(map(_is_number, raw.values())):
+        raise ConfigError(f"thresholds: must be an object of name -> number, got {raw!r}")
+    try:
+        return Thresholds(**raw)
+    except (TypeError, ValueError) as exc:  # an unknown name, or out of range
+        raise ConfigError(f"thresholds: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -97,7 +108,7 @@ def load_config(path: str) -> RunConfig:
     if "brf" in search:
         search["brf"] = _parse_brf(search["brf"])
     if "thresholds" in search:
-        search["thresholds"] = Thresholds(**search["thresholds"])
+        search["thresholds"] = _parse_thresholds(search["thresholds"])
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         search["seed"] = int(env_seed)
@@ -301,11 +312,7 @@ def _grid(key: str, values: list | None) -> list[dict]:
 
 
 def _front_points(front: ParetoFront) -> np.ndarray:
-    rows = [
-        (-ind.metrics.perfq, -ind.metrics.reliability, float(ind.metrics.pas), ind.metrics.distance)
-        for ind in front.individuals
-        if ind.valid
-    ]
+    rows = [objective_vector(ind.metrics, True) for ind in front.individuals if ind.valid]
     return np.array(rows) if rows else np.empty((0, 4))
 
 

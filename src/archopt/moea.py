@@ -11,9 +11,10 @@ the run, not just the final population.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -27,10 +28,10 @@ from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
     RefactoringSequence,
-    _random_fold,
-    _rebuild,
     apply_sequence,
     distance,
+    random_sequence,
+    repair,
     sequence_to_records,
 )
 from .reliability import reliability as compute_reliability
@@ -48,6 +49,15 @@ Candidate = tuple[RefactoringSequence, Architecture]
 # A bred child: its genotype and its prefix folds (``folds[i]`` is the
 # architecture after the first i + 1 genes).
 Lineage = tuple[RefactoringSequence, tuple[Architecture, ...]]
+
+
+# Type checks of the SearchConfig fields annotated with these types (the
+# annotations are strings); "T | None" also accepts None.
+_TYPE_CHECKS = {
+    "int": lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool),
+    "float": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+    "bool": lambda value: isinstance(value, bool),
+}
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,11 @@ class SearchConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind in _TYPE_CHECKS and not (_TYPE_CHECKS[kind](value) or (optional and value is None)):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {ALGORITHMS}")
         if self.budget_seconds is None and self.max_evaluations is None:
@@ -81,8 +96,10 @@ class SearchConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
-            raise ValueError(f"budget_seconds must be >= 0, got {self.budget_seconds}")
+        for name in ("seed", "budget_seconds", "max_evaluations"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def gene_mutation_prob(self) -> float:
@@ -121,10 +138,6 @@ def objective_vector(metrics: EvalMetrics, use_pas: bool) -> tuple[float, ...]:
     return (-metrics.perfq, -metrics.reliability, metrics.distance)
 
 
-def _genotype_key(seq: RefactoringSequence) -> tuple:
-    return tuple(seq.actions)
-
-
 def _compute_metrics(
     initial_perf: PerformanceResult,
     seq: RefactoringSequence,
@@ -161,7 +174,7 @@ class Evaluator:
         self.config = config
         self.initial_digest = digest(initial)
         self.initial_perf = solve_amva(to_qn(initial))
-        self._cache: dict[tuple, Individual] = {}
+        self._cache: dict[RefactoringSequence, Individual] = {}  # by genotype
         self.all_individuals: list[Individual] = []
         # running non-dominated archive over everything evaluated; kept
         # incrementally so the final front costs nothing extra
@@ -201,7 +214,7 @@ class Evaluator:
                 individual = replace(individual, phenotype_digest=digest(folded))
             self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
             self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
-        self._cache[_genotype_key(seq)] = individual
+        self._cache[seq] = individual
         self.all_individuals.append(individual)
         return individual
 
@@ -213,8 +226,7 @@ class Evaluator:
     def evaluate(self, seq: RefactoringSequence, folded: Architecture | None = None) -> Individual:
         """Score a sequence; ``folded``, when given, must be the architecture
         ``seq`` folds to from the initial one, and saves folding it again."""
-        key = _genotype_key(seq)
-        cached = self._cache.get(key)
+        cached = self._cache.get(seq)
         if cached is not None:
             self.cache_hits += 1
             return cached
@@ -288,14 +300,14 @@ def crossover(
     if len(a) != len(b):
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
-    child_a, child_b = a.actions, b.actions
+    child_a, child_b = a, b
     if length >= 2:
         cut = int(rng.integers(1, length))
-        child_a = a.actions[:cut] + b.actions[cut:]
-        child_b = b.actions[:cut] + a.actions[cut:]
+        child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
+        child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
     return (
-        _rebuild(initial, child_a, rng, allow_new_nodes),
-        _rebuild(initial, child_b, rng, allow_new_nodes),
+        repair(initial, child_a, rng, allow_new_nodes),
+        repair(initial, child_b, rng, allow_new_nodes),
     )
 
 
@@ -312,7 +324,7 @@ def mutate(
     ``folds``, when given, are the prefix folds of ``seq`` (as ``crossover``
     returns them); the genes before the first replaced one reuse them.
     Returns the child with its folded architecture."""
-    child, built = _rebuild(initial, seq.actions, rng, allow_new_nodes, gene_prob, folds)
+    child, built = repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
     return child, built[-1] if built else initial
 
 
@@ -462,33 +474,29 @@ def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
 # ---------------------------------------------------------------------------
 
 
-class _HyperGrid:
-    """Adaptive hypergrid over the archive's objective bounding box."""
-
-    def __init__(self, divisions: int):
-        self.divisions = divisions
-
-    def cells(self, archive: list[Individual]) -> dict[tuple, list[int]]:
-        points = np.array([ind.objectives for ind in archive])
-        points = np.where(np.isfinite(points), points, 1e30)
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
-        width = np.where(hi > lo, (hi - lo) / self.divisions, 1.0)
-        cells: dict[tuple, list[int]] = {}
-        for i, p in enumerate(points):
-            idx = np.clip(((p - lo) / width).astype(int), 0, self.divisions - 1)
-            cells.setdefault(tuple(int(v) for v in idx), []).append(i)
-        return cells
+def _grid_cells(archive: list[Individual], divisions: int) -> dict[tuple, list[int]]:
+    """Archive indices by cell of an adaptive hypergrid over the archive's
+    objective bounding box, ``divisions`` cells per objective."""
+    points = np.array([ind.objectives for ind in archive])
+    points = np.where(np.isfinite(points), points, 1e30)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    width = np.where(hi > lo, (hi - lo) / divisions, 1.0)
+    cells: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        idx = np.clip(((p - lo) / width).astype(int), 0, divisions - 1)
+        cells.setdefault(tuple(int(v) for v in idx), []).append(i)
+    return cells
 
 
-def _pesa2_insert(archive: list[Individual], candidate: Individual, capacity: int, grid: _HyperGrid) -> list[Individual]:
+def _pesa2_insert(archive: list[Individual], candidate: Individual, capacity: int, divisions: int) -> list[Individual]:
     point = np.array(candidate.objectives)
     keep = admit(np.array([ind.objectives for ind in archive]).reshape(-1, point.size), point)
     if keep is None:
         return archive
     archive = [ind for ind, k in zip(archive, keep) if k] + [candidate]
     if len(archive) > capacity:
-        cells = grid.cells(archive)
+        cells = _grid_cells(archive, divisions)
         crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
         evict = cells[crowded_key][0]  # oldest member of the most crowded cell
         archive = archive[:evict] + archive[evict + 1 :]
@@ -509,17 +517,16 @@ def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng:
 
 def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> int:
     config = evaluator.config
-    grid = _HyperGrid(config.divisions)
     population = _initial_population(evaluator, rng, budget)
     archive: list[Individual] = []
     for ind in population:
-        archive = _pesa2_insert(archive, ind, config.archive_size, grid)
+        archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
     generations = 0
     while archive and not budget.exhausted(evaluator.solver_evaluations):
-        select = partial(_pesa2_select, archive, grid.cells(archive), rng)
+        select = partial(_pesa2_select, archive, _grid_cells(archive, config.divisions), rng)
         evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
         for ind in evaluated:
-            archive = _pesa2_insert(archive, ind, config.archive_size, grid)
+            archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
         generations += 1
     return generations
 
@@ -532,18 +539,13 @@ def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
 def _initial_population(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> list[Individual]:
     config = evaluator.config
     candidates = (
-        _random_fold(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
+        random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
         for _ in range(config.population)
     )
     return evaluator.evaluate_many(candidates, budget.deadline, config.max_evaluations)
 
 
 _RUNNERS = {"nsga2": _run_nsga2, "spea2": _run_spea2, "pesa2": _run_pesa2}
-
-
-def cumulative_front(evaluator: Evaluator) -> list[Individual]:
-    """Non-dominated subset of every individual evaluated so far."""
-    return evaluator.front
 
 
 def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | None = None) -> ParetoFront:
@@ -555,7 +557,7 @@ def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | 
     generations = _RUNNERS[config.algorithm](evaluator, rng, budget)
     wall = budget.elapsed()
 
-    front = cumulative_front(evaluator)
+    front = evaluator.front
     front.sort(key=lambda ind: (ind.objectives, ind.order))
     metadata = {
         "algorithm": config.algorithm,

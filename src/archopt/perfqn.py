@@ -49,15 +49,6 @@ class PerformanceResult:
     iterations: int = 0
     residual: float = 0.0
 
-    def throughput_of(self, class_id: str) -> float:
-        return float(self.throughput[self.class_ids.index(class_id)])
-
-    def response_time_of(self, class_id: str) -> float:
-        return float(self.response_time[self.class_ids.index(class_id)])
-
-    def utilization_of(self, station_id: str) -> float:
-        return float(self.utilization[self.station_ids.index(station_id)])
-
 
 def to_qn(arch: Architecture) -> QnModel:
     """Map a validated architecture onto the closed queueing model."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import ClassVar, Iterable, Mapping, Union
 
@@ -191,12 +191,6 @@ def _resolve_target_node(arch: Architecture, target: str) -> tuple[Architecture,
 # ---------------------------------------------------------------------------
 
 
-def _drop_component(components: tuple[Component, ...], deployment: dict[str, str], comp_id: str):
-    remaining = tuple(c for c in components if c.id != comp_id)
-    new_deployment = {k: v for k, v in deployment.items() if k != comp_id}
-    return remaining, new_deployment
-
-
 def _apply_clone(arch: Architecture, action: CloneComponent):
     try:
         source = arch.component(action.component)
@@ -251,6 +245,24 @@ def _apply_clone(arch: Architecture, action: CloneComponent):
     )
 
 
+def _detach_operation(arch: Architecture, source: Component, op_id: str):
+    """Take operation ``op_id`` off its owner ``source``: returns the
+    components (order kept), the deployment and the operation.  An owner
+    left empty is dropped together with its deployment entry."""
+    moved = next(op for op in source.operations if op.id == op_id)
+    remaining = tuple(op for op in source.operations if op.id != op_id)
+    deployment = dict(arch.deployment)
+    components = []
+    for comp in arch.components:
+        if comp.id != source.id:
+            components.append(comp)
+        elif remaining:
+            components.append(Component(comp.id, remaining, comp.failure_probability))
+    if not remaining:
+        del deployment[source.id]
+    return components, deployment, moved
+
+
 def _apply_move_to_component(arch: Architecture, action: MoveOperationToComponent):
     owners = arch.owner_map()
     if action.operation not in owners:
@@ -261,22 +273,11 @@ def _apply_move_to_component(arch: Architecture, action: MoveOperationToComponen
     if source.id == action.target_component:
         return None, f"operation '{action.operation}' is already owned by '{source.id}'"
 
-    moved = next(op for op in source.operations if op.id == action.operation)
-    components = []
-    for comp in arch.components:
-        if comp.id == source.id:
-            remaining_ops = tuple(op for op in comp.operations if op.id != action.operation)
-            if remaining_ops:
-                components.append(Component(comp.id, remaining_ops, comp.failure_probability))
-            # emptied source component is deleted
-        elif comp.id == action.target_component:
-            components.append(Component(comp.id, comp.operations + (moved,), comp.failure_probability))
-        else:
-            components.append(comp)
-
-    deployment = dict(arch.deployment)
-    if len(source.operations) == 1:
-        deployment.pop(source.id, None)
+    components, deployment, moved = _detach_operation(arch, source, action.operation)
+    components = [
+        Component(c.id, c.operations + (moved,), c.failure_probability) if c.id == action.target_component else c
+        for c in components
+    ]
     return (
         Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment),
         "",
@@ -294,22 +295,8 @@ def _apply_move_to_new(arch: Architecture, action: MoveOperationToNewComponent):
     taken = _all_ids(arch)
     suffix = _fresh_suffix(taken, [f"{action.operation}_host"])
     host_id = f"{action.operation}_host{suffix}"
-    moved = next(op for op in source.operations if op.id == action.operation)
-    host = Component(id=host_id, operations=(moved,), failure_probability=source.failure_probability)
-
-    components = []
-    for comp in arch.components:
-        if comp.id == source.id:
-            remaining_ops = tuple(op for op in comp.operations if op.id != action.operation)
-            if remaining_ops:
-                components.append(Component(comp.id, remaining_ops, comp.failure_probability))
-        else:
-            components.append(comp)
-    components.append(host)
-
-    deployment = dict(arch.deployment)
-    if len(source.operations) == 1:
-        deployment.pop(source.id, None)
+    components, deployment, moved = _detach_operation(arch, source, action.operation)
+    components.append(Component(id=host_id, operations=(moved,), failure_probability=source.failure_probability))
     deployment[host_id] = action.target_node
     return (
         Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment),
@@ -343,8 +330,10 @@ _APPLIERS = {
 }
 
 
-def _try_apply(arch: Architecture, action: RefactoringAction) -> tuple[Architecture | None, str]:
-    """Apply if feasible; return (result, "") or (None, reason).
+def is_feasible(arch: Architecture, action: RefactoringAction) -> tuple[Architecture | None, str]:
+    """Apply the action if it is feasible: (the new architecture, "") or
+    (None, the blocking reason), so the first item is truthy exactly when
+    the action is feasible.
 
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
@@ -361,15 +350,9 @@ def _try_apply(arch: Architecture, action: RefactoringAction) -> tuple[Architect
     return result, ""
 
 
-def is_feasible(arch: Architecture, action: RefactoringAction) -> tuple[bool, str]:
-    """Whether the action can be applied, with the blocking reason if not."""
-    result, reason = _try_apply(arch, action)
-    return (result is not None), reason
-
-
 def apply(arch: Architecture, action: RefactoringAction) -> Architecture:
     """Apply a single feasible action, returning a new architecture."""
-    result, reason = _try_apply(arch, action)
+    result, reason = is_feasible(arch, action)
     if result is None:
         raise InfeasibleActionError(reason)
     return result
@@ -379,7 +362,7 @@ def apply_sequence(arch: Architecture, seq: RefactoringSequence) -> Architecture
     """Left fold of ``apply``; reports the index of the first infeasible action."""
     current = arch
     for index, action in enumerate(seq.actions):
-        result, reason = _try_apply(current, action)
+        result, reason = is_feasible(current, action)
         if result is None:
             raise InfeasibleActionError(reason, index=index)
         current = result
@@ -427,13 +410,15 @@ def _sample_action(arch: Architecture, kind: ActionKind, rng: np.random.Generato
     return RedeployComponent(comp.id, _pick(rng, targets))
 
 
-def _random_step(
+def random_action(
     arch: Architecture,
     rng: np.random.Generator,
-    allow_new_nodes: bool,
+    allow_new_nodes: bool = True,
     max_tries: int = 50,
 ) -> tuple[RefactoringAction, Architecture]:
-    """``random_action`` plus the architecture its accepted probe built."""
+    """Sample a feasible action: kind uniformly, then parameters by
+    reject-and-resample; falls back to the remaining kinds on exhaustion.
+    Returns the action with the architecture its accepted probe built."""
     remaining = list(ActionKind)
     while remaining:
         kind = _pick(rng, remaining)
@@ -441,55 +426,11 @@ def _random_step(
             action = _sample_action(arch, kind, rng, allow_new_nodes)
             if action is None:
                 break
-            result, _ = _try_apply(arch, action)
+            result, _ = is_feasible(arch, action)
             if result is not None:
                 return action, result
         remaining.remove(kind)
     raise NoFeasibleActionError("no feasible action exists for this architecture")
-
-
-def random_action(
-    arch: Architecture,
-    rng: np.random.Generator,
-    allow_new_nodes: bool = True,
-    max_tries: int = 50,
-) -> RefactoringAction:
-    """Sample a feasible action: kind uniformly, then parameters by
-    reject-and-resample; falls back to the remaining kinds on exhaustion."""
-    action, _ = _random_step(arch, rng, allow_new_nodes, max_tries)
-    return action
-
-
-def _rebuild(
-    arch: Architecture,
-    actions: tuple[RefactoringAction, ...],
-    rng: np.random.Generator,
-    allow_new_nodes: bool,
-    resample_probability: float = 0.0,
-    folds: tuple[Architecture, ...] = (),
-) -> tuple[RefactoringSequence, tuple[Architecture, ...]]:
-    """Walk the genes in prefix order, resampling forced or infeasible ones.
-
-    Returns the repaired sequence and its prefix folds: ``folds[i]`` is the
-    architecture after its first ``i + 1`` genes.  Given the prefix folds of
-    ``actions``, a gene reuses its fold instead of applying again while
-    every earlier gene was kept; the force draws are the same either way.
-    """
-    current = arch
-    repaired: list[RefactoringAction] = []
-    built: list[Architecture] = []
-    for index, action in enumerate(actions):
-        force = resample_probability > 0.0 and rng.random() < resample_probability
-        result = None
-        if not force:
-            result = folds[index] if index < len(folds) else _try_apply(current, action)[0]
-        if result is None:
-            folds = ()  # the prefix has changed, so no later fold applies
-            action, result = _random_step(current, rng, allow_new_nodes)
-        repaired.append(action)
-        built.append(result)
-        current = result
-    return RefactoringSequence(tuple(repaired)), tuple(built)
 
 
 def repair(
@@ -497,10 +438,32 @@ def repair(
     seq: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-) -> RefactoringSequence:
-    """Rewrite each infeasible gene, in prefix order, with a random feasible one."""
-    repaired, _ = _rebuild(arch, seq.actions, rng, allow_new_nodes)
-    return repaired
+    resample_probability: float = 0.0,
+    folds: tuple[Architecture, ...] = (),
+) -> tuple[RefactoringSequence, tuple[Architecture, ...]]:
+    """Walk the genes in prefix order and rewrite each infeasible one, and
+    each one forced with ``resample_probability``, with a random feasible one.
+
+    Returns the repaired sequence and its prefix folds: ``folds[i]`` is the
+    architecture after its first ``i + 1`` genes.  Given the prefix folds of
+    ``seq``, a gene reuses its fold instead of applying again while every
+    earlier gene was kept; the force draws are the same either way.
+    """
+    current = arch
+    repaired: list[RefactoringAction] = []
+    built: list[Architecture] = []
+    for index, action in enumerate(seq.actions):
+        force = resample_probability > 0.0 and rng.random() < resample_probability
+        result = None
+        if not force:
+            result = folds[index] if index < len(folds) else is_feasible(current, action)[0]
+        if result is None:
+            folds = ()  # the prefix has changed, so no later fold applies
+            action, result = random_action(current, rng, allow_new_nodes)
+        repaired.append(action)
+        built.append(result)
+        current = result
+    return RefactoringSequence(tuple(repaired)), tuple(built)
 
 
 def random_sequence(
@@ -508,20 +471,13 @@ def random_sequence(
     length: int,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-) -> RefactoringSequence:
-    """Sample a feasible sequence by chaining random actions."""
-    seq, _ = _random_fold(arch, length, rng, allow_new_nodes)
-    return seq
-
-
-def _random_fold(
-    arch: Architecture, length: int, rng: np.random.Generator, allow_new_nodes: bool
 ) -> tuple[RefactoringSequence, Architecture]:
-    """``random_sequence`` plus its folded architecture."""
+    """Sample a feasible sequence by chaining random actions; returns it
+    with its folded architecture."""
     current = arch
     actions = []
     for _ in range(length):
-        action, current = _random_step(current, rng, allow_new_nodes)
+        action, current = random_action(current, rng, allow_new_nodes)
         actions.append(action)
     return RefactoringSequence(tuple(actions)), current
 
@@ -531,22 +487,19 @@ def _random_fold(
 # ---------------------------------------------------------------------------
 
 
-def action_to_dict(action: RefactoringAction) -> dict:
-    if isinstance(action, CloneComponent):
-        return {"kind": action.kind.value, "component": action.component, "target": action.target}
-    if isinstance(action, MoveOperationToNewComponent):
-        return {"kind": action.kind.value, "operation": action.operation, "target": action.target_node}
-    if isinstance(action, MoveOperationToComponent):
-        return {"kind": action.kind.value, "operation": action.operation, "component": action.target_component}
-    return {"kind": action.kind.value, "component": action.component, "target": action.target}
-
-
+# Record keys of each action kind's two fields, in field order; the text
+# form ``kind(first->second)`` uses the same order.
 _RECORD_FIELDS = {
     ActionKind.CLONE: (CloneComponent, ("component", "target")),
     ActionKind.MOVE_TO_NEW: (MoveOperationToNewComponent, ("operation", "target")),
     ActionKind.MOVE_TO_COMPONENT: (MoveOperationToComponent, ("operation", "component")),
     ActionKind.REDEPLOY: (RedeployComponent, ("component", "target")),
 }
+
+
+def action_to_dict(action: RefactoringAction) -> dict:
+    _, keys = _RECORD_FIELDS[action.kind]
+    return {"kind": action.kind.value, **dict(zip(keys, astuple(action)))}
 
 
 def action_from_dict(record: dict) -> RefactoringAction:
@@ -576,28 +529,16 @@ _ACTION_TEXT = re.compile(r"(\w+)\((.+?)->(.+)\)")
 
 
 def action_to_text(action: RefactoringAction) -> str:
-    if isinstance(action, CloneComponent):
-        return f"{action.kind.value}({action.component}->{action.target})"
-    if isinstance(action, MoveOperationToNewComponent):
-        return f"{action.kind.value}({action.operation}->{action.target_node})"
-    if isinstance(action, MoveOperationToComponent):
-        return f"{action.kind.value}({action.operation}->{action.target_component})"
-    return f"{action.kind.value}({action.component}->{action.target})"
+    source, target = astuple(action)
+    return f"{action.kind.value}({source}->{target})"
 
 
 def action_from_text(text: str) -> RefactoringAction:
     match = _ACTION_TEXT.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"unparseable action text: {text!r}")
-    kind = ActionKind(match.group(1))
-    source, target = match.group(2), match.group(3)
-    if kind == ActionKind.CLONE:
-        return CloneComponent(source, target)
-    if kind == ActionKind.MOVE_TO_NEW:
-        return MoveOperationToNewComponent(source, target)
-    if kind == ActionKind.MOVE_TO_COMPONENT:
-        return MoveOperationToComponent(source, target)
-    return RedeployComponent(source, target)
+    cls, _ = _RECORD_FIELDS[ActionKind(match.group(1))]
+    return cls(match.group(2), match.group(3))
 
 
 def sequence_to_text(seq: RefactoringSequence) -> str:

@@ -268,7 +268,7 @@ def test_c06_refactoring_functional_equivalence():
         ]
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            seq = random_sequence(arch, 4, rng)
+            seq, _ = random_sequence(arch, 4, rng)
             folded = apply_sequence(arch, seq)
             folded_ops = folded.operation_map()
             for j, scen in enumerate(folded.scenarios):

@@ -198,7 +198,7 @@ def naive_detect(arch, perf, th):
 def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share, paf_demand_share):
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    folded = apply_sequence(arch, random_sequence(arch, length, rng))
+    folded = apply_sequence(arch, random_sequence(arch, length, rng)[0])
     perf = perf_for(folded, rng.random(len(folded.nodes)))
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
     assert detect(folded, perf, th) == naive_detect(folded, perf, th)

@@ -178,6 +178,17 @@ def test_optimize_rejects_bad_config(tmp_path, capsys):
         {"crossover_prob": 2.0},
         {"mutation_prob": -1},
         {"budget_seconds": -1},
+        {"thresholds": 5},
+        {"thresholds": {"bogus": 1}},
+        {"thresholds": {"util_high": "x"}},
+        {"brf": [1, 2]},
+        {"population": "32"},
+        {"population": 32.0},
+        {"sequence_length": 2.0},
+        {"seed": "1"},
+        {"crossover_prob": "0.5"},
+        {"use_pas_objective": "no"},
+        {"max_evaluations": 10.5},
     ]
     for overrides in bad:
         config = write_config(tmp_path, **overrides)

@@ -301,7 +301,7 @@ def test_compiled_matrices_equal_naive_reference(name, parallel, seed, length):
     arch = casestudies.load_case_study(name)
     if parallel:
         arch = with_parallel_link(arch)
-    folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed)))
+    folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed))[0])
     invocations, messages = invocation_matrix(folded)
     naive_invocations, naive_messages = naive_invocation_matrix(folded)
     # same additions in the same order: equal to the last bit

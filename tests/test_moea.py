@@ -13,13 +13,12 @@ from archopt.moea import (
     Evaluator,
     Individual,
     SearchConfig,
-    _HyperGrid,
+    _grid_cells,
     _pesa2_insert,
     _pesa2_select,
     _spea2_environmental,
     _spea2_fitness,
     crossover,
-    cumulative_front,
     mutate,
     objective_vector,
     run,
@@ -62,11 +61,13 @@ def test_config_population_must_be_even():
         ("crossover_prob", 2.0),
         ("mutation_prob", -1.0),
         ("budget_seconds", -1.0),
+        ("max_evaluations", -5),
+        ("seed", -1),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
-        SearchConfig(max_evaluations=10, **{field: value})
+        SearchConfig(**{"max_evaluations": 10, field: value})
 
 
 def test_objective_vector_modes():
@@ -98,7 +99,7 @@ def test_redeploying_hot_component_improves_perfq(small_arch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_evaluate_with_folded_matches_bare_evaluate(small_arch, seed):
-    seq = random_sequence(small_arch, 4, np.random.default_rng(seed))
+    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(seed))
     bare = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq)
     given = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq, apply_sequence(small_arch, seq))
     assert given.objectives == bare.objectives
@@ -180,20 +181,20 @@ def test_crossover_single_point_cut(small_arch):
 
 def test_crossover_deterministic(small_arch):
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    a = random_sequence(small_arch, 4, np.random.default_rng(1))
-    b = random_sequence(small_arch, 4, np.random.default_rng(2))
+    a, _ = random_sequence(small_arch, 4, np.random.default_rng(1))
+    b, _ = random_sequence(small_arch, 4, np.random.default_rng(2))
     assert crossover(small_arch, a, b, rng1) == crossover(small_arch, a, b, rng2)
 
 
 def test_mutation_zero_probability_is_identity(small_arch):
-    seq = random_sequence(small_arch, 4, np.random.default_rng(3))
+    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
     out, folded = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
     assert out == seq
     assert folded == apply_sequence(small_arch, seq)
 
 
 def test_mutation_deterministic(small_arch):
-    seq = random_sequence(small_arch, 4, np.random.default_rng(3))
+    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
     (out1, folded1) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     (out2, folded2) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
@@ -209,7 +210,7 @@ def test_mutation_deterministic(small_arch):
 def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_prob):
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    a, b = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
+    (a, _), (b, _) = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
     children = crossover(arch, a, b, rng)
     for child, folds in children:
         with_rng, without_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -263,21 +264,19 @@ def test_spea2_fills_with_best_dominated():
 
 def test_pesa2_single_member_always_selected():
     archive = [fake_individual((0.5, 0.5), 0)]
-    grid = _HyperGrid(divisions=8)
-    cells = grid.cells(archive)
+    cells = _grid_cells(archive, divisions=8)
     rng = np.random.default_rng(0)
     for _ in range(10):
         assert _pesa2_select(archive, cells, rng) is archive[0]
 
 
 def test_pesa2_insert_rejects_dominated_and_evicts_crowded():
-    grid = _HyperGrid(divisions=2)
     a = fake_individual((0.1, 0.9), 0)
     b = fake_individual((0.15, 0.85), 1)  # same cell as a
     c = fake_individual((0.9, 0.1), 2)
     archive = [a]
-    archive = _pesa2_insert(archive, b, capacity=2, grid=grid)
-    archive = _pesa2_insert(archive, c, capacity=2, grid=grid)
+    archive = _pesa2_insert(archive, b, capacity=2, divisions=2)
+    archive = _pesa2_insert(archive, c, capacity=2, divisions=2)
     assert len(archive) == 2
     # a and b share a cell; the oldest of that cell was evicted
     assert c in archive
@@ -285,14 +284,13 @@ def test_pesa2_insert_rejects_dominated_and_evicts_crowded():
 
 
 def test_pesa2_insert_drops_newly_dominated_members():
-    grid = _HyperGrid(divisions=4)
     archive = [fake_individual((0.5, 0.5), 0)]
     better = fake_individual((0.1, 0.1), 1)
-    archive = _pesa2_insert(archive, better, capacity=4, grid=grid)
+    archive = _pesa2_insert(archive, better, capacity=4, divisions=4)
     assert archive == [better]
     # dominated candidates never enter
     worse = fake_individual((0.2, 0.2), 2)
-    assert _pesa2_insert(archive, worse, capacity=4, grid=grid) == [better]
+    assert _pesa2_insert(archive, worse, capacity=4, divisions=4) == [better]
 
 
 # -- run() contract ----------------------------------------------------------------
@@ -374,7 +372,7 @@ def test_run_three_objective_mode(small_arch):
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     evaluator._record(RefactoringSequence(()), None, SolverError("solver blew up", residual=1.0), small_arch)
-    front = cumulative_front(evaluator)
+    front = evaluator.front
     assert len(front) == 1
     assert not front[0].valid
 
@@ -459,7 +457,7 @@ def test_front_csv_bytes_match_recorded(small_arch, algorithm):
 )
 def test_evaluate_bounds_on_random_feasible_sequences(name, seed, length):
     arch = casestudies.load_case_study(name)
-    seq = random_sequence(arch, length, np.random.default_rng(seed))
+    seq, _ = random_sequence(arch, length, np.random.default_rng(seed))
     ind = Evaluator(arch, SearchConfig(max_evaluations=0)).evaluate(seq)  # must not raise
     if ind.valid:
         assert -1.0 <= ind.metrics.perfq <= 1.0

@@ -186,7 +186,7 @@ def test_distance_uniform_table():
 
 def test_distance_permutation_invariant(small_arch):
     rng = np.random.default_rng(5)
-    seq = random_sequence(small_arch, 6, rng)
+    seq, _ = random_sequence(small_arch, 6, rng)
     shuffled = RefactoringSequence(tuple(seq.actions[i] for i in rng.permutation(6)))
     assert distance(shuffled) == distance(seq)
 
@@ -195,9 +195,10 @@ def test_distance_permutation_invariant(small_arch):
 
 
 def test_random_action_deterministic_for_fixed_seed(small_arch):
-    a = random_action(small_arch, np.random.default_rng(42))
-    b = random_action(small_arch, np.random.default_rng(42))
+    a, built_a = random_action(small_arch, np.random.default_rng(42))
+    b, built_b = random_action(small_arch, np.random.default_rng(42))
     assert a == b
+    assert built_a == built_b == apply(small_arch, a)
 
 
 def test_single_node_model_never_redeploys_without_new_nodes():
@@ -208,10 +209,10 @@ def test_single_node_model_never_redeploys_without_new_nodes():
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 1.0), ("op2", 1.0)])],
     )
     rng = np.random.default_rng(0)
-    kinds = {random_action(arch, rng, allow_new_nodes=False).kind for _ in range(200)}
+    kinds = {random_action(arch, rng, allow_new_nodes=False)[0].kind for _ in range(200)}
     assert ActionKind.REDEPLOY not in kinds
     rng = np.random.default_rng(0)
-    kinds_with_new = {random_action(arch, rng, allow_new_nodes=True).kind for _ in range(200)}
+    kinds_with_new = {random_action(arch, rng, allow_new_nodes=True)[0].kind for _ in range(200)}
     assert ActionKind.REDEPLOY in kinds_with_new
 
 
@@ -226,8 +227,9 @@ def test_repair_produces_applicable_sequences(small_arch):
             RedeployComponent("web", "spare"),
         )
     )
-    repaired = repair(small_arch, seq, rng)
+    repaired, folds = repair(small_arch, seq, rng)
     folded = apply_sequence(small_arch, repaired)
+    assert folds[-1] == folded
     assert validate(folded) == []
     assert repaired.actions[3] == seq.actions[3]  # feasible gene kept
 
@@ -236,8 +238,9 @@ def test_conservation_over_random_sequences(small_arch):
     rng = np.random.default_rng(9)
     base = total_weighted_demand(small_arch)
     for _ in range(50):
-        seq = random_sequence(small_arch, 4, rng)
+        seq, built = random_sequence(small_arch, 4, rng)
         folded = apply_sequence(small_arch, seq)
+        assert built == folded
         after = total_weighted_demand(folded)
         np.testing.assert_allclose(after, base, rtol=1e-12)
         assert validate(folded) == []
@@ -249,13 +252,43 @@ def test_conservation_over_random_sequences(small_arch):
 def test_action_text_round_trip(small_arch):
     rng = np.random.default_rng(3)
     for _ in range(30):
-        action = random_action(small_arch, rng)
+        action, _ = random_action(small_arch, rng)
         assert action_from_text(action_to_text(action)) == action
+
+
+@pytest.mark.parametrize(
+    "action, record, text",
+    [
+        (CloneComponent("c1", "n2"), {"kind": "clone", "component": "c1", "target": "n2"}, "clone(c1->n2)"),
+        (
+            MoveOperationToNewComponent("op1", "n2"),
+            {"kind": "move_to_new", "operation": "op1", "target": "n2"},
+            "move_to_new(op1->n2)",
+        ),
+        (
+            MoveOperationToComponent("op1", "c2"),
+            {"kind": "move_to_component", "operation": "op1", "component": "c2"},
+            "move_to_component(op1->c2)",
+        ),
+        (
+            RedeployComponent("c1", "new-node:n2"),
+            {"kind": "redeploy", "component": "c1", "target": "new-node:n2"},
+            "redeploy(c1->new-node:n2)",
+        ),
+    ],
+)
+def test_action_record_and_text_are_pinned(action, record, text):
+    seq = RefactoringSequence((action,))
+    assert sequence_to_records(seq) == [record]
+    assert list(sequence_to_records(seq)[0]) == list(record)  # key order too
+    assert sequence_to_text(seq) == text
+    assert sequence_from_records([record]) == seq
+    assert sequence_from_text(text) == seq
 
 
 def test_sequence_records_round_trip(small_arch):
     rng = np.random.default_rng(4)
-    seq = random_sequence(small_arch, 4, rng)
+    seq, _ = random_sequence(small_arch, 4, rng)
     assert sequence_from_records(sequence_to_records(seq)) == seq
     assert sequence_from_text(sequence_to_text(seq)) == seq
 
@@ -272,7 +305,7 @@ def test_every_prefix_fold_is_valid(name, seed, length, gene_prob):
     # validity only where a model enters; this is the check it no longer runs
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    seq = random_sequence(arch, length, rng)
+    seq, _ = random_sequence(arch, length, rng)
     if gene_prob:
         # resampled genes land on prefixes the original sequence never saw
         from archopt.moea import mutate
