@@ -7,7 +7,7 @@ NSGA-II / SPEA2 / PESA-II to produce Pareto fronts of refactoring
 sequences.
 """
 
-from .antipatterns import Detection, Thresholds, detect, pas_count
+from .antipatterns import Detection, Thresholds, detect
 from .model import (
     Architecture,
     CallStep,

@@ -45,9 +45,6 @@ class Detection:
     scenario: str | None
     metrics: tuple[tuple[str, float], ...]
 
-    def metric(self, name: str) -> float:
-        return dict(self.metrics)[name]
-
 
 def detect(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> list[Detection]:
     """All distinct (kind, element) detections, in deterministic order."""
@@ -111,7 +108,3 @@ def detect(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds |
         )
 
     return detections
-
-
-def pas_count(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> int:
-    return len(detect(arch, perf, thresholds))

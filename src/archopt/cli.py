@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import os
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .antipatterns import Thresholds, detect
+from .antipatterns import Thresholds
 from .model import Architecture, ModelFormatError, _is_number, load, validate
-from .moea import ParetoFront, SearchConfig, _compute_metrics, front_to_json_dict, objective_vector, run
+from .moea import ParetoFront, SearchConfig, _compute_metrics, check_field_types, front_to_json_dict, objective_vector, run
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
 from .refactoring import (
@@ -47,6 +48,11 @@ class ConfigError(ValueError):
     pass
 
 
+# compare grid key -> the SearchConfig field its values set
+_GRIDS = {"algorithms": "algorithm", "budgets_seconds": "budget_seconds",
+          "budgets_evaluations": "max_evaluations", "seeds": "seed"}
+
+
 @dataclass
 class RunConfig:
     model: str
@@ -59,6 +65,12 @@ class RunConfig:
     budgets_seconds: list[float] | None = None
     budgets_evaluations: list[int] | None = None
     seeds: list[int] | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        for key in _GRIDS:
+            if getattr(self, key) == []:
+                raise ConfigError(f"{key} must be a non-empty list")
 
     def search_config(self, **overrides) -> SearchConfig:
         return SearchConfig(**{**self.search, **overrides})
@@ -111,13 +123,11 @@ def load_config(path: str) -> RunConfig:
         search["thresholds"] = _parse_thresholds(search["thresholds"])
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        search["seed"] = int(env_seed)
-    config = RunConfig(search=search, **{key: value for key, value in raw.items() if key in run_keys})
-
-    if search.get("budget_seconds") is None and search.get("max_evaluations") is None \
-            and config.budgets_seconds is None and config.budgets_evaluations is None:
-        raise ConfigError(f"{path}: set budget_seconds and/or max_evaluations")
-    return config
+        try:
+            search["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+    return RunConfig(search=search, **{key: value for key, value in raw.items() if key in run_keys})
 
 
 def _resolve_model_path(path: str) -> Path:
@@ -299,16 +309,20 @@ COMPARE_COLUMNS = [
 ]
 
 
-def _budget_cells(config: RunConfig) -> list[tuple[str, dict]]:
-    """(label, SearchConfig overrides) per budget of the grid."""
-    cells = [(f"{b:g}s", {"budget_seconds": float(b)}) for b in config.budgets_seconds or ()]
-    cells += [(f"{b}ev", {"max_evaluations": int(b)}) for b in config.budgets_evaluations or ()]
-    return cells or [(_budget_label(config.search), {})]
+def _grid(config: RunConfig, *keys: str) -> list[dict]:
+    """SearchConfig overrides, one per value of the named compare grids, or [{}]."""
+    return [{_GRIDS[key]: value} for key in keys for value in getattr(config, key) or ()] or [{}]
 
 
-def _grid(key: str, values: list | None) -> list[dict]:
-    """SearchConfig overrides for each value of a compare grid."""
-    return [{key: value} for value in values] if values else [{}]
+def _compare_runs(config: RunConfig) -> list[tuple[str, SearchConfig]]:
+    """(budget label, SearchConfig) of every run of the compare grid, in run
+    order.  All are built before the first run, so a bad value fails fast."""
+    budgets = _grid(config, "budgets_seconds", "budgets_evaluations")
+    cells = itertools.product(_grid(config, "algorithms"), budgets, (True, False), _grid(config, "seeds"))
+    return [
+        (_budget_label(budget or config.search), config.search_config(**algo, **budget, **seed, use_pas_objective=pas))
+        for algo, budget, pas, seed in cells
+    ]
 
 
 def _front_points(front: ParetoFront) -> np.ndarray:
@@ -330,25 +344,22 @@ def _reference_point(fronts: list[ParetoFront]) -> np.ndarray:
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
+    grid = _compare_runs(config)
     arch = _load_model(config.model)
     out_dir = Path(config.output_dir)
 
     runs: list[tuple[dict, ParetoFront]] = []
-    for algorithm in _grid("algorithm", config.algorithms):
-        for budget_label, budget in _budget_cells(config):
-            for use_pas in (True, False):
-                for seed in _grid("seed", config.seeds):
-                    search = config.search_config(**algorithm, **budget, **seed, use_pas_objective=use_pas)
-                    front = run(arch, search)
-                    meta = front.metadata
-                    write_front(front, out_dir / "runs" / _run_id_from_meta(meta))
-                    key = {
-                        "algorithm": meta["algorithm"],
-                        "budget": budget_label,
-                        "pas_objective": "with" if use_pas else "without",
-                        "seed": meta["seed"],
-                    }
-                    runs.append((key, front))
+    for budget_label, search in grid:
+        front = run(arch, search)
+        meta = front.metadata
+        write_front(front, out_dir / "runs" / _run_id_from_meta(meta))
+        key = {
+            "algorithm": meta["algorithm"],
+            "budget": budget_label,
+            "pas_objective": "with" if search.use_pas_objective else "without",
+            "seed": meta["seed"],
+        }
+        runs.append((key, front))
 
     fronts = [front for _, front in runs]
     reference = _reference_point(fronts)
@@ -389,9 +400,6 @@ def cmd_compare(args) -> int:
             f"{row['algorithm']:<10} {row['budget']:<8} {row['pas_objective']:<8} "
             f"{row['median_hypervolume']:>12.6f} {row['median_evaluations']:>13.1f} {row['median_best_perfQ']:>11.6f}"
         )
-    if args.gnuplot:
-        _write_gnuplot(out_dir / "compare.dat", summary)
-        print(f"wrote {out_dir / 'compare.dat'}")
     print(f"wrote {out_dir / 'compare.csv'} and {out_dir / 'summary.csv'}")
     return EXIT_OK
 
@@ -402,31 +410,12 @@ def _summarize(rows: list[dict]) -> list[dict]:
         groups.setdefault((row["algorithm"], row["budget"], row["pas_objective"]), []).append(row)
     summary = []
     for (algorithm, budget, pas_objective), members in groups.items():
+        # the median of each per-run measure, in compare.csv's column order
+        medians = {f"median_{col}": statistics.median(m[col] for m in members) for col in COMPARE_COLUMNS[4:]}
         summary.append(
-            {
-                "algorithm": algorithm,
-                "budget": budget,
-                "pas_objective": pas_objective,
-                "median_hypervolume": statistics.median(m["hypervolume"] for m in members),
-                "median_front_size": statistics.median(m["front_size"] for m in members),
-                "median_best_perfQ": statistics.median(m["best_perfQ"] for m in members),
-                "median_best_reliability": statistics.median(m["best_reliability"] for m in members),
-                "median_evaluations": statistics.median(m["evaluations"] for m in members),
-                "seeds": len(members),
-            }
+            {"algorithm": algorithm, "budget": budget, "pas_objective": pas_objective, **medians, "seeds": len(members)}
         )
     return summary
-
-
-def _write_gnuplot(path: Path, summary: list[dict]) -> None:
-    lines = ["# algorithm budget pas_objective median_hv median_front_size median_best_perfq median_evaluations"]
-    for row in summary:
-        lines.append(
-            f"{row['algorithm']} {row['budget']} {row['pas_objective']} "
-            f"{row['median_hypervolume']} {row['median_front_size']} "
-            f"{row['median_best_perfQ']} {row['median_evaluations']}"
-        )
-    path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="algorithm x budget x seed grid, with and without the antipattern objective")
     p_cmp.add_argument("--config", required=True, help="run config JSON file with algorithms/budgets/seeds lists")
-    p_cmp.add_argument("--gnuplot", action="store_true", help="also write plain columnar compare.dat")
 
     return parser
 

@@ -41,10 +41,6 @@ class Component:
     operations: tuple[Operation, ...]
     failure_probability: float  # probability of failure per invocation
 
-    @property
-    def operation_ids(self) -> tuple[str, ...]:
-        return tuple(op.id for op in self.operations)
-
 
 @dataclass(frozen=True)
 class ProcessorNode:
@@ -59,9 +55,6 @@ class NetworkLink:
     endpoints: tuple[str, str]  # unordered pair of node ids
     failure_probability: float = 0.0  # per message
     delay: float = 0.0  # seconds per message
-
-    def connects(self, node_a: str, node_b: str) -> bool:
-        return {node_a, node_b} == set(self.endpoints)
 
 
 @dataclass(frozen=True)
@@ -109,13 +102,6 @@ class Architecture:
     def owner_map(self) -> dict[str, Component]:
         """Map operation id -> owning component (shared; do not mutate)."""
         return self.compiled.owners
-
-    def operation_map(self) -> dict[str, Operation]:
-        ops: dict[str, Operation] = {}
-        for comp in self.components:
-            for op in comp.operations:
-                ops[op.id] = op
-        return ops
 
 
 def _is_number(value) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .antipatterns import Thresholds, detect
 from .model import Architecture, RoutingError, digest, validate
-from .pareto import admit, crowding_distance, fast_nondominated_sort, nondominated_indices
+from .pareto import admit, crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, to_qn
 from .refactoring import (
     DEFAULT_BRF,
@@ -51,13 +51,30 @@ Candidate = tuple[RefactoringSequence, Architecture]
 Lineage = tuple[RefactoringSequence, tuple[Architecture, ...]]
 
 
-# Type checks of the SearchConfig fields annotated with these types (the
-# annotations are strings); "T | None" also accepts None.
+# Type checks of the dataclass fields annotated with these types (the
+# annotations are strings).
 _TYPE_CHECKS = {
     "int": lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool),
     "float": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
     "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "list": lambda value: isinstance(value, list),
+    "dict": lambda value: isinstance(value, dict),
 }
+
+
+def check_field_types(instance) -> None:
+    """Raise ValueError naming the first field of the dataclass ``instance``
+    whose value does not have its annotated type.  ``T | None`` also takes
+    None, and ``list[T]`` checks each item against T too."""
+    for f in fields(instance):
+        kind, _, optional = f.type.partition(" | ")
+        base, _, item = kind.rstrip("]").partition("[")
+        value = getattr(instance, f.name)
+        if base not in _TYPE_CHECKS or (optional and value is None):
+            continue
+        if not _TYPE_CHECKS[base](value) or (item in _TYPE_CHECKS and not all(map(_TYPE_CHECKS[item], value))):
+            raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +95,7 @@ class SearchConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if kind in _TYPE_CHECKS and not (_TYPE_CHECKS[kind](value) or (optional and value is None)):
-                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
+        check_field_types(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {ALGORITHMS}")
         if self.budget_seconds is None and self.max_evaluations is None:
@@ -162,9 +175,37 @@ def _compute_metrics(
     return metrics, None, perf
 
 
+class _Budget:
+    """The search's time budget and evaluation cap; the one reader of the clock."""
+
+    def __init__(self, config: SearchConfig):
+        self.seconds = config.budget_seconds
+        self.max_evaluations = config.max_evaluations
+        self.started = time.monotonic()
+        self.stalled = False
+        self._last_evaluations: int | None = None
+
+    def spent(self, evaluations: int) -> bool:
+        """Whether the time budget or the evaluation cap is used up."""
+        if self.seconds is not None and self.elapsed() >= self.seconds:
+            return True
+        return self.max_evaluations is not None and evaluations >= self.max_evaluations
+
+    def exhausted(self, evaluations: int) -> bool:
+        """Whether the search must stop.  The loops ask once per generation,
+        so an unchanged count means the last generation was all cache hits:
+        the search has stalled, and an evaluation cap would never be met."""
+        self.stalled = evaluations == self._last_evaluations
+        self._last_evaluations = evaluations
+        return self.stalled or self.spent(evaluations)
+
+    def elapsed(self) -> float:
+        return time.monotonic() - self.started
+
+
 class Evaluator:
-    """Caches objective evaluations by genotype so identical sequences are
-    solved once; keeps every evaluated individual for the cumulative front."""
+    """Scores each genotype once.  ``individuals`` maps each evaluated genotype
+    to its individual, in evaluation order: the cache and the run's log."""
 
     def __init__(self, initial: Architecture, config: SearchConfig):
         violations = validate(initial)
@@ -174,8 +215,7 @@ class Evaluator:
         self.config = config
         self.initial_digest = digest(initial)
         self.initial_perf = solve_amva(to_qn(initial))
-        self._cache: dict[RefactoringSequence, Individual] = {}  # by genotype
-        self.all_individuals: list[Individual] = []
+        self.individuals: dict[RefactoringSequence, Individual] = {}
         # running non-dominated archive over everything evaluated; kept
         # incrementally so the final front costs nothing extra
         self._front: list[Individual] = []
@@ -194,7 +234,7 @@ class Evaluator:
         """Store a scored candidate.  Its phenotype is digested only when
         it is invalid (for the warning) or enters the cumulative front."""
         self.solver_evaluations += 1
-        order = len(self.all_individuals)
+        order = len(self.individuals)
         if metrics is None:
             phenotype = digest(folded)
             kind = next(cls for cls in EVALUATION_FAILURES if isinstance(failure, cls))
@@ -214,8 +254,7 @@ class Evaluator:
                 individual = replace(individual, phenotype_digest=digest(folded))
             self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
             self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
-        self._cache[seq] = individual
-        self.all_individuals.append(individual)
+        self.individuals[seq] = individual
         return individual
 
     @property
@@ -226,7 +265,7 @@ class Evaluator:
     def evaluate(self, seq: RefactoringSequence, folded: Architecture | None = None) -> Individual:
         """Score a sequence; ``folded``, when given, must be the architecture
         ``seq`` folds to from the initial one, and saves folding it again."""
-        cached = self._cache.get(seq)
+        cached = self.individuals.get(seq)
         if cached is not None:
             self.cache_hits += 1
             return cached
@@ -235,53 +274,15 @@ class Evaluator:
         metrics, failure, _ = _compute_metrics(self.initial_perf, seq, folded, self.config.brf, self.config.thresholds)
         return self._record(seq, metrics, failure, folded)
 
-    def evaluate_many(
-        self,
-        candidates: Iterable[Candidate],
-        deadline: float | None = None,
-        max_evaluations: int | None = None,
-    ) -> list[Individual]:
-        """Evaluate in submission order; under a deadline or evaluation cap
-        the remainder of the batch is neither drawn nor evaluated once the
-        budget runs out."""
+    def evaluate_many(self, candidates: Iterable[Candidate], budget: _Budget) -> list[Individual]:
+        """Evaluate in submission order; once ``budget`` is spent the rest of
+        the batch is neither drawn nor evaluated."""
         out = []
         for seq, folded in candidates:
             out.append(self.evaluate(seq, folded))
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            if max_evaluations is not None and self.solver_evaluations >= max_evaluations:
+            if budget.spent(self.solver_evaluations):
                 break
         return out
-
-
-class _Budget:
-    def __init__(self, config: SearchConfig):
-        self.seconds = config.budget_seconds
-        self.max_evaluations = config.max_evaluations
-        self.started = time.monotonic()
-        self.stalled = False
-        self._last_evaluations: int | None = None
-
-    @property
-    def deadline(self) -> float | None:
-        return None if self.seconds is None else self.started + self.seconds
-
-    def exhausted(self, evaluations: int) -> bool:
-        """Whether the search must stop.  The loops ask once per generation,
-        so an unchanged count means the last generation was all cache hits:
-        the search has stalled, and an evaluation cap would never be met."""
-        self.stalled = evaluations == self._last_evaluations
-        self._last_evaluations = evaluations
-        if self.stalled:
-            return True
-        if self.seconds is not None and time.monotonic() - self.started >= self.seconds:
-            return True
-        if self.max_evaluations is not None and evaluations >= self.max_evaluations:
-            return True
-        return False
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
 
 
 def _tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:
@@ -349,16 +350,22 @@ def _offspring(evaluator: Evaluator, select: Callable[[], Individual], rng: np.r
 # ---------------------------------------------------------------------------
 
 
+def _objective_rows(individuals: list[Individual]) -> np.ndarray:
+    """Objective rows with the invalid sentinel (inf) as 1e30, so distances
+    stay finite; ranks and crowding do not change, since no front mixes
+    valid and sentinel rows.  Front admission compares raw rows instead."""
+    points = np.array([ind.objectives for ind in individuals])
+    return np.where(np.isfinite(points), points, 1e30)
+
+
 def _rank_and_crowding(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
-    points = np.array([ind.objectives for ind in population])
+    points = _objective_rows(population)
     fronts = fast_nondominated_sort(points)
     rank = np.zeros(len(population), dtype=int)
     crowding = np.zeros(len(population))
     for level, front in enumerate(fronts):
         rank[front] = level
-        finite = points[front]
-        finite = np.where(np.isfinite(finite), finite, 0.0)  # sentinel rows crowd together
-        crowding[front] = crowding_distance(finite)
+        crowding[front] = crowding_distance(points[front])
     return rank, crowding
 
 
@@ -372,15 +379,14 @@ def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
 
 
 def _nsga2_survival(population: list[Individual], mu: int) -> list[Individual]:
-    points = np.array([ind.objectives for ind in population])
+    points = _objective_rows(population)
     fronts = fast_nondominated_sort(points)
     survivors: list[Individual] = []
     for front in fronts:
         if len(survivors) + len(front) <= mu:
             survivors.extend(population[i] for i in front)
         else:
-            finite = np.where(np.isfinite(points[front]), points[front], 0.0)
-            crowd = crowding_distance(finite)
+            crowd = crowding_distance(points[front])
             # fill by descending crowding, ties by evaluation order
             order = sorted(range(len(front)), key=lambda i: (-crowd[i], population[front[i]].order))
             survivors.extend(population[front[i]] for i in order[: mu - len(survivors)])
@@ -395,7 +401,7 @@ def _run_nsga2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
     while not budget.exhausted(evaluator.solver_evaluations) and population:
         rank, crowding = _rank_and_crowding(population)
         select = partial(_nsga2_select_parent, population, rank, crowding, rng)
-        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
+        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
         population = _nsga2_survival(population + evaluated, config.population)
         generations += 1
     return generations
@@ -407,8 +413,7 @@ def _run_nsga2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
 
 
 def _spea2_fitness(union: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
-    points = np.array([ind.objectives for ind in union])
-    points = np.where(np.isfinite(points), points, 1e30)  # keep sentinel rows distance-safe
+    points = _objective_rows(union)
     dom = kernels.dominance_matrix(points)
     strength = dom.sum(axis=1).astype(float)  # S(i): count i dominates
     raw = np.array([strength[dom[:, i]].sum() for i in range(len(union))])
@@ -464,7 +469,7 @@ def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
             break
         arch_fitness, _ = _spea2_fitness(archive)
         select = partial(_spea2_select_parent, archive, arch_fitness, rng)
-        population = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
+        population = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
         generations += 1
     return generations
 
@@ -477,8 +482,7 @@ def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
 def _grid_cells(archive: list[Individual], divisions: int) -> dict[tuple, list[int]]:
     """Archive indices by cell of an adaptive hypergrid over the archive's
     objective bounding box, ``divisions`` cells per objective."""
-    points = np.array([ind.objectives for ind in archive])
-    points = np.where(np.isfinite(points), points, 1e30)
+    points = _objective_rows(archive)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     width = np.where(hi > lo, (hi - lo) / divisions, 1.0)
@@ -524,7 +528,7 @@ def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) 
     generations = 0
     while archive and not budget.exhausted(evaluator.solver_evaluations):
         select = partial(_pesa2_select, archive, _grid_cells(archive, config.divisions), rng)
-        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget.deadline, config.max_evaluations)
+        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
         for ind in evaluated:
             archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
         generations += 1
@@ -542,16 +546,15 @@ def _initial_population(evaluator: Evaluator, rng: np.random.Generator, budget: 
         random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
         for _ in range(config.population)
     )
-    return evaluator.evaluate_many(candidates, budget.deadline, config.max_evaluations)
+    return evaluator.evaluate_many(candidates, budget)
 
 
 _RUNNERS = {"nsga2": _run_nsga2, "spea2": _run_spea2, "pesa2": _run_pesa2}
 
 
-def run(initial: Architecture, config: SearchConfig, rng: np.random.Generator | None = None) -> ParetoFront:
+def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
     """Run one optimization and return the cumulative Pareto front."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     evaluator = Evaluator(initial, config)  # also warms the solver path
     budget = _Budget(config)
     generations = _RUNNERS[config.algorithm](evaluator, rng, budget)

@@ -2,8 +2,8 @@
 
 One job class per usage scenario, one processor-sharing station per node;
 multi-core nodes are approximated by rate scaling (demand / cores).
-Solved by exact MVA (single class) or Bard-Schweitzer approximate MVA
-(any number of classes).
+The search solves every model with Bard-Schweitzer approximate MVA;
+exact MVA (single class only) is the tests' reference for it.
 """
 
 from __future__ import annotations

@@ -410,11 +410,12 @@ def _sample_action(arch: Architecture, kind: ActionKind, rng: np.random.Generato
     return RedeployComponent(comp.id, _pick(rng, targets))
 
 
+# Parameter draws per action kind before random_action gives the kind up.
+_MAX_TRIES = 50
+
+
 def random_action(
-    arch: Architecture,
-    rng: np.random.Generator,
-    allow_new_nodes: bool = True,
-    max_tries: int = 50,
+    arch: Architecture, rng: np.random.Generator, allow_new_nodes: bool = True
 ) -> tuple[RefactoringAction, Architecture]:
     """Sample a feasible action: kind uniformly, then parameters by
     reject-and-resample; falls back to the remaining kinds on exhaustion.
@@ -422,7 +423,7 @@ def random_action(
     remaining = list(ActionKind)
     while remaining:
         kind = _pick(rng, remaining)
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             action = _sample_action(arch, kind, rng, allow_new_nodes)
             if action is None:
                 break

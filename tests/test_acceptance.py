@@ -261,7 +261,7 @@ def test_c06_refactoring_functional_equivalence():
     worst = 0.0
     for name in ("small", "large"):
         arch = casestudies.load_case_study(name)
-        ops = arch.operation_map()
+        ops = {op.id: op for comp in arch.components for op in comp.operations}
         base = [
             math.fsum(step.count * ops[step.operation].cpu_demand for step in scen.steps)
             for scen in arch.scenarios
@@ -270,7 +270,7 @@ def test_c06_refactoring_functional_equivalence():
         for _ in range(1000):
             seq, _ = random_sequence(arch, 4, rng)
             folded = apply_sequence(arch, seq)
-            folded_ops = folded.operation_map()
+            folded_ops = {op.id: op for comp in folded.components for op in comp.operations}
             for j, scen in enumerate(folded.scenarios):
                 total = math.fsum(step.count * folded_ops[step.operation].cpu_demand for step in scen.steps)
                 worst = max(worst, abs(total - base[j]))

@@ -11,7 +11,6 @@ from archopt.antipatterns import (
     Detection,
     Thresholds,
     detect,
-    pas_count,
 )
 from archopt.model import invocation_matrix
 from archopt.perfqn import PerformanceResult, solve_amva, to_qn
@@ -98,7 +97,7 @@ def test_pipe_and_filter_fires_on_dominant_operation():
     detections = detect(arch, perf_for(arch, [0.9]))
     paf = [d for d in detections if d.kind == PIPE_AND_FILTER]
     assert [d.elements for d in paf] == [("big",)]
-    assert paf[0].metric("demand_share") == pytest.approx(0.9)
+    assert dict(paf[0].metrics)["demand_share"] == pytest.approx(0.9)
 
 
 def test_detection_count_unit_is_kind_element():
@@ -132,20 +131,20 @@ def test_raising_util_high_never_increases_count(small_arch, large_arch):
         perf = solve_amva(to_qn(arch))
         counts = []
         for high in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
-            counts.append(pas_count(arch, perf, Thresholds(util_high=high)))
+            counts.append(len(detect(arch, perf, Thresholds(util_high=high))))
         assert counts == sorted(counts, reverse=True)
 
 
 def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
         perf = solve_amva(to_qn(arch))
-        assert pas_count(arch, perf) >= 1
+        assert len(detect(arch, perf)) >= 1
 
 
 def naive_detect(arch, perf, th):
     """The object-graph loops the vectorized rules replaced."""
     util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
-    ops = arch.operation_map()
+    ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
     detections = []
     invocations, _ = invocation_matrix(arch)

@@ -189,11 +189,40 @@ def test_optimize_rejects_bad_config(tmp_path, capsys):
         {"crossover_prob": "0.5"},
         {"use_pas_objective": "no"},
         {"max_evaluations": 10.5},
+        {"seeds": 5},
+        {"model": 5},
+        {"output_dir": 5},
+        {"algorithms": "nsga2"},
+        {"seeds": []},
+        {"budgets_evaluations": []},
     ]
     for overrides in bad:
         config = write_config(tmp_path, **overrides)
         assert main(["optimize", "--config", str(config)]) == EXIT_DOMAIN, overrides
         assert next(iter(overrides)) in capsys.readouterr().err
+
+
+def test_seed_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ARCHOPT_SEED", "x")
+    assert main(["optimize", "--config", str(write_config(tmp_path))]) == EXIT_DOMAIN
+    assert "ARCHOPT_SEED" in capsys.readouterr().err
+
+
+def test_compare_rejects_bad_grid_values_before_any_run(tmp_path, capsys):
+    # the last two fail only in a later cell, after a valid first one
+    bad = [
+        ({"budgets_evaluations": [10.5]}, "budgets_evaluations"),
+        ({"budgets_evaluations": ["12"]}, "budgets_evaluations"),
+        ({"budgets_seconds": ["1"]}, "budgets_seconds"),
+        ({"seeds": [1, "2"]}, "seeds"),
+        ({"seeds": [1, -1]}, "seed must be >= 0"),
+        ({"algorithms": ["nsga2", "bogus"]}, "unknown algorithm 'bogus'"),
+    ]
+    for overrides, message in bad:
+        config = write_config(tmp_path, **overrides)
+        assert main(["compare", "--config", str(config)]) == EXIT_DOMAIN, overrides
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_optimize_missing_config_usage_error():
@@ -203,7 +232,7 @@ def test_optimize_missing_config_usage_error():
 # -- compare ------------------------------------------------------------------
 
 
-def test_compare_grid_and_gnuplot(tmp_path, capsys):
+def test_compare_grid(tmp_path, capsys):
     config = write_config(
         tmp_path,
         algorithms=["nsga2", "pesa2"],
@@ -212,7 +241,7 @@ def test_compare_grid_and_gnuplot(tmp_path, capsys):
         population=8,
         max_evaluations=None,
     )
-    assert main(["compare", "--config", str(config), "--gnuplot"]) == EXIT_OK
+    assert main(["compare", "--config", str(config)]) == EXIT_OK
     rows = list(csv.DictReader((tmp_path / "out" / "compare.csv").read_text().splitlines()))
     # 2 algorithms x 2 budgets x 2 seeds x {with, without}
     assert len(rows) == 16
@@ -221,7 +250,6 @@ def test_compare_grid_and_gnuplot(tmp_path, capsys):
         assert float(row["hypervolume"]) >= 0.0
     summary = list(csv.DictReader((tmp_path / "out" / "summary.csv").read_text().splitlines()))
     assert len(summary) == 8
-    assert (tmp_path / "out" / "compare.dat").exists()
     # longer budget never decreases median evaluations
     by_cell = {(r["algorithm"], r["pas_objective"], r["budget"]): float(r["median_evaluations"]) for r in summary}
     for alg in ("nsga2", "pesa2"):

@@ -250,7 +250,7 @@ def test_all_zero_counts_give_zero_matrices(two_comp_arch):
 def naive_demand_matrix(arch):
     node_index = {n.id: k for k, n in enumerate(arch.nodes)}
     owners = {op.id: comp for comp in arch.components for op in comp.operations}
-    ops = arch.operation_map()
+    ops = {op.id: op for comp in arch.components for op in comp.operations}
     demands = np.zeros((len(arch.nodes), len(arch.scenarios)))
     for j, scen in enumerate(arch.scenarios):
         for step in scen.steps:
@@ -274,7 +274,7 @@ def naive_invocation_matrix(arch):
             if caller_node is not None and caller_node != callee_node:
                 matched = False
                 for l, link in enumerate(arch.links):
-                    if link.connects(caller_node, callee_node):
+                    if set(link.endpoints) == {caller_node, callee_node}:
                         messages[l, j] += step.count
                         matched = True
                 if not matched:

@@ -356,7 +356,7 @@ def test_run_elitism_best_objectives_present(small_arch):
 
     rng = np.random.default_rng(config.seed)
     _RUNNERS[config.algorithm](evaluator, rng, _Budget(config))
-    all_inds = [i for i in evaluator.all_individuals if i.valid]
+    all_inds = [i for i in evaluator.individuals.values() if i.valid]
     assert best_perfq == max(i.metrics.perfq for i in all_inds)
     assert best_rel == max(i.metrics.reliability for i in all_inds)
     assert best_pas == min(i.metrics.pas for i in all_inds)
@@ -377,6 +377,17 @@ def test_cumulative_front_with_only_invalid_individuals(small_arch):
     assert not front[0].valid
 
 
+def test_front_admission_keeps_equal_invalid_rows(small_arch):
+    # both admission paths compare raw sentinel rows, and equal rows do not
+    # dominate each other
+    evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
+    failure = SolverError("solver blew up", residual=1.0)
+    first = evaluator._record(RefactoringSequence(()), None, failure, small_arch)
+    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), None, failure, small_arch)
+    assert evaluator.front == [first, second]
+    assert _pesa2_insert(_pesa2_insert([], first, 4, 8), second, 4, 8) == [first, second]
+
+
 def test_incremental_front_matches_batch_recompute(small_arch):
     from archopt.pareto import nondominated_indices
 
@@ -385,8 +396,9 @@ def test_incremental_front_matches_batch_recompute(small_arch):
     from archopt.moea import _Budget, _RUNNERS
 
     _RUNNERS[config.algorithm](evaluator, np.random.default_rng(config.seed), _Budget(config))
-    points = [ind.objectives for ind in evaluator.all_individuals]
-    expected = {id(evaluator.all_individuals[i]) for i in nondominated_indices(points)}
+    individuals = list(evaluator.individuals.values())
+    points = [ind.objectives for ind in individuals]
+    expected = {id(individuals[i]) for i in nondominated_indices(points)}
     assert {id(ind) for ind in evaluator.front} == expected
 
 
@@ -396,8 +408,8 @@ def test_digest_only_for_front_entrants(small_arch):
     from archopt.moea import _Budget, _RUNNERS
 
     _RUNNERS[config.algorithm](evaluator, np.random.default_rng(config.seed), _Budget(config))
-    digested = [ind for ind in evaluator.all_individuals if ind.phenotype_digest is not None]
-    assert 0 < len(digested) < len(evaluator.all_individuals)
+    digested = [ind for ind in evaluator.individuals.values() if ind.phenotype_digest is not None]
+    assert 0 < len(digested) < len(evaluator.individuals)
     for ind in evaluator.front:
         assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
 
@@ -447,6 +459,36 @@ def test_front_csv_bytes_match_recorded(small_arch, algorithm):
     config = SearchConfig(algorithm=algorithm, seed=1, population=16, archive_size=16, max_evaluations=200)
     text = front_csv_text(run(small_arch, config))
     assert hashlib.sha256(text.encode()).hexdigest() == FRONT_CSV_SHA256[algorithm]
+
+
+# The same searches with every 4th solve failing (the initial architecture's
+# solve is call 1), so the selection and archive code sees invalid rows.
+INVALID_FRONT_CSV_SHA256 = {
+    "nsga2": "1503e6005925708bf03c1e445c772b2201ed9e4024c91c9f686fb8c7078620e3",
+    "spea2": "88f7d652d053f8d5457fc2b4cce1f83ae819bf569f00dedb941c2a669d7a71d8",
+    "pesa2": "794bb8ed4658796aea98b701165c48576a8611f5a11b1d86531b623b0e2a1b02",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(INVALID_FRONT_CSV_SHA256))
+def test_front_csv_bytes_with_invalid_individuals_match_recorded(small_arch, algorithm, monkeypatch):
+    from archopt import moea
+
+    calls = [0]
+    real_solve = moea.solve_amva
+
+    def flaky_solve(qn):
+        calls[0] += 1
+        if calls[0] % 4 == 0:
+            raise SolverError("did not converge", residual=1.0)
+        return real_solve(qn)
+
+    monkeypatch.setattr(moea, "solve_amva", flaky_solve)
+    config = SearchConfig(algorithm=algorithm, seed=1, population=16, archive_size=16, max_evaluations=200)
+    front = run(small_arch, config)
+    assert front.metadata["invalid_by_type"]["SolverError"] == 50
+    text = front_csv_text(front)
+    assert hashlib.sha256(text.encode()).hexdigest() == INVALID_FRONT_CSV_SHA256[algorithm]
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,7 +36,7 @@ from conftest import make_arch
 
 def total_weighted_demand(arch):
     """Per-scenario sum of count * cpu_demand, the conserved quantity."""
-    ops = arch.operation_map()
+    ops = {op.id: op for comp in arch.components for op in comp.operations}
     return [
         math.fsum(step.count * ops[step.operation].cpu_demand for step in scen.steps)
         for scen in arch.scenarios
@@ -104,7 +104,7 @@ def test_move_to_new_component_deletes_emptied_owner(two_comp_arch):
     ids = [c.id for c in result.components]
     assert "c2" not in ids  # old owner had only op2
     host = result.component(ids[-1])
-    assert host.operation_ids == ("op2",)
+    assert [op.id for op in host.operations] == ["op2"]
     assert result.deployment[host.id] == "n1"
     assert validate(result) == []
 
@@ -112,7 +112,7 @@ def test_move_to_new_component_deletes_emptied_owner(two_comp_arch):
 def test_move_to_existing_component(two_comp_arch):
     result = apply(two_comp_arch, MoveOperationToComponent("op2", "c1"))
     assert [c.id for c in result.components] == ["c1"]
-    assert result.component("c1").operation_ids == ("op1", "op2")
+    assert [op.id for op in result.component("c1").operations] == ["op1", "op2"]
 
 
 def test_new_node_target_copies_template_and_links(two_comp_arch):
