@@ -22,7 +22,7 @@ import numpy as np
 
 from .antipatterns import Thresholds
 from .model import Architecture, ModelFormatError, _is_number, load, validate
-from .moea import ParetoFront, SearchConfig, _compute_metrics, check_field_types, front_to_json_dict, objective_vector, run
+from .moea import ParetoFront, SearchConfig, check_field_types, front_to_json_dict, objective_vector, run, score
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
 from .refactoring import (
@@ -195,8 +195,8 @@ def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
-    metrics, failure, perf = _compute_metrics(
-        solve_amva(to_qn(arch)), seq, apply_sequence(arch, seq), search.brf, search.thresholds
+    [(metrics, failure, perf)] = score(
+        solve_amva(to_qn(arch)), [(seq, apply_sequence(arch, seq))], search.brf, search.thresholds
     )
     if metrics is None:
         print(f"error: candidate architecture could not be evaluated: {failure}", file=sys.stderr)
@@ -314,15 +314,12 @@ def _grid(config: RunConfig, *keys: str) -> list[dict]:
     return [{_GRIDS[key]: value} for key in keys for value in getattr(config, key) or ()] or [{}]
 
 
-def _compare_runs(config: RunConfig) -> list[tuple[str, SearchConfig]]:
-    """(budget label, SearchConfig) of every run of the compare grid, in run
-    order.  All are built before the first run, so a bad value fails fast."""
+def _compare_runs(config: RunConfig) -> list[SearchConfig]:
+    """SearchConfig of every run of the compare grid, in run order.  All are
+    built before the first run, so a bad value fails fast."""
     budgets = _grid(config, "budgets_seconds", "budgets_evaluations")
     cells = itertools.product(_grid(config, "algorithms"), budgets, (True, False), _grid(config, "seeds"))
-    return [
-        (_budget_label(budget or config.search), config.search_config(**algo, **budget, **seed, use_pas_objective=pas))
-        for algo, budget, pas, seed in cells
-    ]
+    return [config.search_config(**algo, **budget, **seed, use_pas_objective=pas) for algo, budget, pas, seed in cells]
 
 
 def _front_points(front: ParetoFront) -> np.ndarray:
@@ -349,13 +346,13 @@ def cmd_compare(args) -> int:
     out_dir = Path(config.output_dir)
 
     runs: list[tuple[dict, ParetoFront]] = []
-    for budget_label, search in grid:
+    for search in grid:
         front = run(arch, search)
         meta = front.metadata
         write_front(front, out_dir / "runs" / _run_id_from_meta(meta))
         key = {
             "algorithm": meta["algorithm"],
-            "budget": budget_label,
+            "budget": _budget_label(vars(search)),
             "pas_objective": "with" if search.use_pas_objective else "without",
             "seed": meta["seed"],
         }

@@ -1,5 +1,8 @@
 """Numeric hot kernels in numpy: MVA recursions and Pareto dominance.
 
+``amva`` is the one approximate-MVA kernel: it solves a stack of queueing
+models at once, and a single model is a stack of one.
+
 ``dominates`` is the one dominance rule of the package; the sorting,
 archive and hypervolume code in ``pareto`` and ``moea`` all build on it.
 """
@@ -33,31 +36,61 @@ def exact_mva(demands, think_time, population):
 
 
 # ---------------------------------------------------------------------------
-# Approximate MVA, multiclass (Bard-Schweitzer).
+# Approximate MVA, multiclass (Bard-Schweitzer), over a stack of models.
 #
 # Fixed point of
 #   A_kj = sum_i Q_ki - Q_kj / N_j
 #   R_kj = D_kj * (1 + A_kj);  X_j = N_j / (Z_j + sum_k R_kj);  Q_kj = X_j R_kj
 # iterated (Jacobi updates) until max |dQ| < tol or max_iter is hit.
-# Returns (X, per-class R, Q matrix, iterations, residual, converged flag).
+#
+# Model b has n_stations[b] stations; the rows past them are zero-demand
+# padding whose queues stay 0, so they add exact zeros, last, to each
+# station sum and 0 to the residual.  A model's results are frozen at the
+# iteration it converges in and it leaves the stack; the loop ends when
+# the stack is empty or at max_iter.  Never pad classes, and stack a
+# one-class model only with models of its own station count: numpy sums
+# a contiguous axis pairwise, so zeros there would regroup the sum.
+# Returns per model (X, per-class R, Q, iterations, residual, converged).
 # ---------------------------------------------------------------------------
 
 
-def amva(demands, populations, think_times, tol, max_iter):
-    n_stations, n_classes = demands.shape
-    q = np.broadcast_to(populations / n_stations, (n_stations, n_classes)).copy()
-    residual = 0.0
+def amva(demands, populations, think_times, n_stations, tol, max_iter):
+    n_models, max_stations, n_classes = demands.shape
+    present = np.arange(max_stations)[None, :, None] < n_stations[:, None, None]
+    q = np.where(present, populations[:, None, :] / n_stations[:, None, None], 0.0)
+    x_out = np.zeros((n_models, n_classes))
+    r_out = np.zeros((n_models, n_classes))
+    q_out = np.zeros_like(q)
+    iterations = np.full(n_models, max_iter)
+    residual = np.zeros(n_models)
+    converged = np.zeros(n_models, dtype=bool)
+    active = np.arange(n_models)
+    class_populations = populations[:, None, :]
     for it in range(max_iter):
-        arrival_q = q.sum(axis=1, keepdims=True) - q / populations
+        arrival_q = q.sum(axis=2, keepdims=True) - q / class_populations
         r = demands * (1.0 + arrival_q)
-        r_class = r.sum(axis=0)
+        r_class = r.sum(axis=1)
         x = populations / (think_times + r_class)
-        q_new = x * r
-        residual = float(np.abs(q_new - q).max())
+        q_new = x[:, None, :] * r
+        step = np.abs(q_new - q).max(axis=(1, 2))
         q = q_new
-        if residual < tol:
-            return x, r_class, q, it + 1, residual, True
-    return x, r_class, q, max_iter, residual, False
+        done = step < tol
+        leaving = done if it < max_iter - 1 else np.ones_like(done)
+        if not leaving.any():
+            continue
+        models = active[leaving]
+        x_out[models] = x[leaving]
+        r_out[models] = r_class[leaving]
+        q_out[models] = q[leaving]
+        residual[models] = step[leaving]
+        converged[models] = done[leaving]
+        iterations[models[done[leaving]]] = it + 1
+        stay = ~leaving
+        active, q, demands = active[stay], q[stay], demands[stay]
+        populations, think_times, class_populations = populations[stay], think_times[stay], class_populations[stay]
+        if not active.size:
+            break
+    return x_out, r_out, q_out, iterations, residual, converged
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import kernels
 from .antipatterns import Thresholds, detect
 from .model import Architecture, RoutingError, digest, validate
 from .pareto import admit, crowding_distance, fast_nondominated_sort
-from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, to_qn
+from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
@@ -43,6 +43,10 @@ INVALID_SENTINEL = float("inf")
 # What scoring a folded architecture may raise; each failure makes an
 # invalid individual, counted under the first of these classes it is.
 EVALUATION_FAILURES = (SolverError, RoutingError, ValueError)
+# New candidates scored together: one to_qn each and one stacked AMVA
+# solve.  Bounds the folded architectures held at once, and how far the
+# time budget can overrun.
+CHUNK_SIZE = 32
 
 # A candidate of the search: its genotype and the architecture it folds to.
 Candidate = tuple[RefactoringSequence, Architecture]
@@ -151,28 +155,44 @@ def objective_vector(metrics: EvalMetrics, use_pas: bool) -> tuple[float, ...]:
     return (-metrics.perfq, -metrics.reliability, metrics.distance)
 
 
-def _compute_metrics(
+def score(
     initial_perf: PerformanceResult,
-    seq: RefactoringSequence,
-    folded: Architecture,
+    candidates: list[Candidate],
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
-) -> tuple[EvalMetrics | None, Exception | None, PerformanceResult | None]:
-    """Scores ``folded``, the architecture ``seq`` folds to.  Returns
-    (metrics, None, the folded architecture's performance), or
+) -> list[tuple[EvalMetrics | None, Exception | None, PerformanceResult | None]]:
+    """Scores each candidate's folded architecture: ``to_qn`` of each, one
+    ``solve_amva_many`` of all, then reliability and antipatterns of each.
+    Returns per candidate, in order, (metrics, None, its performance), or
     (None, the failure, None) when it cannot be scored."""
-    try:
-        perf = solve_amva(to_qn(folded))
-        rel = compute_reliability(folded)
-    except EVALUATION_FAILURES as exc:
-        return None, exc, None
-    metrics = EvalMetrics(
-        perfq=perfq(initial_perf, perf),
-        reliability=rel.overall,
-        pas=len(detect(folded, perf, thresholds)),
-        distance=distance(seq, brf),
-    )
-    return metrics, None, perf
+    outcomes: list[PerformanceResult | Exception | None] = []
+    models = []
+    for _, folded in candidates:
+        try:
+            models.append(to_qn(folded))
+            outcomes.append(None)
+        except EVALUATION_FAILURES as exc:
+            outcomes.append(exc)
+    solved = iter(solve_amva_many(models))
+    scores = []
+    for (seq, folded), outcome in zip(candidates, outcomes):
+        perf = next(solved) if outcome is None else outcome
+        if isinstance(perf, Exception):
+            scores.append((None, perf, None))
+            continue
+        try:
+            rel = compute_reliability(folded)
+        except EVALUATION_FAILURES as exc:
+            scores.append((None, exc, None))
+            continue
+        metrics = EvalMetrics(
+            perfq=perfq(initial_perf, perf),
+            reliability=rel.overall,
+            pas=len(detect(folded, perf, thresholds)),
+            distance=distance(seq, brf),
+        )
+        scores.append((metrics, None, perf))
+    return scores
 
 
 class _Budget:
@@ -262,6 +282,12 @@ class Evaluator:
         """Non-dominated subset of every individual evaluated so far."""
         return list(self._front)
 
+    def _score_chunk(self, chunk: list[Candidate]) -> None:
+        """Score new candidates together and record them in submission order."""
+        scores = score(self.initial_perf, chunk, self.config.brf, self.config.thresholds)
+        for (seq, folded), (metrics, failure, _) in zip(chunk, scores):
+            self._record(seq, metrics, failure, folded)
+
     def evaluate(self, seq: RefactoringSequence, folded: Architecture | None = None) -> Individual:
         """Score a sequence; ``folded``, when given, must be the architecture
         ``seq`` folds to from the initial one, and saves folding it again."""
@@ -269,20 +295,30 @@ class Evaluator:
         if cached is not None:
             self.cache_hits += 1
             return cached
-        if folded is None:
-            folded = apply_sequence(self.initial, seq)
-        metrics, failure, _ = _compute_metrics(self.initial_perf, seq, folded, self.config.brf, self.config.thresholds)
-        return self._record(seq, metrics, failure, folded)
+        self._score_chunk([(seq, apply_sequence(self.initial, seq) if folded is None else folded)])
+        return self.individuals[seq]
 
     def evaluate_many(self, candidates: Iterable[Candidate], budget: _Budget) -> list[Individual]:
-        """Evaluate in submission order; once ``budget`` is spent the rest of
-        the batch is neither drawn nor evaluated."""
-        out = []
+        """Evaluate in submission order.  Candidates are drawn one at a time;
+        a genotype already scored or pending is a cache hit, and new ones
+        are scored in chunks of ``CHUNK_SIZE``.  Once ``budget`` is spent,
+        counting the pending ones as evaluated, no further candidate is
+        drawn; the pending ones are still scored."""
+        drawn: list[RefactoringSequence] = []
+        pending: dict[RefactoringSequence, Architecture] = {}
         for seq, folded in candidates:
-            out.append(self.evaluate(seq, folded))
-            if budget.spent(self.solver_evaluations):
+            drawn.append(seq)
+            if seq in self.individuals or seq in pending:
+                self.cache_hits += 1
+            else:
+                pending[seq] = folded
+                if len(pending) == CHUNK_SIZE:
+                    self._score_chunk(list(pending.items()))
+                    pending.clear()
+            if budget.spent(self.solver_evaluations + len(pending)):
                 break
-        return out
+        self._score_chunk(list(pending.items()))
+        return [self.individuals[seq] for seq in drawn]
 
 
 def _tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:

@@ -2,12 +2,16 @@
 
 One job class per usage scenario, one processor-sharing station per node;
 multi-core nodes are approximated by rate scaling (demand / cores).
-The search solves every model with Bard-Schweitzer approximate MVA;
-exact MVA (single class only) is the tests' reference for it.
+The search solves every model with Bard-Schweitzer approximate MVA:
+``solve_amva_many`` solves a chunk of models in stacked kernel calls and
+returns each model's result or failure, and ``solve_amva`` is a batch of
+one that raises.  Exact MVA (single class only) is the tests' reference
+for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,25 +116,60 @@ def solve_exact_mva(qn: QnModel) -> PerformanceResult:
     )
 
 
-def solve_amva(qn: QnModel) -> PerformanceResult:
-    """Bard-Schweitzer approximate MVA for any number of classes."""
+def solve_amva_many(qns: Sequence[QnModel]) -> list[PerformanceResult | SolverError | ValueError]:
+    """Bard-Schweitzer approximate MVA of many models, for any number of
+    classes.  Returns, per model in order, its result, a SolverError when
+    the iteration does not converge, or a ValueError when a class has
+    neither demand nor think time.  Models with the same number of
+    contending classes are solved in one stacked kernel call (one-class
+    models only with the same station count, see ``kernels.amva``)."""
+    splits: list[tuple[np.ndarray, np.ndarray] | ValueError] = []
+    groups: dict[tuple[int, int], list[int]] = {}  # model indices per stack
+    for i, qn in enumerate(qns):
+        try:
+            busy, delay = _split_delay_classes(qn)
+        except ValueError as exc:
+            splits.append(exc)
+            continue
+        splits.append((busy, delay))
+        if len(busy):
+            groups.setdefault((len(busy), len(qn.station_ids) if len(busy) == 1 else 0), []).append(i)
+
+    solutions: dict[int, tuple] = {}
+    for (n_busy, _), members in groups.items():
+        busy = [splits[i][0] for i in members]
+        n_stations = np.array([len(qns[i].station_ids) for i in members])
+        demands = np.zeros((len(members), n_stations.max(), n_busy))
+        for b, (i, cols) in enumerate(zip(members, busy)):
+            demands[b, : n_stations[b]] = qns[i].demands[:, cols]
+        populations = np.array([qns[i].populations[cols] for i, cols in zip(members, busy)])
+        think_times = np.array([qns[i].think_times[cols] for i, cols in zip(members, busy)])
+        x, r_class, q, iterations, residual, converged = kernels.amva(
+            demands, populations, think_times, n_stations, AMVA_TOL, AMVA_MAX_ITER
+        )
+        for b, i in enumerate(members):
+            solutions[i] = (x[b], r_class[b], q[b, : n_stations[b]], iterations[b], residual[b], converged[b])
+
+    return [
+        split if isinstance(split, ValueError) else _amva_result(qn, *split, solutions.get(i))
+        for i, (qn, split) in enumerate(zip(qns, splits))
+    ]
+
+
+def _amva_result(qn: QnModel, busy: np.ndarray, delay: np.ndarray, solution: tuple | None) -> PerformanceResult | SolverError:
+    """One model's result from its kernel solution (None: no contending class)."""
     n_stations = len(qn.station_ids)
     n_classes = len(qn.class_ids)
-    busy, delay = _split_delay_classes(qn)
-
     throughput = np.zeros(n_classes)
     response = np.zeros(n_classes)
     queue = np.zeros((n_stations, n_classes))
     iterations = 0
     residual = 0.0
 
-    if len(busy):
-        demands = np.ascontiguousarray(qn.demands[:, busy])
-        x, r_class, q, iterations, residual, converged = kernels.amva(
-            demands, qn.populations[busy], qn.think_times[busy], AMVA_TOL, AMVA_MAX_ITER
-        )
+    if solution is not None:
+        x, r_class, q, iterations, residual, converged = solution
         if not converged:
-            raise SolverError(
+            return SolverError(
                 f"AMVA did not converge within {AMVA_MAX_ITER} iterations (residual {residual:.3e})",
                 residual=float(residual),
             )
@@ -152,6 +191,15 @@ def solve_amva(qn: QnModel) -> PerformanceResult:
         iterations=int(iterations),
         residual=float(residual),
     )
+
+
+def solve_amva(qn: QnModel) -> PerformanceResult:
+    """Bard-Schweitzer approximate MVA of one model: ``solve_amva_many`` of
+    a batch of one, raising the model's SolverError or ValueError."""
+    (result,) = solve_amva_many([qn])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def perfq(initial: PerformanceResult, refactored: PerformanceResult) -> float:

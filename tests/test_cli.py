@@ -255,3 +255,14 @@ def test_compare_grid(tmp_path, capsys):
     for alg in ("nsga2", "pesa2"):
         for mode in ("with", "without"):
             assert by_cell[(alg, mode, "40ev")] >= by_cell[(alg, mode, "20ev")]
+
+
+def test_compare_labels_runs_with_their_whole_budget(tmp_path, capsys):
+    # a time budget from the config joins the evaluation grid's cap
+    config = write_config(tmp_path, budget_seconds=60, budgets_evaluations=[20], max_evaluations=None)
+    assert main(["compare", "--config", str(config)]) == EXIT_OK
+    out = tmp_path / "out"
+    for name in ("compare.csv", "summary.csv"):
+        rows = list(csv.DictReader((out / name).read_text().splitlines()))
+        assert rows and {row["budget"] for row in rows} == {"60s-20ev"}, name
+    assert sorted(p.name for p in (out / "runs").iterdir()) == ["nsga2-60s-20ev-3obj-seed5", "nsga2-60s-20ev-4obj-seed5"]

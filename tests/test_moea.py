@@ -117,16 +117,35 @@ def test_evaluation_cache_skips_solver(small_arch):
     assert first is second
 
 
+def inject_solver_failures(monkeypatch, every: int) -> list[SolverError]:
+    """Replace every ``every``-th solved model's result by a SolverError.
+    Models are counted in submission order at both bindings of the batch
+    solver, so the initial architecture's solve (through ``solve_amva``)
+    is call 1.  Returns the list the injected failures are appended to."""
+    from archopt import moea, perfqn
+
+    real_many = perfqn.solve_amva_many
+    calls = [0]
+    injected: list[SolverError] = []
+
+    def flaky_many(qns):
+        results = []
+        for result in real_many(qns):
+            calls[0] += 1
+            if calls[0] % every == 0:
+                result = SolverError("did not converge", residual=1.0)
+                injected.append(result)
+            results.append(result)
+        return results
+
+    monkeypatch.setattr(perfqn, "solve_amva_many", flaky_many)
+    monkeypatch.setattr(moea, "solve_amva_many", flaky_many)
+    return injected
+
+
 def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
-    from archopt import moea
-    from archopt.perfqn import SolverError
-
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-
-    def explode(qn):
-        raise SolverError("did not converge", residual=1.0)
-
-    monkeypatch.setattr(moea, "solve_amva", explode)
+    inject_solver_failures(monkeypatch, every=1)
     seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
     ind = evaluator.evaluate(seq)
     assert not ind.valid
@@ -418,15 +437,9 @@ def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
     from archopt import moea
 
     raised = {"SolverError": 0, "RoutingError": 0, "ValueError": 0}
-    calls = {"solve": 0, "reliability": 0}
-    real_solve, real_reliability = moea.solve_amva, moea.compute_reliability
-
-    def flaky_solve(qn):
-        calls["solve"] += 1
-        if calls["solve"] % 7 == 0:
-            raised["SolverError"] += 1
-            raise SolverError("did not converge", residual=1.0)
-        return real_solve(qn)
+    calls = {"reliability": 0}
+    real_reliability = moea.compute_reliability
+    solver_failures = inject_solver_failures(monkeypatch, every=7)
 
     def flaky_reliability(arch):
         calls["reliability"] += 1
@@ -438,9 +451,9 @@ def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
             raise ValueError("bad value")
         return real_reliability(arch)
 
-    monkeypatch.setattr(moea, "solve_amva", flaky_solve)
     monkeypatch.setattr(moea, "compute_reliability", flaky_reliability)
     front = run(small_arch, SearchConfig(seed=3, max_evaluations=80, population=8))
+    raised["SolverError"] = len(solver_failures)
     assert all(raised.values())
     assert front.metadata["invalid_by_type"] == raised
 
@@ -461,8 +474,9 @@ def test_front_csv_bytes_match_recorded(small_arch, algorithm):
     assert hashlib.sha256(text.encode()).hexdigest() == FRONT_CSV_SHA256[algorithm]
 
 
-# The same searches with every 4th solve failing (the initial architecture's
-# solve is call 1), so the selection and archive code sees invalid rows.
+# The same searches with every 4th solved model failing (the initial
+# architecture's solve is call 1), so the selection and archive code sees
+# invalid rows.
 INVALID_FRONT_CSV_SHA256 = {
     "nsga2": "1503e6005925708bf03c1e445c772b2201ed9e4024c91c9f686fb8c7078620e3",
     "spea2": "88f7d652d053f8d5457fc2b4cce1f83ae819bf569f00dedb941c2a669d7a71d8",
@@ -472,18 +486,7 @@ INVALID_FRONT_CSV_SHA256 = {
 
 @pytest.mark.parametrize("algorithm", sorted(INVALID_FRONT_CSV_SHA256))
 def test_front_csv_bytes_with_invalid_individuals_match_recorded(small_arch, algorithm, monkeypatch):
-    from archopt import moea
-
-    calls = [0]
-    real_solve = moea.solve_amva
-
-    def flaky_solve(qn):
-        calls[0] += 1
-        if calls[0] % 4 == 0:
-            raise SolverError("did not converge", residual=1.0)
-        return real_solve(qn)
-
-    monkeypatch.setattr(moea, "solve_amva", flaky_solve)
+    inject_solver_failures(monkeypatch, every=4)
     config = SearchConfig(algorithm=algorithm, seed=1, population=16, archive_size=16, max_evaluations=200)
     front = run(small_arch, config)
     assert front.metadata["invalid_by_type"]["SolverError"] == 50

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from archopt import perfqn
 from archopt.model import demand_matrix
 from archopt.perfqn import (
+    AMVA_MAX_ITER,
+    AMVA_TOL,
     PerformanceResult,
     QnModel,
     SolverError,
     perfq,
     solve_amva,
+    solve_amva_many,
     solve_exact_mva,
     to_qn,
 )
@@ -126,6 +132,109 @@ def test_amva_all_zero_demand_is_pure_think():
 def test_amva_zero_demand_zero_think_rejected():
     with pytest.raises(ValueError, match="zero demand and zero think time"):
         solve_amva(qn([[0.0]], [3], [0.0]))
+
+
+# -- stacked AMVA against the per-model loop --------------------------------------
+
+
+def reference_amva(demands, populations, think_times, tol, max_iter):
+    """The per-model Bard-Schweitzer loop that the stacked ``kernels.amva``
+    replaced.  Returns (X, per-class R, Q, iterations, residual, converged)."""
+    n_stations, n_classes = demands.shape
+    q = np.broadcast_to(populations / n_stations, (n_stations, n_classes)).copy()
+    residual = 0.0
+    for it in range(max_iter):
+        arrival_q = q.sum(axis=1, keepdims=True) - q / populations
+        r = demands * (1.0 + arrival_q)
+        r_class = r.sum(axis=0)
+        x = populations / (think_times + r_class)
+        q_new = x * r
+        residual = float(np.abs(q_new - q).max())
+        q = q_new
+        if residual < tol:
+            return x, r_class, q, it + 1, residual, True
+    return x, r_class, q, max_iter, residual, False
+
+
+def random_qn(rng, n_stations, n_classes):
+    """A model whose every class has demand at some station."""
+    demands = rng.uniform(0.0, 2.0, (n_stations, n_classes)) * (rng.random((n_stations, n_classes)) < 0.8)
+    for j in np.flatnonzero(demands.sum(axis=0) == 0.0):
+        demands[rng.integers(n_stations), j] = rng.uniform(0.01, 2.0)
+    populations = rng.integers(1, 50, n_classes)
+    think_times = rng.uniform(0.0, 5.0, n_classes) * (rng.random(n_classes) < 0.8)
+    return qn(demands, populations, think_times)
+
+
+def assert_same_bits(result, want):
+    """``result`` holds X, R, Q, iterations and residual of ``want``, a
+    converged reference solve, bit for bit."""
+    x, r_class, q, iterations, residual, converged = want
+    assert converged
+    assert result.throughput.tobytes() == x.tobytes()
+    assert result.response_time.tobytes() == r_class.tobytes()
+    assert result.queue_length.tobytes() == q.tobytes()
+    assert (result.iterations, result.residual) == (iterations, residual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    class_counts=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+    shapes=st.lists(st.tuples(st.integers(1, 20), st.integers(0, 2)), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_amva_matches_per_model_loop_bit_for_bit(class_counts, shapes, seed):
+    # a few class counts shared by many models, so stacks mix station counts
+    rng = np.random.default_rng(seed)
+    models = [random_qn(rng, k, class_counts[c % len(class_counts)]) for k, c in shapes]
+    for model, result in zip(models, solve_amva_many(models)):
+        want = reference_amva(model.demands, model.populations, model.think_times, AMVA_TOL, AMVA_MAX_ITER)
+        assert_same_bits(result, want)
+
+
+def test_non_converging_model_fails_alone(monkeypatch):
+    max_iter = 300
+    monkeypatch.setattr(perfqn, "AMVA_MAX_ITER", max_iter)
+    rng = np.random.default_rng(3)
+    models = [random_qn(rng, k, 3) for k in (2, 7, 12)]
+    # near-balanced demands under a heavy load need about 450 iterations,
+    # the others at most about 210; all share one stack
+    slow = qn([[1.0, 0.9, 0.8], [0.9, 1.0, 0.95], [0.8, 0.95, 1.0]], [500] * 3, [0.0] * 3)
+    models.insert(1, slow)
+    results = solve_amva_many(models)
+
+    stalled = reference_amva(slow.demands, slow.populations, slow.think_times, AMVA_TOL, max_iter)
+    assert not stalled[5]
+    assert isinstance(results[1], SolverError)
+    assert results[1].residual == stalled[4]
+    with pytest.raises(SolverError, match=f"within {max_iter} iterations"):
+        solve_amva(slow)
+    for model, result in zip(models[:1] + models[2:], results[:1] + results[2:]):
+        assert_same_bits(result, reference_amva(model.demands, model.populations, model.think_times, AMVA_TOL, max_iter))
+        single = solve_amva(model)
+        for field in ("throughput", "response_time", "queue_length"):
+            assert getattr(single, field).tobytes() == getattr(result, field).tobytes()
+        assert (single.iterations, single.residual) == (result.iterations, result.residual)
+
+
+def test_amva_many_keeps_model_order_and_failures():
+    rng = np.random.default_rng(5)
+    # the last model starts at its fixed point, so it converges in one
+    # iteration only if the padding of its stack adds nothing to the residual
+    models = [
+        random_qn(rng, 4, 2),
+        qn([[0.0]], [3], [0.0]),
+        random_qn(rng, 6, 1),
+        qn([[0.0, 0.0]], [3, 5], [1.0, 1.0]),
+        qn([[0.5, 0.2]], [3, 4], [0.0, 0.0]),
+    ]
+    results = solve_amva_many(models)
+    assert isinstance(results[1], ValueError)
+    assert results[3].delay_only == ("c0", "c1")
+    assert results[4].iterations == 1
+    for i in (0, 2, 4):
+        assert_same_bits(results[i], reference_amva(models[i].demands, models[i].populations, models[i].think_times, AMVA_TOL, AMVA_MAX_ITER))
+    assert solve_amva_many([]) == []
 
 
 def test_amva_littles_law_random_models():
