@@ -1,7 +1,8 @@
 """Command-line front end: validate / eval / optimize / compare.
 
 Exit codes: 0 ok, 1 domain error (invalid model, infeasible sequence,
-solver failure), 2 usage error (bad arguments, missing files).
+no feasible action to sample, solver failure), 2 usage error (bad
+arguments, missing files).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
     InfeasibleActionError,
+    NoFeasibleActionError,
     RefactoringSequence,
     apply_sequence,
     sequence_from_records,
@@ -195,12 +197,13 @@ def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
-    [(metrics, failure, perf)] = score(
+    [outcome] = score(
         solve_amva(to_qn(arch)), [(seq, apply_sequence(arch, seq))], search.brf, search.thresholds
     )
-    if metrics is None:
-        print(f"error: candidate architecture could not be evaluated: {failure}", file=sys.stderr)
+    if isinstance(outcome, Exception):
+        print(f"error: candidate architecture could not be evaluated: {outcome}", file=sys.stderr)
         return EXIT_DOMAIN
+    metrics, perf = outcome
 
     report = {
         "model": args.model,
@@ -455,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ModelFormatError, InfeasibleActionError, SolverError, ValueError) as exc:
+    except (ConfigError, ModelFormatError, InfeasibleActionError, NoFeasibleActionError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

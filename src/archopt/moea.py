@@ -2,10 +2,11 @@
 
 Genotype: fixed-length action sequence.  Objectives, all minimized:
 (-perfQ, -reliability, antipattern count, distance); the antipattern
-objective can be dropped to run a 3-objective search.  Three algorithms
-share the evaluation machinery: NSGA-II, SPEA2 and PESA-II.  The returned
-front is the non-dominated subset of every individual evaluated during
-the run, not just the final population.
+objective can be dropped to run a 3-objective search.  NSGA-II, SPEA2
+and PESA-II run in one generational loop and differ only in how they
+pick parents from what they keep and what they keep after each
+generation.  The returned front is the non-dominated subset of every
+individual evaluated during the run, not just what was kept.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .reliability import reliability as compute_reliability
 
 log = logging.getLogger("archopt.moea")
 
-ALGORITHMS = ("nsga2", "spea2", "pesa2")
 INVALID_SENTINEL = float("inf")
 # What scoring a folded architecture may raise; each failure makes an
 # invalid individual, counted under the first of these classes it is.
@@ -100,8 +100,8 @@ class SearchConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {ALGORITHMS}")
+        if self.algorithm not in _ALGORITHMS:
+            raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {tuple(_ALGORITHMS)}")
         if self.budget_seconds is None and self.max_evaluations is None:
             raise ValueError("at least one of budget_seconds / max_evaluations must be set")
         if self.population < 4 or self.population % 2:
@@ -155,35 +155,30 @@ def objective_vector(metrics: EvalMetrics, use_pas: bool) -> tuple[float, ...]:
     return (-metrics.perfq, -metrics.reliability, metrics.distance)
 
 
+# What scoring one candidate gives: its metrics with its performance, or
+# the failure that makes it an invalid individual.
+Outcome = tuple[EvalMetrics, PerformanceResult] | Exception
+
+
 def score(
     initial_perf: PerformanceResult,
     candidates: list[Candidate],
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
-) -> list[tuple[EvalMetrics | None, Exception | None, PerformanceResult | None]]:
+) -> list[Outcome]:
     """Scores each candidate's folded architecture: ``to_qn`` of each, one
     ``solve_amva_many`` of all, then reliability and antipatterns of each.
-    Returns per candidate, in order, (metrics, None, its performance), or
-    (None, the failure, None) when it cannot be scored."""
-    outcomes: list[PerformanceResult | Exception | None] = []
-    models = []
-    for _, folded in candidates:
-        try:
-            models.append(to_qn(folded))
-            outcomes.append(None)
-        except EVALUATION_FAILURES as exc:
-            outcomes.append(exc)
-    solved = iter(solve_amva_many(models))
-    scores = []
-    for (seq, folded), outcome in zip(candidates, outcomes):
-        perf = next(solved) if outcome is None else outcome
+    Returns one outcome per candidate, in order."""
+    solved = solve_amva_many([to_qn(folded) for _, folded in candidates])
+    outcomes: list[Outcome] = []
+    for (seq, folded), perf in zip(candidates, solved):
         if isinstance(perf, Exception):
-            scores.append((None, perf, None))
+            outcomes.append(perf)
             continue
         try:
             rel = compute_reliability(folded)
         except EVALUATION_FAILURES as exc:
-            scores.append((None, exc, None))
+            outcomes.append(exc)
             continue
         metrics = EvalMetrics(
             perfq=perfq(initial_perf, perf),
@@ -191,8 +186,8 @@ def score(
             pas=len(detect(folded, perf, thresholds)),
             distance=distance(seq, brf),
         )
-        scores.append((metrics, None, perf))
-    return scores
+        outcomes.append((metrics, perf))
+    return outcomes
 
 
 class _Budget:
@@ -202,22 +197,12 @@ class _Budget:
         self.seconds = config.budget_seconds
         self.max_evaluations = config.max_evaluations
         self.started = time.monotonic()
-        self.stalled = False
-        self._last_evaluations: int | None = None
 
     def spent(self, evaluations: int) -> bool:
         """Whether the time budget or the evaluation cap is used up."""
         if self.seconds is not None and self.elapsed() >= self.seconds:
             return True
         return self.max_evaluations is not None and evaluations >= self.max_evaluations
-
-    def exhausted(self, evaluations: int) -> bool:
-        """Whether the search must stop.  The loops ask once per generation,
-        so an unchanged count means the last generation was all cache hits:
-        the search has stalled, and an evaluation cap would never be met."""
-        self.stalled = evaluations == self._last_evaluations
-        self._last_evaluations = evaluations
-        return self.stalled or self.spent(evaluations)
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -244,27 +229,22 @@ class Evaluator:
         self.cache_hits = 0
         self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
-    def _record(
-        self,
-        seq: RefactoringSequence,
-        metrics: EvalMetrics | None,
-        failure: Exception | None,
-        folded: Architecture,
-    ) -> Individual:
+    def _record(self, seq: RefactoringSequence, outcome: Outcome, folded: Architecture) -> Individual:
         """Store a scored candidate.  Its phenotype is digested only when
         it is invalid (for the warning) or enters the cumulative front."""
         self.solver_evaluations += 1
         order = len(self.individuals)
-        if metrics is None:
+        if isinstance(outcome, Exception):
             phenotype = digest(folded)
-            kind = next(cls for cls in EVALUATION_FAILURES if isinstance(failure, cls))
+            kind = next(cls for cls in EVALUATION_FAILURES if isinstance(outcome, cls))
             self.invalid_by_type[kind.__name__] += 1
-            log.warning("invalid individual (%s): %s", phenotype[:12], failure)
+            log.warning("invalid individual (%s): %s", phenotype[:12], outcome)
             sentinel = float("nan")
             metrics = EvalMetrics(sentinel, sentinel, 0, sentinel)
             dim = 4 if self.config.use_pas_objective else 3
             individual = Individual(seq, phenotype, metrics, (INVALID_SENTINEL,) * dim, False, order)
         else:
+            metrics, _ = outcome
             objectives = objective_vector(metrics, self.config.use_pas_objective)
             individual = Individual(seq, None, metrics, objectives, True, order)
         candidate = np.array(individual.objectives)
@@ -284,18 +264,17 @@ class Evaluator:
 
     def _score_chunk(self, chunk: list[Candidate]) -> None:
         """Score new candidates together and record them in submission order."""
-        scores = score(self.initial_perf, chunk, self.config.brf, self.config.thresholds)
-        for (seq, folded), (metrics, failure, _) in zip(chunk, scores):
-            self._record(seq, metrics, failure, folded)
+        outcomes = score(self.initial_perf, chunk, self.config.brf, self.config.thresholds)
+        for (seq, folded), outcome in zip(chunk, outcomes):
+            self._record(seq, outcome, folded)
 
-    def evaluate(self, seq: RefactoringSequence, folded: Architecture | None = None) -> Individual:
-        """Score a sequence; ``folded``, when given, must be the architecture
-        ``seq`` folds to from the initial one, and saves folding it again."""
+    def evaluate(self, seq: RefactoringSequence) -> Individual:
+        """Score a sequence, folded from the initial architecture."""
         cached = self.individuals.get(seq)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        self._score_chunk([(seq, apply_sequence(self.initial, seq) if folded is None else folded)])
+        self._score_chunk([(seq, apply_sequence(self.initial, seq))])
         return self.individuals[seq]
 
     def evaluate_many(self, candidates: Iterable[Candidate], budget: _Budget) -> list[Individual]:
@@ -394,15 +373,14 @@ def _objective_rows(individuals: list[Individual]) -> np.ndarray:
     return np.where(np.isfinite(points), points, 1e30)
 
 
-def _rank_and_crowding(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
+def _nsga2_parents(population: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
     points = _objective_rows(population)
-    fronts = fast_nondominated_sort(points)
     rank = np.zeros(len(population), dtype=int)
     crowding = np.zeros(len(population))
-    for level, front in enumerate(fronts):
+    for level, front in enumerate(fast_nondominated_sort(points)):
         rank[front] = level
         crowding[front] = crowding_distance(points[front])
-    return rank, crowding
+    return partial(_nsga2_select_parent, population, rank, crowding, rng)
 
 
 def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
@@ -414,33 +392,26 @@ def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
     return population[min(i, j)]
 
 
-def _nsga2_survival(population: list[Individual], mu: int) -> list[Individual]:
-    points = _objective_rows(population)
-    fronts = fast_nondominated_sort(points)
+def _nsga2_survival(population: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+    union = population + evaluated
+    # A union that fits is kept in evaluation order, which the tournament
+    # indexes.  Only the initial population fits (a short one means the
+    # budget is spent), and sorting it would keep the same members, so no
+    # front moves.
+    if len(union) <= config.population:
+        return union
+    points = _objective_rows(union)
     survivors: list[Individual] = []
-    for front in fronts:
-        if len(survivors) + len(front) <= mu:
-            survivors.extend(population[i] for i in front)
+    for front in fast_nondominated_sort(points):
+        if len(survivors) + len(front) <= config.population:
+            survivors.extend(union[i] for i in front)
         else:
             crowd = crowding_distance(points[front])
             # fill by descending crowding, ties by evaluation order
-            order = sorted(range(len(front)), key=lambda i: (-crowd[i], population[front[i]].order))
-            survivors.extend(population[front[i]] for i in order[: mu - len(survivors)])
+            order = sorted(range(len(front)), key=lambda i: (-crowd[i], union[front[i]].order))
+            survivors.extend(union[front[i]] for i in order[: config.population - len(survivors)])
             break
     return survivors
-
-
-def _run_nsga2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> int:
-    config = evaluator.config
-    population = _initial_population(evaluator, rng, budget)
-    generations = 0
-    while not budget.exhausted(evaluator.solver_evaluations) and population:
-        rank, crowding = _rank_and_crowding(population)
-        select = partial(_nsga2_select_parent, population, rank, crowding, rng)
-        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
-        population = _nsga2_survival(population + evaluated, config.population)
-        generations += 1
-    return generations
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +423,7 @@ def _spea2_fitness(union: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
     points = _objective_rows(union)
     dom = kernels.dominance_matrix(points)
     strength = dom.sum(axis=1).astype(float)  # S(i): count i dominates
-    raw = np.array([strength[dom[:, i]].sum() for i in range(len(union))])
+    raw = strength @ dom  # R(i): summed strength of i's dominators; integer counts, so exact
     dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     np.fill_diagonal(dists, np.inf)
     k = int(np.floor(np.sqrt(len(union))))
@@ -474,40 +445,29 @@ def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int) -> l
     return keep
 
 
-def _spea2_environmental(union: list[Individual], fitness: np.ndarray, dists: np.ndarray, size: int) -> list[Individual]:
+def _spea2_survival(archive: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+    union = evaluated + archive
+    fitness, dists = _spea2_fitness(union)
     nondom = [i for i in range(len(union)) if fitness[i] < 1.0]
-    if len(nondom) > size:
-        nondom = _spea2_truncate(nondom, dists, size)
-    elif len(nondom) < size:
+    if len(nondom) > config.archive_size:
+        nondom = _spea2_truncate(nondom, dists, config.archive_size)
+    elif len(nondom) < config.archive_size:
         dominated = sorted(
             (i for i in range(len(union)) if fitness[i] >= 1.0),
             key=lambda i: (fitness[i], union[i].order),
         )
-        nondom = nondom + dominated[: size - len(nondom)]
+        nondom = nondom + dominated[: config.archive_size - len(nondom)]
     return [union[i] for i in nondom]
+
+
+def _spea2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
+    fitness, _ = _spea2_fitness(archive)
+    return partial(_spea2_select_parent, archive, fitness, rng)
 
 
 def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
     i, j = _tournament(rng, len(archive))
     return archive[i] if (fitness[i], i) <= (fitness[j], j) else archive[j]
-
-
-def _run_spea2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> int:
-    config = evaluator.config
-    population = _initial_population(evaluator, rng, budget)
-    archive: list[Individual] = []
-    generations = 0
-    while population:
-        union = population + archive
-        fitness, dists = _spea2_fitness(union)
-        archive = _spea2_environmental(union, fitness, dists, config.archive_size)
-        if budget.exhausted(evaluator.solver_evaluations):
-            break
-        arch_fitness, _ = _spea2_fitness(archive)
-        select = partial(_spea2_select_parent, archive, arch_fitness, rng)
-        population = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
-        generations += 1
-    return generations
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +503,16 @@ def _pesa2_insert(archive: list[Individual], candidate: Individual, capacity: in
     return archive
 
 
+def _pesa2_survival(archive: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+    for ind in evaluated:
+        archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
+    return archive
+
+
+def _pesa2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
+    return partial(_pesa2_select, archive, _grid_cells(archive, config.divisions), rng)
+
+
 def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
     keys = sorted(cells)
     first = keys[int(rng.integers(len(keys)))]
@@ -555,45 +525,49 @@ def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng:
     return archive[members[int(rng.integers(len(members)))]]
 
 
-def _run_pesa2(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> int:
-    config = evaluator.config
-    population = _initial_population(evaluator, rng, budget)
-    archive: list[Individual] = []
-    for ind in population:
-        archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
-    generations = 0
-    while archive and not budget.exhausted(evaluator.solver_evaluations):
-        select = partial(_pesa2_select, archive, _grid_cells(archive, config.divisions), rng)
-        evaluated = evaluator.evaluate_many(_offspring(evaluator, select, rng), budget)
-        for ind in evaluated:
-            archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
-        generations += 1
-    return generations
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
+# The valid ``algorithm`` values and their steps of the loop: parents(kept,
+# rng, config) picks one generation's parents from what the algorithm
+# keeps, and survive(kept, evaluated, config) is what it keeps after it.
+_ALGORITHMS = {
+    "nsga2": (_nsga2_parents, _nsga2_survival),
+    "spea2": (_spea2_parents, _spea2_survival),
+    "pesa2": (_pesa2_parents, _pesa2_survival),
+}
 
-def _initial_population(evaluator: Evaluator, rng: np.random.Generator, budget: _Budget) -> list[Individual]:
+
+def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
+    """The generational loop of every algorithm.  Returns the number of
+    generations and whether the search stalled: its last generation added
+    no evaluation (every child was a cache hit), so an evaluation cap
+    would never be met."""
     config = evaluator.config
-    candidates = (
+    rng = np.random.default_rng(config.seed)
+    parents, survive = _ALGORITHMS[config.algorithm]
+    initial = (
         random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
         for _ in range(config.population)
     )
-    return evaluator.evaluate_many(candidates, budget)
-
-
-_RUNNERS = {"nsga2": _run_nsga2, "spea2": _run_spea2, "pesa2": _run_pesa2}
+    kept = survive([], evaluator.evaluate_many(initial, budget), config)
+    generations = 0
+    while not budget.spent(evaluator.solver_evaluations):
+        evaluations = evaluator.solver_evaluations
+        offspring = _offspring(evaluator, parents(kept, rng, config), rng)
+        kept = survive(kept, evaluator.evaluate_many(offspring, budget), config)
+        generations += 1
+        if evaluator.solver_evaluations == evaluations:
+            return generations, True
+    return generations, False
 
 
 def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
     """Run one optimization and return the cumulative Pareto front."""
-    rng = np.random.default_rng(config.seed)
     evaluator = Evaluator(initial, config)  # also warms the solver path
     budget = _Budget(config)
-    generations = _RUNNERS[config.algorithm](evaluator, rng, budget)
+    generations, stalled = _search(evaluator, budget)
     wall = budget.elapsed()
 
     front = evaluator.front
@@ -612,7 +586,7 @@ def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
         "invalid_by_type": dict(evaluator.invalid_by_type),
         "generations": generations,
         "budget_truncated": generations == 0,
-        "stalled": budget.stalled,
+        "stalled": stalled,
         "wall_time_seconds": wall,
         "initial_digest": evaluator.initial_digest,
     }

@@ -9,7 +9,6 @@ architecture.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import ClassVar, Iterable, Mapping, Union
@@ -526,28 +525,10 @@ def sequence_from_records(records: list[dict]) -> RefactoringSequence:
     return RefactoringSequence(tuple(action_from_dict(r) for r in records))
 
 
-_ACTION_TEXT = re.compile(r"(\w+)\((.+?)->(.+)\)")
-
-
 def action_to_text(action: RefactoringAction) -> str:
     source, target = astuple(action)
     return f"{action.kind.value}({source}->{target})"
 
 
-def action_from_text(text: str) -> RefactoringAction:
-    match = _ACTION_TEXT.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"unparseable action text: {text!r}")
-    cls, _ = _RECORD_FIELDS[ActionKind(match.group(1))]
-    return cls(match.group(2), match.group(3))
-
-
 def sequence_to_text(seq: RefactoringSequence) -> str:
     return "; ".join(action_to_text(a) for a in seq.actions)
-
-
-def sequence_from_text(text: str) -> RefactoringSequence:
-    text = text.strip()
-    if not text:
-        return RefactoringSequence(())
-    return RefactoringSequence(tuple(action_from_text(part) for part in text.split("; ")))

@@ -9,7 +9,7 @@ from archopt import casestudies
 from archopt.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from archopt.model import load, save, to_dict
 from archopt.moea import Evaluator, SearchConfig
-from archopt.refactoring import sequence_from_text
+from archopt.refactoring import RedeployComponent, RefactoringSequence, sequence_from_records, sequence_to_text
 
 
 SMALL = str(casestudies.path("small"))
@@ -69,7 +69,7 @@ def test_eval_with_sequence_json(tmp_path, capsys):
     assert report["perfQ"] > 0.0
     # same code path as the evaluator
     evaluator = Evaluator(load(Path(SMALL).read_text()), SearchConfig(max_evaluations=0))
-    ind = evaluator.evaluate(sequence_from_text("redeploy(catalog->spare)"))
+    ind = evaluator.evaluate(RefactoringSequence((RedeployComponent("catalog", "spare"),)))
     assert report["perfQ"] == ind.metrics.perfq
     assert report["reliability"] == ind.metrics.reliability
 
@@ -81,8 +81,6 @@ def test_eval_bundled_sample_sequence(capsys):
     assert report["perfQ"] > 0.0
     assert report["distance"] > 0.0
     evaluator = Evaluator(load(Path(SMALL).read_text()), SearchConfig(max_evaluations=0))
-    from archopt.refactoring import sequence_from_records
-
     ind = evaluator.evaluate(sequence_from_records(json.loads(Path(seq_path).read_text())))
     assert report["perfQ"] == ind.metrics.perfq
     assert report["reliability"] == ind.metrics.reliability
@@ -150,10 +148,14 @@ def test_front_csv_rows_reevaluate_to_stored_objectives(tmp_path):
     config = write_config(tmp_path)
     main(["optimize", "--config", str(config)])
     rows = list(csv.DictReader((tmp_path / "out" / "front.csv").read_text().splitlines()))
+    solutions = {s["solution_id"]: s for s in json.loads((tmp_path / "out" / "front.json").read_text())["solutions"]}
+    assert sorted(solutions) == sorted(row["solution_id"] for row in rows)
     arch = load(Path(SMALL).read_text())
     evaluator = Evaluator(arch, SearchConfig(max_evaluations=0))
     for row in rows:
-        ind = evaluator.evaluate(sequence_from_text(row["actions"]))
+        seq = sequence_from_records(solutions[row["solution_id"]]["actions"])
+        assert row["actions"] == sequence_to_text(seq)
+        ind = evaluator.evaluate(seq)
         assert abs(ind.metrics.perfq - float(row["perfQ"])) <= 1e-9
         assert abs(ind.metrics.reliability - float(row["reliability"])) <= 1e-9
         assert ind.metrics.pas == int(row["pas"])
@@ -223,6 +225,19 @@ def test_compare_rejects_bad_grid_values_before_any_run(tmp_path, capsys):
         assert main(["compare", "--config", str(config)]) == EXIT_DOMAIN, overrides
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+def test_model_with_no_feasible_action_is_an_error_line(tmp_path, capsys, command):
+    # validate does not check routing, so a model whose cross-node calls
+    # have no link is accepted; every action's result is unroutable too
+    doc = json.loads(Path(SMALL).read_text())
+    doc["links"] = []
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    config = write_config(tmp_path, model=str(model), max_evaluations=50)
+    assert main([command, "--config", str(config)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: no feasible action exists for this architecture\n"
 
 
 def test_optimize_missing_config_usage_error():

@@ -13,11 +13,13 @@ from archopt.moea import (
     Evaluator,
     Individual,
     SearchConfig,
+    _Budget,
     _grid_cells,
     _pesa2_insert,
     _pesa2_select,
-    _spea2_environmental,
+    _search,
     _spea2_fitness,
+    _spea2_survival,
     crossover,
     mutate,
     objective_vector,
@@ -95,15 +97,6 @@ def test_redeploying_hot_component_improves_perfq(small_arch):
     ind = evaluator.evaluate(seq)
     assert ind.metrics.perfq > 0.0
     assert ind.objectives[0] < 0.0
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_evaluate_with_folded_matches_bare_evaluate(small_arch, seed):
-    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(seed))
-    bare = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq)
-    given = Evaluator(small_arch, SearchConfig(max_evaluations=0)).evaluate(seq, apply_sequence(small_arch, seq))
-    assert given.objectives == bare.objectives
-    assert given.phenotype_digest == bare.phenotype_digest
 
 
 def test_evaluation_cache_skips_solver(small_arch):
@@ -245,9 +238,9 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
 
 def test_spea2_nondominated_pair_enters_archive():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    fitness, dists = _spea2_fitness(union)
+    fitness, _ = _spea2_fitness(union)
     assert (fitness < 1.0).all()
-    archive = _spea2_environmental(union, fitness, dists, size=2)
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2))
     assert len(archive) == 2
 
 
@@ -261,8 +254,7 @@ def test_spea2_dominated_point_raw_strength():
 
 def test_spea2_truncation_is_deterministic():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    fitness, dists = _spea2_fitness(union)
-    archive = _spea2_environmental(union, fitness, dists, size=1)
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=1))
     assert len(archive) == 1
     assert archive[0].order == 0  # tie broken by index
 
@@ -273,8 +265,7 @@ def test_spea2_fills_with_best_dominated():
         fake_individual((1.0, 1.0), 1),
         fake_individual((2.0, 2.0), 2),
     ]
-    fitness, dists = _spea2_fitness(union)
-    archive = _spea2_environmental(union, fitness, dists, size=2)
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2))
     assert [ind.order for ind in archive] == [0, 1]
 
 
@@ -343,16 +334,39 @@ def test_run_zero_budget_front_of_initial_population(small_arch):
     assert len(front.individuals) >= 1
 
 
+# few distinct one-action plans: offspring soon are all cache hits
+STALL_CONFIG = {"population": 4, "sequence_length": 1, "max_evaluations": 500}
+
+
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
 def test_run_stops_when_a_generation_adds_no_evaluation(small_arch, algorithm):
     # an empty plan is a single genotype, so its search could never finish
     with pytest.raises(ValueError, match="sequence_length"):
         SearchConfig(algorithm=algorithm, sequence_length=0, max_evaluations=40)
-    # few distinct one-action plans: offspring soon are all cache hits
-    config = SearchConfig(algorithm=algorithm, population=4, sequence_length=1, max_evaluations=500)
-    front = run(small_arch, config)
+    front = run(small_arch, SearchConfig(algorithm=algorithm, **STALL_CONFIG))
     assert front.metadata["stalled"]
     assert front.metadata["evaluations_used"] < 500
+
+
+# The loop's control flow: (evaluations_used, cache_hits, generations,
+# stalled, budget_truncated) of the pinned searches and of the stalling ones.
+PINNED_CONFIG = {"seed": 1, "population": 16, "archive_size": 16, "max_evaluations": 200}
+RUN_METADATA = {
+    ("pinned", "nsga2"): (200, 17, 13, False, False),
+    ("pinned", "spea2"): (200, 20, 13, False, False),
+    ("pinned", "pesa2"): (200, 29, 14, False, False),
+    ("stall", "nsga2"): (55, 17, 17, True, False),
+    ("stall", "spea2"): (55, 17, 17, True, False),
+    ("stall", "pesa2"): (75, 41, 28, True, False),
+}
+
+
+@pytest.mark.parametrize("name, algorithm", sorted(RUN_METADATA))
+def test_run_metadata_matches_recorded(small_arch, name, algorithm):
+    config = PINNED_CONFIG if name == "pinned" else STALL_CONFIG
+    meta = run(small_arch, SearchConfig(algorithm=algorithm, **config)).metadata
+    keys = ("evaluations_used", "cache_hits", "generations", "stalled", "budget_truncated")
+    assert tuple(meta[key] for key in keys) == RUN_METADATA[name, algorithm]
 
 
 def test_run_initial_population_respects_max_evaluations(small_arch):
@@ -371,10 +385,7 @@ def test_run_elitism_best_objectives_present(small_arch):
     # the front must contain the best value seen in each single objective;
     # re-running with the same seed rebuilds the full evaluated set
     evaluator = Evaluator(small_arch, config)
-    from archopt.moea import _Budget, _RUNNERS
-
-    rng = np.random.default_rng(config.seed)
-    _RUNNERS[config.algorithm](evaluator, rng, _Budget(config))
+    _search(evaluator, _Budget(config))
     all_inds = [i for i in evaluator.individuals.values() if i.valid]
     assert best_perfq == max(i.metrics.perfq for i in all_inds)
     assert best_rel == max(i.metrics.reliability for i in all_inds)
@@ -390,7 +401,7 @@ def test_run_three_objective_mode(small_arch):
 
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    evaluator._record(RefactoringSequence(()), None, SolverError("solver blew up", residual=1.0), small_arch)
+    evaluator._record(RefactoringSequence(()), SolverError("solver blew up", residual=1.0), small_arch)
     front = evaluator.front
     assert len(front) == 1
     assert not front[0].valid
@@ -401,8 +412,8 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
     # dominate each other
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     failure = SolverError("solver blew up", residual=1.0)
-    first = evaluator._record(RefactoringSequence(()), None, failure, small_arch)
-    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), None, failure, small_arch)
+    first = evaluator._record(RefactoringSequence(()), failure, small_arch)
+    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), failure, small_arch)
     assert evaluator.front == [first, second]
     assert _pesa2_insert(_pesa2_insert([], first, 4, 8), second, 4, 8) == [first, second]
 
@@ -412,9 +423,7 @@ def test_incremental_front_matches_batch_recompute(small_arch):
 
     config = SearchConfig(seed=12, max_evaluations=120, population=8)
     evaluator = Evaluator(small_arch, config)
-    from archopt.moea import _Budget, _RUNNERS
-
-    _RUNNERS[config.algorithm](evaluator, np.random.default_rng(config.seed), _Budget(config))
+    _search(evaluator, _Budget(config))
     individuals = list(evaluator.individuals.values())
     points = [ind.objectives for ind in individuals]
     expected = {id(individuals[i]) for i in nondominated_indices(points)}
@@ -424,9 +433,7 @@ def test_incremental_front_matches_batch_recompute(small_arch):
 def test_digest_only_for_front_entrants(small_arch):
     config = SearchConfig(seed=4, max_evaluations=150, population=8)
     evaluator = Evaluator(small_arch, config)
-    from archopt.moea import _Budget, _RUNNERS
-
-    _RUNNERS[config.algorithm](evaluator, np.random.default_rng(config.seed), _Budget(config))
+    _search(evaluator, _Budget(config))
     digested = [ind for ind in evaluator.individuals.values() if ind.phenotype_digest is not None]
     assert 0 < len(digested) < len(evaluator.individuals)
     for ind in evaluator.front:

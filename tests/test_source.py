@@ -1,9 +1,11 @@
 """Static checks of the program source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "archopt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "archopt"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -26,3 +28,32 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def reads(tree: ast.AST) -> Counter[str]:
+    """How often each name is read in ``tree``: as a loaded name, as an
+    attribute, or as a name imported from a module."""
+    counts: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            counts.update(alias.name for alias in node.names)
+    return counts
+
+
+def test_every_public_definition_is_read():
+    # a public top-level function or class that neither the program nor the
+    # benchmark reads, outside its own definition, is code only tests run
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "searchbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if total[node.name] == reads(node)[node.name]:
+                    unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unread == []
