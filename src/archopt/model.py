@@ -99,9 +99,44 @@ class Architecture:
         dataclass allows), so it lives exactly as long as the architecture."""
         return CompiledArchitecture(self)
 
+    @cached_property
     def owner_map(self) -> dict[str, Component]:
-        """Map operation id -> owning component (shared; do not mutate)."""
-        return self.compiled.owners
+        """Operation id -> owning component, built on first use and kept on
+        the instance like ``compiled`` (shared; do not mutate)."""
+        return {op.id: comp for comp in self.components for op in comp.operations}
+
+
+def unrouted_call(arch: Architecture) -> str | None:
+    """The first cross-node call that no network link joins, as the text of
+    its ``RoutingError``, or None when every call is routable.
+
+    Walks each scenario's steps in order: the caller of a step is the node
+    hosting the previous step's operation; the first step's caller is the
+    client, which sits outside all nodes.  Requires resolvable references
+    (a deployment target for every component, an owner for every step).
+    """
+    return _first_unrouted_call(arch.components, arch.deployment, arch.links, arch.scenarios)
+
+
+def _first_unrouted_call(components, deployment, links, scenarios) -> str | None:
+    linked = {link.endpoints for link in links}  # unordered pairs, stored as given
+    node_of = {op.id: deployment[comp.id] for comp in components for op in comp.operations}
+    for scen in scenarios:
+        caller = None
+        for step in scen.steps:
+            callee = node_of[step.operation]
+            if (
+                caller is not None
+                and caller != callee
+                and (caller, callee) not in linked
+                and (callee, caller) not in linked
+            ):
+                return (
+                    f"scenario '{scen.id}': call to '{step.operation}' crosses nodes "
+                    f"('{caller}', '{callee}') with no connecting link"
+                )
+            caller = callee
+    return None
 
 
 def _is_number(value) -> bool:
@@ -221,6 +256,12 @@ def validate(arch: Architecture) -> list[str]:
             violations.append(f"scenario-mix-sum: scenario mix weights must sum to 1, got {total_weight!r}")
     else:
         violations.append("scenario-missing: architecture defines no usage scenarios")
+
+    # the walk needs every reference resolved, which the checks above vouch for
+    if not violations:
+        call = unrouted_call(arch)
+        if call is not None:
+            violations.append(f"routing: {call}")
 
     return violations
 
@@ -431,16 +472,21 @@ class CompiledArchitecture:
 
     Requires resolvable references (a deployment target for every
     component, an owner for every step); a validated architecture has
-    them.  Only what the routing check needs is built eagerly, because
-    most architectures are feasibility probes that are checked and
-    dropped.  Routing itself is lazy (``routes``), so an unroutable
-    architecture still has demands.  The view shares the architecture's
-    element tuples, and every array it holds or returns is read-only,
-    because every reader of the architecture shares it.
+    them.  The search builds a view only for the initial model and for
+    each candidate it scores, where the queueing model, reliability and
+    the antipattern rules read it; a feasibility probe checks routing on
+    the object graph (``unrouted_call``) instead.  Derived matrices are
+    built on first use, so an unroutable architecture still has demands.
+    The view shares the architecture's element tuples, and every array it
+    holds or returns is read-only, because every reader of the
+    architecture shares it.
     """
 
     def __init__(self, arch: Architecture):
         self.nodes, self.components, self.scenarios = arch.nodes, arch.components, arch.scenarios
+        # for the text of a RoutingError; the view keeps no reference to the
+        # architecture, which holds the view, so both are freed together
+        self.deployment, self.links = arch.deployment, arch.links
         node_index = {n.id: k for k, n in enumerate(arch.nodes)}
         op_index: dict[str, int] = {}
         op_component = []
@@ -462,11 +508,6 @@ class CompiledArchitecture:
     def operations(self) -> tuple[Operation, ...]:
         """Every operation, in index order."""
         return tuple(op for comp in self.components for op in comp.operations)
-
-    @cached_property
-    def owners(self) -> dict[str, Component]:
-        """Operation id -> owning component."""
-        return {op.id: comp for comp in self.components for op in comp.operations}
 
     @cached_property
     def operation_demand(self) -> np.ndarray:
@@ -497,8 +538,8 @@ class CompiledArchitecture:
         the caller of the first step is the client, which sits outside all
         nodes and therefore contributes no link messages.  A message is
         charged to every link joining its node pair.  Raises
-        ``RoutingError`` when a cross-node call has no link; the error is
-        not memoized.
+        ``RoutingError`` with the text of ``unrouted_call`` when a
+        cross-node call has no link; the error is not memoized.
         """
         step_node, scen = self.step_node, self.step_scenario
         n_nodes = len(self.nodes)
@@ -506,14 +547,8 @@ class CompiledArchitecture:
         joins = _pair_key(step_node[cross - 1], step_node[cross], n_nodes)[:, None] == _pair_key(
             self.link_ends[:, 0], self.link_ends[:, 1], n_nodes
         )
-        unrouted = np.flatnonzero(~joins.any(axis=1))
-        if len(unrouted):
-            s = cross[unrouted[0]]
-            raise RoutingError(
-                f"scenario '{self.scenarios[scen[s]].id}': call to "
-                f"'{self.operations[self.step_operation[s]].id}' crosses nodes "
-                f"('{self.nodes[step_node[s - 1]].id}', '{self.nodes[step_node[s]].id}') with no connecting link"
-            )
+        if not joins.any(axis=1).all():
+            raise RoutingError(_first_unrouted_call(self.components, self.deployment, self.links, self.scenarios))
         # row-major, so messages accumulate in step order, then link order
         rows, links = np.nonzero(joins)
         invocations = self.per_scenario(

@@ -22,9 +22,8 @@ from .model import (
     NetworkLink,
     Operation,
     ProcessorNode,
-    RoutingError,
     UsageScenario,
-    invocation_matrix,
+    unrouted_call,
 )
 
 NEW_NODE_PREFIX = "new-node:"
@@ -263,7 +262,7 @@ def _detach_operation(arch: Architecture, source: Component, op_id: str):
 
 
 def _apply_move_to_component(arch: Architecture, action: MoveOperationToComponent):
-    owners = arch.owner_map()
+    owners = arch.owner_map
     if action.operation not in owners:
         return None, f"operation '{action.operation}' does not exist"
     source = owners[action.operation]
@@ -284,7 +283,7 @@ def _apply_move_to_component(arch: Architecture, action: MoveOperationToComponen
 
 
 def _apply_move_to_new(arch: Architecture, action: MoveOperationToNewComponent):
-    owners = arch.owner_map()
+    owners = arch.owner_map
     if action.operation not in owners:
         return None, f"operation '{action.operation}' does not exist"
     if not any(n.id == action.target_node for n in arch.nodes):
@@ -336,16 +335,15 @@ def is_feasible(arch: Architecture, action: RefactoringAction) -> tuple[Architec
 
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
-    routing is checked here; that check compiles the result, and the
-    evaluator reuses the compiled view.
+    routing is checked here, on the object graph: a probe compiles
+    nothing, and only an architecture that is scored is compiled.
     """
     result, reason = _APPLIERS[action.kind](arch, action)
     if result is None:
         return None, reason
-    try:
-        invocation_matrix(result)
-    except RoutingError as exc:
-        return None, f"result would be unroutable: {exc}"
+    call = unrouted_call(result)
+    if call is not None:
+        return None, f"result would be unroutable: {call}"
     return result, ""
 
 
@@ -391,14 +389,14 @@ def _sample_action(arch: Architecture, kind: ActionKind, rng: np.random.Generato
         target = _pick(rng, node_ids + new_node_targets)
         return CloneComponent(comp.id, target)
     if kind == ActionKind.MOVE_TO_COMPONENT:
-        owners = arch.owner_map()
+        owners = arch.owner_map
         op_id = _pick(rng, list(owners))
         others = [c.id for c in arch.components if c.id != owners[op_id].id]
         if not others:
             return None
         return MoveOperationToComponent(op_id, _pick(rng, others))
     if kind == ActionKind.MOVE_TO_NEW:
-        owners = arch.owner_map()
+        owners = arch.owner_map
         op_id = _pick(rng, list(owners))
         return MoveOperationToNewComponent(op_id, _pick(rng, node_ids))
     comp = _pick(rng, list(arch.components))

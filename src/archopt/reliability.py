@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Architecture
+from .model import Architecture, invocation_matrix
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ReliabilityResult:
 
 def reliability(arch: Architecture) -> ReliabilityResult:
     """R_j = prod_i (1-theta_i)^v_ij * prod_l (1-psi_l)^m_lj, mixed by p_j."""
-    invocations, messages = arch.compiled.routes
+    invocations, messages = invocation_matrix(arch)
     thetas = np.array([c.failure_probability for c in arch.components])
     psis = np.array([l.failure_probability for l in arch.links])
 

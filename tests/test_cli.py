@@ -229,15 +229,19 @@ def test_compare_rejects_bad_grid_values_before_any_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["optimize", "compare"])
 def test_model_with_no_feasible_action_is_an_error_line(tmp_path, capsys, command):
-    # validate does not check routing, so a model whose cross-node calls
-    # have no link is accepted; every action's result is unroutable too
+    # every action's result would keep the unroutable call, so no action is
+    # feasible; validation rejects the model first and names the call
     doc = json.loads(Path(SMALL).read_text())
     doc["links"] = []
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     config = write_config(tmp_path, model=str(model), max_evaluations=50)
     assert main([command, "--config", str(config)]) == EXIT_DOMAIN
-    assert capsys.readouterr().err == "error: no feasible action exists for this architecture\n"
+    assert capsys.readouterr().err == (
+        "error: invalid architecture:\n"
+        "  - routing: scenario 'browse': call to 'read_record' crosses nodes ('app1', 'app2') "
+        "with no connecting link\n"
+    )
 
 
 def test_optimize_missing_config_usage_error():

@@ -22,6 +22,7 @@ from archopt.model import (
     load,
     save,
     to_dict,
+    unrouted_call,
     validate,
 )
 from archopt.refactoring import apply_sequence, random_sequence
@@ -57,6 +58,16 @@ def test_deployment_to_missing_node_is_named():
     violations = validate(arch)
     assert len(violations) == 1
     assert "n9" in violations[0]
+
+
+def test_unroutable_call_is_one_violation(two_comp_arch):
+    arch = replace(two_comp_arch, links=())
+    assert validate(arch) == [
+        "routing: scenario 's1': call to 'op2' crosses nodes ('n1', 'n2') with no connecting link"
+    ]
+    # routing is checked only once every reference resolves
+    dangling = replace(arch, deployment={"c1": "n1"})
+    assert validate(dangling) == ["deployment-total: component 'c2' has no deployment target"]
 
 
 @pytest.mark.parametrize(
@@ -326,8 +337,9 @@ def test_unroutable_models_fail_like_the_naive_reference():
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
     assert naive_invocation_matrix(arch) is None
-    with pytest.raises(RoutingError, match="call to 'opC' crosses nodes \\('n2', 'n3'\\)"):
+    with pytest.raises(RoutingError, match="call to 'opC' crosses nodes \\('n2', 'n3'\\)") as raised:
         invocation_matrix(arch)
+    assert str(raised.value) == unrouted_call(arch)
     # demand needs no routing
     np.testing.assert_array_equal(demand_matrix(arch), naive_demand_matrix(arch))
 

@@ -32,6 +32,7 @@ from archopt.refactoring import (
     RedeployComponent,
     RefactoringSequence,
     apply_sequence,
+    is_feasible,
     random_sequence,
 )
 
@@ -438,6 +439,28 @@ def test_digest_only_for_front_entrants(small_arch):
     assert 0 < len(digested) < len(evaluator.individuals)
     for ind in evaluator.front:
         assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
+def test_only_scored_architectures_compile(algorithm, monkeypatch):
+    from archopt import model
+
+    built = []
+    compile_view = model.CompiledArchitecture.__init__
+
+    def counting(self, arch):
+        built.append(arch)
+        compile_view(self, arch)
+
+    monkeypatch.setattr(model.CompiledArchitecture, "__init__", counting)
+    arch = casestudies.load_case_study("small")  # fresh, so its view is built here
+    config = SearchConfig(algorithm=algorithm, seed=1, max_evaluations=120, population=16, archive_size=16)
+    front = run(arch, config)
+    # the initial model plus one view per scored candidate; probes build none
+    assert len(built) == front.metadata["evaluations_used"] + 1
+    assert built[0] is arch
+    probed, _ = is_feasible(arch, RedeployComponent("storage", "new-node:app2"))
+    assert probed is not None and "compiled" not in vars(probed)
 
 
 def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):

@@ -1,5 +1,9 @@
 import copy
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import casestudies
-from archopt.model import demand_matrix, validate
+from archopt.model import RoutingError, demand_matrix, invocation_matrix, load, validate
 from archopt.refactoring import (
+    _APPLIERS,
+    _sample_action,
     DEFAULT_BRF,
     ActionKind,
     CloneComponent,
@@ -303,3 +309,46 @@ def test_every_prefix_fold_is_valid(name, seed, length, gene_prob):
     for action in seq.actions:
         current = apply(current, action)
         assert validate(current) == []
+
+
+@functools.cache
+def probe_model(name: str):
+    """A bundled case study, or "x3": the spea2-large-x3 benchmark model."""
+    if name != "x3":
+        return casestudies.load_case_study(name)
+    path = Path(__file__).resolve().parents[1] / "searchbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("searchbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses resolve the module by name
+    spec.loader.exec_module(bench)
+    return load(bench.model_document(bench.WORKLOADS["spea2-large-x3"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large", "x3"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 4),
+)
+def test_probe_routing_agrees_with_full_routing(name, seed, length):
+    # the probe walks the object graph; full routing matches link pairs on
+    # the compiled view: both must reject the same results, with one text
+    arch = probe_model(name)
+    rng = np.random.default_rng(seed)
+    _, prefix = random_sequence(arch, length, rng)
+    for _ in range(4):
+        for kind in ActionKind:
+            action = _sample_action(prefix, kind, rng, True)
+            if action is None:
+                continue
+            applied, precondition = _APPLIERS[kind](prefix, action)
+            result, reason = is_feasible(prefix, action)
+            if applied is None:
+                assert (result, reason) == (None, precondition)
+                continue
+            try:
+                invocation_matrix(applied)
+            except RoutingError as exc:
+                assert (result, reason) == (None, f"result would be unroutable: {exc}")
+            else:
+                assert result is not None and reason == ""
