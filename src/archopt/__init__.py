@@ -7,7 +7,7 @@ NSGA-II / SPEA2 / PESA-II to produce Pareto fronts of refactoring
 sequences.
 """
 
-from .antipatterns import Detection, Thresholds, detect
+from .antipatterns import Detection, Thresholds, detect, explain
 from .model import (
     Architecture,
     CallStep,

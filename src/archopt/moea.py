@@ -51,7 +51,7 @@ CHUNK_SIZE = 32
 # A candidate of the search: its genotype and the architecture it folds to.
 Candidate = tuple[RefactoringSequence, Architecture]
 # A bred child: its genotype and its prefix folds (``folds[i]`` is the
-# architecture after the first i + 1 genes).
+# architecture after the first i + 1 genes; the last is the folded one).
 Lineage = tuple[RefactoringSequence, tuple[Architecture, ...]]
 
 
@@ -136,7 +136,7 @@ class EvalMetrics:
 @dataclass(frozen=True)
 class Individual:
     sequence: RefactoringSequence
-    phenotype_digest: str | None  # set for front entrants and invalid individuals
+    phenotype_digest: str | None  # set for invalid individuals and, by ``run``, for final-front members
     metrics: EvalMetrics
     objectives: tuple[float, ...]  # active objective vector, minimized
     valid: bool
@@ -183,7 +183,7 @@ def score(
         metrics = EvalMetrics(
             perfq=perfq(initial_perf, perf),
             reliability=rel.overall,
-            pas=len(detect(folded, perf, thresholds)),
+            pas=detect(folded, perf, thresholds),
             distance=distance(seq, brf),
         )
         outcomes.append((metrics, perf))
@@ -231,7 +231,7 @@ class Evaluator:
 
     def _record(self, seq: RefactoringSequence, outcome: Outcome, folded: Architecture) -> Individual:
         """Store a scored candidate.  Its phenotype is digested only when
-        it is invalid (for the warning) or enters the cumulative front."""
+        it is invalid, for the warning; ``run`` digests the final front."""
         self.solver_evaluations += 1
         order = len(self.individuals)
         if isinstance(outcome, Exception):
@@ -250,8 +250,6 @@ class Evaluator:
         candidate = np.array(individual.objectives)
         keep = admit(self._front_points, candidate)
         if keep is not None:
-            if individual.phenotype_digest is None:
-                individual = replace(individual, phenotype_digest=digest(folded))
             self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
             self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
         self.individuals[seq] = individual
@@ -261,6 +259,16 @@ class Evaluator:
     def front(self) -> list[Individual]:
         """Non-dominated subset of every individual evaluated so far."""
         return list(self._front)
+
+    def reported_front(self) -> list[Individual]:
+        """The front as ``run`` reports it: sorted by objectives, then
+        evaluation order, with each member's phenotype digested from its
+        sequence folded again (an invalid member already has its digest)."""
+        front = sorted(self._front, key=lambda ind: (ind.objectives, ind.order))
+        return [
+            ind if not ind.valid else replace(ind, phenotype_digest=digest(apply_sequence(self.initial, ind.sequence)))
+            for ind in front
+        ]
 
     def _score_chunk(self, chunk: list[Candidate]) -> None:
         """Score new candidates together and record them in submission order."""
@@ -310,20 +318,22 @@ def crossover(
     b: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
+    folds_a: tuple[Architecture, ...] = (),
+    folds_b: tuple[Architecture, ...] = (),
 ) -> tuple[Lineage, Lineage]:
     """Single-point crossover at a uniform cut in [1, L-1], then repair;
-    returns each child with its prefix folds."""
+    returns each child with its prefix folds.  ``folds_a`` and ``folds_b``,
+    when given, are prefix folds of the parents; each child reuses its
+    first parent's folds before the cut."""
     if len(a) != len(b):
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
-    child_a, child_b = a, b
-    if length >= 2:
-        cut = int(rng.integers(1, length))
-        child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
-        child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
+    cut = int(rng.integers(1, length)) if length >= 2 else length
+    child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
+    child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
     return (
-        repair(initial, child_a, rng, allow_new_nodes),
-        repair(initial, child_b, rng, allow_new_nodes),
+        repair(initial, child_a, rng, allow_new_nodes, folds=folds_a[:cut]),
+        repair(initial, child_b, rng, allow_new_nodes, folds=folds_b[:cut]),
     )
 
 
@@ -334,30 +344,40 @@ def mutate(
     gene_prob: float,
     allow_new_nodes: bool = True,
     folds: tuple[Architecture, ...] = (),
-) -> Candidate:
+) -> Lineage:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
-    ``folds``, when given, are the prefix folds of ``seq`` (as ``crossover``
+    ``folds``, when given, are prefix folds of ``seq`` (as ``crossover``
     returns them); the genes before the first replaced one reuse them.
-    Returns the child with its folded architecture."""
-    child, built = repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
-    return child, built[-1] if built else initial
+    Returns the child with all its prefix folds; the last is the folded
+    architecture."""
+    return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
 
 
-def _offspring(evaluator: Evaluator, select: Callable[[], Individual], rng: np.random.Generator) -> Iterator[Candidate]:
+def _offspring(
+    evaluator: Evaluator,
+    select: Callable[[], Individual],
+    rng: np.random.Generator,
+    folds_of: dict[RefactoringSequence, tuple[Architecture, ...]],
+) -> Iterator[Candidate]:
     """One generation of children, bred two at a time from parents drawn by
-    ``select``.  Lazy, so only one pair's folds are held at a time; scoring
-    draws no random numbers, so the children are the same as if all were
-    bred first.  Mutation reuses crossover's prefix folds, so each gene of
-    a child folds once."""
+    ``select``.  Lazy, so besides ``folds_of`` only one pair's folds are
+    held at a time; scoring draws no random numbers, so the children are
+    the same as if all were bred first.  A parent's stored prefix folds
+    (``folds_of``) and then crossover's are reused, so no gene a parent
+    kept is folded again; each child's prefix folds, all but its scored
+    last one, are stored."""
     config = evaluator.config
     for _ in range(config.population // 2):
         a, b = select().sequence, select().sequence
-        pair: tuple[Lineage, Lineage] = ((a, ()), (b, ()))
+        folds_a, folds_b = folds_of.get(a, ()), folds_of.get(b, ())
+        pair: tuple[Lineage, Lineage] = ((a, folds_a), (b, folds_b))
         if rng.random() < config.crossover_prob:
-            pair = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes)
+            pair = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes, folds_a, folds_b)
         for child, folds in pair:
-            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
+            child, folds = mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
+            folds_of[child] = folds[:-1]
+            yield child, folds[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +503,9 @@ def _grid_cells(archive: list[Individual], divisions: int) -> dict[tuple, list[i
     hi = points.max(axis=0)
     width = np.where(hi > lo, (hi - lo) / divisions, 1.0)
     cells: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        idx = np.clip(((p - lo) / width).astype(int), 0, divisions - 1)
-        cells.setdefault(tuple(int(v) for v in idx), []).append(i)
+    index = np.clip(((points - lo) / width).astype(int), 0, divisions - 1)
+    for i, row in enumerate(index.tolist()):
+        cells.setdefault(tuple(row), []).append(i)
     return cells
 
 
@@ -552,11 +572,15 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         for _ in range(config.population)
     )
     kept = survive([], evaluator.evaluate_many(initial, budget), config)
+    # prefix folds of the kept individuals bred in this run; the initial
+    # population's fold on first use
+    folds_of: dict[RefactoringSequence, tuple[Architecture, ...]] = {}
     generations = 0
     while not budget.spent(evaluator.solver_evaluations):
         evaluations = evaluator.solver_evaluations
-        offspring = _offspring(evaluator, parents(kept, rng, config), rng)
+        offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds_of)
         kept = survive(kept, evaluator.evaluate_many(offspring, budget), config)
+        folds_of = {ind.sequence: folds_of[ind.sequence] for ind in kept if ind.sequence in folds_of}
         generations += 1
         if evaluator.solver_evaluations == evaluations:
             return generations, True
@@ -568,10 +592,9 @@ def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
     evaluator = Evaluator(initial, config)  # also warms the solver path
     budget = _Budget(config)
     generations, stalled = _search(evaluator, budget)
+    front = evaluator.reported_front()
     wall = budget.elapsed()
 
-    front = evaluator.front
-    front.sort(key=lambda ind: (ind.objectives, ind.order))
     metadata = {
         "algorithm": config.algorithm,
         "seed": config.seed,

@@ -11,6 +11,7 @@ from archopt.antipatterns import (
     Detection,
     Thresholds,
     detect,
+    explain,
 )
 from archopt.model import invocation_matrix
 from archopt.perfqn import PerformanceResult, solve_amva, to_qn
@@ -40,7 +41,7 @@ def test_threshold_invariants():
 
 def test_idle_system_has_no_detections(two_comp_arch):
     perf = perf_for(two_comp_arch, [0.0, 0.0])
-    assert detect(two_comp_arch, perf) == []
+    assert explain(two_comp_arch, perf) == []
 
 
 def test_concurrent_processing_pair():
@@ -51,7 +52,7 @@ def test_concurrent_processing_pair():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    detections = detect(arch, perf_for(arch, [0.9, 0.1]))
+    detections = explain(arch, perf_for(arch, [0.9, 0.1]))
     cps = [d for d in detections if d.kind == CONCURRENT_PROCESSING]
     assert len(cps) == 1
     assert cps[0].elements == ("n1", "n2")
@@ -64,7 +65,7 @@ def test_one_component_model_never_raises_blob():
         deployment={"solo": "n1"},
         scenarios=[("s1", 1.0, 5, 0.0, [("op1", 10.0)])],
     )
-    detections = detect(arch, perf_for(arch, [0.85]))
+    detections = explain(arch, perf_for(arch, [0.85]))
     assert all(d.kind != BLOB for d in detections)
 
 
@@ -80,11 +81,11 @@ def test_blob_fires_on_concentrated_component():
         scenarios=[("s1", 1.0, 2, 0.0, [("h", 9.0), ("a", 1.0), ("b", 1.0)])],
     )
     # mean invocations = 11/3; 9 > 2 * 11/3
-    detections = detect(arch, perf_for(arch, [0.85]))
+    detections = explain(arch, perf_for(arch, [0.85]))
     blobs = [d for d in detections if d.kind == BLOB]
     assert [d.elements for d in blobs] == [("hub",)]
     # cold node: same shape, no detection
-    assert all(d.kind != BLOB for d in detect(arch, perf_for(arch, [0.5])))
+    assert all(d.kind != BLOB for d in explain(arch, perf_for(arch, [0.5])))
 
 
 def test_pipe_and_filter_fires_on_dominant_operation():
@@ -94,7 +95,7 @@ def test_pipe_and_filter_fires_on_dominant_operation():
         deployment={"heavy": "n1", "light": "n1"},
         scenarios=[("s1", 1.0, 2, 0.0, [("big", 1.0), ("small", 1.0)])],
     )
-    detections = detect(arch, perf_for(arch, [0.9]))
+    detections = explain(arch, perf_for(arch, [0.9]))
     paf = [d for d in detections if d.kind == PIPE_AND_FILTER]
     assert [d.elements for d in paf] == [("big",)]
     assert dict(paf[0].metrics)["demand_share"] == pytest.approx(0.9)
@@ -115,14 +116,14 @@ def test_detection_count_unit_is_kind_element():
             ("s2", 0.5, 2, 0.0, [("h", 8.0), ("a", 1.0), ("b", 1.0)]),
         ],
     )
-    blobs = [d for d in detect(arch, perf_for(arch, [0.9])) if d.kind == BLOB]
+    blobs = [d for d in explain(arch, perf_for(arch, [0.9])) if d.kind == BLOB]
     assert len(blobs) == 1
 
 
 def test_detections_deterministic_and_order_independent(small_arch):
     perf = solve_amva(to_qn(small_arch))
-    first = detect(small_arch, perf)
-    second = detect(small_arch, perf)
+    first = explain(small_arch, perf)
+    second = explain(small_arch, perf)
     assert first == second
 
 
@@ -131,14 +132,14 @@ def test_raising_util_high_never_increases_count(small_arch, large_arch):
         perf = solve_amva(to_qn(arch))
         counts = []
         for high in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
-            counts.append(len(detect(arch, perf, Thresholds(util_high=high))))
+            counts.append(detect(arch, perf, Thresholds(util_high=high)))
         assert counts == sorted(counts, reverse=True)
 
 
 def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
         perf = solve_amva(to_qn(arch))
-        assert len(detect(arch, perf)) >= 1
+        assert detect(arch, perf) >= 1
 
 
 def naive_detect(arch, perf, th):
@@ -200,4 +201,6 @@ def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share
     folded = apply_sequence(arch, random_sequence(arch, length, rng)[0])
     perf = perf_for(folded, rng.random(len(folded.nodes)))
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
-    assert detect(folded, perf, th) == naive_detect(folded, perf, th)
+    reference = naive_detect(folded, perf, th)
+    assert explain(folded, perf, th) == reference
+    assert detect(folded, perf, th) == len(reference)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from archopt.moea import (
     SearchConfig,
     _Budget,
     _grid_cells,
+    _offspring,
     _pesa2_insert,
     _pesa2_select,
     _search,
@@ -88,7 +90,8 @@ def test_empty_sequence_evaluates_to_identity(small_arch):
     assert ind.metrics.perfq == 0.0
     assert ind.metrics.distance == 0.0
     assert ind.valid
-    assert ind.phenotype_digest == evaluator.initial_digest
+    [member] = evaluator.reported_front()
+    assert member.phenotype_digest == evaluator.initial_digest
 
 
 def test_redeploying_hot_component_improves_perfq(small_arch):
@@ -153,6 +156,21 @@ def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
 # -- operators -------------------------------------------------------------------
 
 
+def count_probes(monkeypatch) -> list:
+    """Record the action of every feasibility probe the operators make."""
+    from archopt import refactoring
+
+    probes = []
+    real = refactoring.is_feasible
+
+    def counting(arch, action):
+        probes.append(action)
+        return real(arch, action)
+
+    monkeypatch.setattr(refactoring, "is_feasible", counting)
+    return probes
+
+
 class FixedCutRng:
     """rng stub: fixed crossover cut, never mutates."""
 
@@ -166,7 +184,7 @@ class FixedCutRng:
         return 1.0
 
 
-def test_crossover_single_point_cut(small_arch):
+def test_crossover_single_point_cut(small_arch, monkeypatch):
     a = RefactoringSequence(
         (
             RedeployComponent("web", "spare"),
@@ -183,13 +201,22 @@ def test_crossover_single_point_cut(small_arch):
             CloneComponent("auth", "app1"),
         )
     )
-    (child_a, folds_a), (child_b, folds_b) = crossover(small_arch, a, b, FixedCutRng(2))
-    assert child_a.actions == a.actions[:2] + b.actions[2:]
-    assert child_b.actions == b.actions[:2] + a.actions[2:]
-    for child, folds in ((child_a, folds_a), (child_b, folds_b)):
-        assert len(folds) == len(child)
-        for i, fold in enumerate(folds):
-            assert fold == apply_sequence(small_arch, RefactoringSequence(child.actions[: i + 1]))
+    rng = np.random.default_rng(0)
+    # the prefix folds a bred parent keeps: all but its last
+    kept = {f"folds_{name}": mutate(small_arch, seq, rng, 0.0)[1][:-1] for name, seq in (("a", a), ("b", b))}
+    probes = count_probes(monkeypatch)
+    for parent_folds, probed_genes in (({}, len(a)), (kept, len(a) - 2)):
+        probes.clear()
+        (child_a, folds_a), (child_b, folds_b) = crossover(small_arch, a, b, FixedCutRng(2), **parent_folds)
+        # every gene is feasible where it lands; given the parents' folds,
+        # no gene before the cut is probed
+        assert len(probes) == 2 * probed_genes
+        assert child_a.actions == a.actions[:2] + b.actions[2:]
+        assert child_b.actions == b.actions[:2] + a.actions[2:]
+        for child, folds in ((child_a, folds_a), (child_b, folds_b)):
+            assert len(folds) == len(child)
+            for i, fold in enumerate(folds):
+                assert fold == apply_sequence(small_arch, RefactoringSequence(child.actions[: i + 1]))
 
 
 def test_crossover_deterministic(small_arch):
@@ -201,17 +228,35 @@ def test_crossover_deterministic(small_arch):
 
 def test_mutation_zero_probability_is_identity(small_arch):
     seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out, folded = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    out, folds = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
     assert out == seq
-    assert folded == apply_sequence(small_arch, seq)
+    assert len(folds) == len(seq)
+    assert folds[-1] == apply_sequence(small_arch, seq)
+
+
+def test_offspring_reuse_a_parents_stored_folds(small_arch, monkeypatch):
+    # no crossover and no mutation: every child is its parent
+    config = SearchConfig(max_evaluations=0, population=4, crossover_prob=0.0, mutation_prob=0.0)
+    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
+    _, folds = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    parent = replace(fake_individual((0.0, 0.0, 0.0, 0.0)), sequence=seq)
+    folds_of = {seq: folds[:-1]}  # what the search keeps of a bred parent
+    evaluator = Evaluator(small_arch, config)
+    probes = count_probes(monkeypatch)
+    children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), folds_of))
+    # one probe per child, of the last gene only
+    assert probes == [seq.actions[-1]] * config.population
+    assert children == [(seq, folds[-1])] * config.population
+    assert folds_of == {seq: folds[:-1]}
 
 
 def test_mutation_deterministic(small_arch):
     seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    (out1, folded1) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
-    (out2, folded2) = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    out1, folds1 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    out2, folds2 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
-    assert folded1 == folded2 == apply_sequence(small_arch, out1)
+    assert folds1 == folds2
+    assert folds1[-1] == apply_sequence(small_arch, out1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,13 +269,20 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
     (a, _), (b, _) = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
-    children = crossover(arch, a, b, rng)
+    # crossover from the prefix folds the parents keep builds the same children
+    kept_a, kept_b = (mutate(arch, seq, rng, 0.0)[1][:-1] for seq in (a, b))
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    children = crossover(arch, a, b, rng, folds_a=kept_a, folds_b=kept_b)
+    rebuilt = crossover(arch, a, b, replay)
+    assert [(c, [save(f) for f in fs]) for c, fs in children] == [(c, [save(f) for f in fs]) for c, fs in rebuilt]
+    assert rng.bit_generator.state == replay.bit_generator.state
     for child, folds in children:
         with_rng, without_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, got_folded = mutate(arch, child, with_rng, gene_prob, folds=folds)
-        want, want_folded = mutate(arch, child, without_rng, gene_prob)
+        got, got_folds = mutate(arch, child, with_rng, gene_prob, folds=folds)
+        want, want_folds = mutate(arch, child, without_rng, gene_prob)
         assert got == want
-        assert save(got_folded) == save(want_folded)
+        assert [save(fold) for fold in got_folds] == [save(fold) for fold in want_folds]
         assert with_rng.bit_generator.state == without_rng.bit_generator.state
 
 
@@ -431,14 +483,17 @@ def test_incremental_front_matches_batch_recompute(small_arch):
     assert {id(ind) for ind in evaluator.front} == expected
 
 
-def test_digest_only_for_front_entrants(small_arch):
+def test_digest_only_for_the_reported_front(small_arch):
     config = SearchConfig(seed=4, max_evaluations=150, population=8)
+    front = run(small_arch, config)
+    for ind in front.individuals:
+        assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
+    # the search itself digests no valid individual
     evaluator = Evaluator(small_arch, config)
     _search(evaluator, _Budget(config))
-    digested = [ind for ind in evaluator.individuals.values() if ind.phenotype_digest is not None]
-    assert 0 < len(digested) < len(evaluator.individuals)
-    for ind in evaluator.front:
-        assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
+    valid = [ind for ind in evaluator.individuals.values() if ind.valid]
+    assert len(valid) > len(front.individuals)
+    assert all(ind.phenotype_digest is None for ind in valid)
 
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
