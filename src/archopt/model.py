@@ -143,6 +143,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(arch: Architecture) -> list[str]:
     """Check every invariant and return one description per violation.
 
@@ -190,14 +194,18 @@ def validate(arch: Architecture) -> list[str]:
                 f"speed-factor-range: node '{node.id}' has speed factor "
                 f"{node.speed_factor}, must be > 0"
             )
-        if not isinstance(node.cores, int) or node.cores < 1:
+        if not _is_integer(node.cores) or node.cores < 1:
             violations.append(f"cores-range: node '{node.id}' has cores {node.cores}, must be an integer >= 1")
 
     node_id_set = set(node_ids)
+    pair_link: dict[frozenset[str], NetworkLink] = {}
     for link in arch.links:
         a, b = link.endpoints
         if a == b:
             violations.append(f"link-endpoints: link '{link.id}' endpoints must differ")
+        first = pair_link.setdefault(frozenset(link.endpoints), link)
+        if first is not link:
+            violations.append(f"link-parallel: links '{first.id}' and '{link.id}' join the same two nodes")
         for endpoint in link.endpoints:
             if endpoint not in node_id_set:
                 violations.append(f"link-endpoints: link '{link.id}' references missing node '{endpoint}'")
@@ -227,7 +235,7 @@ def validate(arch: Architecture) -> list[str]:
                 f"scenario-mix-weight-range: scenario '{scen.id}' has mix weight "
                 f"{scen.mix_weight}, must be in [0, 1]"
             )
-        if not isinstance(scen.population, int) or scen.population < 1:
+        if not _is_integer(scen.population) or scen.population < 1:
             violations.append(
                 f"scenario-population: scenario '{scen.id}' has population "
                 f"{scen.population}, must be an integer >= 1"
@@ -327,7 +335,7 @@ def _expect(obj, key: str, kind, path: str, optional_default=None):
             raise ModelFormatError(f"{path}.{key}: expected a number, got {type(value).__name__}")
         return float(value)
     if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_integer(value):
             raise ModelFormatError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
         return value
     if not isinstance(value, kind):
@@ -456,11 +464,6 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-def _pair_key(a: np.ndarray, b: np.ndarray, n_nodes: int) -> np.ndarray:
-    """One integer per unordered node-index pair; negative if either is -1."""
-    return np.minimum(a, b) * n_nodes + np.maximum(a, b)
-
-
 class CompiledArchitecture:
     """Index arrays of one architecture; build it with ``arch.compiled``.
 
@@ -471,7 +474,8 @@ class CompiledArchitecture:
     which keeps every derived value bit-identical to such a loop.
 
     Requires resolvable references (a deployment target for every
-    component, an owner for every step); a validated architecture has
+    component, a node for every link endpoint, an owner for every step)
+    and at most one link per node pair; a validated architecture has
     them.  The search builds a view only for the initial model and for
     each candidate it scores, where the queueing model, reliability and
     the antipattern rules read it; a feasibility probe checks routing on
@@ -484,8 +488,8 @@ class CompiledArchitecture:
 
     def __init__(self, arch: Architecture):
         self.nodes, self.components, self.scenarios = arch.nodes, arch.components, arch.scenarios
-        # for the text of a RoutingError; the view keeps no reference to the
-        # architecture, which holds the view, so both are freed together
+        # link count and RoutingError text; the view keeps no reference to
+        # the architecture, which holds the view, so both are freed together
         self.deployment, self.links = arch.deployment, arch.links
         node_index = {n.id: k for k, n in enumerate(arch.nodes)}
         op_index: dict[str, int] = {}
@@ -499,10 +503,13 @@ class CompiledArchitecture:
         self.step_scenario = _frozen([j for j, s in enumerate(arch.scenarios) for _ in s.steps], np.intp)
         self.step_operation = _frozen([op_index[st.operation] for s in arch.scenarios for st in s.steps], np.intp)
         self.step_count = _frozen([st.count for s in arch.scenarios for st in s.steps], float)
-        # (links, 2) node index of each link endpoint; -1 for a missing node
-        self.link_ends = _frozen(
-            [node_index.get(end, -1) for link in arch.links for end in link.endpoints], np.intp
-        ).reshape(-1, 2)
+        # link_between[a, b]: index of the link joining nodes a and b, in
+        # both directions; -1 where no link joins them
+        ends = np.array([node_index[end] for link in arch.links for end in link.endpoints], np.intp).reshape(-1, 2)
+        table = np.full((len(arch.nodes), len(arch.nodes)), -1, np.intp)
+        table[ends[:, 0], ends[:, 1]] = table[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
+        table.flags.writeable = False
+        self.link_between = table
 
     @cached_property
     def operations(self) -> tuple[Operation, ...]:
@@ -537,24 +544,20 @@ class CompiledArchitecture:
         The caller of step n is the component owning step n-1's operation;
         the caller of the first step is the client, which sits outside all
         nodes and therefore contributes no link messages.  A message is
-        charged to every link joining its node pair.  Raises
-        ``RoutingError`` with the text of ``unrouted_call`` when a
-        cross-node call has no link; the error is not memoized.
+        charged to the one link joining its node pair (``link_between``),
+        in step order.  Raises ``RoutingError`` with the text of
+        ``unrouted_call`` when a cross-node call has no link; the error is
+        not memoized.
         """
         step_node, scen = self.step_node, self.step_scenario
-        n_nodes = len(self.nodes)
         cross = np.flatnonzero((step_node[1:] != step_node[:-1]) & (scen[1:] == scen[:-1])) + 1
-        joins = _pair_key(step_node[cross - 1], step_node[cross], n_nodes)[:, None] == _pair_key(
-            self.link_ends[:, 0], self.link_ends[:, 1], n_nodes
-        )
-        if not joins.any(axis=1).all():
+        links = self.link_between[step_node[cross - 1], step_node[cross]]
+        if (links < 0).any():
             raise RoutingError(_first_unrouted_call(self.components, self.deployment, self.links, self.scenarios))
-        # row-major, so messages accumulate in step order, then link order
-        rows, links = np.nonzero(joins)
         invocations = self.per_scenario(
             self.operation_component[self.step_operation], len(self.components), self.step_count
         )
-        messages = self.per_scenario(links, len(self.link_ends), self.step_count, cross[rows])
+        messages = self.per_scenario(links, len(self.links), self.step_count, cross)
         return invocations, messages
 
     @cached_property

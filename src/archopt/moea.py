@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .antipatterns import Thresholds, detect
-from .model import Architecture, RoutingError, digest, validate
+from .model import Architecture, digest, validate
 from .pareto import admit, crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
@@ -41,8 +41,10 @@ log = logging.getLogger("archopt.moea")
 
 INVALID_SENTINEL = float("inf")
 # What scoring a folded architecture may raise; each failure makes an
-# invalid individual, counted under the first of these classes it is.
-EVALUATION_FAILURES = (SolverError, RoutingError, ValueError)
+# invalid individual, counted under the first of these classes it is.  A
+# scored architecture passed ``validate`` or an ``is_feasible`` probe, so
+# its calls are routable; a ``RoutingError`` would count as a ValueError.
+EVALUATION_FAILURES = (SolverError, ValueError)
 # New candidates scored together: one to_qn each and one stacked AMVA
 # solve.  Bounds the folded architectures held at once, and how far the
 # time budget can overrun.
@@ -254,11 +256,6 @@ class Evaluator:
             self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
         self.individuals[seq] = individual
         return individual
-
-    @property
-    def front(self) -> list[Individual]:
-        """Non-dominated subset of every individual evaluated so far."""
-        return list(self._front)
 
     def reported_front(self) -> list[Individual]:
         """The front as ``run`` reports it: sorted by objectives, then

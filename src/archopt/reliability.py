@@ -27,8 +27,7 @@ def reliability(arch: Architecture) -> ReliabilityResult:
     psis = np.array([l.failure_probability for l in arch.links])
 
     survival = np.power(1.0 - thetas[:, None], invocations).prod(axis=0)
-    if len(arch.links):
-        survival = survival * np.power(1.0 - psis[:, None], messages).prod(axis=0)
+    survival = survival * np.power(1.0 - psis[:, None], messages).prod(axis=0)
 
     weights = np.array([s.mix_weight for s in arch.scenarios])
     per_scenario = {s.id: float(survival[j]) for j, s in enumerate(arch.scenarios)}

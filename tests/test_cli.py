@@ -132,7 +132,7 @@ def test_optimize_writes_front_files(tmp_path):
     assert rows
     front_json = json.loads((out_dir / "front.json").read_text())
     assert front_json["metadata"]["seed"] == 5
-    assert front_json["metadata"]["invalid_by_type"] == {"SolverError": 0, "RoutingError": 0, "ValueError": 0}
+    assert front_json["metadata"]["invalid_by_type"] == {"SolverError": 0, "ValueError": 0}
     assert len(front_json["solutions"]) == len(rows)
 
 
