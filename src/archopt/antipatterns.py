@@ -14,6 +14,7 @@ with their metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +38,9 @@ class Thresholds:
     def __post_init__(self):
         if not 0.0 <= self.util_low < self.util_high <= 1.0:
             raise ValueError(f"need 0 <= util_low < util_high <= 1, got {self.util_low}, {self.util_high}")
-        if self.blob_share <= 0.0 or self.paf_demand_share <= 0.0:
-            raise ValueError("share thresholds must be > 0")
+        for name in ("blob_share", "paf_demand_share"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 domain error (invalid model, infeasible sequence,
 no feasible action to sample, solver failure), 2 usage error (bad
-arguments, missing files).
+arguments, missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import statistics
 import sys
@@ -87,8 +88,8 @@ def _parse_brf(raw) -> dict[ActionKind, float]:
             kind = ActionKind(key)
         except ValueError as exc:
             raise ConfigError(f"brf: unknown action kind '{key}'") from exc
-        if not _is_number(value) or value <= 0:
-            raise ConfigError(f"brf.{key}: factor must be a positive number")
+        if not _is_number(value) or not 0 < value < math.inf:
+            raise ConfigError(f"brf.{key}: factor must be a positive finite number, got {value!r}")
         table[kind] = float(value)
     return table
 
@@ -455,8 +456,8 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"validate": cmd_validate, "eval": cmd_eval, "optimize": cmd_optimize, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing or unreadable file
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, ModelFormatError, InfeasibleActionError, NoFeasibleActionError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

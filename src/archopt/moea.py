@@ -28,6 +28,8 @@ from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amv
 from .refactoring import (
     DEFAULT_BRF,
     ActionKind,
+    Candidate,
+    Folds,
     RefactoringSequence,
     apply_sequence,
     distance,
@@ -49,12 +51,6 @@ EVALUATION_FAILURES = (SolverError, ValueError)
 # solve.  Bounds the folded architectures held at once, and how far the
 # time budget can overrun.
 CHUNK_SIZE = 32
-
-# A candidate of the search: its genotype and the architecture it folds to.
-Candidate = tuple[RefactoringSequence, Architecture]
-# A bred child: its genotype and its prefix folds (``folds[i]`` is the
-# architecture after the first i + 1 genes; the last is the folded one).
-Lineage = tuple[RefactoringSequence, tuple[Architecture, ...]]
 
 
 # Type checks of the dataclass fields annotated with these types (the
@@ -315,13 +311,10 @@ def crossover(
     b: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-    folds_a: tuple[Architecture, ...] = (),
-    folds_b: tuple[Architecture, ...] = (),
-) -> tuple[Lineage, Lineage]:
-    """Single-point crossover at a uniform cut in [1, L-1], then repair;
-    returns each child with its prefix folds.  ``folds_a`` and ``folds_b``,
-    when given, are prefix folds of the parents; each child reuses its
-    first parent's folds before the cut."""
+    folds: Folds | None = None,
+) -> tuple[Candidate, Candidate]:
+    """Single-point crossover at a uniform cut in [1, L-1], then repair of
+    each child, reading and recording prefix folds in ``folds``."""
     if len(a) != len(b):
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
@@ -329,8 +322,8 @@ def crossover(
     child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
     child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
     return (
-        repair(initial, child_a, rng, allow_new_nodes, folds=folds_a[:cut]),
-        repair(initial, child_b, rng, allow_new_nodes, folds=folds_b[:cut]),
+        repair(initial, child_a, rng, allow_new_nodes, folds=folds),
+        repair(initial, child_b, rng, allow_new_nodes, folds=folds),
     )
 
 
@@ -340,14 +333,11 @@ def mutate(
     rng: np.random.Generator,
     gene_prob: float,
     allow_new_nodes: bool = True,
-    folds: tuple[Architecture, ...] = (),
-) -> Lineage:
+    folds: Folds | None = None,
+) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
-    ``folds``, when given, are prefix folds of ``seq`` (as ``crossover``
-    returns them); the genes before the first replaced one reuse them.
-    Returns the child with all its prefix folds; the last is the folded
-    architecture."""
+    Returns the child with its folded architecture."""
     return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
 
 
@@ -355,26 +345,19 @@ def _offspring(
     evaluator: Evaluator,
     select: Callable[[], Individual],
     rng: np.random.Generator,
-    folds_of: dict[RefactoringSequence, tuple[Architecture, ...]],
+    folds: Folds,
 ) -> Iterator[Candidate]:
     """One generation of children, bred two at a time from parents drawn by
-    ``select``.  Lazy, so besides ``folds_of`` only one pair's folds are
-    held at a time; scoring draws no random numbers, so the children are
-    the same as if all were bred first.  A parent's stored prefix folds
-    (``folds_of``) and then crossover's are reused, so no gene a parent
-    kept is folded again; each child's prefix folds, all but its scored
-    last one, are stored."""
+    ``select``, folded through the store ``folds``.  Lazy, and scoring
+    draws no random numbers, so the children are the same as if all were
+    bred first."""
     config = evaluator.config
     for _ in range(config.population // 2):
         a, b = select().sequence, select().sequence
-        folds_a, folds_b = folds_of.get(a, ()), folds_of.get(b, ())
-        pair: tuple[Lineage, Lineage] = ((a, folds_a), (b, folds_b))
         if rng.random() < config.crossover_prob:
-            pair = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes, folds_a, folds_b)
-        for child, folds in pair:
-            child, folds = mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
-            folds_of[child] = folds[:-1]
-            yield child, folds[-1]
+            (a, _), (b, _) = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes, folds)
+        for child in (a, b):
+            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +547,23 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     config = evaluator.config
     rng = np.random.default_rng(config.seed)
     parents, survive = _ALGORITHMS[config.algorithm]
+    # the fold of each action prefix built from the initial architecture
+    folds: Folds = {}
     initial = (
-        random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes)
+        random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes, folds)
         for _ in range(config.population)
     )
     kept = survive([], evaluator.evaluate_many(initial, budget), config)
-    # prefix folds of the kept individuals bred in this run; the initial
-    # population's fold on first use
-    folds_of: dict[RefactoringSequence, tuple[Architecture, ...]] = {}
     generations = 0
     while not budget.spent(evaluator.solver_evaluations):
         evaluations = evaluator.solver_evaluations
-        offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds_of)
+        # Every kept individual was sampled or bred through the store.
+        # Breeding reuses only their proper prefixes; a whole plan's fold
+        # carries its compiled view once scored, so it is let go.
+        prefixes = {ind.sequence.actions[:i] for ind in kept for i in range(1, len(ind.sequence))}
+        folds = {prefix: folds[prefix] for prefix in prefixes}
+        offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds)
         kept = survive(kept, evaluator.evaluate_many(offspring, budget), config)
-        folds_of = {ind.sequence: folds_of[ind.sequence] for ind in kept if ind.sequence in folds_of}
         generations += 1
         if evaluator.solver_evaluations == evaluations:
             return generations, True

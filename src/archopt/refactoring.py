@@ -97,6 +97,13 @@ class RefactoringSequence:
         return len(self.actions)
 
 
+# A sequence with the architecture it folds to from the initial one.
+Candidate = tuple[RefactoringSequence, Architecture]
+# The fold of each action prefix from one initial architecture.  A fold is
+# a pure function of its prefix, so any plan with that prefix may reuse it.
+Folds = dict[tuple[RefactoringAction, ...], Architecture]
+
+
 DEFAULT_BRF: dict[ActionKind, float] = {
     ActionKind.CLONE: 1.23,
     ActionKind.MOVE_TO_NEW: 1.80,
@@ -437,31 +444,29 @@ def repair(
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     resample_probability: float = 0.0,
-    folds: tuple[Architecture, ...] = (),
-) -> tuple[RefactoringSequence, tuple[Architecture, ...]]:
+    folds: Folds | None = None,
+) -> Candidate:
     """Walk the genes in prefix order and rewrite each infeasible one, and
     each one forced with ``resample_probability``, with a random feasible one.
 
-    Returns the repaired sequence and its prefix folds: ``folds[i]`` is the
-    architecture after its first ``i + 1`` genes.  Given the prefix folds of
-    ``seq``, a gene reuses its fold instead of applying again while every
-    earlier gene was kept; the force draws are the same either way.
+    Returns the repaired sequence with its folded architecture.  A kept
+    gene's fold is read from ``folds`` when its prefix is there, instead of
+    probed, and every prefix built is recorded in it; the force draws are
+    the same either way.
     """
+    folds = {} if folds is None else folds
     current = arch
-    repaired: list[RefactoringAction] = []
-    built: list[Architecture] = []
-    for index, action in enumerate(seq.actions):
+    prefix: tuple[RefactoringAction, ...] = ()
+    for action in seq.actions:
         force = resample_probability > 0.0 and rng.random() < resample_probability
         result = None
         if not force:
-            result = folds[index] if index < len(folds) else is_feasible(current, action)[0]
+            result = folds.get(prefix + (action,)) or is_feasible(current, action)[0]
         if result is None:
-            folds = ()  # the prefix has changed, so no later fold applies
             action, result = random_action(current, rng, allow_new_nodes)
-        repaired.append(action)
-        built.append(result)
-        current = result
-    return RefactoringSequence(tuple(repaired)), tuple(built)
+        prefix += (action,)
+        folds[prefix] = current = result
+    return RefactoringSequence(prefix), current
 
 
 def random_sequence(
@@ -469,15 +474,18 @@ def random_sequence(
     length: int,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
-) -> tuple[RefactoringSequence, Architecture]:
+    folds: Folds | None = None,
+) -> Candidate:
     """Sample a feasible sequence by chaining random actions; returns it
-    with its folded architecture."""
+    with its folded architecture, and records each prefix's fold in ``folds``."""
+    folds = {} if folds is None else folds
     current = arch
-    actions = []
+    prefix: tuple[RefactoringAction, ...] = ()
     for _ in range(length):
         action, current = random_action(current, rng, allow_new_nodes)
-        actions.append(action)
-    return RefactoringSequence(tuple(actions)), current
+        prefix += (action,)
+        folds[prefix] = current
+    return RefactoringSequence(prefix), current
 
 
 # ---------------------------------------------------------------------------

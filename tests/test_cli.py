@@ -47,8 +47,12 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "n9" in out
 
 
-def test_validate_missing_file_distinct_exit():
+def test_validate_missing_file_distinct_exit(tmp_path, capsys):
     assert main(["validate", "/nonexistent/model.json"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: /nonexistent/model.json: No such file or directory\n"
+    # a path that cannot be read is a usage error too, not a traceback
+    assert main(["validate", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
 # -- eval ---------------------------------------------------------------------
@@ -184,6 +188,11 @@ def test_optimize_rejects_bad_config(tmp_path, capsys):
         {"thresholds": {"bogus": 1}},
         {"thresholds": {"util_high": "x"}},
         {"brf": [1, 2]},
+        # json writes and reads these as NaN and Infinity
+        {"brf": {"clone": float("nan")}},
+        {"brf": {"redeploy": float("inf")}},
+        {"thresholds": {"blob_share": float("nan")}},
+        {"thresholds": {"paf_demand_share": float("inf")}},
         {"population": "32"},
         {"population": 32.0},
         {"sequence_length": 2.0},
@@ -244,8 +253,11 @@ def test_model_with_no_feasible_action_is_an_error_line(tmp_path, capsys, comman
     )
 
 
-def test_optimize_missing_config_usage_error():
+def test_optimize_missing_config_usage_error(tmp_path, capsys):
     assert main(["optimize", "--config", "/nonexistent/config.json"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: /nonexistent/config.json: No such file or directory\n"
+    assert main(["optimize", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
 # -- compare ------------------------------------------------------------------

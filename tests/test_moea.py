@@ -171,6 +171,15 @@ def count_probes(monkeypatch) -> list:
     return probes
 
 
+def kept_folds(arch, rng, *parents) -> dict:
+    """The store as the search keeps it for ``parents``: the folds of
+    their proper prefixes."""
+    store = {}
+    for seq in parents:
+        mutate(arch, seq, rng, 0.0, folds=store)
+    return {prefix: fold for prefix, fold in store.items() if len(prefix) < len(parents[0])}
+
+
 class FixedCutRng:
     """rng stub: fixed crossover cut, never mutates."""
 
@@ -202,21 +211,22 @@ def test_crossover_single_point_cut(small_arch, monkeypatch):
         )
     )
     rng = np.random.default_rng(0)
-    # the prefix folds a bred parent keeps: all but its last
-    kept = {f"folds_{name}": mutate(small_arch, seq, rng, 0.0)[1][:-1] for name, seq in (("a", a), ("b", b))}
+    kept = kept_folds(small_arch, rng, a, b)
     probes = count_probes(monkeypatch)
-    for parent_folds, probed_genes in (({}, len(a)), (kept, len(a) - 2)):
+    for store, probed_genes in ((None, len(a)), (kept, len(a) - 2)):
         probes.clear()
-        (child_a, folds_a), (child_b, folds_b) = crossover(small_arch, a, b, FixedCutRng(2), **parent_folds)
+        (child_a, folded_a), (child_b, folded_b) = crossover(small_arch, a, b, FixedCutRng(2), folds=store)
         # every gene is feasible where it lands; given the parents' folds,
         # no gene before the cut is probed
         assert len(probes) == 2 * probed_genes
         assert child_a.actions == a.actions[:2] + b.actions[2:]
         assert child_b.actions == b.actions[:2] + a.actions[2:]
-        for child, folds in ((child_a, folds_a), (child_b, folds_b)):
-            assert len(folds) == len(child)
-            for i, fold in enumerate(folds):
-                assert fold == apply_sequence(small_arch, RefactoringSequence(child.actions[: i + 1]))
+        for child, folded in ((child_a, folded_a), (child_b, folded_b)):
+            assert folded == apply_sequence(small_arch, child)
+    # the store gained each child's prefixes past the cut; every entry is its prefix's fold
+    for prefix, fold in kept.items():
+        assert fold == apply_sequence(small_arch, RefactoringSequence(prefix))
+    assert len(kept) == 2 * (len(a) - 1) + 2 * (len(a) - 2)
 
 
 def test_crossover_deterministic(small_arch):
@@ -228,35 +238,63 @@ def test_crossover_deterministic(small_arch):
 
 def test_mutation_zero_probability_is_identity(small_arch):
     seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out, folds = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    out, folded = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
     assert out == seq
-    assert len(folds) == len(seq)
-    assert folds[-1] == apply_sequence(small_arch, seq)
+    assert folded == apply_sequence(small_arch, seq)
 
 
 def test_offspring_reuse_a_parents_stored_folds(small_arch, monkeypatch):
     # no crossover and no mutation: every child is its parent
     config = SearchConfig(max_evaluations=0, population=4, crossover_prob=0.0, mutation_prob=0.0)
     seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    _, folds = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    store = kept_folds(small_arch, np.random.default_rng(0), seq)
+    kept = dict(store)
     parent = replace(fake_individual((0.0, 0.0, 0.0, 0.0)), sequence=seq)
-    folds_of = {seq: folds[:-1]}  # what the search keeps of a bred parent
+    evaluator = Evaluator(small_arch, config)
+    folded = apply_sequence(small_arch, seq)
+    probes = count_probes(monkeypatch)
+    children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), store))
+    # the first child probes its last gene only; the others find its fold
+    assert probes == [seq.actions[-1]]
+    assert children == [(seq, folded)] * config.population
+    assert store == {**kept, seq.actions: folded}
+
+
+def test_children_of_the_initial_population_probe_only_their_last_gene(small_arch, monkeypatch):
+    from archopt import moea
+
+    # no crossover and no mutation: every child is an initial-population
+    # parent, whose proper prefixes the search stored when it sampled it
+    config = SearchConfig(seed=2, max_evaluations=100, population=8, crossover_prob=0.0, mutation_prob=0.0)
     evaluator = Evaluator(small_arch, config)
     probes = count_probes(monkeypatch)
-    children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), folds_of))
-    # one probe per child, of the last gene only
-    assert probes == [seq.actions[-1]] * config.population
-    assert children == [(seq, folds[-1])] * config.population
-    assert folds_of == {seq: folds[:-1]}
+    bred = []
+    real_mutate = moea.mutate
+
+    def recording(initial, child, *args):
+        before = len(probes)
+        out = real_mutate(initial, child, *args)
+        bred.append((child, probes[before:]))
+        return out
+
+    monkeypatch.setattr(moea, "mutate", recording)
+    assert _search(evaluator, _Budget(config)) == (1, True)  # every child is a cache hit
+    assert len(bred) == config.population
+    seen = set()
+    for child, probed in bred:
+        assert child in evaluator.individuals
+        # a repeat finds the whole fold its first copy stored this generation
+        assert probed == ([] if child in seen else [child.actions[-1]])
+        seen.add(child)
 
 
 def test_mutation_deterministic(small_arch):
     seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out1, folds1 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
-    out2, folds2 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    out1, folded1 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    out2, folded2 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
-    assert folds1 == folds2
-    assert folds1[-1] == apply_sequence(small_arch, out1)
+    assert folded1 == folded2
+    assert folded1 == apply_sequence(small_arch, out1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,19 +308,20 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
     rng = np.random.default_rng(seed)
     (a, _), (b, _) = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
     # crossover from the prefix folds the parents keep builds the same children
-    kept_a, kept_b = (mutate(arch, seq, rng, 0.0)[1][:-1] for seq in (a, b))
+    store = kept_folds(arch, rng, a, b)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    children = crossover(arch, a, b, rng, folds_a=kept_a, folds_b=kept_b)
+    children = crossover(arch, a, b, rng, folds=store)
     rebuilt = crossover(arch, a, b, replay)
-    assert [(c, [save(f) for f in fs]) for c, fs in children] == [(c, [save(f) for f in fs]) for c, fs in rebuilt]
+    assert [(c, save(f)) for c, f in children] == [(c, save(f)) for c, f in rebuilt]
     assert rng.bit_generator.state == replay.bit_generator.state
-    for child, folds in children:
+    for child, _ in children:
+        # mutate reads crossover's folds of the child from the store
         with_rng, without_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, got_folds = mutate(arch, child, with_rng, gene_prob, folds=folds)
-        want, want_folds = mutate(arch, child, without_rng, gene_prob)
+        got, got_folded = mutate(arch, child, with_rng, gene_prob, folds=store)
+        want, want_folded = mutate(arch, child, without_rng, gene_prob)
         assert got == want
-        assert [save(fold) for fold in got_folds] == [save(fold) for fold in want_folds]
+        assert save(got_folded) == save(want_folded)
         assert with_rng.bit_generator.state == without_rng.bit_generator.state
 
 

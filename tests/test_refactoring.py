@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import casestudies
-from archopt.model import RoutingError, demand_matrix, invocation_matrix, load, validate
+from archopt.model import RoutingError, demand_matrix, invocation_matrix, load, save, validate
 from archopt.refactoring import (
     _APPLIERS,
     _sample_action,
@@ -230,11 +230,40 @@ def test_repair_produces_applicable_sequences(small_arch):
             RedeployComponent("web", "spare"),
         )
     )
-    repaired, folds = repair(small_arch, seq, rng)
-    folded = apply_sequence(small_arch, repaired)
-    assert folds[-1] == folded
+    repaired, folded = repair(small_arch, seq, rng)
+    assert folded == apply_sequence(small_arch, repaired)
     assert validate(folded) == []
     assert repaired.actions[3] == seq.actions[3]  # feasible gene kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 4),
+    resample_probability=st.sampled_from([0.0, 0.25, 1.0]),
+)
+def test_repair_from_a_store_matches_repair_without(name, seed, cut, resample_probability):
+    # a prefix's fold is a pure function of the prefix, so a stored fold is
+    # the one a probe would build, and the store changes no random draw
+    arch = casestudies.load_case_study(name)
+    rng = np.random.default_rng(seed)
+    store = {}
+    (a, _), (b, _) = random_sequence(arch, 4, rng, folds=store), random_sequence(arch, 4, rng, folds=store)
+    # a's genes up to the cut are stored; b's after it may not apply there
+    seq = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
+    prefilled = dict(store)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    got, got_folded = repair(arch, seq, rng, resample_probability=resample_probability, folds=store)
+    want, want_folded = repair(arch, seq, replay, resample_probability=resample_probability)
+    assert got == want
+    assert save(got_folded) == save(want_folded)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert prefilled.keys() <= store.keys()
+    assert all(got.actions[:i] in store for i in range(1, len(got) + 1))
+    for prefix, fold in store.items():
+        assert save(fold) == save(apply_sequence(arch, RefactoringSequence(prefix)))
 
 
 def test_conservation_over_random_sequences(small_arch):
