@@ -11,6 +11,7 @@ from .antipatterns import Detection, Thresholds, detect, explain
 from .model import (
     Architecture,
     CallStep,
+    CompiledChunk,
     Component,
     ModelFormatError,
     NetworkLink,

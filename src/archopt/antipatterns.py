@@ -8,19 +8,21 @@ Three crisp rules with relative thresholds:
   saturated node.
 
 The count objective is the number of distinct (kind, element) detections:
-``detect`` counts them from the rules' masks, and ``explain`` lists them
-with their metrics.
+``detect`` counts them for every architecture of a scored chunk from the
+rules' masks, and ``explain`` lists them for one architecture with their
+metrics.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Architecture
+from .model import Architecture, CompiledChunk
 from .perfqn import PerformanceResult
 
 BLOB = "blob"
@@ -52,14 +54,15 @@ class Detection:
 
 
 class _Rules(NamedTuple):
-    """Where each rule fires on one scored architecture, with the arrays
-    ``explain`` reads its metrics from."""
+    """Where each rule fires on a scored chunk, over its concatenated rows
+    (see ``CompiledChunk``), with the arrays ``explain`` reads its metrics
+    from."""
 
     node_util: np.ndarray
     comp_util: np.ndarray  # utilization of each component's node
     op_util: np.ndarray  # utilization of each operation's node
     invocations: np.ndarray  # (component, scenario)
-    mean_invocations: np.ndarray  # per scenario
+    mean_invocations: np.ndarray  # (architecture, scenario)
     heavy: np.ndarray  # (component, scenario): invocations above the blob share
     blob: np.ndarray  # per component
     hot: np.ndarray  # per node: utilization at or above util_high
@@ -69,22 +72,33 @@ class _Rules(NamedTuple):
     pipe_and_filter: np.ndarray  # per operation
 
 
-def _rules(arch: Architecture, perf: PerformanceResult, th: Thresholds) -> _Rules:
-    view = arch.compiled
-    util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
-    node_util = np.array([util[node.id] for node in view.nodes])
-    comp_util = node_util[view.component_node]
-    op_util = comp_util[view.operation_component]
+def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception], th: Thresholds) -> _Rules:
+    """The rules over a chunk.  Each performance result lists utilization in
+    its architecture's node order, as ``to_qn`` numbers the stations; an
+    architecture whose entry is a failure counts as idle everywhere."""
+    nodes = np.diff(chunk.node_start)
+    node_util = np.concatenate(
+        [perf.utilization if isinstance(perf, PerformanceResult) else np.zeros(n) for perf, n in zip(perfs, nodes)]
+    )
+    comp_util = node_util[chunk.component_node]
+    op_util = comp_util[chunk.operation_component]
 
-    invocations, _ = view.routes
-    mean_invocations = invocations.mean(axis=0)
-    heavy = invocations > th.blob_share * mean_invocations
+    # mean invocations per (architecture, scenario): each column summed in
+    # component order, then divided by the component count, as mean(axis=0)
+    invocations = chunk.routes[0]
+    n_scen = chunk.n_scenarios
+    comp_arch = chunk.owners(chunk.component_start)
+    cells = (comp_arch[:, None] * n_scen + np.arange(n_scen)).ravel()
+    sums = np.bincount(cells, weights=invocations.ravel(), minlength=len(chunk) * n_scen).reshape(-1, n_scen)
+    mean_invocations = sums / np.diff(chunk.component_start)[:, None]
+    heavy = invocations > (th.blob_share * mean_invocations)[comp_arch]
 
-    # speed-independent demand of each step, summed per scenario and per
-    # (operation, scenario) in step order
-    step_demand = view.step_count * view.operation_demand[view.step_operation]
-    total = view.per_scenario(np.zeros_like(view.step_operation), 1, step_demand)[0]
-    own = view.per_scenario(view.step_operation, len(view.operations), step_demand)
+    # speed-independent demand of each step, summed per (architecture,
+    # scenario) and per (operation, scenario) in step order
+    step_demand = chunk.step_count * chunk.operation_demand[chunk.step_operation]
+    total = np.bincount(chunk.step_scenario, weights=step_demand, minlength=len(chunk) * n_scen).reshape(-1, n_scen)
+    total = total[chunk.owners(chunk.operation_start)]
+    own = chunk.scenario_sums(chunk.step_operation, len(chunk.operation_demand), step_demand)
     share = np.divide(own, total, out=np.zeros_like(own), where=total > 0.0)
     dominant = (total > 0.0) & (share >= th.paf_demand_share)
 
@@ -104,21 +118,31 @@ def _rules(arch: Architecture, perf: PerformanceResult, th: Thresholds) -> _Rule
     )
 
 
-def detect(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> int:
-    """The number of distinct (kind, element) detections, which is
-    ``len(explain(...))`` without building them."""
-    rules = _rules(arch, perf, thresholds or Thresholds())
+def detect(
+    chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception], thresholds: Thresholds | None = None
+) -> list[int | None]:
+    """Per architecture of the chunk, the number of distinct (kind, element)
+    detections, which is ``len(explain(...))`` without building them; None
+    where its performance entry is a failure."""
+    rules = _rules(chunk, perfs, thresholds or Thresholds())
+    size = len(chunk)
+
+    def fired(mask, start):
+        return np.bincount(chunk.owners(start)[mask], minlength=size)
+
     # a node pair fires when one node is hot and the other idle; util_low <
     # util_high, so no node is both and every hot-idle pair fires once
-    pairs = int(np.count_nonzero(rules.hot)) * int(np.count_nonzero(rules.idle))
-    return int(np.count_nonzero(rules.blob)) + pairs + int(np.count_nonzero(rules.pipe_and_filter))
+    pairs = fired(rules.hot, chunk.node_start) * fired(rules.idle, chunk.node_start)
+    counts = fired(rules.blob, chunk.component_start) + pairs + fired(rules.pipe_and_filter, chunk.operation_start)
+    return [count if isinstance(perf, PerformanceResult) else None for count, perf in zip(counts.tolist(), perfs)]
 
 
 def explain(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> list[Detection]:
-    """All distinct (kind, element) detections with their metrics, in
-    deterministic order."""
-    rules = _rules(arch, perf, thresholds or Thresholds())
-    view = arch.compiled
+    """All distinct (kind, element) detections of one architecture with
+    their metrics, in deterministic order; read from the rules of its
+    chunk of one."""
+    rules = _rules(CompiledChunk([arch]), [perf], thresholds or Thresholds())
+    operations = [op for comp in arch.components for op in comp.operations]
     detections: list[Detection] = []
 
     # one detection per component, at its first heavy scenario
@@ -127,24 +151,24 @@ def explain(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds 
         detections.append(
             Detection(
                 kind=BLOB,
-                elements=(view.components[i].id,),
-                scenario=view.scenarios[j].id,
+                elements=(arch.components[i].id,),
+                scenario=arch.scenarios[j].id,
                 metrics=(
                     ("invocations", float(rules.invocations[i, j])),
-                    ("mean_invocations", float(rules.mean_invocations[j])),
+                    ("mean_invocations", float(rules.mean_invocations[0, j])),
                     ("node_utilization", float(rules.comp_util[i])),
                 ),
             )
         )
 
-    first, second = np.triu_indices(len(view.nodes), 1)
+    first, second = np.triu_indices(len(arch.nodes), 1)
     fires = (rules.hot[first] & rules.idle[second]) | (rules.idle[first] & rules.hot[second])
     for p in np.flatnonzero(fires):
         pair = rules.node_util[[first[p], second[p]]]
         detections.append(
             Detection(
                 kind=CONCURRENT_PROCESSING,
-                elements=(view.nodes[first[p]].id, view.nodes[second[p]].id),
+                elements=(arch.nodes[first[p]].id, arch.nodes[second[p]].id),
                 scenario=None,
                 metrics=(("utilization_high", float(pair.max())), ("utilization_low", float(pair.min()))),
             )
@@ -156,8 +180,8 @@ def explain(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds 
         detections.append(
             Detection(
                 kind=PIPE_AND_FILTER,
-                elements=(view.operations[o].id,),
-                scenario=view.scenarios[j].id,
+                elements=(operations[o].id,),
+                scenario=arch.scenarios[j].id,
                 metrics=(("demand_share", float(rules.share[o, j])), ("node_utilization", float(rules.op_util[o]))),
             )
         )

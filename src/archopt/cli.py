@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .antipatterns import Thresholds
-from .model import Architecture, ModelFormatError, _is_number, load, validate
+from .model import Architecture, CompiledChunk, ModelFormatError, _is_number, load, validate
 from .moea import ParetoFront, SearchConfig, check_field_types, front_to_json_dict, objective_vector, run, score
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
@@ -198,9 +198,8 @@ def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
-    [outcome] = score(
-        solve_amva(to_qn(arch)), [(seq, apply_sequence(arch, seq))], search.brf, search.thresholds
-    )
+    [initial_qn] = to_qn(CompiledChunk([arch]))
+    [outcome] = score(solve_amva(initial_qn), [(seq, apply_sequence(arch, seq))], search.brf, search.thresholds)
     if isinstance(outcome, Exception):
         print(f"error: candidate architecture could not be evaluated: {outcome}", file=sys.stderr)
         return EXIT_DOMAIN

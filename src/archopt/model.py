@@ -3,9 +3,9 @@
 Defines the component/node/link/scenario types, their well-formedness
 rules, JSON (de)serialization, and the derived matrices consumed by the
 performance and reliability evaluators.  Architecture values are treated
-as immutable after validation; refactoring produces new values.  Each
-architecture compiles once, on first use, into a ``CompiledArchitecture``
-of index arrays that every derived matrix is read from.
+as immutable after validation; refactoring produces new values.  A chunk
+of architectures compiles once into a ``CompiledChunk`` of concatenated
+index arrays, and every derived matrix of the chunk is read from it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,16 +94,10 @@ class Architecture:
         raise KeyError(node_id)
 
     @cached_property
-    def compiled(self) -> CompiledArchitecture:
-        """Index view of this architecture, built on first use and kept on
-        the instance (``cached_property`` writes ``__dict__``, which a frozen
-        dataclass allows), so it lives exactly as long as the architecture."""
-        return CompiledArchitecture(self)
-
-    @cached_property
     def owner_map(self) -> dict[str, Component]:
         """Operation id -> owning component, built on first use and kept on
-        the instance like ``compiled`` (shared; do not mutate)."""
+        the instance (``cached_property`` writes ``__dict__``, which a frozen
+        dataclass allows); shared, so do not mutate."""
         return {op.id: comp for comp in self.components for op in comp.operations}
 
 
@@ -454,7 +449,7 @@ def load(document: str, check: bool = True) -> Architecture:
 
 
 # ---------------------------------------------------------------------------
-# Compiled view and derived matrices
+# Compiled chunk and derived matrices
 # ---------------------------------------------------------------------------
 
 
@@ -464,123 +459,174 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-class CompiledArchitecture:
-    """Index arrays of one architecture; build it with ``arch.compiled``.
+class CompiledChunk:
+    """Index arrays of a chunk of architectures, concatenated.
 
-    Operations are numbered in component order, then in the order their
-    component lists them.  Steps are flattened in scenario order, then in
-    the order their scenario lists them.  Accumulating over the flat steps
-    therefore adds in the same order as a loop over the object graph,
-    which keeps every derived value bit-identical to such a loop.
+    Each architecture's nodes, components, operations, links and steps
+    take consecutive rows after those of the architectures before it;
+    architecture b owns rows ``start[b]:start[b + 1]`` of each kind
+    (``node_start``, ``component_start``, ...).  Operations are numbered
+    in component order, then in the order their component lists them;
+    steps in scenario order, then in the order their scenario lists them.
+    Every derived matrix is one ``np.bincount`` over the whole chunk, and
+    each bin receives entries of one architecture only, in its step order,
+    so an architecture's values are bit-identical to a loop over its own
+    object graph.
 
-    Requires resolvable references (a deployment target for every
-    component, a node for every link endpoint, an owner for every step)
-    and at most one link per node pair; a validated architecture has
-    them.  The search builds a view only for the initial model and for
-    each candidate it scores, where the queueing model, reliability and
-    the antipattern rules read it; a feasibility probe checks routing on
-    the object graph (``unrouted_call``) instead.  Derived matrices are
-    built on first use, so an unroutable architecture still has demands.
-    The view shares the architecture's element tuples, and every array it
-    holds or returns is read-only, because every reader of the
-    architecture shares it.
+    The architectures share one scenario count, so every per-scenario
+    matrix is ``(rows, scenarios)``.  Each needs resolvable references (a
+    deployment target for every component, a node for every link
+    endpoint, an owner for every step), at least one component, and at
+    most one link per node pair; a validated architecture has them.  The
+    search compiles the initial model once and each chunk it scores once;
+    a feasibility probe checks routing on the object graph
+    (``unrouted_call``) instead.  Derived matrices are built on first use,
+    so an unroutable architecture still has demands.  Every array is
+    read-only.
     """
 
-    def __init__(self, arch: Architecture):
-        self.nodes, self.components, self.scenarios = arch.nodes, arch.components, arch.scenarios
-        # link count and RoutingError text; the view keeps no reference to
-        # the architecture, which holds the view, so both are freed together
-        self.deployment, self.links = arch.deployment, arch.links
-        node_index = {n.id: k for k, n in enumerate(arch.nodes)}
-        op_index: dict[str, int] = {}
-        op_component = []
-        for i, comp in enumerate(arch.components):
-            for op in comp.operations:
-                op_index[op.id] = len(op_index)
-                op_component.append(i)
-        self.operation_component = _frozen(op_component, np.intp)
-        self.component_node = _frozen([node_index[arch.deployment[c.id]] for c in arch.components], np.intp)
-        self.step_scenario = _frozen([j for j, s in enumerate(arch.scenarios) for _ in s.steps], np.intp)
-        self.step_operation = _frozen([op_index[st.operation] for s in arch.scenarios for st in s.steps], np.intp)
-        self.step_count = _frozen([st.count for s in arch.scenarios for st in s.steps], float)
-        # link_between[a, b]: index of the link joining nodes a and b, in
-        # both directions; -1 where no link joins them
-        ends = np.array([node_index[end] for link in arch.links for end in link.endpoints], np.intp).reshape(-1, 2)
-        table = np.full((len(arch.nodes), len(arch.nodes)), -1, np.intp)
-        table[ends[:, 0], ends[:, 1]] = table[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
-        table.flags.writeable = False
-        self.link_between = table
+    def __init__(self, architectures: Sequence[Architecture]):
+        self.architectures = archs = tuple(architectures)
+        counts = {len(arch.scenarios) for arch in archs}
+        if len(counts) != 1:
+            raise ValueError(f"a chunk needs architectures with one scenario count, got {sorted(counts)}")
+        (self.n_scenarios,) = counts
+        speed, cores, theta, comp_node, demand, op_comp = [], [], [], [], [], []
+        step_op, step_count, scen_steps, ends, psi, mix, population, think = [], [], [], [], [], [], [], []
+        self.node_start, self.component_start, self.operation_start, self.link_start = [0], [0], [0], [0]
+        self.station_ids = []
+        for arch in archs:
+            nodes, comps, scens, links = arch.nodes, arch.components, arch.scenarios, arch.links
+            node_index = {node.id: k for k, node in enumerate(nodes, len(speed))}
+            speed += [node.speed_factor for node in nodes]
+            cores += [node.cores for node in nodes]
+            deployment = arch.deployment
+            comp_node += [node_index[deployment[comp.id]] for comp in comps]
+            owned = [(i, op) for i, comp in enumerate(comps, len(theta)) for op in comp.operations]
+            theta += [comp.failure_probability for comp in comps]
+            op_index = {op.id: k for k, (_, op) in enumerate(owned, len(demand))}
+            demand += [op.cpu_demand for _, op in owned]
+            op_comp += [i for i, _ in owned]
+            mix += [scen.mix_weight for scen in scens]
+            population += [scen.population for scen in scens]
+            think += [scen.think_time for scen in scens]
+            scen_steps += [len(scen.steps) for scen in scens]
+            steps = [step for scen in scens for step in scen.steps]
+            step_op += [op_index[step.operation] for step in steps]
+            step_count += [step.count for step in steps]
+            ends += [node_index[end] for link in links for end in link.endpoints]
+            psi += [link.failure_probability for link in links]
+            self.station_ids.append(tuple(node_index))
+            self.node_start.append(len(speed))
+            self.component_start.append(len(theta))
+            self.operation_start.append(len(demand))
+            self.link_start.append(len(psi))
+        shape = (len(archs), self.n_scenarios)
+        self.node_speed, self.node_cores = _frozen(speed, float), _frozen(cores, float)
+        self.component_theta, self.component_node = _frozen(theta, float), _frozen(comp_node, np.intp)
+        self.operation_demand, self.operation_component = _frozen(demand, float), _frozen(op_comp, np.intp)
+        self.link_psi, self.link_ends = _frozen(psi, float), _frozen(ends, np.intp).reshape(-1, 2)
+        self.step_operation, self.step_count = _frozen(step_op, np.intp), _frozen(step_count, float)
+        # each step's scenario, numbered across the chunk: architecture b's
+        # scenario j is b * n_scenarios + j
+        self.step_scenario = np.repeat(np.arange(len(scen_steps)), scen_steps)
+        self.step_column = self.step_scenario % self.n_scenarios  # the scenario within its architecture
+        self.step_scenario.flags.writeable = self.step_column.flags.writeable = False
+        self.mix_weights = _frozen(mix, float).reshape(shape)
+        self.populations = _frozen(population, float).reshape(shape)
+        self.think_times = _frozen(think, float).reshape(shape)
+
+    def __len__(self) -> int:
+        return len(self.architectures)
+
+    def owners(self, start: list[int]) -> np.ndarray:
+        """The architecture of each row of the kind that ``start`` bounds."""
+        return np.repeat(np.arange(len(self)), np.diff(start))
 
     @cached_property
-    def operations(self) -> tuple[Operation, ...]:
-        """Every operation, in index order."""
-        return tuple(op for comp in self.components for op in comp.operations)
+    def step_component(self) -> np.ndarray:
+        return self.operation_component[self.step_operation]
 
     @cached_property
-    def operation_demand(self) -> np.ndarray:
-        return _frozen([op.cpu_demand for op in self.operations], float)
-
-    @property
     def step_node(self) -> np.ndarray:
-        return self.component_node[self.operation_component[self.step_operation]]
+        return self.component_node[self.step_component]
 
-    def per_scenario(
-        self, rows: np.ndarray, n_rows: int, weights: np.ndarray, steps: slice | np.ndarray = slice(None)
-    ) -> np.ndarray:
+    def scenario_sums(self, rows: np.ndarray, n_rows: int, weights: np.ndarray, steps=slice(None)) -> np.ndarray:
         """(n_rows, scenarios) sums of ``weights[steps]`` at (rows, scenario
         of each step), added in step order."""
-        n_scen = len(self.scenarios)
+        n_scen = self.n_scenarios
         flat = np.bincount(
-            rows * n_scen + self.step_scenario[steps], weights=weights[steps], minlength=n_rows * n_scen
+            rows * n_scen + self.step_column[steps], weights=weights[steps], minlength=n_rows * n_scen
         )
         out = flat.reshape(n_rows, n_scen)
         out.flags.writeable = False
         return out
 
     @cached_property
-    def routes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Expected component invocations v[i, j] and link messages m[l, j].
-
-        The caller of step n is the component owning step n-1's operation;
-        the caller of the first step is the client, which sits outside all
-        nodes and therefore contributes no link messages.  A message is
-        charged to the one link joining its node pair (``link_between``),
-        in step order.  Raises ``RoutingError`` with the text of
-        ``unrouted_call`` when a cross-node call has no link; the error is
-        not memoized.
-        """
-        step_node, scen = self.step_node, self.step_scenario
-        cross = np.flatnonzero((step_node[1:] != step_node[:-1]) & (scen[1:] == scen[:-1])) + 1
-        links = self.link_between[step_node[cross - 1], step_node[cross]]
-        if (links < 0).any():
-            raise RoutingError(_first_unrouted_call(self.components, self.deployment, self.links, self.scenarios))
-        invocations = self.per_scenario(
-            self.operation_component[self.step_operation], len(self.components), self.step_count
-        )
-        messages = self.per_scenario(links, len(self.links), self.step_count, cross)
-        return invocations, messages
+    def demands(self) -> np.ndarray:
+        """(nodes, scenarios) CPU demand of every node of the chunk; see
+        ``demand_matrix``."""
+        node = self.step_node
+        weights = self.step_count * self.operation_demand[self.step_operation] / self.node_speed[node]
+        return self.scenario_sums(node, len(self.node_speed), weights)
 
     @cached_property
-    def demands(self) -> np.ndarray:
-        """Per-node, per-scenario CPU demand in seconds (see ``demand_matrix``)."""
-        step_node = self.step_node
-        speed = np.array([n.speed_factor for n in self.nodes])
-        weights = self.step_count * self.operation_demand[self.step_operation] / speed[step_node]
-        return self.per_scenario(step_node, len(self.nodes), weights)
+    def routes(self) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+        """Expected invocations v[i, j] of every component of the chunk,
+        messages m[l, j] of every link, and per architecture the text of
+        its ``RoutingError`` or None.
+
+        The caller of step n is the component owning step n-1's operation
+        when both are in one scenario; the caller of a scenario's first
+        step is the client, which sits outside all nodes and so sends no
+        message.  A message is charged to the one link joining its node
+        pair, found by one sorted lookup of the pair's key over both
+        orders of every link's endpoints.  An unroutable architecture
+        gets the text of ``unrouted_call``; the others keep their values.
+        """
+        node, scen = self.step_node, self.step_scenario
+        cross = np.flatnonzero((node[1:] != node[:-1]) & (scen[1:] == scen[:-1])) + 1
+        n_nodes, n_links = len(self.node_speed), len(self.link_psi)
+        first, second = self.link_ends.T
+        # a key that no node pair has keeps the lookup in range
+        keys = np.concatenate(([-1], first * n_nodes + second, second * n_nodes + first))
+        order = np.argsort(keys)
+        keys, link_of = keys[order], np.concatenate(([-1], np.arange(n_links), np.arange(n_links)))[order]
+        wanted = node[cross - 1] * n_nodes + node[cross]
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        found = keys[at] == wanted
+        unrouted: list[str | None] = [None] * len(self)
+        if not found.all():
+            step_end = np.cumsum(np.bincount(scen // self.n_scenarios, minlength=len(self)))
+            for b in set(np.searchsorted(step_end, cross[~found], side="right").tolist()):
+                unrouted[b] = unrouted_call(self.architectures[b])
+        invocations = self.scenario_sums(self.step_component, len(self.component_theta), self.step_count)
+        messages = self.scenario_sums(link_of[at[found]], n_links, self.step_count, cross[found])
+        return invocations, messages, unrouted
 
 
-def demand_matrix(arch: Architecture) -> np.ndarray:
-    """Per-node, per-scenario CPU demand in seconds (read-only).
+def demand_matrix(chunk: CompiledChunk) -> list[np.ndarray]:
+    """Per architecture of the chunk, its per-node, per-scenario CPU demand
+    in seconds (read-only).
 
     D[k, j] sums, over the operations deployed on node k, the scenario-j
     expected invocation count times the operation's cpu demand, divided by
     the node's speed factor.
     """
-    return arch.compiled.demands
+    rows = chunk.node_start
+    return [chunk.demands[rows[b] : rows[b + 1]] for b in range(len(chunk))]
 
 
-def invocation_matrix(arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
-    """Expected component invocations v[i, j] and link messages m[l, j]
-    (read-only); see ``CompiledArchitecture.routes``.  Raises
-    ``RoutingError`` when a cross-node call has no connecting link."""
-    return arch.compiled.routes
+def invocation_matrix(chunk: CompiledChunk) -> list[tuple[np.ndarray, np.ndarray] | RoutingError]:
+    """Per architecture of the chunk, its expected component invocations
+    v[i, j] and link messages m[l, j] (read-only), or the ``RoutingError``
+    of a cross-node call with no connecting link; see
+    ``CompiledChunk.routes``."""
+    invocations, messages, unrouted = chunk.routes
+    comps, links = chunk.component_start, chunk.link_start
+    return [
+        (invocations[comps[b] : comps[b + 1]], messages[links[b] : links[b + 1]])
+        if text is None
+        else RoutingError(text)
+        for b, text in enumerate(unrouted)
+    ]

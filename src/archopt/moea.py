@@ -12,6 +12,7 @@ individual evaluated during the run, not just what was kept.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .antipatterns import Thresholds, detect
-from .model import Architecture, digest, validate
+from .model import Architecture, CompiledChunk, digest, validate
 from .pareto import admit, crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
@@ -42,14 +43,14 @@ from .reliability import reliability as compute_reliability
 log = logging.getLogger("archopt.moea")
 
 INVALID_SENTINEL = float("inf")
-# What scoring a folded architecture may raise; each failure makes an
+# What scoring a folded architecture may fail with; each failure makes an
 # invalid individual, counted under the first of these classes it is.  A
 # scored architecture passed ``validate`` or an ``is_feasible`` probe, so
 # its calls are routable; a ``RoutingError`` would count as a ValueError.
 EVALUATION_FAILURES = (SolverError, ValueError)
-# New candidates scored together: one to_qn each and one stacked AMVA
-# solve.  Bounds the folded architectures held at once, and how far the
-# time budget can overrun.
+# New candidates scored together as one compiled chunk, with one stacked
+# AMVA solve.  Bounds the folded architectures held at once, and how far
+# the time budget can overrun.
 CHUNK_SIZE = 32
 
 
@@ -115,6 +116,8 @@ class SearchConfig:
             value = getattr(self, name)
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.budget_seconds is not None and not math.isfinite(self.budget_seconds):
+            raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds}")
 
     @property
     def gene_mutation_prob(self) -> float:
@@ -164,27 +167,25 @@ def score(
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
 ) -> list[Outcome]:
-    """Scores each candidate's folded architecture: ``to_qn`` of each, one
-    ``solve_amva_many`` of all, then reliability and antipatterns of each.
-    Returns one outcome per candidate, in order."""
-    solved = solve_amva_many([to_qn(folded) for _, folded in candidates])
+    """Scores the candidates' folded architectures as one chunk: one
+    compile, one ``to_qn``, one ``solve_amva_many``, one reliability and
+    one antipattern count of all.  Returns one outcome per candidate, in
+    order; a candidate that fails makes only itself invalid."""
+    if not candidates:
+        return []
+    chunk = CompiledChunk([folded for _, folded in candidates])
+    solved = solve_amva_many(to_qn(chunk))
+    survival = compute_reliability(chunk)
+    counts = detect(chunk, solved, thresholds)
     outcomes: list[Outcome] = []
-    for (seq, folded), perf in zip(candidates, solved):
+    for (seq, _), perf, rel, pas in zip(candidates, solved, survival, counts):
         if isinstance(perf, Exception):
             outcomes.append(perf)
-            continue
-        try:
-            rel = compute_reliability(folded)
-        except EVALUATION_FAILURES as exc:
-            outcomes.append(exc)
-            continue
-        metrics = EvalMetrics(
-            perfq=perfq(initial_perf, perf),
-            reliability=rel.overall,
-            pas=detect(folded, perf, thresholds),
-            distance=distance(seq, brf),
-        )
-        outcomes.append((metrics, perf))
+        elif isinstance(rel, Exception):
+            outcomes.append(rel)
+        else:
+            metrics = EvalMetrics(perfq(initial_perf, perf), rel.overall, pas, distance(seq, brf))
+            outcomes.append((metrics, perf))
     return outcomes
 
 
@@ -217,7 +218,8 @@ class Evaluator:
         self.initial = initial
         self.config = config
         self.initial_digest = digest(initial)
-        self.initial_perf = solve_amva(to_qn(initial))
+        [initial_qn] = to_qn(CompiledChunk([initial]))
+        self.initial_perf = solve_amva(initial_qn)
         self.individuals: dict[RefactoringSequence, Individual] = {}
         # running non-dominated archive over everything evaluated; kept
         # incrementally so the final front costs nothing extra
@@ -366,10 +368,14 @@ def _offspring(
 
 
 def _objective_rows(individuals: list[Individual]) -> np.ndarray:
+    """The individuals' objective rows, through ``_finite_rows``."""
+    return _finite_rows(np.array([ind.objectives for ind in individuals]))
+
+
+def _finite_rows(points: np.ndarray) -> np.ndarray:
     """Objective rows with the invalid sentinel (inf) as 1e30, so distances
     stay finite; ranks and crowding do not change, since no front mixes
     valid and sentinel rows.  Front admission compares raw rows instead."""
-    points = np.array([ind.objectives for ind in individuals])
     return np.where(np.isfinite(points), points, 1e30)
 
 
@@ -475,42 +481,50 @@ def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np
 # ---------------------------------------------------------------------------
 
 
-def _grid_cells(archive: list[Individual], divisions: int) -> dict[tuple, list[int]]:
-    """Archive indices by cell of an adaptive hypergrid over the archive's
-    objective bounding box, ``divisions`` cells per objective."""
-    points = _objective_rows(archive)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+def _grid_cells(rows: np.ndarray, divisions: int) -> dict[tuple, list[int]]:
+    """Row indices by cell of an adaptive hypergrid over the bounding box
+    of objective ``rows`` (as ``_objective_rows`` gives them),
+    ``divisions`` cells per objective."""
+    lo = rows.min(axis=0)
+    hi = rows.max(axis=0)
     width = np.where(hi > lo, (hi - lo) / divisions, 1.0)
     cells: dict[tuple, list[int]] = {}
-    index = np.clip(((points - lo) / width).astype(int), 0, divisions - 1)
+    index = np.clip(((rows - lo) / width).astype(int), 0, divisions - 1)
     for i, row in enumerate(index.tolist()):
         cells.setdefault(tuple(row), []).append(i)
     return cells
 
 
-def _pesa2_insert(archive: list[Individual], candidate: Individual, capacity: int, divisions: int) -> list[Individual]:
+def _pesa2_insert(
+    archive: list[Individual], points: np.ndarray, candidate: Individual, capacity: int, divisions: int
+) -> tuple[list[Individual], np.ndarray]:
+    """The archive and its raw objective rows ``points`` after offering
+    ``candidate``."""
     point = np.array(candidate.objectives)
-    keep = admit(np.array([ind.objectives for ind in archive]).reshape(-1, point.size), point)
+    keep = admit(points, point)
     if keep is None:
-        return archive
+        return archive, points
     archive = [ind for ind, k in zip(archive, keep) if k] + [candidate]
+    points = np.vstack([points[keep], point[None, :]])
     if len(archive) > capacity:
-        cells = _grid_cells(archive, divisions)
+        cells = _grid_cells(_finite_rows(points), divisions)
         crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
         evict = cells[crowded_key][0]  # oldest member of the most crowded cell
         archive = archive[:evict] + archive[evict + 1 :]
-    return archive
+        points = np.delete(points, evict, axis=0)
+    return archive, points
 
 
 def _pesa2_survival(archive: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+    # kept beside the archive, so no insert rebuilds them
+    points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
     for ind in evaluated:
-        archive = _pesa2_insert(archive, ind, config.archive_size, config.divisions)
+        archive, points = _pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
     return archive
 
 
 def _pesa2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
-    return partial(_pesa2_select, archive, _grid_cells(archive, config.divisions), rng)
+    return partial(_pesa2_select, archive, _grid_cells(_objective_rows(archive), config.divisions), rng)
 
 
 def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
@@ -558,8 +572,8 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     while not budget.spent(evaluator.solver_evaluations):
         evaluations = evaluator.solver_evaluations
         # Every kept individual was sampled or bred through the store.
-        # Breeding reuses only their proper prefixes; a whole plan's fold
-        # carries its compiled view once scored, so it is let go.
+        # Breeding reuses only their proper prefixes, so a whole plan's
+        # fold is let go once scored.
         prefixes = {ind.sequence.actions[:i] for ind in kept for i in range(1, len(ind.sequence))}
         folds = {prefix: folds[prefix] for prefix in prefixes}
         offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import Architecture, demand_matrix
+from .model import CompiledChunk
 
 AMVA_TOL = 1e-6
 AMVA_MAX_ITER = 100_000
@@ -54,17 +54,21 @@ class PerformanceResult:
     residual: float = 0.0
 
 
-def to_qn(arch: Architecture) -> QnModel:
-    """Map a validated architecture onto the closed queueing model."""
-    demands = demand_matrix(arch)
-    cores = np.array([n.cores for n in arch.nodes], dtype=float)
-    return QnModel(
-        station_ids=tuple(n.id for n in arch.nodes),
-        class_ids=tuple(s.id for s in arch.scenarios),
-        demands=demands / cores[:, None],
-        populations=np.array([s.population for s in arch.scenarios], dtype=float),
-        think_times=np.array([s.think_time for s in arch.scenarios], dtype=float),
-    )
+def to_qn(chunk: CompiledChunk) -> list[QnModel]:
+    """Map each validated architecture of a chunk onto the closed queueing
+    model; a model's matrices are row slices of the chunk's."""
+    demands = chunk.demands / chunk.node_cores[:, None]
+    rows = chunk.node_start
+    return [
+        QnModel(
+            station_ids=chunk.station_ids[b],
+            class_ids=tuple(s.id for s in arch.scenarios),
+            demands=demands[rows[b] : rows[b + 1]],
+            populations=chunk.populations[b],
+            think_times=chunk.think_times[b],
+        )
+        for b, arch in enumerate(chunk.architectures)
+    ]
 
 
 def _split_delay_classes(qn: QnModel) -> tuple[np.ndarray, np.ndarray]:

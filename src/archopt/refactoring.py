@@ -218,6 +218,9 @@ def _apply_clone(arch: Architecture, action: CloneComponent):
 
     scenarios = []
     for scen in arch.scenarios:
+        if not any(step.operation in op_twin for step in scen.steps):
+            scenarios.append(scen)  # invokes no cloned operation: kept as it is
+            continue
         steps: list[CallStep] = []
         for step in scen.steps:
             if step.operation in op_twin:
@@ -343,7 +346,7 @@ def is_feasible(arch: Architecture, action: RefactoringAction) -> tuple[Architec
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
     routing is checked here, on the object graph: a probe compiles
-    nothing, and only an architecture that is scored is compiled.
+    nothing, and only the chunks that are scored are compiled.
     """
     result, reason = _APPLIERS[action.kind](arch, action)
     if result is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Architecture, invocation_matrix
+from .model import CompiledChunk, RoutingError, invocation_matrix
 
 
 @dataclass(frozen=True)
@@ -20,15 +20,29 @@ class ReliabilityResult:
     per_scenario: dict[str, float]
 
 
-def reliability(arch: Architecture) -> ReliabilityResult:
-    """R_j = prod_i (1-theta_i)^v_ij * prod_l (1-psi_l)^m_lj, mixed by p_j."""
-    invocations, messages = invocation_matrix(arch)
-    thetas = np.array([c.failure_probability for c in arch.components])
-    psis = np.array([l.failure_probability for l in arch.links])
+def reliability(chunk: CompiledChunk) -> list[ReliabilityResult | RoutingError]:
+    """R_j = prod_i (1-theta_i)^v_ij * prod_l (1-psi_l)^m_lj, mixed by p_j, for
+    each architecture of the chunk, or its ``RoutingError``.  The products
+    run over each architecture's rows in order, as ``prod(axis=0)`` of its
+    own matrices does."""
+    routed = invocation_matrix(chunk)
+    invocations, messages, _ = chunk.routes
+    survival = np.multiply.reduceat(
+        np.power(1.0 - chunk.component_theta[:, None], invocations), chunk.component_start[:-1], axis=0
+    )
+    # an architecture without links has no message factor (an empty product)
+    linked = np.flatnonzero(np.diff(chunk.link_start))
+    if linked.size:
+        links = np.multiply.reduceat(
+            np.power(1.0 - chunk.link_psi[:, None], messages), np.array(chunk.link_start)[linked], axis=0
+        )
+        survival[linked] = survival[linked] * links
 
-    survival = np.power(1.0 - thetas[:, None], invocations).prod(axis=0)
-    survival = survival * np.power(1.0 - psis[:, None], messages).prod(axis=0)
-
-    weights = np.array([s.mix_weight for s in arch.scenarios])
-    per_scenario = {s.id: float(survival[j]) for j, s in enumerate(arch.scenarios)}
-    return ReliabilityResult(overall=float(weights @ survival), per_scenario=per_scenario)
+    results: list[ReliabilityResult | RoutingError] = []
+    for b, (arch, routes) in enumerate(zip(chunk.architectures, routed)):
+        if isinstance(routes, RoutingError):
+            results.append(routes)
+            continue
+        per_scenario = {s.id: float(survival[b, j]) for j, s in enumerate(arch.scenarios)}
+        results.append(ReliabilityResult(overall=float(chunk.mix_weights[b] @ survival[b]), per_scenario=per_scenario))
+    return results

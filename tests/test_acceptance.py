@@ -18,7 +18,7 @@ import conftest
 
 from archopt import casestudies
 from archopt.cli import main
-from archopt.model import load, validate
+from archopt.model import CompiledChunk, load, validate
 from archopt.moea import SearchConfig, run
 from archopt.pareto import fast_nondominated_sort, hypervolume
 from archopt.perfqn import QnModel, solve_amva, solve_exact_mva, to_qn
@@ -107,7 +107,7 @@ def test_c02_littles_law_and_bounds():
             bound = min(population / (think + demands.sum()), 1.0 / demands.max())
             ok = ok and rel <= 1e-6 and result.throughput[0] <= bound + 1e-9
     # multiclass corpus and the case studies: law per class
-    cases = [to_qn(casestudies.load_case_study(n)) for n in ("small", "large")]
+    cases = [to_qn(CompiledChunk([casestudies.load_case_study(n)]))[0] for n in ("small", "large")]
     for _ in range(30):
         stations, classes = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         cases.append(
@@ -133,7 +133,7 @@ def test_c02_littles_law_and_bounds():
 def _monte_carlo(arch, samples, rng):
     from archopt.model import invocation_matrix
 
-    invocations, messages = invocation_matrix(arch)
+    invocations, messages = invocation_matrix(CompiledChunk([arch]))[0]
     estimate, variance = 0.0, 0.0
     for j, scen in enumerate(arch.scenarios):
         failures = np.zeros(samples)
@@ -177,7 +177,7 @@ def test_c03_reliability_vs_monte_carlo():
         # make the mix sum exactly 1
         scenarios[-1] = (scenarios[-1][0], 1.0 - float(np.sum(weights[:-1])), 1, 0.0, scenarios[-1][4])
         arch = make_arch(comps, nodes, deployment, scenarios, links)
-        closed = reliability(arch).overall
+        closed = reliability(CompiledChunk([arch]))[0].overall
         estimate, stderr = _monte_carlo(arch, 100_000, rng)
         sigma = abs(closed - estimate) / stderr if stderr > 0 else 0.0
         worst_sigma = max(worst_sigma, sigma)
@@ -299,7 +299,7 @@ def test_c07_end_to_end_determinism(tmp_path):
 
 def test_c08_budget_compliance():
     arch = casestudies.load_case_study("small")
-    solve_amva(to_qn(arch))  # warm solver path outside the timed region
+    solve_amva(to_qn(CompiledChunk([arch]))[0])  # warm solver path outside the timed region
     ok = True
     details = []
     for budget in (5.0, 10.0, 20.0):

@@ -13,7 +13,7 @@ from archopt.antipatterns import (
     detect,
     explain,
 )
-from archopt.model import invocation_matrix
+from archopt.model import CompiledChunk, invocation_matrix
 from archopt.perfqn import PerformanceResult, solve_amva, to_qn
 from archopt.refactoring import apply_sequence, random_sequence
 from conftest import make_arch
@@ -121,7 +121,7 @@ def test_detection_count_unit_is_kind_element():
 
 
 def test_detections_deterministic_and_order_independent(small_arch):
-    perf = solve_amva(to_qn(small_arch))
+    perf = solve_amva(to_qn(CompiledChunk([small_arch]))[0])
     first = explain(small_arch, perf)
     second = explain(small_arch, perf)
     assert first == second
@@ -129,17 +129,17 @@ def test_detections_deterministic_and_order_independent(small_arch):
 
 def test_raising_util_high_never_increases_count(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(arch))
+        perf = solve_amva(to_qn(CompiledChunk([arch]))[0])
         counts = []
         for high in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
-            counts.append(detect(arch, perf, Thresholds(util_high=high)))
+            counts.append(detect(CompiledChunk([arch]), [perf], Thresholds(util_high=high))[0])
         assert counts == sorted(counts, reverse=True)
 
 
 def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(arch))
-        assert detect(arch, perf) >= 1
+        perf = solve_amva(to_qn(CompiledChunk([arch]))[0])
+        assert detect(CompiledChunk([arch]), [perf])[0] >= 1
 
 
 def naive_detect(arch, perf, th):
@@ -148,7 +148,7 @@ def naive_detect(arch, perf, th):
     ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
     detections = []
-    invocations, _ = invocation_matrix(arch)
+    invocations, _ = invocation_matrix(CompiledChunk([arch]))[0]
     mean_invocations = invocations.mean(axis=0)
     for i, comp in enumerate(arch.components):
         if util[node_of[comp.id]] < th.util_high:
@@ -203,4 +203,4 @@ def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
     reference = naive_detect(folded, perf, th)
     assert explain(folded, perf, th) == reference
-    assert detect(folded, perf, th) == len(reference)
+    assert detect(CompiledChunk([folded]), [perf], th)[0] == len(reference)

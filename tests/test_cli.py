@@ -184,6 +184,8 @@ def test_optimize_rejects_bad_config(tmp_path, capsys):
         {"crossover_prob": 2.0},
         {"mutation_prob": -1},
         {"budget_seconds": -1},
+        # a search with no evaluation cap needs a finite time budget
+        {"budget_seconds": float("inf"), "max_evaluations": None},
         {"thresholds": 5},
         {"thresholds": {"bogus": 1}},
         {"thresholds": {"util_high": "x"}},

@@ -10,6 +10,7 @@ from archopt import casestudies
 from archopt.model import (
     Architecture,
     CallStep,
+    CompiledChunk,
     Component,
     ModelFormatError,
     NetworkLink,
@@ -182,7 +183,7 @@ def test_demand_matrix_hand_example():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(arch), [[0.6]])
+    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.6]])
 
 
 def test_demand_matrix_speed_scaling():
@@ -192,7 +193,7 @@ def test_demand_matrix_speed_scaling():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(arch), [[0.3]])
+    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.3]])
 
 
 def test_demand_matrix_zero_count_contributes_nothing():
@@ -202,18 +203,18 @@ def test_demand_matrix_zero_count_contributes_nothing():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 0.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(arch), [[0.0]])
+    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.0]])
 
 
 def test_demand_matrix_linearity(small_arch):
-    base = demand_matrix(small_arch)
+    base = demand_matrix(CompiledChunk([small_arch]))[0]
     halved_nodes = tuple(
         ProcessorNode(n.id, n.speed_factor / 2.0, n.cores) for n in small_arch.nodes
     )
     halved = Architecture(
         small_arch.components, halved_nodes, small_arch.links, small_arch.scenarios, dict(small_arch.deployment)
     )
-    np.testing.assert_allclose(demand_matrix(halved), 2.0 * base, rtol=1e-12)
+    np.testing.assert_allclose(demand_matrix(CompiledChunk([halved]))[0], 2.0 * base, rtol=1e-12)
 
 
 # -- invocation matrix -------------------------------------------------------
@@ -226,13 +227,13 @@ def test_invocations_colocated_no_messages():
         deployment={"a": "n1", "b": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 2.0), ("opB", 1.0)])],
     )
-    v, m = invocation_matrix(arch)
+    v, m = invocation_matrix(CompiledChunk([arch]))[0]
     np.testing.assert_allclose(v, [[2.0], [1.0]])
     assert m.size == 0
 
 
 def test_invocations_cross_node_messages(two_comp_arch):
-    v, m = invocation_matrix(two_comp_arch)
+    v, m = invocation_matrix(CompiledChunk([two_comp_arch]))[0]
     np.testing.assert_allclose(v, [[3.0], [1.0]])
     # only the op1 -> op2 hop crosses n1 -> n2
     np.testing.assert_allclose(m, [[1.0]])
@@ -246,7 +247,7 @@ def test_single_step_scenario_never_crosses_links():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 5.0)])],
         links=[("l12", "n1", "n2", 0.1, 0.0)],
     )
-    _, m = invocation_matrix(arch)
+    _, m = invocation_matrix(CompiledChunk([arch]))[0]
     np.testing.assert_allclose(m, [[0.0]])
 
 
@@ -257,8 +258,8 @@ def test_missing_link_raises_naming_nodes():
         deployment={"a": "n1", "b": "n2"},
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0)])],
     )
-    with pytest.raises(RoutingError, match="'n1', 'n2'"):
-        invocation_matrix(arch)
+    [error] = invocation_matrix(CompiledChunk([arch]))
+    assert isinstance(error, RoutingError) and "'n1', 'n2'" in str(error)
 
 
 def test_all_zero_counts_give_zero_matrices(two_comp_arch):
@@ -269,12 +270,12 @@ def test_all_zero_counts_give_zero_matrices(two_comp_arch):
         scenarios=[("s1", 1.0, 4, 1.0, [("op1", 0.0), ("op2", 0.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    v, m = invocation_matrix(zeroed)
+    v, m = invocation_matrix(CompiledChunk([zeroed]))[0]
     assert (v >= 0).all() and not v.any()
     assert not m.any()
 
 
-# -- compiled view against the object-graph loops it replaced ----------------
+# -- compiled chunk against the object-graph loops it replaced ---------------
 
 
 def naive_demand_matrix(arch):
@@ -330,12 +331,12 @@ def with_parallel_link(arch, reverse=False):
 def test_compiled_matrices_equal_naive_reference(name, seed, length):
     arch = casestudies.load_case_study(name)
     folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed))[0])
-    invocations, messages = invocation_matrix(folded)
+    invocations, messages = invocation_matrix(CompiledChunk([folded]))[0]
     naive_invocations, naive_messages = naive_invocation_matrix(folded)
     # same additions in the same order: equal to the last bit
     np.testing.assert_array_equal(invocations, naive_invocations)
     np.testing.assert_array_equal(messages, naive_messages)
-    np.testing.assert_array_equal(demand_matrix(folded), naive_demand_matrix(folded))
+    np.testing.assert_array_equal(demand_matrix(CompiledChunk([folded]))[0], naive_demand_matrix(folded))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["same-order", "reversed"])
@@ -356,17 +357,17 @@ def test_unroutable_models_fail_like_the_naive_reference():
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
     assert naive_invocation_matrix(arch) is None
-    with pytest.raises(RoutingError, match="call to 'opC' crosses nodes \\('n2', 'n3'\\)") as raised:
-        invocation_matrix(arch)
-    assert str(raised.value) == unrouted_call(arch)
+    [error] = invocation_matrix(CompiledChunk([arch]))
+    assert isinstance(error, RoutingError)
+    assert "call to 'opC' crosses nodes ('n2', 'n3')" in str(error)
+    assert str(error) == unrouted_call(arch)
     # demand needs no routing
-    np.testing.assert_array_equal(demand_matrix(arch), naive_demand_matrix(arch))
+    np.testing.assert_array_equal(demand_matrix(CompiledChunk([arch]))[0], naive_demand_matrix(arch))
 
 
 def test_compiled_matrices_are_read_only(two_comp_arch):
-    invocations, messages = invocation_matrix(two_comp_arch)
-    for matrix in (invocations, messages, demand_matrix(two_comp_arch)):
+    invocations, messages = invocation_matrix(CompiledChunk([two_comp_arch]))[0]
+    for matrix in (invocations, messages, demand_matrix(CompiledChunk([two_comp_arch]))[0]):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 99.0
-    assert invocation_matrix(two_comp_arch)[0][0, 0] == 3.0
-    assert two_comp_arch.compiled is two_comp_arch.compiled
+    assert invocation_matrix(CompiledChunk([two_comp_arch]))[0][0][0, 0] == 3.0

@@ -16,6 +16,7 @@ from archopt.moea import (
     SearchConfig,
     _Budget,
     _grid_cells,
+    _objective_rows,
     _offspring,
     _pesa2_insert,
     _pesa2_select,
@@ -366,7 +367,7 @@ def test_spea2_fills_with_best_dominated():
 
 def test_pesa2_single_member_always_selected():
     archive = [fake_individual((0.5, 0.5), 0)]
-    cells = _grid_cells(archive, divisions=8)
+    cells = _grid_cells(_objective_rows(archive), divisions=8)
     rng = np.random.default_rng(0)
     for _ in range(10):
         assert _pesa2_select(archive, cells, rng) is archive[0]
@@ -376,10 +377,11 @@ def test_pesa2_insert_rejects_dominated_and_evicts_crowded():
     a = fake_individual((0.1, 0.9), 0)
     b = fake_individual((0.15, 0.85), 1)  # same cell as a
     c = fake_individual((0.9, 0.1), 2)
-    archive = [a]
-    archive = _pesa2_insert(archive, b, capacity=2, divisions=2)
-    archive = _pesa2_insert(archive, c, capacity=2, divisions=2)
+    archive, points = [a], np.array([a.objectives])
+    archive, points = _pesa2_insert(archive, points, b, capacity=2, divisions=2)
+    archive, points = _pesa2_insert(archive, points, c, capacity=2, divisions=2)
     assert len(archive) == 2
+    np.testing.assert_array_equal(points, [ind.objectives for ind in archive])
     # a and b share a cell; the oldest of that cell was evicted
     assert c in archive
     assert a not in archive and b in archive
@@ -388,11 +390,12 @@ def test_pesa2_insert_rejects_dominated_and_evicts_crowded():
 def test_pesa2_insert_drops_newly_dominated_members():
     archive = [fake_individual((0.5, 0.5), 0)]
     better = fake_individual((0.1, 0.1), 1)
-    archive = _pesa2_insert(archive, better, capacity=4, divisions=4)
+    archive, points = _pesa2_insert(archive, np.array([archive[0].objectives]), better, capacity=4, divisions=4)
     assert archive == [better]
+    np.testing.assert_array_equal(points, [better.objectives])
     # dominated candidates never enter
     worse = fake_individual((0.2, 0.2), 2)
-    assert _pesa2_insert(archive, worse, capacity=4, divisions=4) == [better]
+    assert _pesa2_insert(archive, points, worse, capacity=4, divisions=4)[0] == [better]
 
 
 # -- run() contract ----------------------------------------------------------------
@@ -507,7 +510,8 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
     first = evaluator._record(RefactoringSequence(()), failure, small_arch)
     second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), failure, small_arch)
     assert [ind.order for ind in evaluator.reported_front()] == [first.order, second.order]
-    assert _pesa2_insert(_pesa2_insert([], first, 4, 8), second, 4, 8) == [first, second]
+    archive, points = _pesa2_insert([], np.empty((0, 4)), first, 4, 8)
+    assert _pesa2_insert(archive, points, second, 4, 8)[0] == [first, second]
 
 
 def test_incremental_front_matches_batch_recompute(small_arch):
@@ -537,24 +541,33 @@ def test_digest_only_for_the_reported_front(small_arch):
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
 def test_only_scored_architectures_compile(algorithm, monkeypatch):
-    from archopt import model
+    from archopt import model, moea
 
     built = []
-    compile_view = model.CompiledArchitecture.__init__
+    compile_chunk = model.CompiledChunk.__init__
+    scored = []
+    real_score = moea.score
 
-    def counting(self, arch):
-        built.append(arch)
-        compile_view(self, arch)
+    def counting(self, architectures):
+        built.append(tuple(architectures))
+        compile_chunk(self, architectures)
 
-    monkeypatch.setattr(model.CompiledArchitecture, "__init__", counting)
-    arch = casestudies.load_case_study("small")  # fresh, so its view is built here
+    def counting_score(initial_perf, candidates, brf, thresholds):
+        scored.append(len(candidates))
+        return real_score(initial_perf, candidates, brf, thresholds)
+
+    monkeypatch.setattr(model.CompiledChunk, "__init__", counting)
+    monkeypatch.setattr(moea, "score", counting_score)
+    arch = casestudies.load_case_study("small")
     config = SearchConfig(algorithm=algorithm, seed=1, max_evaluations=120, population=16, archive_size=16)
     front = run(arch, config)
-    # the initial model plus one view per scored candidate; probes build none
-    assert len(built) == front.metadata["evaluations_used"] + 1
-    assert built[0] is arch
+    # the initial model, then one compile per scored chunk; probes build none
+    assert built[0] == (arch,)
+    assert [len(chunk) for chunk in built[1:]] == [n for n in scored if n]
+    assert sum(scored) == front.metadata["evaluations_used"]
+    assert 1 < max(scored) <= moea.CHUNK_SIZE
     probed, _ = is_feasible(arch, RedeployComponent("storage", "new-node:app2"))
-    assert probed is not None and "compiled" not in vars(probed)
+    assert probed is not None and len(built) == 1 + len([n for n in scored if n])
 
 
 def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
@@ -562,20 +575,33 @@ def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
 
     raised = {"SolverError": 0, "ValueError": 0}
     calls = {"reliability": 0}
-    real_reliability = moea.compute_reliability
     solver_failures = inject_solver_failures(monkeypatch, every=7)
+    real_solve = moea.solve_amva_many
+    real_reliability = moea.compute_reliability
+    solved = []
 
-    def flaky_reliability(arch):
-        calls["reliability"] += 1
-        if calls["reliability"] % 5 == 0:
-            # not a class of its own: counted as the ValueError it is
-            raised["ValueError"] += 1
-            raise RoutingError("no link")
-        if calls["reliability"] % 11 == 0:
-            raised["ValueError"] += 1
-            raise ValueError("bad value")
-        return real_reliability(arch)
+    def recording_solve(qns):
+        solved[:] = real_solve(qns)
+        return list(solved)
 
+    def flaky_reliability(chunk):
+        # a candidate's reliability failure counts only where its solve
+        # succeeded, the first failure of a candidate being the one counted
+        results = real_reliability(chunk)
+        for b, perf in enumerate(solved):
+            if isinstance(perf, Exception):
+                continue
+            calls["reliability"] += 1
+            if calls["reliability"] % 5 == 0:
+                # not a class of its own: counted as the ValueError it is
+                raised["ValueError"] += 1
+                results[b] = RoutingError("no link")
+            elif calls["reliability"] % 11 == 0:
+                raised["ValueError"] += 1
+                results[b] = ValueError("bad value")
+        return results
+
+    monkeypatch.setattr(moea, "solve_amva_many", recording_solve)
     monkeypatch.setattr(moea, "compute_reliability", flaky_reliability)
     front = run(small_arch, SearchConfig(seed=3, max_evaluations=80, population=8))
     raised["SolverError"] = len(solver_failures)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import perfqn
-from archopt.model import demand_matrix
+from archopt.model import CompiledChunk, demand_matrix
 from archopt.perfqn import (
     AMVA_MAX_ITER,
     AMVA_TOL,
@@ -38,8 +38,8 @@ def assert_littles_law(model, result, rel=1e-6):
 
 
 def test_to_qn_direct_mapping(two_comp_arch):
-    model = to_qn(two_comp_arch)
-    np.testing.assert_allclose(model.demands, demand_matrix(two_comp_arch))
+    model = to_qn(CompiledChunk([two_comp_arch]))[0]
+    np.testing.assert_allclose(model.demands, demand_matrix(CompiledChunk([two_comp_arch]))[0])
     assert model.class_ids == ("s1",)
     np.testing.assert_allclose(model.populations, [4.0])
 
@@ -51,11 +51,11 @@ def test_to_qn_rate_scales_by_cores():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 2, 0.0, [("op1", 1.0)])],
     )
-    np.testing.assert_allclose(to_qn(arch).demands, [[0.15]])
+    np.testing.assert_allclose(to_qn(CompiledChunk([arch]))[0].demands, [[0.15]])
 
 
 def test_to_qn_shapes_match_architecture(small_arch):
-    model = to_qn(small_arch)
+    model = to_qn(CompiledChunk([small_arch]))[0]
     assert model.demands.shape == (3, 2)
 
 
@@ -280,7 +280,7 @@ def test_amva_monotone_in_demand():
 
 def test_case_study_solutions_satisfy_littles_law(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        model = to_qn(arch)
+        model = to_qn(CompiledChunk([arch]))[0]
         assert_littles_law(model, solve_amva(model))
 
 

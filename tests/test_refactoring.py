@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import casestudies
-from archopt.model import RoutingError, demand_matrix, invocation_matrix, load, save, validate
+from archopt.model import CompiledChunk, RoutingError, demand_matrix, invocation_matrix, load, save, validate
 from archopt.refactoring import (
     _APPLIERS,
     _sample_action,
@@ -92,9 +92,9 @@ def test_clone_splits_counts_evenly():
 
 
 def test_redeploy_moves_demand_between_nodes(two_comp_arch):
-    before = demand_matrix(two_comp_arch)
+    before = demand_matrix(CompiledChunk([two_comp_arch]))[0]
     result = apply(two_comp_arch, RedeployComponent("c1", "n2"))
-    after = demand_matrix(result)
+    after = demand_matrix(CompiledChunk([result]))[0]
     np.testing.assert_allclose(before[0, 0], 0.6)
     np.testing.assert_allclose(after[0, 0], 0.0)
     np.testing.assert_allclose(after[1, 0], before[0, 0] + before[1, 0])
@@ -361,7 +361,7 @@ def probe_model(name: str):
 )
 def test_probe_routing_agrees_with_full_routing(name, seed, length):
     # the probe walks the object graph; full routing matches link pairs on
-    # the compiled view: both must reject the same results, with one text
+    # the compiled chunk: both must reject the same results, with one text
     arch = probe_model(name)
     rng = np.random.default_rng(seed)
     _, prefix = random_sequence(arch, length, rng)
@@ -375,9 +375,8 @@ def test_probe_routing_agrees_with_full_routing(name, seed, length):
             if applied is None:
                 assert (result, reason) == (None, precondition)
                 continue
-            try:
-                invocation_matrix(applied)
-            except RoutingError as exc:
-                assert (result, reason) == (None, f"result would be unroutable: {exc}")
+            [routed] = invocation_matrix(CompiledChunk([applied]))
+            if isinstance(routed, RoutingError):
+                assert (result, reason) == (None, f"result would be unroutable: {routed}")
             else:
                 assert result is not None and reason == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from archopt.model import Architecture, NetworkLink, invocation_matrix
+from archopt.model import Architecture, CompiledChunk, NetworkLink, invocation_matrix
 from archopt.refactoring import RedeployComponent, apply
 from archopt.reliability import reliability
 from conftest import make_arch
@@ -9,7 +9,7 @@ from conftest import make_arch
 
 def monte_carlo_reliability(arch, samples, rng):
     """Bernoulli-per-invocation simulation; counts must be integers."""
-    invocations, messages = invocation_matrix(arch)
+    invocations, messages = invocation_matrix(CompiledChunk([arch]))[0]
     thetas = [c.failure_probability for c in arch.components]
     psis = [l.failure_probability for l in arch.links]
     weights = [s.mix_weight for s in arch.scenarios]
@@ -32,7 +32,7 @@ def monte_carlo_reliability(arch, samples, rng):
 
 
 def test_failure_free_model_is_fully_reliable(two_comp_arch):
-    assert reliability(two_comp_arch).overall == 1.0
+    assert reliability(CompiledChunk([two_comp_arch]))[0].overall == 1.0
 
 
 def test_hand_computed_two_invocations():
@@ -42,7 +42,7 @@ def test_hand_computed_two_invocations():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 2.0)])],
     )
-    assert reliability(arch).overall == pytest.approx(0.81)
+    assert reliability(CompiledChunk([arch]))[0].overall == pytest.approx(0.81)
 
 
 def test_hand_computed_with_link_message():
@@ -53,7 +53,7 @@ def test_hand_computed_with_link_message():
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 2.0), ("op2", 1.0)])],
         links=[("l12", "n1", "n2", 0.05, 0.0)],
     )
-    assert reliability(arch).overall == pytest.approx(0.81 * 0.95)
+    assert reliability(CompiledChunk([arch]))[0].overall == pytest.approx(0.81 * 0.95)
 
 
 def test_mix_weighted_combination():
@@ -66,27 +66,27 @@ def test_mix_weighted_combination():
             ("s2", 0.75, 1, 0.0, [("op1", 2.0)]),
         ],
     )
-    result = reliability(arch)
+    result = reliability(CompiledChunk([arch]))[0]
     assert result.per_scenario["s1"] == pytest.approx(0.9)
     assert result.per_scenario["s2"] == pytest.approx(0.81)
     assert result.overall == pytest.approx(0.25 * 0.9 + 0.75 * 0.81)
 
 
 def test_monotone_in_failure_probabilities(small_arch):
-    base = reliability(small_arch).overall
+    base = reliability(CompiledChunk([small_arch]))[0].overall
     worse_comps = tuple(
         type(c)(c.id, c.operations, min(1.0, c.failure_probability * 3 + 0.01))
         for c in small_arch.components
     )
     worse = Architecture(worse_comps, small_arch.nodes, small_arch.links, small_arch.scenarios, dict(small_arch.deployment))
-    assert reliability(worse).overall < base
+    assert reliability(CompiledChunk([worse]))[0].overall < base
 
     worse_links = tuple(
         NetworkLink(l.id, l.endpoints, min(1.0, l.failure_probability * 3 + 0.01), l.delay)
         for l in small_arch.links
     )
     worse2 = Architecture(small_arch.components, small_arch.nodes, worse_links, small_arch.scenarios, dict(small_arch.deployment))
-    assert reliability(worse2).overall < base
+    assert reliability(CompiledChunk([worse2]))[0].overall < base
 
 
 def test_redeploy_invariant_with_zero_failure_links():
@@ -97,9 +97,9 @@ def test_redeploy_invariant_with_zero_failure_links():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 2.0), ("opB", 3.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0), ("l13", "n1", "n3", 0.0, 0.0), ("l23", "n2", "n3", 0.0, 0.0)],
     )
-    before = reliability(arch)
+    before = reliability(CompiledChunk([arch]))[0]
     moved = apply(arch, RedeployComponent("b", "n3"))
-    after = reliability(moved)
+    after = reliability(CompiledChunk([moved]))[0]
     assert after.overall == before.overall
 
 
@@ -135,6 +135,6 @@ def test_closed_form_matches_monte_carlo():
     rng = np.random.default_rng(31)
     for _ in range(5):
         arch = random_reliability_model(rng)
-        closed = reliability(arch).overall
+        closed = reliability(CompiledChunk([arch]))[0].overall
         estimate, stderr = monte_carlo_reliability(arch, 100_000, rng)
         assert abs(closed - estimate) <= 3.0 * stderr + 1e-12
