@@ -19,7 +19,6 @@ from .model import (
     ProcessorNode,
     RoutingError,
     UsageScenario,
-    demand_matrix,
     digest,
     invocation_matrix,
     load,

@@ -85,7 +85,7 @@ def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception],
 
     # mean invocations per (architecture, scenario): each column summed in
     # component order, then divided by the component count, as mean(axis=0)
-    invocations = chunk.routes[0]
+    invocations = chunk.invocations
     n_scen = chunk.n_scenarios
     comp_arch = chunk.owners(chunk.component_start)
     cells = (comp_arch[:, None] * n_scen + np.arange(n_scen)).ravel()

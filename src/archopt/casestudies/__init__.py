@@ -5,6 +5,7 @@ for improving refactorings."""
 
 from __future__ import annotations
 
+import errno
 from importlib import resources
 from pathlib import Path
 
@@ -14,8 +15,11 @@ NAMES = ("small", "large")
 
 
 def path(name: str) -> Path:
+    """The bundled model file of case study ``name``; an unknown name has
+    none, so raises ``FileNotFoundError`` like any missing model file."""
     if name not in NAMES:
-        raise ValueError(f"unknown case study '{name}', expected one of {NAMES}")
+        known = ", ".join(f"casestudy:{known}" for known in NAMES)
+        raise FileNotFoundError(errno.ENOENT, f"unknown case study, expected one of {known}", f"casestudy:{name}")
     return Path(str(resources.files(__package__) / f"casestudy-{name}.json"))
 
 

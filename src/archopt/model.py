@@ -103,20 +103,18 @@ class Architecture:
 
 def unrouted_call(arch: Architecture) -> str | None:
     """The first cross-node call that no network link joins, as the text of
-    its ``RoutingError``, or None when every call is routable.
+    its ``RoutingError``, or None when every call is routable.  This walk
+    is the one routing decision: ``validate`` and every ``is_feasible``
+    probe take it, so every architecture a search scores is routable.
 
     Walks each scenario's steps in order: the caller of a step is the node
     hosting the previous step's operation; the first step's caller is the
     client, which sits outside all nodes.  Requires resolvable references
     (a deployment target for every component, an owner for every step).
     """
-    return _first_unrouted_call(arch.components, arch.deployment, arch.links, arch.scenarios)
-
-
-def _first_unrouted_call(components, deployment, links, scenarios) -> str | None:
-    linked = {link.endpoints for link in links}  # unordered pairs, stored as given
-    node_of = {op.id: deployment[comp.id] for comp in components for op in comp.operations}
-    for scen in scenarios:
+    linked = {link.endpoints for link in arch.links}  # unordered pairs, stored as given
+    node_of = {op.id: arch.deployment[comp.id] for comp in arch.components for op in comp.operations}
+    for scen in arch.scenarios:
         caller = None
         for step in scen.steps:
             callee = node_of[step.operation]
@@ -338,21 +336,28 @@ def _expect(obj, key: str, kind, path: str, optional_default=None):
     return value
 
 
+def _object(raw, path: str, keys: tuple[str, ...]) -> None:
+    """Check that ``raw`` is an object of the document whose every key is one of ``keys``."""
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: expected an object")
+    for key in raw:
+        if key not in keys:
+            raise ModelFormatError(f"{path}.{key}: unknown key")
+
+
 def from_dict(doc: dict) -> Architecture:
-    """Build an Architecture from a parsed document without validating it."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("$: document root must be an object")
+    """Build an Architecture from a parsed document without validating it.
+    A key the format does not define is rejected, not ignored."""
+    _object(doc, "$", ("components", "nodes", "links", "scenarios", "deployment"))
 
     components = []
     for i, raw in enumerate(_expect(doc, "components", list, "$")):
         path = f"$.components[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelFormatError(f"{path}: expected an object")
+        _object(raw, path, ("id", "operations", "failure_probability"))
         operations = []
         for k, raw_op in enumerate(_expect(raw, "operations", list, path)):
             op_path = f"{path}.operations[{k}]"
-            if not isinstance(raw_op, dict):
-                raise ModelFormatError(f"{op_path}: expected an object")
+            _object(raw_op, op_path, ("id", "cpu_demand"))
             operations.append(
                 Operation(id=_expect(raw_op, "id", str, op_path), cpu_demand=_expect(raw_op, "cpu_demand", float, op_path))
             )
@@ -367,8 +372,7 @@ def from_dict(doc: dict) -> Architecture:
     nodes = []
     for i, raw in enumerate(_expect(doc, "nodes", list, "$")):
         path = f"$.nodes[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelFormatError(f"{path}: expected an object")
+        _object(raw, path, ("id", "speed_factor", "cores"))
         nodes.append(
             ProcessorNode(
                 id=_expect(raw, "id", str, path),
@@ -380,8 +384,7 @@ def from_dict(doc: dict) -> Architecture:
     links = []
     for i, raw in enumerate(_expect(doc, "links", list, "$") if "links" in doc else []):
         path = f"$.links[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelFormatError(f"{path}: expected an object")
+        _object(raw, path, ("id", "nodes", "failure_probability", "delay"))
         endpoints = _expect(raw, "nodes", list, path)
         if len(endpoints) != 2 or not all(isinstance(e, str) for e in endpoints):
             raise ModelFormatError(f"{path}.nodes: expected a pair of node ids")
@@ -397,13 +400,11 @@ def from_dict(doc: dict) -> Architecture:
     scenarios = []
     for i, raw in enumerate(_expect(doc, "scenarios", list, "$")):
         path = f"$.scenarios[{i}]"
-        if not isinstance(raw, dict):
-            raise ModelFormatError(f"{path}: expected an object")
+        _object(raw, path, ("id", "mix_weight", "population", "think_time", "steps"))
         steps = []
         for k, raw_step in enumerate(_expect(raw, "steps", list, path)):
             step_path = f"{path}.steps[{k}]"
-            if not isinstance(raw_step, dict):
-                raise ModelFormatError(f"{step_path}: expected an object")
+            _object(raw_step, step_path, ("operation", "count"))
             steps.append(
                 CallStep(
                     operation=_expect(raw_step, "operation", str, step_path),
@@ -478,11 +479,12 @@ class CompiledChunk:
     deployment target for every component, a node for every link
     endpoint, an owner for every step), at least one component, and at
     most one link per node pair; a validated architecture has them.  The
-    search compiles the initial model once and each chunk it scores once;
-    a feasibility probe checks routing on the object graph
-    (``unrouted_call``) instead.  Derived matrices are built on first use,
-    so an unroutable architecture still has demands.  Every array is
-    read-only.
+    search compiles the initial model once and each chunk it scores once.
+    It scores only architectures that passed ``validate`` or an
+    ``is_feasible`` probe, whose walk (``unrouted_call``) is the one
+    routing decision, so ``invocation_matrix`` routes a chunk as a whole
+    and raises on a chunk holding an unroutable architecture.  Derived
+    matrices are built on first use.  Every array is read-only.
     """
 
     def __init__(self, architectures: Sequence[Architecture]):
@@ -564,69 +566,46 @@ class CompiledChunk:
 
     @cached_property
     def demands(self) -> np.ndarray:
-        """(nodes, scenarios) CPU demand of every node of the chunk; see
-        ``demand_matrix``."""
+        """(nodes, scenarios) CPU demand in seconds of every node of the
+        chunk: D[k, j] sums, over the operations deployed on node k, the
+        scenario-j expected invocation count times the operation's cpu
+        demand, divided by the node's speed factor."""
         node = self.step_node
         weights = self.step_count * self.operation_demand[self.step_operation] / self.node_speed[node]
         return self.scenario_sums(node, len(self.node_speed), weights)
 
     @cached_property
-    def routes(self) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-        """Expected invocations v[i, j] of every component of the chunk,
-        messages m[l, j] of every link, and per architecture the text of
-        its ``RoutingError`` or None.
-
-        The caller of step n is the component owning step n-1's operation
-        when both are in one scenario; the caller of a scenario's first
-        step is the client, which sits outside all nodes and so sends no
-        message.  A message is charged to the one link joining its node
-        pair, found by one sorted lookup of the pair's key over both
-        orders of every link's endpoints.  An unroutable architecture
-        gets the text of ``unrouted_call``; the others keep their values.
-        """
-        node, scen = self.step_node, self.step_scenario
-        cross = np.flatnonzero((node[1:] != node[:-1]) & (scen[1:] == scen[:-1])) + 1
-        n_nodes, n_links = len(self.node_speed), len(self.link_psi)
-        first, second = self.link_ends.T
-        # a key that no node pair has keeps the lookup in range
-        keys = np.concatenate(([-1], first * n_nodes + second, second * n_nodes + first))
-        order = np.argsort(keys)
-        keys, link_of = keys[order], np.concatenate(([-1], np.arange(n_links), np.arange(n_links)))[order]
-        wanted = node[cross - 1] * n_nodes + node[cross]
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        found = keys[at] == wanted
-        unrouted: list[str | None] = [None] * len(self)
-        if not found.all():
-            step_end = np.cumsum(np.bincount(scen // self.n_scenarios, minlength=len(self)))
-            for b in set(np.searchsorted(step_end, cross[~found], side="right").tolist()):
-                unrouted[b] = unrouted_call(self.architectures[b])
-        invocations = self.scenario_sums(self.step_component, len(self.component_theta), self.step_count)
-        messages = self.scenario_sums(link_of[at[found]], n_links, self.step_count, cross[found])
-        return invocations, messages, unrouted
+    def invocations(self) -> np.ndarray:
+        """(components, scenarios) expected invocations v[i, j] of every
+        component of the chunk."""
+        return self.scenario_sums(self.step_component, len(self.component_theta), self.step_count)
 
 
-def demand_matrix(chunk: CompiledChunk) -> list[np.ndarray]:
-    """Per architecture of the chunk, its per-node, per-scenario CPU demand
-    in seconds (read-only).
+def invocation_matrix(chunk: CompiledChunk) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's expected component invocations v[i, j] and link messages
+    m[l, j] (read-only); architecture b owns rows ``component_start[b]:
+    component_start[b + 1]`` of v and ``link_start[b]:link_start[b + 1]``
+    of m.
 
-    D[k, j] sums, over the operations deployed on node k, the scenario-j
-    expected invocation count times the operation's cpu demand, divided by
-    the node's speed factor.
+    The caller of step n is the component owning step n-1's operation when
+    both are in one scenario; the caller of a scenario's first step is the
+    client, which sits outside all nodes and so sends no message.  A
+    message is charged to the one link joining its node pair, found by one
+    sorted lookup of the pair's key over both orders of every link's
+    endpoints.  Raises the ``RoutingError`` of the chunk's first
+    unroutable architecture, with the text of its ``unrouted_call``.
     """
-    rows = chunk.node_start
-    return [chunk.demands[rows[b] : rows[b + 1]] for b in range(len(chunk))]
-
-
-def invocation_matrix(chunk: CompiledChunk) -> list[tuple[np.ndarray, np.ndarray] | RoutingError]:
-    """Per architecture of the chunk, its expected component invocations
-    v[i, j] and link messages m[l, j] (read-only), or the ``RoutingError``
-    of a cross-node call with no connecting link; see
-    ``CompiledChunk.routes``."""
-    invocations, messages, unrouted = chunk.routes
-    comps, links = chunk.component_start, chunk.link_start
-    return [
-        (invocations[comps[b] : comps[b + 1]], messages[links[b] : links[b + 1]])
-        if text is None
-        else RoutingError(text)
-        for b, text in enumerate(unrouted)
-    ]
+    node, scen = chunk.step_node, chunk.step_scenario
+    cross = np.flatnonzero((node[1:] != node[:-1]) & (scen[1:] == scen[:-1])) + 1
+    n_nodes, n_links = len(chunk.node_speed), len(chunk.link_psi)
+    first, second = chunk.link_ends.T
+    # a key that no node pair has keeps the lookup in range
+    keys = np.concatenate(([-1], first * n_nodes + second, second * n_nodes + first))
+    order = np.argsort(keys)
+    keys, link_of = keys[order], np.concatenate(([-1], np.arange(n_links), np.arange(n_links)))[order]
+    wanted = node[cross - 1] * n_nodes + node[cross]
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    unrouted = cross[keys[at] != wanted]
+    if unrouted.size:
+        raise RoutingError(unrouted_call(chunk.architectures[scen[unrouted[0]] // chunk.n_scenarios]))
+    return chunk.invocations, chunk.scenario_sums(link_of[at], n_links, chunk.step_count, cross)

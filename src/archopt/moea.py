@@ -43,10 +43,10 @@ from .reliability import reliability as compute_reliability
 log = logging.getLogger("archopt.moea")
 
 INVALID_SENTINEL = float("inf")
-# What scoring a folded architecture may fail with; each failure makes an
-# invalid individual, counted under the first of these classes it is.  A
-# scored architecture passed ``validate`` or an ``is_feasible`` probe, so
-# its calls are routable; a ``RoutingError`` would count as a ValueError.
+# What solving a folded architecture may fail with; each failure makes an
+# invalid individual, counted under the first of these classes it is.  No
+# other scoring step fails: every scored architecture passed ``validate`` or
+# an ``is_feasible`` probe, so its calls are routable.
 EVALUATION_FAILURES = (SolverError, ValueError)
 # New candidates scored together as one compiled chunk, with one stacked
 # AMVA solve.  Bounds the folded architectures held at once, and how far
@@ -170,7 +170,7 @@ def score(
     """Scores the candidates' folded architectures as one chunk: one
     compile, one ``to_qn``, one ``solve_amva_many``, one reliability and
     one antipattern count of all.  Returns one outcome per candidate, in
-    order; a candidate that fails makes only itself invalid."""
+    order; a candidate whose solve fails makes only itself invalid."""
     if not candidates:
         return []
     chunk = CompiledChunk([folded for _, folded in candidates])
@@ -181,12 +181,21 @@ def score(
     for (seq, _), perf, rel, pas in zip(candidates, solved, survival, counts):
         if isinstance(perf, Exception):
             outcomes.append(perf)
-        elif isinstance(rel, Exception):
-            outcomes.append(rel)
         else:
             metrics = EvalMetrics(perfq(initial_perf, perf), rel.overall, pas, distance(seq, brf))
             outcomes.append((metrics, perf))
     return outcomes
+
+
+def _offer(members: list[Individual], points: np.ndarray, candidate: Individual) -> tuple[list[Individual], np.ndarray]:
+    """The non-dominated set ``members`` and their raw objective rows
+    ``points`` after offering ``candidate``: unchanged when a member
+    dominates it, else without the members it dominates and with it last."""
+    point = np.array(candidate.objectives)
+    keep = admit(points, point)
+    if keep is None:
+        return members, points
+    return [ind for ind, k in zip(members, keep) if k] + [candidate], np.vstack([points[keep], point[None, :]])
 
 
 class _Budget:
@@ -247,11 +256,7 @@ class Evaluator:
             metrics, _ = outcome
             objectives = objective_vector(metrics, self.config.use_pas_objective)
             individual = Individual(seq, None, metrics, objectives, True, order)
-        candidate = np.array(individual.objectives)
-        keep = admit(self._front_points, candidate)
-        if keep is not None:
-            self._front = [ind for ind, k in zip(self._front, keep) if k] + [individual]
-            self._front_points = np.vstack([self._front_points[keep], candidate[None, :]])
+        self._front, self._front_points = _offer(self._front, self._front_points, individual)
         self.individuals[seq] = individual
         return individual
 
@@ -499,13 +504,8 @@ def _pesa2_insert(
     archive: list[Individual], points: np.ndarray, candidate: Individual, capacity: int, divisions: int
 ) -> tuple[list[Individual], np.ndarray]:
     """The archive and its raw objective rows ``points`` after offering
-    ``candidate``."""
-    point = np.array(candidate.objectives)
-    keep = admit(points, point)
-    if keep is None:
-        return archive, points
-    archive = [ind for ind, k in zip(archive, keep) if k] + [candidate]
-    points = np.vstack([points[keep], point[None, :]])
+    ``candidate``, evicting one member when it overflows ``capacity``."""
+    archive, points = _offer(archive, points, candidate)
     if len(archive) > capacity:
         cells = _grid_cells(_finite_rows(points), divisions)
         crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell

@@ -518,6 +518,9 @@ def action_from_dict(record: dict) -> RefactoringAction:
     if "kind" not in record:
         raise ValueError(f"action record {record!r} is missing key 'kind'")
     cls, keys = _RECORD_FIELDS[ActionKind(record["kind"])]
+    for key in record:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"{record['kind']} action record {record!r} has unknown key '{key}'")
     for key in keys:
         if key not in record:
             raise ValueError(f"{record['kind']} action record {record!r} is missing key '{key}'")

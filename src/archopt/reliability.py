@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompiledChunk, RoutingError, invocation_matrix
+from .model import CompiledChunk, invocation_matrix
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,13 @@ class ReliabilityResult:
     per_scenario: dict[str, float]
 
 
-def reliability(chunk: CompiledChunk) -> list[ReliabilityResult | RoutingError]:
+def reliability(chunk: CompiledChunk) -> list[ReliabilityResult]:
     """R_j = prod_i (1-theta_i)^v_ij * prod_l (1-psi_l)^m_lj, mixed by p_j, for
-    each architecture of the chunk, or its ``RoutingError``.  The products
-    run over each architecture's rows in order, as ``prod(axis=0)`` of its
-    own matrices does."""
-    routed = invocation_matrix(chunk)
-    invocations, messages, _ = chunk.routes
+    each architecture of the chunk.  The products run over each
+    architecture's rows in order, as ``prod(axis=0)`` of its own matrices
+    does.  Routes the chunk once, so raises ``invocation_matrix``'s
+    ``RoutingError`` on a chunk holding an unroutable architecture."""
+    invocations, messages = invocation_matrix(chunk)
     survival = np.multiply.reduceat(
         np.power(1.0 - chunk.component_theta[:, None], invocations), chunk.component_start[:-1], axis=0
     )
@@ -37,12 +37,10 @@ def reliability(chunk: CompiledChunk) -> list[ReliabilityResult | RoutingError]:
             np.power(1.0 - chunk.link_psi[:, None], messages), np.array(chunk.link_start)[linked], axis=0
         )
         survival[linked] = survival[linked] * links
-
-    results: list[ReliabilityResult | RoutingError] = []
-    for b, (arch, routes) in enumerate(zip(chunk.architectures, routed)):
-        if isinstance(routes, RoutingError):
-            results.append(routes)
-            continue
-        per_scenario = {s.id: float(survival[b, j]) for j, s in enumerate(arch.scenarios)}
-        results.append(ReliabilityResult(overall=float(chunk.mix_weights[b] @ survival[b]), per_scenario=per_scenario))
-    return results
+    return [
+        ReliabilityResult(
+            overall=float(chunk.mix_weights[b] @ survival[b]),
+            per_scenario={s.id: float(survival[b, j]) for j, s in enumerate(arch.scenarios)},
+        )
+        for b, arch in enumerate(chunk.architectures)
+    ]

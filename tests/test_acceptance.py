@@ -133,7 +133,7 @@ def test_c02_littles_law_and_bounds():
 def _monte_carlo(arch, samples, rng):
     from archopt.model import invocation_matrix
 
-    invocations, messages = invocation_matrix(CompiledChunk([arch]))[0]
+    invocations, messages = invocation_matrix(CompiledChunk([arch]))
     estimate, variance = 0.0, 0.0
     for j, scen in enumerate(arch.scenarios):
         failures = np.zeros(samples)

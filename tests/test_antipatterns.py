@@ -148,7 +148,7 @@ def naive_detect(arch, perf, th):
     ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
     detections = []
-    invocations, _ = invocation_matrix(CompiledChunk([arch]))[0]
+    invocations, _ = invocation_matrix(CompiledChunk([arch]))
     mean_invocations = invocations.mean(axis=0)
     for i, comp in enumerate(arch.components):
         if util[node_of[comp.id]] < th.util_high:

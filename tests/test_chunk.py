@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 from archopt.antipatterns import Thresholds, _rules, detect
-from archopt.model import CompiledChunk, RoutingError, demand_matrix, invocation_matrix
+from archopt.model import CompiledChunk, RoutingError, invocation_matrix, unrouted_call
 from archopt.moea import EvalMetrics, score
 from archopt.perfqn import perfq, solve_amva, solve_amva_many, to_qn
 from archopt.refactoring import DEFAULT_BRF, distance, random_sequence
@@ -78,12 +78,14 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
     rules = _rules(chunk, solved, th)
     initial = solve_amva(oracle.to_qn(arch))
     outcomes = score(initial, candidates, DEFAULT_BRF, th)
+    invocations, messages = invocation_matrix(chunk)
+    nodes, comps, links = chunk.node_start, chunk.component_start, chunk.link_start
     for b, (seq, folded) in enumerate(candidates):
         view = oracle.View(folded)
-        assert same_bits(demand_matrix(chunk)[b], view.demands())
-        invocations, messages = invocation_matrix(chunk)[b]
+        assert same_bits(chunk.demands[nodes[b] : nodes[b + 1]], view.demands())
         expected_invocations, expected_messages = view.routes()
-        assert same_bits(invocations, expected_invocations) and same_bits(messages, expected_messages)
+        assert same_bits(invocations[comps[b] : comps[b + 1]], expected_invocations)
+        assert same_bits(messages[links[b] : links[b + 1]], expected_messages)
 
         perf, (overall, per_scenario), pas = oracle.score(folded, th)
         assert same_bits(solved[b].response_time, perf.response_time)
@@ -117,24 +119,46 @@ def zero_demand(arch):
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(1, 12),
     position=st.integers(0, 12),
-    unroutable=st.booleans(),
 )
-def test_a_failing_candidate_changes_no_other_outcome(seed, size, position, unroutable):
+def test_a_failing_candidate_changes_no_other_outcome(seed, size, position):
     arch = probe_model("small")
     rng = np.random.default_rng(seed)
     candidates = random_candidates(arch, rng, size)
-    # without links the case study still solves, but its cross-node calls are unroutable
-    failing = (candidates[0][0], replace(arch, links=()) if unroutable else zero_demand(arch))
+    failing = (candidates[0][0], zero_demand(arch))
     initial = solve_amva(oracle.to_qn(arch))
     th = Thresholds()
     alone = score(initial, candidates, DEFAULT_BRF, th)
     mixed = score(initial, candidates[:position] + [failing] + candidates[position:], DEFAULT_BRF, th)
     failure = mixed.pop(min(position, size))
-    assert isinstance(failure, RoutingError if unroutable else ValueError)
+    assert isinstance(failure, ValueError)
     for (metrics, perf), (mixed_metrics, mixed_perf) in zip(alone, mixed):
         assert metrics == mixed_metrics
         assert same_bits(perf.response_time, mixed_perf.response_time)
         assert same_bits(perf.utilization, mixed_perf.utilization)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["small", "large", "x3"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    unlinked=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_a_chunk_routes_iff_every_member_routes(name, seed, size, unlinked):
+    # a plan's fold without links keeps its demands, but may call across nodes
+    rng = np.random.default_rng(seed)
+    folds = [folded for _, folded in random_candidates(probe_model(name), rng, size)]
+    folds = [replace(folded, links=()) if drop else folded for folded, drop in zip(folds, unlinked)]
+    calls = [call for call in map(unrouted_call, folds) if call is not None]
+    chunk = CompiledChunk(folds)
+    if not calls:
+        invocations, messages = invocation_matrix(chunk)
+        assert invocations.shape == (chunk.component_start[-1], chunk.n_scenarios)
+        assert messages.shape == (chunk.link_start[-1], chunk.n_scenarios)
+        return
+    with pytest.raises(RoutingError) as error:
+        invocation_matrix(chunk)
+    assert str(error.value) == calls[0]
 
 
 def test_a_chunk_needs_one_scenario_count():

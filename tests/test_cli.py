@@ -47,6 +47,32 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "n9" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "eval"])
+@pytest.mark.parametrize(
+    "where, key",
+    [("nodes", "speed"), ("links", "latency"), (None, "comment")],
+    ids=["node", "link", "root"],
+)
+def test_unknown_model_key_is_a_domain_error(tmp_path, capsys, command, where, key):
+    doc = to_dict(load(Path(SMALL).read_text()))
+    (doc if where is None else doc[where][0])[key] = 4.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == EXIT_DOMAIN
+    path = "$" if where is None else f"$.{where}[0]"
+    assert capsys.readouterr().err == f"error: {path}.{key}: unknown key\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "optimize"])
+def test_unknown_case_study_is_a_usage_error(tmp_path, capsys, command):
+    model = "casestudy:medium"
+    config = ["--config", str(write_config(tmp_path, model=model))]
+    assert main([command] + (config if command == "optimize" else [model])) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: casestudy:medium: unknown case study, expected one of casestudy:small, casestudy:large\n"
+    )
+
+
 def test_validate_missing_file_distinct_exit(tmp_path, capsys):
     assert main(["validate", "/nonexistent/model.json"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: /nonexistent/model.json: No such file or directory\n"
@@ -113,6 +139,7 @@ def test_eval_infeasible_sequence_reports_index(tmp_path, capsys):
         ([{"kind": "redeploy", "component": "catalog"}], "missing key 'target'"),
         (["redeploy"], "must be a JSON object"),
         ([{"kind": "redeploy", "component": "catalog", "target": 5}], "'target' must be a string"),
+        ([{"kind": "redeploy", "component": "catalog", "target": "spare", "node": "app1"}], "unknown key 'node'"),
     ],
 )
 def test_eval_malformed_action_record_is_an_error_line(tmp_path, capsys, records, message):

@@ -18,7 +18,6 @@ from archopt.model import (
     ProcessorNode,
     RoutingError,
     UsageScenario,
-    demand_matrix,
     invocation_matrix,
     load,
     save,
@@ -151,6 +150,28 @@ def test_load_rejects_out_of_range_theta(two_comp_arch):
         load(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda doc: doc["nodes"][0].update(speed=4.0), r"$.nodes[0].speed"),
+        (lambda doc: doc["links"][0].update(latency=0.1), r"$.links[0].latency"),
+        (lambda doc: doc.update(comment="extra"), r"$.comment"),
+        (lambda doc: doc["scenarios"][0]["steps"][0].update(calls=2.0), r"$.scenarios[0].steps[0].calls"),
+        (lambda doc: doc["scenarios"][0].update(weight=1.0), r"$.scenarios[0].weight"),
+        (lambda doc: doc["components"][1].update(theta=0.1), r"$.components[1].theta"),
+        (lambda doc: doc["components"][0]["operations"][0].update(demand=0.1), r"$.components[0].operations[0].demand"),
+    ],
+    ids=["node", "link", "root", "step", "scenario", "component", "operation"],
+)
+def test_load_rejects_unknown_keys_naming_path(two_comp_arch, mutate, path):
+    # a misspelt key would otherwise load as its default, or not at all
+    doc = to_dict(two_comp_arch)
+    mutate(doc)
+    with pytest.raises(ModelFormatError) as error:
+        load(json.dumps(doc))
+    assert str(error.value) == f"{path}: unknown key"
+
+
 def test_load_reports_parse_error_position():
     with pytest.raises(ModelFormatError, match="line 1"):
         load("{not json")
@@ -183,7 +204,7 @@ def test_demand_matrix_hand_example():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.6]])
+    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.6]])
 
 
 def test_demand_matrix_speed_scaling():
@@ -193,7 +214,7 @@ def test_demand_matrix_speed_scaling():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.3]])
+    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.3]])
 
 
 def test_demand_matrix_zero_count_contributes_nothing():
@@ -203,18 +224,18 @@ def test_demand_matrix_zero_count_contributes_nothing():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 0.0)])],
     )
-    np.testing.assert_allclose(demand_matrix(CompiledChunk([arch]))[0], [[0.0]])
+    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.0]])
 
 
 def test_demand_matrix_linearity(small_arch):
-    base = demand_matrix(CompiledChunk([small_arch]))[0]
+    base = CompiledChunk([small_arch]).demands
     halved_nodes = tuple(
         ProcessorNode(n.id, n.speed_factor / 2.0, n.cores) for n in small_arch.nodes
     )
     halved = Architecture(
         small_arch.components, halved_nodes, small_arch.links, small_arch.scenarios, dict(small_arch.deployment)
     )
-    np.testing.assert_allclose(demand_matrix(CompiledChunk([halved]))[0], 2.0 * base, rtol=1e-12)
+    np.testing.assert_allclose(CompiledChunk([halved]).demands, 2.0 * base, rtol=1e-12)
 
 
 # -- invocation matrix -------------------------------------------------------
@@ -227,13 +248,13 @@ def test_invocations_colocated_no_messages():
         deployment={"a": "n1", "b": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 2.0), ("opB", 1.0)])],
     )
-    v, m = invocation_matrix(CompiledChunk([arch]))[0]
+    v, m = invocation_matrix(CompiledChunk([arch]))
     np.testing.assert_allclose(v, [[2.0], [1.0]])
     assert m.size == 0
 
 
 def test_invocations_cross_node_messages(two_comp_arch):
-    v, m = invocation_matrix(CompiledChunk([two_comp_arch]))[0]
+    v, m = invocation_matrix(CompiledChunk([two_comp_arch]))
     np.testing.assert_allclose(v, [[3.0], [1.0]])
     # only the op1 -> op2 hop crosses n1 -> n2
     np.testing.assert_allclose(m, [[1.0]])
@@ -247,7 +268,7 @@ def test_single_step_scenario_never_crosses_links():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 5.0)])],
         links=[("l12", "n1", "n2", 0.1, 0.0)],
     )
-    _, m = invocation_matrix(CompiledChunk([arch]))[0]
+    _, m = invocation_matrix(CompiledChunk([arch]))
     np.testing.assert_allclose(m, [[0.0]])
 
 
@@ -258,8 +279,8 @@ def test_missing_link_raises_naming_nodes():
         deployment={"a": "n1", "b": "n2"},
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0)])],
     )
-    [error] = invocation_matrix(CompiledChunk([arch]))
-    assert isinstance(error, RoutingError) and "'n1', 'n2'" in str(error)
+    with pytest.raises(RoutingError, match="'n1', 'n2'"):
+        invocation_matrix(CompiledChunk([arch]))
 
 
 def test_all_zero_counts_give_zero_matrices(two_comp_arch):
@@ -270,7 +291,7 @@ def test_all_zero_counts_give_zero_matrices(two_comp_arch):
         scenarios=[("s1", 1.0, 4, 1.0, [("op1", 0.0), ("op2", 0.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    v, m = invocation_matrix(CompiledChunk([zeroed]))[0]
+    v, m = invocation_matrix(CompiledChunk([zeroed]))
     assert (v >= 0).all() and not v.any()
     assert not m.any()
 
@@ -331,12 +352,12 @@ def with_parallel_link(arch, reverse=False):
 def test_compiled_matrices_equal_naive_reference(name, seed, length):
     arch = casestudies.load_case_study(name)
     folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed))[0])
-    invocations, messages = invocation_matrix(CompiledChunk([folded]))[0]
+    invocations, messages = invocation_matrix(CompiledChunk([folded]))
     naive_invocations, naive_messages = naive_invocation_matrix(folded)
     # same additions in the same order: equal to the last bit
     np.testing.assert_array_equal(invocations, naive_invocations)
     np.testing.assert_array_equal(messages, naive_messages)
-    np.testing.assert_array_equal(demand_matrix(CompiledChunk([folded]))[0], naive_demand_matrix(folded))
+    np.testing.assert_array_equal(CompiledChunk([folded]).demands, naive_demand_matrix(folded))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["same-order", "reversed"])
@@ -357,17 +378,17 @@ def test_unroutable_models_fail_like_the_naive_reference():
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
     assert naive_invocation_matrix(arch) is None
-    [error] = invocation_matrix(CompiledChunk([arch]))
-    assert isinstance(error, RoutingError)
-    assert "call to 'opC' crosses nodes ('n2', 'n3')" in str(error)
-    assert str(error) == unrouted_call(arch)
+    with pytest.raises(RoutingError) as error:
+        invocation_matrix(CompiledChunk([arch]))
+    assert "call to 'opC' crosses nodes ('n2', 'n3')" in str(error.value)
+    assert str(error.value) == unrouted_call(arch)
     # demand needs no routing
-    np.testing.assert_array_equal(demand_matrix(CompiledChunk([arch]))[0], naive_demand_matrix(arch))
+    np.testing.assert_array_equal(CompiledChunk([arch]).demands, naive_demand_matrix(arch))
 
 
 def test_compiled_matrices_are_read_only(two_comp_arch):
-    invocations, messages = invocation_matrix(CompiledChunk([two_comp_arch]))[0]
-    for matrix in (invocations, messages, demand_matrix(CompiledChunk([two_comp_arch]))[0]):
+    invocations, messages = invocation_matrix(CompiledChunk([two_comp_arch]))
+    for matrix in (invocations, messages, CompiledChunk([two_comp_arch]).demands):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 99.0
-    assert invocation_matrix(CompiledChunk([two_comp_arch]))[0][0][0, 0] == 3.0
+    assert invocation_matrix(CompiledChunk([two_comp_arch]))[0][0, 0] == 3.0

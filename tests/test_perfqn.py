@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import perfqn
-from archopt.model import CompiledChunk, demand_matrix
+from archopt.model import CompiledChunk
 from archopt.perfqn import (
     AMVA_MAX_ITER,
     AMVA_TOL,
@@ -39,7 +39,7 @@ def assert_littles_law(model, result, rel=1e-6):
 
 def test_to_qn_direct_mapping(two_comp_arch):
     model = to_qn(CompiledChunk([two_comp_arch]))[0]
-    np.testing.assert_allclose(model.demands, demand_matrix(CompiledChunk([two_comp_arch]))[0])
+    np.testing.assert_allclose(model.demands, CompiledChunk([two_comp_arch]).demands)
     assert model.class_ids == ("s1",)
     np.testing.assert_allclose(model.populations, [4.0])
 

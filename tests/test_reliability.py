@@ -9,7 +9,7 @@ from conftest import make_arch
 
 def monte_carlo_reliability(arch, samples, rng):
     """Bernoulli-per-invocation simulation; counts must be integers."""
-    invocations, messages = invocation_matrix(CompiledChunk([arch]))[0]
+    invocations, messages = invocation_matrix(CompiledChunk([arch]))
     thetas = [c.failure_probability for c in arch.components]
     psis = [l.failure_probability for l in arch.links]
     weights = [s.mix_weight for s in arch.scenarios]
