@@ -7,7 +7,7 @@ NSGA-II / SPEA2 / PESA-II to produce Pareto fronts of refactoring
 sequences.
 """
 
-from .antipatterns import Detection, Thresholds, detect, explain
+from .antipatterns import Thresholds, detect
 from .model import (
     Architecture,
     CallStep,
@@ -45,6 +45,6 @@ from .refactoring import (
     random_sequence,
     repair,
 )
-from .reliability import ReliabilityResult, reliability
+from .reliability import reliability
 
 __version__ = "0.1.0"

@@ -9,8 +9,7 @@ Three crisp rules with relative thresholds:
 
 The count objective is the number of distinct (kind, element) detections:
 ``detect`` counts them for every architecture of a scored chunk from the
-rules' masks, and ``explain`` lists them for one architecture with their
-metrics.
+rules' masks.
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Architecture, CompiledChunk
+from .model import CompiledChunk
 from .perfqn import PerformanceResult
-
-BLOB = "blob"
-CONCURRENT_PROCESSING = "concurrent_processing"
-PIPE_AND_FILTER = "pipe_and_filter"
 
 
 @dataclass(frozen=True)
@@ -45,30 +40,13 @@ class Thresholds:
                 raise ValueError(f"{name} must be a positive finite number, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class Detection:
-    kind: str
-    elements: tuple[str, ...]
-    scenario: str | None
-    metrics: tuple[tuple[str, float], ...]
-
-
 class _Rules(NamedTuple):
     """Where each rule fires on a scored chunk, over its concatenated rows
-    (see ``CompiledChunk``), with the arrays ``explain`` reads its metrics
-    from."""
+    (see ``CompiledChunk``)."""
 
-    node_util: np.ndarray
-    comp_util: np.ndarray  # utilization of each component's node
-    op_util: np.ndarray  # utilization of each operation's node
-    invocations: np.ndarray  # (component, scenario)
-    mean_invocations: np.ndarray  # (architecture, scenario)
-    heavy: np.ndarray  # (component, scenario): invocations above the blob share
     blob: np.ndarray  # per component
     hot: np.ndarray  # per node: utilization at or above util_high
     idle: np.ndarray  # per node: utilization at or below util_low
-    share: np.ndarray  # (operation, scenario): share of the scenario's demand
-    dominant: np.ndarray  # (operation, scenario)
     pipe_and_filter: np.ndarray  # per operation
 
 
@@ -103,17 +81,9 @@ def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception],
     dominant = (total > 0.0) & (share >= th.paf_demand_share)
 
     return _Rules(
-        node_util=node_util,
-        comp_util=comp_util,
-        op_util=op_util,
-        invocations=invocations,
-        mean_invocations=mean_invocations,
-        heavy=heavy,
         blob=(comp_util >= th.util_high) & heavy.any(axis=1),
         hot=node_util >= th.util_high,
         idle=node_util <= th.util_low,
-        share=share,
-        dominant=dominant,
         pipe_and_filter=(op_util >= th.util_high) & dominant.any(axis=1),
     )
 
@@ -122,8 +92,7 @@ def detect(
     chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception], thresholds: Thresholds | None = None
 ) -> list[int | None]:
     """Per architecture of the chunk, the number of distinct (kind, element)
-    detections, which is ``len(explain(...))`` without building them; None
-    where its performance entry is a failure."""
+    detections; None where its performance entry is a failure."""
     rules = _rules(chunk, perfs, thresholds or Thresholds())
     size = len(chunk)
 
@@ -135,55 +104,3 @@ def detect(
     pairs = fired(rules.hot, chunk.node_start) * fired(rules.idle, chunk.node_start)
     counts = fired(rules.blob, chunk.component_start) + pairs + fired(rules.pipe_and_filter, chunk.operation_start)
     return [count if isinstance(perf, PerformanceResult) else None for count, perf in zip(counts.tolist(), perfs)]
-
-
-def explain(arch: Architecture, perf: PerformanceResult, thresholds: Thresholds | None = None) -> list[Detection]:
-    """All distinct (kind, element) detections of one architecture with
-    their metrics, in deterministic order; read from the rules of its
-    chunk of one."""
-    rules = _rules(CompiledChunk([arch]), [perf], thresholds or Thresholds())
-    operations = [op for comp in arch.components for op in comp.operations]
-    detections: list[Detection] = []
-
-    # one detection per component, at its first heavy scenario
-    for i in np.flatnonzero(rules.blob):
-        j = int(np.argmax(rules.heavy[i]))
-        detections.append(
-            Detection(
-                kind=BLOB,
-                elements=(arch.components[i].id,),
-                scenario=arch.scenarios[j].id,
-                metrics=(
-                    ("invocations", float(rules.invocations[i, j])),
-                    ("mean_invocations", float(rules.mean_invocations[0, j])),
-                    ("node_utilization", float(rules.comp_util[i])),
-                ),
-            )
-        )
-
-    first, second = np.triu_indices(len(arch.nodes), 1)
-    fires = (rules.hot[first] & rules.idle[second]) | (rules.idle[first] & rules.hot[second])
-    for p in np.flatnonzero(fires):
-        pair = rules.node_util[[first[p], second[p]]]
-        detections.append(
-            Detection(
-                kind=CONCURRENT_PROCESSING,
-                elements=(arch.nodes[first[p]].id, arch.nodes[second[p]].id),
-                scenario=None,
-                metrics=(("utilization_high", float(pair.max())), ("utilization_low", float(pair.min()))),
-            )
-        )
-
-    # one detection per operation, at its first dominated scenario
-    for o in np.flatnonzero(rules.pipe_and_filter):
-        j = int(np.argmax(rules.dominant[o]))
-        detections.append(
-            Detection(
-                kind=PIPE_AND_FILTER,
-                elements=(operations[o].id,),
-                scenario=arch.scenarios[j].id,
-                metrics=(("demand_share", float(rules.share[o, j])), ("node_utilization", float(rules.op_util[o]))),
-            )
-        )
-
-    return detections

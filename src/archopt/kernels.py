@@ -18,13 +18,12 @@ import numpy as np
 # Recursion over population n = 1..N with K processor-sharing stations:
 #   R_k(n) = D_k * (1 + Q_k(n-1));  X(n) = n / (Z + sum_k R_k(n));
 #   Q_k(n) = X(n) * R_k(n)
-# Returns (X, R_total, per-station residence times, per-station queues).
+# Returns (X, R_total) at population N.
 # ---------------------------------------------------------------------------
 
 
 def exact_mva(demands, think_time, population):
     q = np.zeros_like(demands)
-    r = np.zeros_like(demands)
     x = 0.0
     r_total = 0.0
     for n in range(1, population + 1):
@@ -32,7 +31,7 @@ def exact_mva(demands, think_time, population):
         r_total = float(r.sum())
         x = n / (think_time + r_total)
         q = x * r
-    return x, r_total, r, q
+    return x, r_total
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +49,8 @@ def exact_mva(demands, think_time, population):
 # the stack is empty or at max_iter.  Never pad classes, and stack a
 # one-class model only with models of its own station count: numpy sums
 # a contiguous axis pairwise, so zeros there would regroup the sum.
-# Returns per model (X, per-class R, Q, iterations, residual, converged).
+# Returns per model (X, per-class R, iterations, residual, converged); the
+# residual is the last max |dQ|, read when a model does not converge.
 # ---------------------------------------------------------------------------
 
 
@@ -60,7 +60,6 @@ def amva(demands, populations, think_times, n_stations, tol, max_iter):
     q = np.where(present, populations[:, None, :] / n_stations[:, None, None], 0.0)
     x_out = np.zeros((n_models, n_classes))
     r_out = np.zeros((n_models, n_classes))
-    q_out = np.zeros_like(q)
     iterations = np.full(n_models, max_iter)
     residual = np.zeros(n_models)
     converged = np.zeros(n_models, dtype=bool)
@@ -81,7 +80,6 @@ def amva(demands, populations, think_times, n_stations, tol, max_iter):
         models = active[leaving]
         x_out[models] = x[leaving]
         r_out[models] = r_class[leaving]
-        q_out[models] = q[leaving]
         residual[models] = step[leaving]
         converged[models] = done[leaving]
         iterations[models[done[leaving]]] = it + 1
@@ -90,7 +88,7 @@ def amva(demands, populations, think_times, n_stations, tol, max_iter):
         populations, think_times, class_populations = populations[stay], think_times[stay], class_populations[stay]
         if not active.size:
             break
-    return x_out, r_out, q_out, iterations, residual, converged
+    return x_out, r_out, iterations, residual, converged
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def score(
         if isinstance(perf, Exception):
             outcomes.append(perf)
         else:
-            metrics = EvalMetrics(perfq(initial_perf, perf), rel.overall, pas, distance(seq, brf))
+            metrics = EvalMetrics(perfq(initial_perf, perf), rel, pas, distance(seq, brf))
             outcomes.append((metrics, perf))
     return outcomes
 
@@ -407,8 +407,8 @@ def _nsga2_survival(population: list[Individual], evaluated: list[Individual], c
     union = population + evaluated
     # A union that fits is kept in evaluation order, which the tournament
     # indexes.  Only the initial population fits (a short one means the
-    # budget is spent), and sorting it would keep the same members, so no
-    # front moves.
+    # budget is spent, so it never gets here), and sorting it would keep
+    # the same members, so no front moves.
     if len(union) <= config.population:
         return union
     points = _objective_rows(union)
@@ -567,9 +567,12 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes, folds)
         for _ in range(config.population)
     )
-    kept = survive([], evaluator.evaluate_many(initial, budget), config)
+    # Survival runs only while the budget lasts: nothing reads the
+    # survivors of a spent search, and survival draws no random numbers.
+    kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
     while not budget.spent(evaluator.solver_evaluations):
+        kept = survive(kept, evaluated, config)
         evaluations = evaluator.solver_evaluations
         # Every kept individual was sampled or bred through the store.
         # Breeding reuses only their proper prefixes, so a whole plan's
@@ -577,7 +580,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         prefixes = {ind.sequence.actions[:i] for ind in kept for i in range(1, len(ind.sequence))}
         folds = {prefix: folds[prefix] for prefix in prefixes}
         offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds)
-        kept = survive(kept, evaluator.evaluate_many(offspring, budget), config)
+        evaluated = evaluator.evaluate_many(offspring, budget)
         generations += 1
         if evaluator.solver_evaluations == evaluations:
             return generations, True

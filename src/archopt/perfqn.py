@@ -48,10 +48,8 @@ class PerformanceResult:
     throughput: np.ndarray  # X_j, 1/s
     response_time: np.ndarray  # R_j, s
     utilization: np.ndarray  # U_k in [0, 1 + eps]
-    queue_length: np.ndarray  # (stations, classes)
     delay_only: tuple[str, ...] = ()  # classes with zero total demand
     iterations: int = 0
-    residual: float = 0.0
 
 
 def to_qn(chunk: CompiledChunk) -> list[QnModel]:
@@ -102,11 +100,10 @@ def solve_exact_mva(qn: QnModel) -> PerformanceResult:
             throughput=x,
             response_time=np.zeros(1),
             utilization=np.zeros(len(qn.station_ids)),
-            queue_length=np.zeros_like(qn.demands),
             delay_only=qn.class_ids,
         )
 
-    x, r_total, _, q = kernels.exact_mva(
+    x, r_total = kernels.exact_mva(
         np.ascontiguousarray(qn.demands[:, 0]), float(qn.think_times[0]), population
     )
     throughput = np.array([x])
@@ -116,7 +113,6 @@ def solve_exact_mva(qn: QnModel) -> PerformanceResult:
         throughput=throughput,
         response_time=np.array([r_total]),
         utilization=qn.demands[:, 0] * x,
-        queue_length=q.reshape(-1, 1),
     )
 
 
@@ -148,11 +144,11 @@ def solve_amva_many(qns: Sequence[QnModel]) -> list[PerformanceResult | SolverEr
             demands[b, : n_stations[b]] = qns[i].demands[:, cols]
         populations = np.array([qns[i].populations[cols] for i, cols in zip(members, busy)])
         think_times = np.array([qns[i].think_times[cols] for i, cols in zip(members, busy)])
-        x, r_class, q, iterations, residual, converged = kernels.amva(
+        x, r_class, iterations, residual, converged = kernels.amva(
             demands, populations, think_times, n_stations, AMVA_TOL, AMVA_MAX_ITER
         )
         for b, i in enumerate(members):
-            solutions[i] = (x[b], r_class[b], q[b, : n_stations[b]], iterations[b], residual[b], converged[b])
+            solutions[i] = (x[b], r_class[b], iterations[b], residual[b], converged[b])
 
     return [
         split if isinstance(split, ValueError) else _amva_result(qn, *split, solutions.get(i))
@@ -162,16 +158,13 @@ def solve_amva_many(qns: Sequence[QnModel]) -> list[PerformanceResult | SolverEr
 
 def _amva_result(qn: QnModel, busy: np.ndarray, delay: np.ndarray, solution: tuple | None) -> PerformanceResult | SolverError:
     """One model's result from its kernel solution (None: no contending class)."""
-    n_stations = len(qn.station_ids)
     n_classes = len(qn.class_ids)
     throughput = np.zeros(n_classes)
     response = np.zeros(n_classes)
-    queue = np.zeros((n_stations, n_classes))
     iterations = 0
-    residual = 0.0
 
     if solution is not None:
-        x, r_class, q, iterations, residual, converged = solution
+        x, r_class, iterations, residual, converged = solution
         if not converged:
             return SolverError(
                 f"AMVA did not converge within {AMVA_MAX_ITER} iterations (residual {residual:.3e})",
@@ -179,7 +172,6 @@ def _amva_result(qn: QnModel, busy: np.ndarray, delay: np.ndarray, solution: tup
             )
         throughput[busy] = x
         response[busy] = r_class
-        queue[:, busy] = q
     for j in delay:
         throughput[j] = qn.populations[j] / qn.think_times[j]
 
@@ -190,10 +182,8 @@ def _amva_result(qn: QnModel, busy: np.ndarray, delay: np.ndarray, solution: tup
         throughput=throughput,
         response_time=response,
         utilization=utilization,
-        queue_length=queue,
         delay_only=tuple(qn.class_ids[j] for j in delay),
         iterations=int(iterations),
-        residual=float(residual),
     )
 
 

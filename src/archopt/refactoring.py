@@ -517,6 +517,9 @@ def action_from_dict(record: dict) -> RefactoringAction:
         raise ValueError(f"action record must be a JSON object, got {record!r}")
     if "kind" not in record:
         raise ValueError(f"action record {record!r} is missing key 'kind'")
+    kinds = [kind.value for kind in ActionKind]
+    if record["kind"] not in kinds:
+        raise ValueError(f"action record {record!r} has unknown kind, expected one of {', '.join(kinds)}")
     cls, keys = _RECORD_FIELDS[ActionKind(record["kind"])]
     for key in record:
         if key != "kind" and key not in keys:

@@ -7,20 +7,12 @@ used as exponents, so replication changes exposure, not component quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import CompiledChunk, invocation_matrix
 
 
-@dataclass(frozen=True)
-class ReliabilityResult:
-    overall: float  # mix-weighted mean of per-scenario reliability
-    per_scenario: dict[str, float]
-
-
-def reliability(chunk: CompiledChunk) -> list[ReliabilityResult]:
+def reliability(chunk: CompiledChunk) -> list[float]:
     """R_j = prod_i (1-theta_i)^v_ij * prod_l (1-psi_l)^m_lj, mixed by p_j, for
     each architecture of the chunk.  The products run over each
     architecture's rows in order, as ``prod(axis=0)`` of its own matrices
@@ -37,10 +29,4 @@ def reliability(chunk: CompiledChunk) -> list[ReliabilityResult]:
             np.power(1.0 - chunk.link_psi[:, None], messages), np.array(chunk.link_start)[linked], axis=0
         )
         survival[linked] = survival[linked] * links
-    return [
-        ReliabilityResult(
-            overall=float(chunk.mix_weights[b] @ survival[b]),
-            per_scenario={s.id: float(survival[b, j]) for j, s in enumerate(arch.scenarios)},
-        )
-        for b, arch in enumerate(chunk.architectures)
-    ]
+    return [float(chunk.mix_weights[b] @ survival[b]) for b in range(len(chunk))]

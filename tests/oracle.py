@@ -70,8 +70,8 @@ def to_qn(arch: Architecture) -> QnModel:
     )
 
 
-def reliability(arch: Architecture) -> tuple[float, dict[str, float]] | None:
-    """(overall, per scenario), or None when a call has no link."""
+def reliability(arch: Architecture) -> float | None:
+    """The mix-weighted reliability, or None when a call has no link."""
     routes = View(arch).routes()
     if routes is None:
         return None
@@ -81,11 +81,11 @@ def reliability(arch: Architecture) -> tuple[float, dict[str, float]] | None:
     survival = np.power(1.0 - thetas[:, None], invocations).prod(axis=0)
     survival = survival * np.power(1.0 - psis[:, None], messages).prod(axis=0)
     weights = np.array([s.mix_weight for s in arch.scenarios])
-    return float(weights @ survival), {s.id: float(survival[j]) for j, s in enumerate(arch.scenarios)}
+    return float(weights @ survival)
 
 
 def rules(arch: Architecture, perf, th: Thresholds) -> dict[str, np.ndarray]:
-    """The antipattern rules' arrays of one architecture."""
+    """The antipattern rules' masks of one architecture."""
     view = View(arch)
     util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
     node_util = np.array([util[node.id] for node in arch.nodes])
@@ -100,13 +100,9 @@ def rules(arch: Architecture, perf, th: Thresholds) -> dict[str, np.ndarray]:
     share = np.divide(own, total, out=np.zeros_like(own), where=total > 0.0)
     dominant = (total > 0.0) & (share >= th.paf_demand_share)
     return {
-        "mean_invocations": mean_invocations,
-        "heavy": heavy,
         "blob": (comp_util >= th.util_high) & heavy.any(axis=1),
         "hot": node_util >= th.util_high,
         "idle": node_util <= th.util_low,
-        "share": share,
-        "dominant": dominant,
         "pipe_and_filter": (op_util >= th.util_high) & dominant.any(axis=1),
     }
 

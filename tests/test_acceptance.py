@@ -177,7 +177,7 @@ def test_c03_reliability_vs_monte_carlo():
         # make the mix sum exactly 1
         scenarios[-1] = (scenarios[-1][0], 1.0 - float(np.sum(weights[:-1])), 1, 0.0, scenarios[-1][4])
         arch = make_arch(comps, nodes, deployment, scenarios, links)
-        closed = reliability(CompiledChunk([arch]))[0].overall
+        closed = reliability(CompiledChunk([arch]))[0]
         estimate, stderr = _monte_carlo(arch, 100_000, rng)
         sigma = abs(closed - estimate) / stderr if stderr > 0 else 0.0
         worst_sigma = max(worst_sigma, sigma)

@@ -1,18 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archopt import casestudies
-from archopt.antipatterns import (
-    BLOB,
-    CONCURRENT_PROCESSING,
-    PIPE_AND_FILTER,
-    Detection,
-    Thresholds,
-    detect,
-    explain,
-)
+from archopt.antipatterns import Thresholds, _rules, detect
 from archopt.model import CompiledChunk, invocation_matrix
 from archopt.perfqn import PerformanceResult, solve_amva, to_qn
 from archopt.refactoring import apply_sequence, random_sequence
@@ -27,8 +21,24 @@ def perf_for(arch, utilization):
         throughput=np.ones(n),
         response_time=np.ones(n),
         utilization=np.asarray(utilization, float),
-        queue_length=np.zeros((len(arch.nodes), n)),
     )
+
+
+def fired(arch, perf, th=None):
+    """The (kind, element) pairs that the rules' masks mark on a chunk of
+    one architecture, in rule order; a concurrent-processing element is a
+    node pair."""
+    rules = _rules(CompiledChunk([arch]), [perf], th or Thresholds())
+    nodes = [node.id for node in arch.nodes]
+    operations = [op.id for comp in arch.components for op in comp.operations]
+    pairs = [("blob", arch.components[i].id) for i in np.flatnonzero(rules.blob)]
+    pairs += [
+        ("concurrent_processing", (nodes[a], nodes[b]))
+        for a, b in combinations(range(len(nodes)), 2)
+        if (rules.hot[a] and rules.idle[b]) or (rules.idle[a] and rules.hot[b])
+    ]
+    pairs += [("pipe_and_filter", operations[o]) for o in np.flatnonzero(rules.pipe_and_filter)]
+    return pairs
 
 
 def test_threshold_invariants():
@@ -41,7 +51,8 @@ def test_threshold_invariants():
 
 def test_idle_system_has_no_detections(two_comp_arch):
     perf = perf_for(two_comp_arch, [0.0, 0.0])
-    assert explain(two_comp_arch, perf) == []
+    assert fired(two_comp_arch, perf) == []
+    assert detect(CompiledChunk([two_comp_arch]), [perf]) == [0]
 
 
 def test_concurrent_processing_pair():
@@ -52,10 +63,8 @@ def test_concurrent_processing_pair():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    detections = explain(arch, perf_for(arch, [0.9, 0.1]))
-    cps = [d for d in detections if d.kind == CONCURRENT_PROCESSING]
-    assert len(cps) == 1
-    assert cps[0].elements == ("n1", "n2")
+    cps = [element for kind, element in fired(arch, perf_for(arch, [0.9, 0.1])) if kind == "concurrent_processing"]
+    assert cps == [("n1", "n2")]
 
 
 def test_one_component_model_never_raises_blob():
@@ -65,8 +74,7 @@ def test_one_component_model_never_raises_blob():
         deployment={"solo": "n1"},
         scenarios=[("s1", 1.0, 5, 0.0, [("op1", 10.0)])],
     )
-    detections = explain(arch, perf_for(arch, [0.85]))
-    assert all(d.kind != BLOB for d in detections)
+    assert all(kind != "blob" for kind, _ in fired(arch, perf_for(arch, [0.85])))
 
 
 def test_blob_fires_on_concentrated_component():
@@ -81,11 +89,10 @@ def test_blob_fires_on_concentrated_component():
         scenarios=[("s1", 1.0, 2, 0.0, [("h", 9.0), ("a", 1.0), ("b", 1.0)])],
     )
     # mean invocations = 11/3; 9 > 2 * 11/3
-    detections = explain(arch, perf_for(arch, [0.85]))
-    blobs = [d for d in detections if d.kind == BLOB]
-    assert [d.elements for d in blobs] == [("hub",)]
+    blobs = [element for kind, element in fired(arch, perf_for(arch, [0.85])) if kind == "blob"]
+    assert blobs == ["hub"]
     # cold node: same shape, no detection
-    assert all(d.kind != BLOB for d in explain(arch, perf_for(arch, [0.5])))
+    assert all(kind != "blob" for kind, _ in fired(arch, perf_for(arch, [0.5])))
 
 
 def test_pipe_and_filter_fires_on_dominant_operation():
@@ -95,10 +102,11 @@ def test_pipe_and_filter_fires_on_dominant_operation():
         deployment={"heavy": "n1", "light": "n1"},
         scenarios=[("s1", 1.0, 2, 0.0, [("big", 1.0), ("small", 1.0)])],
     )
-    detections = explain(arch, perf_for(arch, [0.9]))
-    paf = [d for d in detections if d.kind == PIPE_AND_FILTER]
-    assert [d.elements for d in paf] == [("big",)]
-    assert dict(paf[0].metrics)["demand_share"] == pytest.approx(0.9)
+    # "big" takes 0.9 of the scenario's demand
+    paf = [element for kind, element in fired(arch, perf_for(arch, [0.9])) if kind == "pipe_and_filter"]
+    assert paf == ["big"]
+    # at a share threshold above 0.9 it no longer dominates
+    assert ("pipe_and_filter", "big") not in fired(arch, perf_for(arch, [0.9]), Thresholds(paf_demand_share=0.95))
 
 
 def test_detection_count_unit_is_kind_element():
@@ -116,15 +124,18 @@ def test_detection_count_unit_is_kind_element():
             ("s2", 0.5, 2, 0.0, [("h", 8.0), ("a", 1.0), ("b", 1.0)]),
         ],
     )
-    blobs = [d for d in explain(arch, perf_for(arch, [0.9])) if d.kind == BLOB]
-    assert len(blobs) == 1
+    perf = perf_for(arch, [0.9])
+    assert [pair for pair in fired(arch, perf) if pair[0] == "blob"] == [("blob", "hub")]
+    assert detect(CompiledChunk([arch]), [perf]) == [len(fired(arch, perf))]
 
 
 def test_detections_deterministic_and_order_independent(small_arch):
     perf = solve_amva(to_qn(CompiledChunk([small_arch]))[0])
-    first = explain(small_arch, perf)
-    second = explain(small_arch, perf)
-    assert first == second
+    first = fired(small_arch, perf)
+    assert first and fired(small_arch, perf) == first
+    # the same architecture scores the same at any position of a chunk
+    chunk = CompiledChunk([small_arch, small_arch, small_arch])
+    assert detect(chunk, [perf, RuntimeError("failed"), perf]) == [len(first), None, len(first)]
 
 
 def test_raising_util_high_never_increases_count(small_arch, large_arch):
@@ -143,7 +154,8 @@ def test_case_studies_start_with_antipatterns(small_arch, large_arch):
 
 
 def naive_detect(arch, perf, th):
-    """The object-graph loops the vectorized rules replaced."""
+    """The object-graph loops the vectorized rules replaced: the
+    (kind, element) pairs that fire, in rule order."""
     util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
     ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
@@ -153,23 +165,15 @@ def naive_detect(arch, perf, th):
     for i, comp in enumerate(arch.components):
         if util[node_of[comp.id]] < th.util_high:
             continue
-        for j, scen in enumerate(arch.scenarios):
-            if invocations[i, j] > th.blob_share * mean_invocations[j]:
-                metrics = (
-                    ("invocations", float(invocations[i, j])),
-                    ("mean_invocations", float(mean_invocations[j])),
-                    ("node_utilization", util[node_of[comp.id]]),
-                )
-                detections.append(Detection(BLOB, (comp.id,), scen.id, metrics))
-                break
+        if any(invocations[i, j] > th.blob_share * mean_invocations[j] for j in range(len(arch.scenarios))):
+            detections.append(("blob", comp.id))
     node_ids = [n.id for n in arch.nodes]
     for a in range(len(node_ids)):
         for b in range(a + 1, len(node_ids)):
             high = max(util[node_ids[a]], util[node_ids[b]])
             low = min(util[node_ids[a]], util[node_ids[b]])
             if high >= th.util_high and low <= th.util_low:
-                metrics = (("utilization_high", high), ("utilization_low", low))
-                detections.append(Detection(CONCURRENT_PROCESSING, (node_ids[a], node_ids[b]), None, metrics))
+                detections.append(("concurrent_processing", (node_ids[a], node_ids[b])))
     for comp in arch.components:
         for op in comp.operations:
             if util[node_of[comp.id]] < th.util_high:
@@ -180,8 +184,7 @@ def naive_detect(arch, perf, th):
                     continue
                 share = sum(step.count * op.cpu_demand for step in scen.steps if step.operation == op.id) / total
                 if share >= th.paf_demand_share:
-                    metrics = (("demand_share", share), ("node_utilization", util[node_of[comp.id]]))
-                    detections.append(Detection(PIPE_AND_FILTER, (op.id,), scen.id, metrics))
+                    detections.append(("pipe_and_filter", op.id))
                     break
     return detections
 
@@ -202,5 +205,5 @@ def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share
     perf = perf_for(folded, rng.random(len(folded.nodes)))
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
     reference = naive_detect(folded, perf, th)
-    assert explain(folded, perf, th) == reference
+    assert fired(folded, perf, th) == reference
     assert detect(CompiledChunk([folded]), [perf], th)[0] == len(reference)

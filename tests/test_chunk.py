@@ -87,19 +87,16 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
         assert same_bits(invocations[comps[b] : comps[b + 1]], expected_invocations)
         assert same_bits(messages[links[b] : links[b + 1]], expected_messages)
 
-        perf, (overall, per_scenario), pas = oracle.score(folded, th)
+        perf, overall, pas = oracle.score(folded, th)
         assert same_bits(solved[b].response_time, perf.response_time)
         assert same_bits(solved[b].throughput, perf.throughput)
         assert same_bits(solved[b].utilization, perf.utilization)
-        assert same_bits(survival[b].overall, overall) and survival[b].per_scenario == per_scenario
+        assert same_bits(survival[b], overall)
         assert counts[b] == pas
         fired = oracle.rules(folded, perf, th)
-        for name, start in (("heavy", chunk.component_start), ("blob", chunk.component_start),
-                            ("hot", chunk.node_start), ("idle", chunk.node_start),
-                            ("share", chunk.operation_start), ("dominant", chunk.operation_start),
-                            ("pipe_and_filter", chunk.operation_start)):
+        for name, start in (("blob", chunk.component_start), ("hot", chunk.node_start),
+                            ("idle", chunk.node_start), ("pipe_and_filter", chunk.operation_start)):
             assert same_bits(getattr(rules, name)[start[b] : start[b + 1]], fired[name]), name
-        assert same_bits(rules.mean_invocations[b], fired["mean_invocations"])
         metrics, scored = outcomes[b]
         assert metrics == EvalMetrics(perfq(initial, perf), overall, pas, distance(seq, DEFAULT_BRF))
         assert same_bits(metrics.perfq, perfq(initial, perf))

@@ -140,6 +140,11 @@ def test_eval_infeasible_sequence_reports_index(tmp_path, capsys):
         (["redeploy"], "must be a JSON object"),
         ([{"kind": "redeploy", "component": "catalog", "target": 5}], "'target' must be a string"),
         ([{"kind": "redeploy", "component": "catalog", "target": "spare", "node": "app1"}], "unknown key 'node'"),
+        (
+            [{"kind": "bogus", "component": "catalog", "target": "spare"}],
+            "action record {'kind': 'bogus', 'component': 'catalog', 'target': 'spare'} has unknown kind, "
+            "expected one of clone, move_to_new, move_to_component, redeploy",
+        ),
     ],
 )
 def test_eval_malformed_action_record_is_an_error_line(tmp_path, capsys, records, message):

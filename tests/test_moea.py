@@ -1,12 +1,17 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archopt import casestudies
+from archopt import casestudies, moea
 from archopt.cli import front_csv_text
 from archopt.model import RoutingError, digest, save
 from archopt.moea import (
@@ -468,6 +473,47 @@ def test_run_initial_population_respects_max_evaluations(small_arch):
     front = run(small_arch, SearchConfig(seed=2, max_evaluations=10, population=32))
     assert front.metadata["evaluations_used"] == 10
     assert front.metadata["generations"] == 0
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
+def test_survival_runs_only_while_the_budget_lasts(small_arch, algorithm, monkeypatch):
+    parents, survive = moea._ALGORITHMS[algorithm]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return survive(*args)
+
+    monkeypatch.setitem(moea._ALGORITHMS, algorithm, (parents, counted))
+    meta = run(small_arch, SearchConfig(algorithm=algorithm, **PINNED_CONFIG)).metadata
+    # one survival before each generation's breeding, none after the last
+    assert len(calls) == meta["generations"] > 0
+
+
+# Population 4000 on the large case study: the initial population alone
+# outlasts a 2 s budget, so no survival may run.
+SPEA2_CHILD = """
+import json, resource, time
+from archopt import casestudies
+from archopt.moea import SearchConfig, run
+arch = casestudies.load_case_study("large")
+config = SearchConfig(algorithm="spea2", population=4000, archive_size=200, budget_seconds=2.0)
+start = time.perf_counter()
+run(arch, config)
+wall = time.perf_counter() - start
+print(json.dumps({"wall": wall, "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def test_spea2_large_population_stays_inside_budget_and_memory():
+    # a child process, so that its peak RSS is the search's own
+    src = str(Path(moea.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", SPEA2_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["wall"] <= 2.2, result  # criterion 08's +10%
+    assert result["maxrss_mb"] < 200, result
 
 
 def test_run_elitism_best_objectives_present(small_arch):

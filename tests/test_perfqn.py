@@ -139,7 +139,7 @@ def test_amva_zero_demand_zero_think_rejected():
 
 def reference_amva(demands, populations, think_times, tol, max_iter):
     """The per-model Bard-Schweitzer loop that the stacked ``kernels.amva``
-    replaced.  Returns (X, per-class R, Q, iterations, residual, converged)."""
+    replaced.  Returns (X, per-class R, iterations, residual, converged)."""
     n_stations, n_classes = demands.shape
     q = np.broadcast_to(populations / n_stations, (n_stations, n_classes)).copy()
     residual = 0.0
@@ -152,8 +152,8 @@ def reference_amva(demands, populations, think_times, tol, max_iter):
         residual = float(np.abs(q_new - q).max())
         q = q_new
         if residual < tol:
-            return x, r_class, q, it + 1, residual, True
-    return x, r_class, q, max_iter, residual, False
+            return x, r_class, it + 1, residual, True
+    return x, r_class, max_iter, residual, False
 
 
 def random_qn(rng, n_stations, n_classes):
@@ -167,14 +167,13 @@ def random_qn(rng, n_stations, n_classes):
 
 
 def assert_same_bits(result, want):
-    """``result`` holds X, R, Q, iterations and residual of ``want``, a
+    """``result`` holds X, R and the iteration count of ``want``, a
     converged reference solve, bit for bit."""
-    x, r_class, q, iterations, residual, converged = want
+    x, r_class, iterations, _, converged = want
     assert converged
     assert result.throughput.tobytes() == x.tobytes()
     assert result.response_time.tobytes() == r_class.tobytes()
-    assert result.queue_length.tobytes() == q.tobytes()
-    assert (result.iterations, result.residual) == (iterations, residual)
+    assert result.iterations == iterations
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,17 +203,17 @@ def test_non_converging_model_fails_alone(monkeypatch):
     results = solve_amva_many(models)
 
     stalled = reference_amva(slow.demands, slow.populations, slow.think_times, AMVA_TOL, max_iter)
-    assert not stalled[5]
+    assert not stalled[4]
     assert isinstance(results[1], SolverError)
-    assert results[1].residual == stalled[4]
+    assert results[1].residual == stalled[3]
     with pytest.raises(SolverError, match=f"within {max_iter} iterations"):
         solve_amva(slow)
     for model, result in zip(models[:1] + models[2:], results[:1] + results[2:]):
         assert_same_bits(result, reference_amva(model.demands, model.populations, model.think_times, AMVA_TOL, max_iter))
         single = solve_amva(model)
-        for field in ("throughput", "response_time", "queue_length"):
+        for field in ("throughput", "response_time"):
             assert getattr(single, field).tobytes() == getattr(result, field).tobytes()
-        assert (single.iterations, single.residual) == (result.iterations, result.residual)
+        assert single.iterations == result.iterations
 
 
 def test_amva_many_keeps_model_order_and_failures():
@@ -295,7 +294,6 @@ def perf_with_response(times):
         throughput=np.ones(n),
         response_time=np.asarray(times, float),
         utilization=np.zeros(1),
-        queue_length=np.zeros((1, n)),
     )
 
 

@@ -32,7 +32,7 @@ def monte_carlo_reliability(arch, samples, rng):
 
 
 def test_failure_free_model_is_fully_reliable(two_comp_arch):
-    assert reliability(CompiledChunk([two_comp_arch]))[0].overall == 1.0
+    assert reliability(CompiledChunk([two_comp_arch]))[0] == 1.0
 
 
 def test_hand_computed_two_invocations():
@@ -42,7 +42,7 @@ def test_hand_computed_two_invocations():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 2.0)])],
     )
-    assert reliability(CompiledChunk([arch]))[0].overall == pytest.approx(0.81)
+    assert reliability(CompiledChunk([arch]))[0] == pytest.approx(0.81)
 
 
 def test_hand_computed_with_link_message():
@@ -53,40 +53,40 @@ def test_hand_computed_with_link_message():
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 2.0), ("op2", 1.0)])],
         links=[("l12", "n1", "n2", 0.05, 0.0)],
     )
-    assert reliability(CompiledChunk([arch]))[0].overall == pytest.approx(0.81 * 0.95)
+    assert reliability(CompiledChunk([arch]))[0] == pytest.approx(0.81 * 0.95)
 
 
 def test_mix_weighted_combination():
-    arch = make_arch(
-        components=[("c1", 0.1, [("op1", 0.2)])],
-        nodes=[("n1", 1.0, 1)],
-        deployment={"c1": "n1"},
-        scenarios=[
-            ("s1", 0.25, 1, 0.0, [("op1", 1.0)]),
-            ("s2", 0.75, 1, 0.0, [("op1", 2.0)]),
-        ],
-    )
-    result = reliability(CompiledChunk([arch]))[0]
-    assert result.per_scenario["s1"] == pytest.approx(0.9)
-    assert result.per_scenario["s2"] == pytest.approx(0.81)
-    assert result.overall == pytest.approx(0.25 * 0.9 + 0.75 * 0.81)
+    def model(*scenarios):
+        return make_arch(
+            components=[("c1", 0.1, [("op1", 0.2)])],
+            nodes=[("n1", 1.0, 1)],
+            deployment={"c1": "n1"},
+            scenarios=list(scenarios),
+        )
+
+    # a one-scenario model's reliability is its scenario's
+    assert reliability(CompiledChunk([model(("s1", 1.0, 1, 0.0, [("op1", 1.0)]))]))[0] == pytest.approx(0.9)
+    assert reliability(CompiledChunk([model(("s2", 1.0, 1, 0.0, [("op1", 2.0)]))]))[0] == pytest.approx(0.81)
+    mixed = model(("s1", 0.25, 1, 0.0, [("op1", 1.0)]), ("s2", 0.75, 1, 0.0, [("op1", 2.0)]))
+    assert reliability(CompiledChunk([mixed]))[0] == pytest.approx(0.25 * 0.9 + 0.75 * 0.81)
 
 
 def test_monotone_in_failure_probabilities(small_arch):
-    base = reliability(CompiledChunk([small_arch]))[0].overall
+    base = reliability(CompiledChunk([small_arch]))[0]
     worse_comps = tuple(
         type(c)(c.id, c.operations, min(1.0, c.failure_probability * 3 + 0.01))
         for c in small_arch.components
     )
     worse = Architecture(worse_comps, small_arch.nodes, small_arch.links, small_arch.scenarios, dict(small_arch.deployment))
-    assert reliability(CompiledChunk([worse]))[0].overall < base
+    assert reliability(CompiledChunk([worse]))[0] < base
 
     worse_links = tuple(
         NetworkLink(l.id, l.endpoints, min(1.0, l.failure_probability * 3 + 0.01), l.delay)
         for l in small_arch.links
     )
     worse2 = Architecture(small_arch.components, small_arch.nodes, worse_links, small_arch.scenarios, dict(small_arch.deployment))
-    assert reliability(CompiledChunk([worse2]))[0].overall < base
+    assert reliability(CompiledChunk([worse2]))[0] < base
 
 
 def test_redeploy_invariant_with_zero_failure_links():
@@ -100,7 +100,7 @@ def test_redeploy_invariant_with_zero_failure_links():
     before = reliability(CompiledChunk([arch]))[0]
     moved = apply(arch, RedeployComponent("b", "n3"))
     after = reliability(CompiledChunk([moved]))[0]
-    assert after.overall == before.overall
+    assert after == before
 
 
 def random_reliability_model(rng):
@@ -135,6 +135,6 @@ def test_closed_form_matches_monte_carlo():
     rng = np.random.default_rng(31)
     for _ in range(5):
         arch = random_reliability_model(rng)
-        closed = reliability(CompiledChunk([arch]))[0].overall
+        closed = reliability(CompiledChunk([arch]))[0]
         estimate, stderr = monte_carlo_reliability(arch, 100_000, rng)
         assert abs(closed - estimate) <= 3.0 * stderr + 1e-12
