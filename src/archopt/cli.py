@@ -199,7 +199,7 @@ def cmd_eval(args) -> int:
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
     [initial_qn] = to_qn(CompiledChunk([arch]))
-    [outcome] = score(solve_amva(initial_qn), [(seq, apply_sequence(arch, seq))], search.brf, search.thresholds)
+    [outcome] = score(solve_amva(initial_qn), [(seq, apply_sequence(arch.fold, seq))], search.brf, search.thresholds)
     if isinstance(outcome, Exception):
         print(f"error: candidate architecture could not be evaluated: {outcome}", file=sys.stderr)
         return EXIT_DOMAIN

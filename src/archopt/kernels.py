@@ -3,8 +3,9 @@
 ``amva`` is the one approximate-MVA kernel: it solves a stack of queueing
 models at once, and a single model is a stack of one.
 
-``dominates`` is the one dominance rule of the package; the sorting,
-archive and hypervolume code in ``pareto`` and ``moea`` all build on it.
+``dominates`` is the one dominance rule of the package, and
+``dominance_matrix`` applies it to every pair of a point set; the sorting,
+archive and hypervolume code in ``pareto`` and ``moea`` all build on them.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def dominates(a, b):
     return (a <= b).all(-1) & (a < b).any(-1)
 
 
-def dominance_matrix(points):
-    """dom[i, j] is True iff point i dominates point j."""
-    return dominates(points[:, None, :], points[None, :, :])
+def dominance_matrix(points, others=None):
+    """dom[i, j] is True iff points[i] dominates others[j] (points[j] when
+    ``others`` is None).  Compares one objective at a time, so no
+    temporary is larger than the result."""
+    points = np.asarray(points, dtype=float)
+    others = points if others is None else np.asarray(others, dtype=float)
+    no_worse = np.ones((len(points), len(others)), dtype=bool)
+    better = np.zeros((len(points), len(others)), dtype=bool)
+    for a, b in zip(points.T, others.T):
+        no_worse &= a[:, None] <= b[None, :]
+        better |= a[:, None] < b[None, :]
+    return no_worse & better

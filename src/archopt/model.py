@@ -3,8 +3,10 @@
 Defines the component/node/link/scenario types, their well-formedness
 rules, JSON (de)serialization, and the derived matrices consumed by the
 performance and reliability evaluators.  Architecture values are treated
-as immutable after validation; refactoring produces new values.  A chunk
-of architectures compiles once into a ``CompiledChunk`` of concatenated
+as immutable after validation.  Refactoring works on ``Fold`` values: an
+architecture's rows by id, kept once per search, plus an overlay of what
+a plan's actions changed.  ``Architecture`` is the input and output form.
+A chunk of folds compiles once into a ``CompiledChunk`` of concatenated
 index arrays, and every derived matrix of the chunk is read from it.
 """
 
@@ -13,9 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Sequence
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,53 +85,177 @@ class Architecture:
     scenarios: tuple[UsageScenario, ...]
     deployment: dict[str, str]  # component id -> node id (never mutate)
 
-    def component(self, component_id: str) -> Component:
-        for comp in self.components:
-            if comp.id == component_id:
-                return comp
-        raise KeyError(component_id)
-
-    def node(self, node_id: str) -> ProcessorNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
     @cached_property
-    def owner_map(self) -> dict[str, Component]:
-        """Operation id -> owning component, built on first use and kept on
-        the instance (``cached_property`` writes ``__dict__``, which a frozen
-        dataclass allows); shared, so do not mutate."""
-        return {op.id: comp for comp in self.components for op in comp.operations}
+    def fold(self) -> Fold:
+        """This architecture as the root of its folds, built on first use and
+        kept on the instance (``cached_property`` writes ``__dict__``, which
+        a frozen dataclass allows).  Needs resolvable references and ids
+        unique within each kind, as a validated architecture has them."""
+        return Fold.of(self)
 
 
-def unrouted_call(arch: Architecture) -> str | None:
+# An id of the form f"{stem}_copy{k}" (k >= 1, no leading zero), as node
+# copies and their link copies are named; the last such suffix is the one.
+_COPY_ID = re.compile(r"(.*)_copy([1-9][0-9]*)")
+
+
+class FoldRoot:
+    """What every fold of one architecture shares, built once.
+
+    ``comp`` maps a component id to (operation ids, failure probability,
+    node id), ``owner`` an operation id to its component, ``pairs`` holds
+    the endpoints of every link in both orders, and ``taken`` every id but
+    the components'.  ``demand``, ``node`` (speed factor, cores) and
+    ``scenarios_of`` (the scenarios invoking an operation) also take the
+    ids that refactoring generates: a twin operation or node copy always
+    takes its source's values, and its id names one source (the digits
+    after its last ``_clone``/``_copy`` are the suffix), so one entry per
+    id is exact for every fold.  ``copies`` maps k to the stems of the
+    source's ids of the form ``<stem>_copy<k>``.  A fold only appends
+    nodes and links, so the rows of the source's nodes and links,
+    compiled here, are the first rows of every fold's.
+    """
+
+    def __init__(self, arch: Architecture):
+        self.source = arch
+        comps, nodes, links = arch.components, arch.nodes, arch.links
+        self.comp = {c.id: (tuple(op.id for op in c.operations), c.failure_probability, arch.deployment[c.id]) for c in comps}
+        self.owner = {op.id: c.id for c in comps for op in c.operations}
+        self.demand = {op.id: op.cpu_demand for c in comps for op in c.operations}
+        self.node = {n.id: (n.speed_factor, n.cores) for n in nodes}
+        self.node_ids = frozenset(self.node)
+        self.node_index = {n.id: k for k, n in enumerate(nodes)}
+        self.n_nodes, self.n_links = len(nodes), len(links)
+        self.links = tuple((l.id, *l.endpoints, l.failure_probability, l.delay) for l in links)
+        self.link_ids = frozenset(l.id for l in links)
+        self.links_at = {n.id: tuple(link for link in self.links if n.id in link[1:3]) for n in nodes}
+        self.pairs = frozenset(pair for l in links for pair in (l.endpoints, l.endpoints[::-1]))
+        self.steps = tuple(tuple((step.operation, step.count) for step in scen.steps) for scen in arch.scenarios)
+        self.scenario_ids = tuple(s.id for s in arch.scenarios)
+        scenarios_of: dict[str, list[int]] = {}
+        for j, scen in enumerate(arch.scenarios):
+            for step in scen.steps:
+                invoking = scenarios_of.setdefault(step.operation, [])
+                if j not in invoking:
+                    invoking.append(j)
+        self.scenarios_of = {op: tuple(invoking) for op, invoking in scenarios_of.items()}
+        self.taken = frozenset(self.owner) | self.node_ids | self.link_ids | set(self.scenario_ids)
+        copies: dict[int, set[str]] = {}
+        for elem_id in self.taken | self.comp.keys():
+            match = _COPY_ID.fullmatch(elem_id)
+            if match:
+                copies.setdefault(int(match[2]), set()).add(match[1])
+        self.copies = {k: frozenset(stems) for k, stems in copies.items()}
+        # the source's own rows of a compiled chunk, local to its fold
+        self.speed = [n.speed_factor for n in nodes]
+        self.cores = [n.cores for n in nodes]
+        self.ends = [self.node_index[end] for l in links for end in l.endpoints]
+        self.psi = [l.failure_probability for l in links]
+        self.mix = [s.mix_weight for s in arch.scenarios]
+        self.population = [s.population for s in arch.scenarios]
+        self.think = [s.think_time for s in arch.scenarios]
+        # the source's elements, which a fold's architecture reuses where unchanged
+        self.components = {c.id: c for c in comps}
+        self.operations = {op.id: op for c in comps for op in c.operations}
+
+
+class Fold(NamedTuple):
+    """An architecture as its root's rows plus what a plan changed.
+
+    The tuples are in the architecture's order, each shared with the fold
+    it was derived from unless that step changed it: component ids, node
+    ids, link rows ``(id, a, b, failure probability, delay)`` and each
+    scenario's ``(operation, count)`` steps.  ``comp`` (changed component
+    rows, None for a removed one) and ``owner`` (changed owners) overlay
+    the root's; ``added`` holds the generated operation, node and link
+    ids.  Read an overlay inline, ``d[k] if k in d else root_d[k]``.  A
+    fold is never mutated: an action builds a new one.
+    """
+
+    root: FoldRoot
+    components: tuple[str, ...]
+    nodes: tuple[str, ...]
+    links: tuple[tuple[str, str, str, float, float], ...]
+    steps: tuple[tuple[tuple[str, float], ...], ...]
+    n_ops: int
+    comp: dict
+    owner: dict[str, str]
+    added: tuple[str, ...]
+
+    @staticmethod
+    def of(arch: Architecture) -> Fold:
+        """The root fold of a new root built from ``arch``."""
+        root = FoldRoot(arch)
+        components, nodes = tuple(root.comp), tuple(root.node_index)
+        return Fold(root, components, nodes, root.links, root.steps, len(root.owner), {}, {}, ())
+
+    def row(self, component_id: str):
+        """The component's (operation ids, failure probability, node id), or
+        None when the fold has no such component."""
+        comp = self.comp
+        return comp[component_id] if component_id in comp else self.root.comp.get(component_id)
+
+    def architecture(self) -> Architecture:
+        """The architecture this fold stands for; it shares every element
+        the plan left unchanged with the root's source."""
+        root = self.root
+        source, overlay, operations, demand = root.source, self.comp, root.operations, root.demand
+        components = []
+        for c in self.components:
+            if c not in overlay:
+                components.append(root.components[c])
+                continue
+            ops, theta, _ = overlay[c]
+            components.append(
+                Component(c, tuple(operations[op] if op in operations else Operation(op, demand[op]) for op in ops), theta)
+            )
+        scenarios = tuple(
+            scen
+            if steps is original
+            else UsageScenario(
+                scen.id, scen.mix_weight, scen.population, scen.think_time, tuple(CallStep(*step) for step in steps)
+            )
+            for scen, steps, original in zip(source.scenarios, self.steps, root.steps)
+        )
+        return Architecture(
+            components=tuple(components),
+            nodes=source.nodes + tuple(ProcessorNode(n, *root.node[n]) for n in self.nodes[root.n_nodes :]),
+            links=source.links
+            + tuple(NetworkLink(i, (a, b), psi, delay) for i, a, b, psi, delay in self.links[root.n_links :]),
+            scenarios=scenarios,
+            deployment={c: self.row(c)[2] for c in self.components},
+        )
+
+
+def unrouted_call(fold: Fold, scenarios: Iterable[int] | None = None) -> str | None:
     """The first cross-node call that no network link joins, as the text of
     its ``RoutingError``, or None when every call is routable.  This walk
     is the one routing decision: ``validate`` and every ``is_feasible``
     probe take it, so every architecture a search scores is routable.
 
-    Walks each scenario's steps in order: the caller of a step is the node
-    hosting the previous step's operation; the first step's caller is the
-    client, which sits outside all nodes.  Requires resolvable references
-    (a deployment target for every component, an owner for every step).
+    Walks the steps of each of ``scenarios`` (indices, ascending; all when
+    None) in order: the caller of a step is the node hosting the previous
+    step's operation; the first step's caller is the client, which sits
+    outside all nodes.  Requires resolvable references (a deployment
+    target for every component, an owner for every step).
     """
-    linked = {link.endpoints for link in arch.links}  # unordered pairs, stored as given
-    node_of = {op.id: arch.deployment[comp.id] for comp in arch.components for op in comp.operations}
-    for scen in arch.scenarios:
+    root = fold.root
+    comp, owner = fold.comp, fold.owner
+    root_comp, root_owner, linked = root.comp, root.owner, root.pairs
+    steps, added = fold.steps, None
+    for j in range(len(steps)) if scenarios is None else scenarios:
         caller = None
-        for step in scen.steps:
-            callee = node_of[step.operation]
-            if (
-                caller is not None
-                and caller != callee
-                and (caller, callee) not in linked
-                and (callee, caller) not in linked
-            ):
-                return (
-                    f"scenario '{scen.id}': call to '{step.operation}' crosses nodes "
-                    f"('{caller}', '{callee}') with no connecting link"
-                )
+        for op, _ in steps[j]:
+            c = owner[op] if op in owner else root_owner[op]
+            callee = (comp[c] if c in comp else root_comp[c])[2]
+            if caller is not None and caller != callee and (caller, callee) not in linked:
+                if added is None:  # the endpoints of the plan's links, on the first call they may join
+                    added = {pair for _, a, b, _, _ in fold.links[root.n_links :] for pair in ((a, b), (b, a))}
+                if (caller, callee) not in added:
+                    return (
+                        f"scenario '{root.scenario_ids[j]}': call to '{op}' crosses nodes "
+                        f"('{caller}', '{callee}') with no connecting link"
+                    )
             caller = callee
     return None
 
@@ -260,7 +388,7 @@ def validate(arch: Architecture) -> list[str]:
 
     # the walk needs every reference resolved, which the checks above vouch for
     if not violations:
-        call = unrouted_call(arch)
+        call = unrouted_call(arch.fold)
         if call is not None:
             violations.append(f"routing: {call}")
 
@@ -461,85 +589,109 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 class CompiledChunk:
-    """Index arrays of a chunk of architectures, concatenated.
+    """Index arrays of a chunk of folds, concatenated.
 
-    Each architecture's nodes, components, operations, links and steps
-    take consecutive rows after those of the architectures before it;
-    architecture b owns rows ``start[b]:start[b + 1]`` of each kind
-    (``node_start``, ``component_start``, ...).  Operations are numbered
-    in component order, then in the order their component lists them;
-    steps in scenario order, then in the order their scenario lists them.
-    Every derived matrix is one ``np.bincount`` over the whole chunk, and
-    each bin receives entries of one architecture only, in its step order,
-    so an architecture's values are bit-identical to a loop over its own
-    object graph.
+    Each fold's nodes, components, operations, links and steps take
+    consecutive rows after those of the folds before it; fold b owns rows
+    ``start[b]:start[b + 1]`` of each kind (``node_start``,
+    ``component_start``, ...).  Operations are numbered in component
+    order, then in the order their component lists them; steps in
+    scenario order, then in the order their scenario lists them.  Every
+    derived matrix is one ``np.bincount`` over the whole chunk, and each
+    bin receives entries of one fold only, in its step order, so a fold's
+    values are bit-identical to a loop over its own architecture.  An
+    ``Architecture`` compiles as its root fold.
 
-    The architectures share one scenario count, so every per-scenario
-    matrix is ``(rows, scenarios)``.  Each needs resolvable references (a
-    deployment target for every component, a node for every link
-    endpoint, an owner for every step), at least one component, and at
-    most one link per node pair; a validated architecture has them.  The
+    The folds share one scenario count, so every per-scenario matrix is
+    ``(rows, scenarios)``.  Each needs resolvable references (a deployment
+    target for every component, a node for every link endpoint, an owner
+    for every step), at least one component, and at most one link per
+    node pair; a validated architecture and its folds have them.  The
     search compiles the initial model once and each chunk it scores once.
-    It scores only architectures that passed ``validate`` or an
-    ``is_feasible`` probe, whose walk (``unrouted_call``) is the one
-    routing decision, so ``invocation_matrix`` routes a chunk as a whole
-    and raises on a chunk holding an unroutable architecture.  Derived
-    matrices are built on first use.  Every array is read-only.
+    It scores only folds that passed ``validate`` or an ``is_feasible``
+    probe, whose walk (``unrouted_call``) is the one routing decision, so
+    ``invocation_matrix`` routes a chunk as a whole and raises on a chunk
+    holding an unroutable fold.  Derived matrices are built on first use.
+    Every array is read-only.
     """
 
-    def __init__(self, architectures: Sequence[Architecture]):
-        self.architectures = archs = tuple(architectures)
-        counts = {len(arch.scenarios) for arch in archs}
+    def __init__(self, members: Sequence[Fold | Architecture]):
+        self.folds = folds = tuple(m.fold if isinstance(m, Architecture) else m for m in members)
+        counts = {len(fold.steps) for fold in folds}
         if len(counts) != 1:
             raise ValueError(f"a chunk needs architectures with one scenario count, got {sorted(counts)}")
         (self.n_scenarios,) = counts
+        # rows index their fold's own rows first, and each fold's row
+        # offsets are added once, for the whole chunk
         speed, cores, theta, comp_node, demand, op_comp = [], [], [], [], [], []
         step_op, step_count, scen_steps, ends, psi, mix, population, think = [], [], [], [], [], [], [], []
-        self.node_start, self.component_start, self.operation_start, self.link_start = [0], [0], [0], [0]
-        self.station_ids = []
-        for arch in archs:
-            nodes, comps, scens, links = arch.nodes, arch.components, arch.scenarios, arch.links
-            node_index = {node.id: k for k, node in enumerate(nodes, len(speed))}
-            speed += [node.speed_factor for node in nodes]
-            cores += [node.cores for node in nodes]
-            deployment = arch.deployment
-            comp_node += [node_index[deployment[comp.id]] for comp in comps]
-            owned = [(i, op) for i, comp in enumerate(comps, len(theta)) for op in comp.operations]
-            theta += [comp.failure_probability for comp in comps]
-            op_index = {op.id: k for k, (_, op) in enumerate(owned, len(demand))}
-            demand += [op.cpu_demand for _, op in owned]
-            op_comp += [i for i, _ in owned]
-            mix += [scen.mix_weight for scen in scens]
-            population += [scen.population for scen in scens]
-            think += [scen.think_time for scen in scens]
-            scen_steps += [len(scen.steps) for scen in scens]
-            steps = [step for scen in scens for step in scen.steps]
-            step_op += [op_index[step.operation] for step in steps]
-            step_count += [step.count for step in steps]
-            ends += [node_index[end] for link in links for end in link.endpoints]
-            psi += [link.failure_probability for link in links]
-            self.station_ids.append(tuple(node_index))
-            self.node_start.append(len(speed))
-            self.component_start.append(len(theta))
-            self.operation_start.append(len(demand))
-            self.link_start.append(len(psi))
-        shape = (len(archs), self.n_scenarios)
+        node_start, component_start, operation_start, link_start, step_start = [0], [0], [0], [0], [0]
+        for fold in folds:
+            root = fold.root
+            node_attr, root_comp, overlay, root_demand = root.node, root.comp, fold.comp, root.demand
+            speed += root.speed
+            cores += root.cores
+            ends += root.ends
+            psi += root.psi
+            node_index = root.node_index
+            added = fold.nodes[root.n_nodes :]
+            if added:
+                node_index = {**node_index, **{node: k for k, node in enumerate(added, root.n_nodes)}}
+                speed += [node_attr[node][0] for node in added]
+                cores += [node_attr[node][1] for node in added]
+                added_links = fold.links[root.n_links :]
+                ends += [node_index[end] for link in added_links for end in (link[1], link[2])]
+                psi += [link[3] for link in added_links]
+            rows = [overlay[c] if c in overlay else root_comp[c] for c in fold.components]
+            comp_node += [node_index[row[2]] for row in rows]
+            theta += [row[1] for row in rows]
+            ops = [op for row in rows for op in row[0]]
+            op_comp += [i for i, row in enumerate(rows) for _ in row[0]]
+            demand += [root_demand[op] for op in ops]
+            op_index = {op: k for k, op in enumerate(ops)}
+            step_op += [op_index[op] for steps in fold.steps for op, _ in steps]
+            step_count += [count for steps in fold.steps for _, count in steps]
+            scen_steps += [len(steps) for steps in fold.steps]
+            mix += root.mix
+            population += root.population
+            think += root.think
+            node_start.append(len(speed))
+            component_start.append(len(theta))
+            operation_start.append(len(demand))
+            link_start.append(len(psi))
+            step_start.append(len(step_op))
+        self.node_start, self.component_start = node_start, component_start
+        self.operation_start, self.link_start = operation_start, link_start
+        self.station_ids = [fold.nodes for fold in folds]
+
+        def rows_of(local, start, owner_start):
+            """``local`` row indices of each fold's rows (bounded by ``start``)
+            plus the fold's first row of the kind that ``owner_start`` bounds."""
+            offsets = np.repeat(np.array(owner_start[:-1], dtype=np.intp), np.diff(start))
+            array = np.array(local, dtype=np.intp) + offsets
+            array.flags.writeable = False
+            return array
+
+        shape = (len(folds), self.n_scenarios)
         self.node_speed, self.node_cores = _frozen(speed, float), _frozen(cores, float)
-        self.component_theta, self.component_node = _frozen(theta, float), _frozen(comp_node, np.intp)
-        self.operation_demand, self.operation_component = _frozen(demand, float), _frozen(op_comp, np.intp)
-        self.link_psi, self.link_ends = _frozen(psi, float), _frozen(ends, np.intp).reshape(-1, 2)
-        self.step_operation, self.step_count = _frozen(step_op, np.intp), _frozen(step_count, float)
-        # each step's scenario, numbered across the chunk: architecture b's
-        # scenario j is b * n_scenarios + j
+        self.component_theta = _frozen(theta, float)
+        self.component_node = rows_of(comp_node, component_start, node_start)
+        self.operation_demand = _frozen(demand, float)
+        self.operation_component = rows_of(op_comp, operation_start, component_start)
+        self.link_psi = _frozen(psi, float)
+        self.link_ends = rows_of(ends, [2 * k for k in link_start], node_start).reshape(-1, 2)
+        self.step_operation, self.step_count = rows_of(step_op, step_start, operation_start), _frozen(step_count, float)
+        # each step's scenario, numbered across the chunk: fold b's scenario
+        # j is b * n_scenarios + j
         self.step_scenario = np.repeat(np.arange(len(scen_steps)), scen_steps)
-        self.step_column = self.step_scenario % self.n_scenarios  # the scenario within its architecture
+        self.step_column = self.step_scenario % self.n_scenarios  # the scenario within its fold
         self.step_scenario.flags.writeable = self.step_column.flags.writeable = False
         self.mix_weights = _frozen(mix, float).reshape(shape)
         self.populations = _frozen(population, float).reshape(shape)
         self.think_times = _frozen(think, float).reshape(shape)
 
     def __len__(self) -> int:
-        return len(self.architectures)
+        return len(self.folds)
 
     def owners(self, start: list[int]) -> np.ndarray:
         """The architecture of each row of the kind that ``start`` bounds."""
@@ -593,7 +745,7 @@ def invocation_matrix(chunk: CompiledChunk) -> tuple[np.ndarray, np.ndarray]:
     message is charged to the one link joining its node pair, found by one
     sorted lookup of the pair's key over both orders of every link's
     endpoints.  Raises the ``RoutingError`` of the chunk's first
-    unroutable architecture, with the text of its ``unrouted_call``.
+    unroutable fold, with the text of its ``unrouted_call``.
     """
     node, scen = chunk.step_node, chunk.step_scenario
     cross = np.flatnonzero((node[1:] != node[:-1]) & (scen[1:] == scen[:-1])) + 1
@@ -607,5 +759,5 @@ def invocation_matrix(chunk: CompiledChunk) -> tuple[np.ndarray, np.ndarray]:
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     unrouted = cross[keys[at] != wanted]
     if unrouted.size:
-        raise RoutingError(unrouted_call(chunk.architectures[scen[unrouted[0]] // chunk.n_scenarios]))
+        raise RoutingError(unrouted_call(chunk.folds[scen[unrouted[0]] // chunk.n_scenarios]))
     return chunk.invocations, chunk.scenario_sums(link_of[at], n_links, chunk.step_count, cross)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .antipatterns import Thresholds, detect
-from .model import Architecture, CompiledChunk, digest, validate
+from .model import Architecture, CompiledChunk, Fold, digest, validate
 from .pareto import admit, crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
@@ -48,9 +48,9 @@ INVALID_SENTINEL = float("inf")
 # other scoring step fails: every scored architecture passed ``validate`` or
 # an ``is_feasible`` probe, so its calls are routable.
 EVALUATION_FAILURES = (SolverError, ValueError)
-# New candidates scored together as one compiled chunk, with one stacked
-# AMVA solve.  Bounds the folded architectures held at once, and how far
-# the time budget can overrun.
+# New candidates scored together as one chunk compiled from their folds,
+# with one stacked AMVA solve.  Bounds the pending folds held at once, and
+# how far the time budget can overrun.
 CHUNK_SIZE = 32
 
 
@@ -167,9 +167,9 @@ def score(
     brf: dict[ActionKind, float],
     thresholds: Thresholds,
 ) -> list[Outcome]:
-    """Scores the candidates' folded architectures as one chunk: one
-    compile, one ``to_qn``, one ``solve_amva_many``, one reliability and
-    one antipattern count of all.  Returns one outcome per candidate, in
+    """Scores the candidates' folds as one chunk: one compile, one
+    ``to_qn``, one ``solve_amva_many``, one reliability and one
+    antipattern count of all.  Returns one outcome per candidate, in
     order; a candidate whose solve fails makes only itself invalid."""
     if not candidates:
         return []
@@ -225,6 +225,8 @@ class Evaluator:
         if violations:
             raise ValueError("initial architecture is invalid:\n" + "\n".join(violations))
         self.initial = initial
+        # the root of every fold of the search
+        self.fold = initial.fold
         self.config = config
         self.initial_digest = digest(initial)
         [initial_qn] = to_qn(CompiledChunk([initial]))
@@ -238,13 +240,13 @@ class Evaluator:
         self.cache_hits = 0
         self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
-    def _record(self, seq: RefactoringSequence, outcome: Outcome, folded: Architecture) -> Individual:
+    def _record(self, seq: RefactoringSequence, outcome: Outcome, folded: Fold) -> Individual:
         """Store a scored candidate.  Its phenotype is digested only when
         it is invalid, for the warning; ``run`` digests the final front."""
         self.solver_evaluations += 1
         order = len(self.individuals)
         if isinstance(outcome, Exception):
-            phenotype = digest(folded)
+            phenotype = digest(folded.architecture())
             kind = next(cls for cls in EVALUATION_FAILURES if isinstance(outcome, cls))
             self.invalid_by_type[kind.__name__] += 1
             log.warning("invalid individual (%s): %s", phenotype[:12], outcome)
@@ -282,7 +284,7 @@ class Evaluator:
         if cached is not None:
             self.cache_hits += 1
             return cached
-        self._score_chunk([(seq, apply_sequence(self.initial, seq))])
+        self._score_chunk([(seq, apply_sequence(self.fold, seq))])
         return self.individuals[seq]
 
     def evaluate_many(self, candidates: Iterable[Candidate], budget: _Budget) -> list[Individual]:
@@ -292,7 +294,7 @@ class Evaluator:
         counting the pending ones as evaluated, no further candidate is
         drawn; the pending ones are still scored."""
         drawn: list[RefactoringSequence] = []
-        pending: dict[RefactoringSequence, Architecture] = {}
+        pending: dict[RefactoringSequence, Fold] = {}
         for seq, folded in candidates:
             drawn.append(seq)
             if seq in self.individuals or seq in pending:
@@ -313,7 +315,7 @@ def _tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:
 
 
 def crossover(
-    initial: Architecture,
+    initial: Fold | Architecture,
     a: RefactoringSequence,
     b: RefactoringSequence,
     rng: np.random.Generator,
@@ -335,7 +337,7 @@ def crossover(
 
 
 def mutate(
-    initial: Architecture,
+    initial: Fold | Architecture,
     seq: RefactoringSequence,
     rng: np.random.Generator,
     gene_prob: float,
@@ -344,7 +346,7 @@ def mutate(
 ) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
-    Returns the child with its folded architecture."""
+    Returns the child with its fold, in the form of ``initial``."""
     return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
 
 
@@ -362,9 +364,9 @@ def _offspring(
     for _ in range(config.population // 2):
         a, b = select().sequence, select().sequence
         if rng.random() < config.crossover_prob:
-            (a, _), (b, _) = crossover(evaluator.initial, a, b, rng, config.allow_new_nodes, folds)
+            (a, _), (b, _) = crossover(evaluator.fold, a, b, rng, config.allow_new_nodes, folds)
         for child in (a, b):
-            yield mutate(evaluator.initial, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
+            yield mutate(evaluator.fold, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,9 @@ def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
     return population[min(i, j)]
 
 
-def _nsga2_survival(population: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+def _nsga2_survival(
+    population: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
+) -> list[Individual]:
     union = population + evaluated
     # A union that fits is kept in evaluation order, which the tournament
     # indexes.  Only the initial population fits (a short one means the
@@ -430,50 +434,104 @@ def _nsga2_survival(population: list[Individual], evaluated: list[Individual], c
 # ---------------------------------------------------------------------------
 
 
-def _spea2_fitness(union: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
+# Rows of an (n, n) matrix that SPEA2 builds at once: its temporaries stay
+# near this many rows, so memory grows as n, not n^2, beyond the dominance
+# matrix itself.
+_SPEA2_ROWS = 256
+
+
+def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each of ``rows`` to every point, inf to
+    itself; the squares are summed one objective at a time, in order."""
+    squared = np.zeros((len(rows), len(points)))
+    for column in points.T:
+        diff = column[rows, None] - column[None, :]
+        squared += diff * diff
+    dists = np.sqrt(squared, out=squared)
+    dists[np.arange(len(rows)), rows] = np.inf
+    return dists
+
+
+def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] = lambda: False) -> np.ndarray | None:
+    """R(i): the summed strength S(j), the count j dominates, of each of
+    i's dominators (integer counts, so exact in any summation order); None
+    once ``spent()`` is true between row blocks."""
+    n = len(points)
+    dom = np.empty((n, n), dtype=bool)
+    for start in range(0, n, _SPEA2_ROWS):
+        if spent():
+            return None
+        dom[start : start + _SPEA2_ROWS] = kernels.dominance_matrix(points[start : start + _SPEA2_ROWS], points)
+    strength = dom.sum(axis=1).astype(float)
+    raw = np.zeros(n)
+    for start in range(0, n, _SPEA2_ROWS):
+        raw += strength[start : start + _SPEA2_ROWS] @ dom[start : start + _SPEA2_ROWS]
+    return raw
+
+
+def _spea2_density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """D(i) = 1 / (sigma_k(i) + 2) of each of ``rows``: sigma_k is the
+    distance to the k-th nearest other point, k = floor(sqrt(n))."""
+    n = len(points)
+    if n == 1:
+        return np.full(len(rows), 0.5)
+    k = max(1, min(int(np.floor(np.sqrt(n))), n - 1))
+    sigma = np.zeros(len(rows))
+    for start in range(0, len(rows), _SPEA2_ROWS):
+        block = _distances(points, rows[start : start + _SPEA2_ROWS])
+        sigma[start : start + _SPEA2_ROWS] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return 1.0 / (sigma + 2.0)
+
+
+def _spea2_fitness(union: list[Individual]) -> np.ndarray:
+    """F(i) = R(i) + D(i) of every member."""
     points = _objective_rows(union)
-    dom = kernels.dominance_matrix(points)
-    strength = dom.sum(axis=1).astype(float)  # S(i): count i dominates
-    raw = strength @ dom  # R(i): summed strength of i's dominators; integer counts, so exact
-    dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(dists, np.inf)
-    k = int(np.floor(np.sqrt(len(union))))
-    k = max(1, min(k, len(union) - 1)) if len(union) > 1 else 1
-    sigma = np.sort(dists, axis=1)[:, k - 1] if len(union) > 1 else np.zeros(len(union))
-    density = 1.0 / (sigma + 2.0)
-    return raw + density, dists
+    return _spea2_raw(points) + _spea2_density(points, np.arange(len(union)))
 
 
-def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int) -> list[int]:
+def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int] | None:
     # iteratively drop the member with lexicographically smallest sorted
     # nearest-neighbor distances; on full ties the highest index goes,
     # so earlier individuals win as everywhere else
     keep = list(archive_idx)
     while len(keep) > target:
+        if spent():
+            return None
         sub = dists[np.ix_(keep, keep)]
         ranked = sorted(range(len(keep)), key=lambda i: (tuple(np.sort(sub[i])), -keep[i]))
         keep.pop(ranked[0])
     return keep
 
 
-def _spea2_survival(archive: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+def _spea2_survival(
+    archive: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
+) -> list[Individual] | None:
     union = evaluated + archive
-    fitness, dists = _spea2_fitness(union)
-    nondom = [i for i in range(len(union)) if fitness[i] < 1.0]
+    points = _objective_rows(union)
+    raw = _spea2_raw(points, spent)
+    if raw is None:
+        return None
+    # D(i) is in (0, 1/2], so F(i) < 1 exactly for the non-dominated (R = 0)
+    nondom = np.flatnonzero(raw == 0)
     if len(nondom) > config.archive_size:
-        nondom = _spea2_truncate(nondom, dists, config.archive_size)
-    elif len(nondom) < config.archive_size:
-        dominated = sorted(
-            (i for i in range(len(union)) if fitness[i] >= 1.0),
-            key=lambda i: (fitness[i], union[i].order),
-        )
-        nondom = nondom + dominated[: config.archive_size - len(nondom)]
-    return [union[i] for i in nondom]
+        local = np.arange(len(nondom))
+        kept = _spea2_truncate(local.tolist(), _distances(points[nondom], local), config.archive_size, spent)
+        return None if kept is None else [union[nondom[i]] for i in kept]
+    chosen = nondom.tolist()
+    need, dominated = config.archive_size - len(chosen), np.flatnonzero(raw > 0)
+    if need > 0 and dominated.size:
+        # every member with a larger R than the need-th smallest ranks after
+        # the need best (F < R + 1), so only these need their density
+        nth = min(need, dominated.size) - 1
+        candidates = dominated[raw[dominated] <= np.partition(raw[dominated], nth)[nth]]
+        fitness = raw[candidates] + _spea2_density(points, candidates)
+        ranked = sorted(range(len(candidates)), key=lambda c: (fitness[c], union[candidates[c]].order))
+        chosen += [int(candidates[c]) for c in ranked[:need]]
+    return [union[i] for i in chosen]
 
 
 def _spea2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
-    fitness, _ = _spea2_fitness(archive)
-    return partial(_spea2_select_parent, archive, fitness, rng)
+    return partial(_spea2_select_parent, archive, _spea2_fitness(archive), rng)
 
 
 def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
@@ -515,7 +573,9 @@ def _pesa2_insert(
     return archive, points
 
 
-def _pesa2_survival(archive: list[Individual], evaluated: list[Individual], config: SearchConfig) -> list[Individual]:
+def _pesa2_survival(
+    archive: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
+) -> list[Individual]:
     # kept beside the archive, so no insert rebuilds them
     points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
     for ind in evaluated:
@@ -545,7 +605,10 @@ def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng:
 
 # The valid ``algorithm`` values and their steps of the loop: parents(kept,
 # rng, config) picks one generation's parents from what the algorithm
-# keeps, and survive(kept, evaluated, config) is what it keeps after it.
+# keeps, and survive(kept, evaluated, config, spent) is what it keeps after
+# it.  Nothing reads the survivors of a spent budget, so a survival may give
+# up, returning None, once ``spent()`` is true (SPEA2's, whose work grows
+# as the square of what it keeps, does).
 _ALGORITHMS = {
     "nsga2": (_nsga2_parents, _nsga2_survival),
     "spea2": (_spea2_parents, _spea2_survival),
@@ -564,7 +627,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     # the fold of each action prefix built from the initial architecture
     folds: Folds = {}
     initial = (
-        random_sequence(evaluator.initial, config.sequence_length, rng, config.allow_new_nodes, folds)
+        random_sequence(evaluator.fold, config.sequence_length, rng, config.allow_new_nodes, folds)
         for _ in range(config.population)
     )
     # Survival runs only while the budget lasts: nothing reads the
@@ -572,7 +635,9 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
     while not budget.spent(evaluator.solver_evaluations):
-        kept = survive(kept, evaluated, config)
+        kept = survive(kept, evaluated, config, lambda: budget.spent(evaluator.solver_evaluations))
+        if kept is None:
+            break
         evaluations = evaluator.solver_evaluations
         # Every kept individual was sampled or bred through the store.
         # Breeding reuses only their proper prefixes, so a whole plan's

@@ -53,19 +53,19 @@ class PerformanceResult:
 
 
 def to_qn(chunk: CompiledChunk) -> list[QnModel]:
-    """Map each validated architecture of a chunk onto the closed queueing
-    model; a model's matrices are row slices of the chunk's."""
+    """Map each fold of a chunk onto the closed queueing model; a model's
+    matrices are row slices of the chunk's."""
     demands = chunk.demands / chunk.node_cores[:, None]
     rows = chunk.node_start
     return [
         QnModel(
             station_ids=chunk.station_ids[b],
-            class_ids=tuple(s.id for s in arch.scenarios),
+            class_ids=fold.root.scenario_ids,
             demands=demands[rows[b] : rows[b + 1]],
             populations=chunk.populations[b],
             think_times=chunk.think_times[b],
         )
-        for b, arch in enumerate(chunk.architectures)
+        for b, fold in enumerate(chunk.folds)
     ]
 
 

@@ -2,8 +2,9 @@
 
 All actions preserve functional behavior: the operations a scenario
 invokes and its total expected demand stay the same, only placement and
-replication change.  ``apply`` never mutates its input; it returns a new
-architecture.
+replication change.  Actions apply to a ``Fold`` and build a new one,
+never mutating their input; given an ``Architecture``, the public
+functions fold its root and return an ``Architecture``.
 """
 
 from __future__ import annotations
@@ -11,20 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
-from typing import ClassVar, Iterable, Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
-from .model import (
-    Architecture,
-    CallStep,
-    Component,
-    NetworkLink,
-    Operation,
-    ProcessorNode,
-    UsageScenario,
-    unrouted_call,
-)
+from .model import Architecture, Fold, unrouted_call
 
 NEW_NODE_PREFIX = "new-node:"
 
@@ -97,11 +89,11 @@ class RefactoringSequence:
         return len(self.actions)
 
 
-# A sequence with the architecture it folds to from the initial one.
-Candidate = tuple[RefactoringSequence, Architecture]
+# A sequence with its fold from the initial architecture.
+Candidate = tuple[RefactoringSequence, Fold]
 # The fold of each action prefix from one initial architecture.  A fold is
 # a pure function of its prefix, so any plan with that prefix may reuse it.
-Folds = dict[tuple[RefactoringAction, ...], Architecture]
+Folds = dict[tuple[RefactoringAction, ...], Fold]
 
 
 DEFAULT_BRF: dict[ActionKind, float] = {
@@ -117,78 +109,102 @@ DEFAULT_BRF: dict[ActionKind, float] = {
 # ---------------------------------------------------------------------------
 
 
-def _fresh_suffix(taken: set[str], bases: Iterable[str]) -> int:
+def _taken(fold: Fold, elem_id: str) -> bool:
+    """Whether any element of the fold has the id: a component, operation,
+    node, link or scenario."""
+    root, comp = fold.root, fold.comp
+    if elem_id in comp:
+        if comp[elem_id] is not None:
+            return True
+    elif elem_id in root.comp:
+        return True
+    return elem_id in root.taken or elem_id in fold.added
+
+
+def _fresh_suffix(fold: Fold, bases: list[str]) -> int:
     """Smallest k >= 1 such that every f"{base}{k}" is unused."""
     k = 1
-    bases = list(bases)
-    while any(f"{base}{k}" in taken for base in bases):
+    while any(_taken(fold, f"{base}{k}") for base in bases):
         k += 1
     return k
 
 
-def _all_ids(arch: Architecture) -> set[str]:
-    ids = {c.id for c in arch.components}
-    ids.update(op.id for c in arch.components for op in c.operations)
-    ids.update(n.id for n in arch.nodes)
-    ids.update(l.id for l in arch.links)
-    ids.update(s.id for s in arch.scenarios)
-    return ids
+def _is_node(fold: Fold, node_id: str) -> bool:
+    root = fold.root
+    return node_id in root.node_ids or node_id in fold.nodes[root.n_nodes :]
 
 
-def _instantiate_node(arch: Architecture, template_id: str) -> tuple[Architecture, str]:
-    """Copy a template node under a fresh id, wired like a peer: links to
-    all of the template's neighbors plus one to the template itself."""
-    template = arch.node(template_id)
-    taken = _all_ids(arch)
-    suffix = _fresh_suffix(
-        taken, [f"{template_id}_copy", f"{template_id}_uplink"] + [f"{l.id}_copy" for l in arch.links]
+def _is_link(fold: Fold, link_id: str) -> bool:
+    root = fold.root
+    return link_id in root.link_ids or (
+        link_id in fold.added and any(link[0] == link_id for link in fold.links[root.n_links :])
     )
-    new_id = f"{template_id}_copy{suffix}"
-    new_node = ProcessorNode(id=new_id, speed_factor=template.speed_factor, cores=template.cores)
-    new_links = list(arch.links)
-    template_links = [l for l in arch.links if template_id in l.endpoints]
-    for link in template_links:
-        other = link.endpoints[0] if link.endpoints[1] == template_id else link.endpoints[1]
-        new_links.append(
-            NetworkLink(
-                id=f"{link.id}_copy{suffix}",
-                endpoints=(other, new_id),
-                failure_probability=link.failure_probability,
-                delay=link.delay,
-            )
-        )
+
+
+def _link_copy_taken(fold: Fold, k: int) -> bool:
+    """Whether some link's copy id ``<link>_copy<k>`` is taken.  The taken
+    ids of that form are the source's (a component among them may be gone)
+    and the node and link copies of the fold's plan."""
+    suffix = f"_copy{k}"
+    stems = [elem_id[: -len(suffix)] for elem_id in fold.added if elem_id.endswith(suffix)]
+    stems += fold.root.copies.get(k, ())
+    return any(_is_link(fold, stem) and _taken(fold, stem + suffix) for stem in stems)
+
+
+def _instantiate_node(fold: Fold, template_id: str) -> tuple[Fold, str]:
+    """Copy a template node under a fresh id, wired like a peer: links to
+    all of the template's neighbors plus one to the template itself.
+
+    The suffix k is the smallest for which the node id, the uplink id and
+    every link's copy id ``<link>_copy<k>`` are unused."""
+    k = 1
+    while (
+        _taken(fold, f"{template_id}_copy{k}")
+        or _taken(fold, f"{template_id}_uplink{k}")
+        or _link_copy_taken(fold, k)
+    ):
+        k += 1
+    root = fold.root
+    new_id = f"{template_id}_copy{k}"
+    root.node[new_id] = root.node[template_id]
+    new_links = []
+    # the template's links in link order: the root's first, as a fold only appends
+    template_links = root.links_at.get(template_id, ()) + tuple(
+        link for link in fold.links[root.n_links :] if template_id in (link[1], link[2])
+    )
+    for link_id, a, b, psi, delay in template_links:
+        new_links.append((f"{link_id}_copy{k}", a if b == template_id else b, new_id, psi, delay))
     # same-segment assumption: the copy reaches its template at least as
     # well as the template's best existing link
     new_links.append(
-        NetworkLink(
-            id=f"{template_id}_uplink{suffix}",
-            endpoints=(template_id, new_id),
-            failure_probability=min((l.failure_probability for l in template_links), default=0.0),
-            delay=min((l.delay for l in template_links), default=0.0),
+        (
+            f"{template_id}_uplink{k}",
+            template_id,
+            new_id,
+            min((link[3] for link in new_links), default=0.0),
+            min((link[4] for link in new_links), default=0.0),
         )
     )
     return (
-        Architecture(
-            components=arch.components,
-            nodes=arch.nodes + (new_node,),
-            links=tuple(new_links),
-            scenarios=arch.scenarios,
-            deployment=dict(arch.deployment),
+        fold._replace(
+            nodes=fold.nodes + (new_id,),
+            links=fold.links + tuple(new_links),
+            added=fold.added + (new_id,) + tuple(link[0] for link in new_links),
         ),
         new_id,
     )
 
 
-def _resolve_target_node(arch: Architecture, target: str) -> tuple[Architecture, str] | str:
-    """Return (arch-with-node, node-id) or an infeasibility reason."""
+def _resolve_target_node(fold: Fold, target: str) -> tuple[Fold, str] | str:
+    """Return (fold-with-node, node-id) or an infeasibility reason."""
     if target.startswith(NEW_NODE_PREFIX):
-        template_id = target[len(NEW_NODE_PREFIX):]
-        if not any(n.id == template_id for n in arch.nodes):
+        template_id = target[len(NEW_NODE_PREFIX) :]
+        if not _is_node(fold, template_id):
             return f"template node '{template_id}' does not exist"
-        return _instantiate_node(arch, template_id)
-    if not any(n.id == target for n in arch.nodes):
+        return _instantiate_node(fold, template_id)
+    if not _is_node(fold, target):
         return f"target node '{target}' does not exist"
-    return arch, target
+    return fold, target
 
 
 # ---------------------------------------------------------------------------
@@ -196,140 +212,132 @@ def _resolve_target_node(arch: Architecture, target: str) -> tuple[Architecture,
 # ---------------------------------------------------------------------------
 
 
-def _apply_clone(arch: Architecture, action: CloneComponent):
-    try:
-        source = arch.component(action.component)
-    except KeyError:
+def _invoking(fold: Fold, ops) -> list[int]:
+    """The scenarios invoking any of ``ops``, ascending."""
+    scenarios_of = fold.root.scenarios_of
+    return sorted({j for op in ops for j in scenarios_of.get(op, ())})
+
+
+def _apply_clone(fold: Fold, action: CloneComponent):
+    source = fold.row(action.component)
+    if source is None:
         return None, f"component '{action.component}' does not exist"
-    resolved = _resolve_target_node(arch, action.target)
+    resolved = _resolve_target_node(fold, action.target)
     if isinstance(resolved, str):
         return None, resolved
-    arch, target_node = resolved
+    fold, target_node = resolved
 
-    taken = _all_ids(arch)
-    suffix = _fresh_suffix(taken, [f"{source.id}_clone"] + [f"{op.id}_clone" for op in source.operations])
-    replica_id = f"{source.id}_clone{suffix}"
-    op_twin = {op.id: f"{op.id}_clone{suffix}" for op in source.operations}
-    replica = Component(
-        id=replica_id,
-        operations=tuple(Operation(id=op_twin[op.id], cpu_demand=op.cpu_demand) for op in source.operations),
-        failure_probability=source.failure_probability,
-    )
+    ops, theta, _ = source
+    suffix = _fresh_suffix(fold, [f"{action.component}_clone"] + [f"{op}_clone" for op in ops])
+    replica_id = f"{action.component}_clone{suffix}"
+    op_twin = {op: f"{op}_clone{suffix}" for op in ops}
+    root = fold.root
+    for op, twin in op_twin.items():
+        root.demand[twin] = root.demand[op]
+        root.scenarios_of[twin] = root.scenarios_of.get(op, ())
 
-    scenarios = []
-    for scen in arch.scenarios:
-        if not any(step.operation in op_twin for step in scen.steps):
-            scenarios.append(scen)  # invokes no cloned operation: kept as it is
-            continue
-        steps: list[CallStep] = []
-        for step in scen.steps:
-            if step.operation in op_twin:
-                half = step.count / 2.0
-                steps.append(CallStep(operation=step.operation, count=half))
-                steps.append(CallStep(operation=op_twin[step.operation], count=half))
+    # only the scenarios invoking a cloned operation change
+    invoking = _invoking(fold, ops)
+    steps = list(fold.steps)
+    for j in invoking:
+        split: list[tuple[str, float]] = []
+        for step in steps[j]:
+            op, count = step
+            if op in op_twin:
+                half = count / 2.0
+                split += ((op, half), (op_twin[op], half))
             else:
-                steps.append(step)
-        scenarios.append(
-            UsageScenario(
-                id=scen.id,
-                mix_weight=scen.mix_weight,
-                population=scen.population,
-                think_time=scen.think_time,
-                steps=tuple(steps),
-            )
-        )
+                split.append(step)
+        steps[j] = tuple(split)
 
-    deployment = dict(arch.deployment)
-    deployment[replica_id] = target_node
+    twins = tuple(op_twin.values())
     return (
-        Architecture(
-            components=arch.components + (replica,),
-            nodes=arch.nodes,
-            links=arch.links,
-            scenarios=tuple(scenarios),
-            deployment=deployment,
+        fold._replace(
+            components=fold.components + (replica_id,),
+            steps=tuple(steps),
+            n_ops=fold.n_ops + len(twins),
+            comp={**fold.comp, replica_id: (twins, theta, target_node)},
+            owner={**fold.owner, **dict.fromkeys(twins, replica_id)},
+            added=fold.added + twins,
         ),
-        "",
+        invoking,
     )
 
 
-def _detach_operation(arch: Architecture, source: Component, op_id: str):
-    """Take operation ``op_id`` off its owner ``source``: returns the
-    components (order kept), the deployment and the operation.  An owner
-    left empty is dropped together with its deployment entry."""
-    moved = next(op for op in source.operations if op.id == op_id)
-    remaining = tuple(op for op in source.operations if op.id != op_id)
-    deployment = dict(arch.deployment)
-    components = []
-    for comp in arch.components:
-        if comp.id != source.id:
-            components.append(comp)
-        elif remaining:
-            components.append(Component(comp.id, remaining, comp.failure_probability))
-    if not remaining:
-        del deployment[source.id]
-    return components, deployment, moved
+def _detach_operation(fold: Fold, source_id: str, op_id: str):
+    """Take operation ``op_id`` off its owner ``source_id``: returns the
+    component ids (order kept) and a new component overlay.  An owner left
+    empty is dropped."""
+    ops, theta, node = fold.row(source_id)
+    remaining = tuple(op for op in ops if op != op_id)
+    comp = dict(fold.comp)
+    if remaining:
+        comp[source_id] = (remaining, theta, node)
+        return fold.components, comp
+    comp[source_id] = None
+    return tuple(c for c in fold.components if c != source_id), comp
 
 
-def _apply_move_to_component(arch: Architecture, action: MoveOperationToComponent):
-    owners = arch.owner_map
-    if action.operation not in owners:
-        return None, f"operation '{action.operation}' does not exist"
-    source = owners[action.operation]
-    if not any(c.id == action.target_component for c in arch.components):
-        return None, f"target component '{action.target_component}' does not exist"
-    if source.id == action.target_component:
-        return None, f"operation '{action.operation}' is already owned by '{source.id}'"
+def _owner(fold: Fold, op_id: str) -> str | None:
+    owner = fold.owner
+    return owner[op_id] if op_id in owner else fold.root.owner.get(op_id)
 
-    components, deployment, moved = _detach_operation(arch, source, action.operation)
-    components = [
-        Component(c.id, c.operations + (moved,), c.failure_probability) if c.id == action.target_component else c
-        for c in components
-    ]
+
+def _apply_move_to_component(fold: Fold, action: MoveOperationToComponent):
+    op_id, target_id = action.operation, action.target_component
+    source_id = _owner(fold, op_id)
+    if source_id is None:
+        return None, f"operation '{op_id}' does not exist"
+    target = fold.row(target_id)
+    if target is None:
+        return None, f"target component '{target_id}' does not exist"
+    if source_id == target_id:
+        return None, f"operation '{op_id}' is already owned by '{source_id}'"
+
+    components, comp = _detach_operation(fold, source_id, op_id)
+    ops, theta, node = target
+    comp[target_id] = (ops + (op_id,), theta, node)
     return (
-        Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment),
-        "",
+        fold._replace(components=components, comp=comp, owner={**fold.owner, op_id: target_id}),
+        fold.root.scenarios_of.get(op_id, ()),
     )
 
 
-def _apply_move_to_new(arch: Architecture, action: MoveOperationToNewComponent):
-    owners = arch.owner_map
-    if action.operation not in owners:
-        return None, f"operation '{action.operation}' does not exist"
-    if not any(n.id == action.target_node for n in arch.nodes):
-        return None, f"target node '{action.target_node}' does not exist"
-    source = owners[action.operation]
+def _apply_move_to_new(fold: Fold, action: MoveOperationToNewComponent):
+    op_id, target_node = action.operation, action.target_node
+    source_id = _owner(fold, op_id)
+    if source_id is None:
+        return None, f"operation '{op_id}' does not exist"
+    if not _is_node(fold, target_node):
+        return None, f"target node '{target_node}' does not exist"
 
-    taken = _all_ids(arch)
-    suffix = _fresh_suffix(taken, [f"{action.operation}_host"])
-    host_id = f"{action.operation}_host{suffix}"
-    components, deployment, moved = _detach_operation(arch, source, action.operation)
-    components.append(Component(id=host_id, operations=(moved,), failure_probability=source.failure_probability))
-    deployment[host_id] = action.target_node
+    suffix = _fresh_suffix(fold, [f"{op_id}_host"])
+    host_id = f"{op_id}_host{suffix}"
+    theta = fold.row(source_id)[1]
+    components, comp = _detach_operation(fold, source_id, op_id)
+    comp[host_id] = ((op_id,), theta, target_node)
     return (
-        Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment),
-        "",
+        fold._replace(components=components + (host_id,), comp=comp, owner={**fold.owner, op_id: host_id}),
+        fold.root.scenarios_of.get(op_id, ()),
     )
 
 
-def _apply_redeploy(arch: Architecture, action: RedeployComponent):
-    if not any(c.id == action.component for c in arch.components):
+def _apply_redeploy(fold: Fold, action: RedeployComponent):
+    row = fold.row(action.component)
+    if row is None:
         return None, f"component '{action.component}' does not exist"
-    current = arch.deployment[action.component]
+    ops, theta, current = row
     if not action.target.startswith(NEW_NODE_PREFIX) and action.target == current:
         return None, f"target equals current node '{current}'"
-    resolved = _resolve_target_node(arch, action.target)
+    resolved = _resolve_target_node(fold, action.target)
     if isinstance(resolved, str):
         return None, resolved
-    arch, target_node = resolved
-    deployment = dict(arch.deployment)
-    deployment[action.component] = target_node
-    return (
-        Architecture(arch.components, arch.nodes, arch.links, arch.scenarios, deployment),
-        "",
-    )
+    fold, target_node = resolved
+    return fold._replace(comp={**fold.comp, action.component: (ops, theta, target_node)}), _invoking(fold, ops)
 
 
+# Each applier checks its action's preconditions and returns (the new fold,
+# the scenarios whose calls it may have rerouted) or (None, the reason).
 _APPLIERS = {
     ActionKind.CLONE: _apply_clone,
     ActionKind.MOVE_TO_COMPONENT: _apply_move_to_component,
@@ -338,42 +346,53 @@ _APPLIERS = {
 }
 
 
-def is_feasible(arch: Architecture, action: RefactoringAction) -> tuple[Architecture | None, str]:
-    """Apply the action if it is feasible: (the new architecture, "") or
-    (None, the blocking reason), so the first item is truthy exactly when
-    the action is feasible.
+def _fold_of(base: Fold | Architecture) -> Fold:
+    return base.fold if isinstance(base, Architecture) else base
+
+
+def _like(base: Fold | Architecture, fold: Fold) -> Fold | Architecture:
+    """``fold`` in the form of ``base``."""
+    return fold.architecture() if isinstance(base, Architecture) else fold
+
+
+def is_feasible(base: Fold | Architecture, action: RefactoringAction) -> tuple[Fold | Architecture | None, str]:
+    """Apply the action if it is feasible: (the new fold, "") or (None, the
+    blocking reason), so the first item is truthy exactly when the action
+    is feasible.  Given an architecture, returns one.
 
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
-    routing is checked here, on the object graph: a probe compiles
-    nothing, and only the chunks that are scored are compiled.
+    routing is checked here.  Links are only ever added, so the calls of a
+    scenario invoking no operation the action moved or cloned stay
+    routable: only the scenarios the applier names are walked, which finds
+    the same first unrouted call as a walk of all.
     """
-    result, reason = _APPLIERS[action.kind](arch, action)
+    result, changed = _APPLIERS[action.kind](_fold_of(base), action)
     if result is None:
-        return None, reason
-    call = unrouted_call(result)
+        return None, changed
+    call = unrouted_call(result, changed)
     if call is not None:
         return None, f"result would be unroutable: {call}"
-    return result, ""
+    return _like(base, result), ""
 
 
-def apply(arch: Architecture, action: RefactoringAction) -> Architecture:
-    """Apply a single feasible action, returning a new architecture."""
-    result, reason = is_feasible(arch, action)
+def apply(base: Fold | Architecture, action: RefactoringAction) -> Fold | Architecture:
+    """Apply a single feasible action, returning a new fold or architecture."""
+    result, reason = is_feasible(base, action)
     if result is None:
         raise InfeasibleActionError(reason)
     return result
 
 
-def apply_sequence(arch: Architecture, seq: RefactoringSequence) -> Architecture:
+def apply_sequence(base: Fold | Architecture, seq: RefactoringSequence) -> Fold | Architecture:
     """Left fold of ``apply``; reports the index of the first infeasible action."""
-    current = arch
+    current = _fold_of(base)
     for index, action in enumerate(seq.actions):
         result, reason = is_feasible(current, action)
         if result is None:
             raise InfeasibleActionError(reason, index=index)
         current = result
-    return current
+    return _like(base, current)
 
 
 def distance(seq: RefactoringSequence, brf: Mapping[ActionKind, float] | None = None) -> float:
@@ -387,34 +406,51 @@ def distance(seq: RefactoringSequence, brf: Mapping[ActionKind, float] | None = 
 # ---------------------------------------------------------------------------
 
 
-def _pick(rng: np.random.Generator, items: list):
+def _pick(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _sample_action(arch: Architecture, kind: ActionKind, rng: np.random.Generator, allow_new_nodes: bool):
-    node_ids = [n.id for n in arch.nodes]
-    new_node_targets = [NEW_NODE_PREFIX + n for n in node_ids] if allow_new_nodes else []
+def _node_target(nodes: tuple[str, ...], index: int) -> str:
+    """Target ``index`` of the nodes followed by the new-node target of each."""
+    return nodes[index] if index < len(nodes) else NEW_NODE_PREFIX + nodes[index - len(nodes)]
+
+
+def _pick_operation(fold: Fold, rng: np.random.Generator) -> tuple[int, str]:
+    """An operation drawn uniformly in component order, then in the order
+    its component lists it, with its owner's position."""
+    index = int(rng.integers(fold.n_ops))
+    root_comp, comp = fold.root.comp, fold.comp
+    for position, c in enumerate(fold.components):
+        ops = (comp[c] if c in comp else root_comp[c])[0]
+        if index < len(ops):
+            return position, ops[index]
+        index -= len(ops)
+    raise AssertionError("n_ops exceeds the operations of the fold")
+
+
+def _sample_action(fold: Fold, kind: ActionKind, rng: np.random.Generator, allow_new_nodes: bool):
+    # targets are drawn by index from the node ids followed, when new nodes
+    # are allowed, by the new-node target of each
+    nodes, components = fold.nodes, fold.components
+    n_targets = 2 * len(nodes) if allow_new_nodes else len(nodes)
     if kind == ActionKind.CLONE:
-        comp = _pick(rng, list(arch.components))
-        target = _pick(rng, node_ids + new_node_targets)
-        return CloneComponent(comp.id, target)
+        comp = _pick(rng, components)
+        return CloneComponent(comp, _node_target(nodes, int(rng.integers(n_targets))))
     if kind == ActionKind.MOVE_TO_COMPONENT:
-        owners = arch.owner_map
-        op_id = _pick(rng, list(owners))
-        others = [c.id for c in arch.components if c.id != owners[op_id].id]
-        if not others:
+        owner, op_id = _pick_operation(fold, rng)
+        if len(components) == 1:
             return None
-        return MoveOperationToComponent(op_id, _pick(rng, others))
+        other = int(rng.integers(len(components) - 1))  # any component but the owner
+        return MoveOperationToComponent(op_id, components[other + (other >= owner)])
     if kind == ActionKind.MOVE_TO_NEW:
-        owners = arch.owner_map
-        op_id = _pick(rng, list(owners))
-        return MoveOperationToNewComponent(op_id, _pick(rng, node_ids))
-    comp = _pick(rng, list(arch.components))
-    current = arch.deployment[comp.id]
-    targets = [n for n in node_ids if n != current] + new_node_targets
-    if not targets:
+        _, op_id = _pick_operation(fold, rng)
+        return MoveOperationToNewComponent(op_id, _pick(rng, nodes))
+    comp = _pick(rng, components)
+    current = nodes.index(fold.row(comp)[2])
+    if n_targets == 1:
         return None
-    return RedeployComponent(comp.id, _pick(rng, targets))
+    target = int(rng.integers(n_targets - 1))  # any target but the current node
+    return RedeployComponent(comp, _node_target(nodes, target + (target >= current)))
 
 
 # Parameter draws per action kind before random_action gives the kind up.
@@ -422,43 +458,45 @@ _MAX_TRIES = 50
 
 
 def random_action(
-    arch: Architecture, rng: np.random.Generator, allow_new_nodes: bool = True
-) -> tuple[RefactoringAction, Architecture]:
+    base: Fold | Architecture, rng: np.random.Generator, allow_new_nodes: bool = True
+) -> tuple[RefactoringAction, Fold | Architecture]:
     """Sample a feasible action: kind uniformly, then parameters by
     reject-and-resample; falls back to the remaining kinds on exhaustion.
-    Returns the action with the architecture its accepted probe built."""
+    Returns the action with what its accepted probe built, in the form of
+    ``base``."""
+    fold = _fold_of(base)
     remaining = list(ActionKind)
     while remaining:
         kind = _pick(rng, remaining)
         for _ in range(_MAX_TRIES):
-            action = _sample_action(arch, kind, rng, allow_new_nodes)
+            action = _sample_action(fold, kind, rng, allow_new_nodes)
             if action is None:
                 break
-            result, _ = is_feasible(arch, action)
+            result, _ = is_feasible(fold, action)
             if result is not None:
-                return action, result
+                return action, _like(base, result)
         remaining.remove(kind)
     raise NoFeasibleActionError("no feasible action exists for this architecture")
 
 
 def repair(
-    arch: Architecture,
+    base: Fold | Architecture,
     seq: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     resample_probability: float = 0.0,
     folds: Folds | None = None,
-) -> Candidate:
+) -> tuple[RefactoringSequence, Fold | Architecture]:
     """Walk the genes in prefix order and rewrite each infeasible one, and
     each one forced with ``resample_probability``, with a random feasible one.
 
-    Returns the repaired sequence with its folded architecture.  A kept
-    gene's fold is read from ``folds`` when its prefix is there, instead of
-    probed, and every prefix built is recorded in it; the force draws are
-    the same either way.
+    Returns the repaired sequence with its fold, in the form of ``base``.
+    A kept gene's fold is read from ``folds`` when its prefix is there,
+    instead of probed, and every prefix's fold is recorded in it; the force
+    draws are the same either way.
     """
     folds = {} if folds is None else folds
-    current = arch
+    current = _fold_of(base)
     prefix: tuple[RefactoringAction, ...] = ()
     for action in seq.actions:
         force = resample_probability > 0.0 and rng.random() < resample_probability
@@ -469,26 +507,27 @@ def repair(
             action, result = random_action(current, rng, allow_new_nodes)
         prefix += (action,)
         folds[prefix] = current = result
-    return RefactoringSequence(prefix), current
+    return RefactoringSequence(prefix), _like(base, current)
 
 
 def random_sequence(
-    arch: Architecture,
+    base: Fold | Architecture,
     length: int,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
-) -> Candidate:
+) -> tuple[RefactoringSequence, Fold | Architecture]:
     """Sample a feasible sequence by chaining random actions; returns it
-    with its folded architecture, and records each prefix's fold in ``folds``."""
+    with its fold in the form of ``base``, and records each prefix's fold
+    in ``folds``."""
     folds = {} if folds is None else folds
-    current = arch
+    current = _fold_of(base)
     prefix: tuple[RefactoringAction, ...] = ()
     for _ in range(length):
         action, current = random_action(current, rng, allow_new_nodes)
         prefix += (action,)
         folds[prefix] = current
-    return RefactoringSequence(prefix), current
+    return RefactoringSequence(prefix), _like(base, current)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from archopt import casestudies
+
+# ``--hypothesis-profile=thorough`` runs every property test that sets no
+# ``max_examples`` of its own (the fold-versus-oracle tests) on several
+# hundred examples; tier-1 keeps hypothesis's default profile.
+settings.register_profile("thorough", max_examples=500)
 
 # filled by test_acceptance.check(); echoed after the run so the
 # per-criterion lines are visible without -s

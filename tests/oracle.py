@@ -1,15 +1,37 @@
-"""The per-architecture scoring path that the chunk scorer replaced.
+"""The object-graph paths that the program replaced, kept as references.
 
-Each function reads one architecture through its own index arrays, as the
-program did before it compiled and scored candidates a chunk at a time.
-The chunk scorer must give the same bits; ``test_chunk.py`` checks it.
+The scoring functions read one architecture through its own index arrays,
+as the program did before it compiled and scored candidates a chunk at a
+time; the chunk scorer must give the same bits (``test_chunk.py``).  The
+refactoring functions apply actions to ``Architecture`` values, as the
+program did before it folded them onto a root and an overlay; folds must
+give the same outcomes, reasons, random draws and ``save()`` bytes
+(``test_fold.py``).
 """
 
 import numpy as np
 
 from archopt.antipatterns import Thresholds
-from archopt.model import Architecture
+from archopt.kernels import dominates
+from archopt.model import (
+    Architecture,
+    CallStep,
+    Component,
+    NetworkLink,
+    Operation,
+    ProcessorNode,
+    UsageScenario,
+)
 from archopt.perfqn import QnModel, SolverError, solve_amva
+from archopt.refactoring import (
+    _MAX_TRIES,
+    NEW_NODE_PREFIX,
+    ActionKind,
+    CloneComponent,
+    MoveOperationToComponent,
+    MoveOperationToNewComponent,
+    RedeployComponent,
+)
 
 
 class View:
@@ -121,3 +143,330 @@ def score(arch: Architecture, th: Thresholds):
     except (SolverError, ValueError) as exc:  # no convergence, or a class with no demand and no think time
         return exc
     return perf, reliability(arch), detect(arch, perf, th)
+
+
+# ---------------------------------------------------------------------------
+# Dominance and SPEA2 fitness over (n, n, d) arrays
+# ---------------------------------------------------------------------------
+
+
+def dominance_matrix(points):
+    """dom[i, j] is True iff point i dominates point j."""
+    return dominates(points[:, None, :], points[None, :, :])
+
+
+def spea2_fitness(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SPEA2 fitness of finite objective rows, and their distance matrix
+    (inf on the diagonal)."""
+    dom = dominance_matrix(points)
+    strength = dom.sum(axis=1).astype(float)
+    raw = strength @ dom
+    dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dists, np.inf)
+    n = len(points)
+    k = int(np.floor(np.sqrt(n)))
+    k = max(1, min(k, n - 1)) if n > 1 else 1
+    sigma = np.sort(dists, axis=1)[:, k - 1] if n > 1 else np.zeros(n)
+    return raw + 1.0 / (sigma + 2.0), dists
+
+
+# ---------------------------------------------------------------------------
+# Compiling a chunk from object graphs
+# ---------------------------------------------------------------------------
+
+
+def chunk_arrays(archs) -> dict[str, list]:
+    """The rows ``CompiledChunk`` concatenates, built from each architecture's
+    object graph, by the name of the chunk attribute each becomes."""
+    speed, cores, theta, comp_node, demand, op_comp = [], [], [], [], [], []
+    step_op, step_count, ends, psi, mix, population, think = [], [], [], [], [], [], []
+    node_start, component_start, operation_start, link_start, station_ids = [0], [0], [0], [0], []
+    for arch in archs:
+        node_index = {node.id: k for k, node in enumerate(arch.nodes, len(speed))}
+        speed += [node.speed_factor for node in arch.nodes]
+        cores += [node.cores for node in arch.nodes]
+        comp_node += [node_index[arch.deployment[comp.id]] for comp in arch.components]
+        owned = [(i, op) for i, comp in enumerate(arch.components, len(theta)) for op in comp.operations]
+        theta += [comp.failure_probability for comp in arch.components]
+        op_index = {op.id: k for k, (_, op) in enumerate(owned, len(demand))}
+        demand += [op.cpu_demand for _, op in owned]
+        op_comp += [i for i, _ in owned]
+        mix += [scen.mix_weight for scen in arch.scenarios]
+        population += [scen.population for scen in arch.scenarios]
+        think += [scen.think_time for scen in arch.scenarios]
+        steps = [step for scen in arch.scenarios for step in scen.steps]
+        step_op += [op_index[step.operation] for step in steps]
+        step_count += [step.count for step in steps]
+        ends += [node_index[end] for link in arch.links for end in link.endpoints]
+        psi += [link.failure_probability for link in arch.links]
+        station_ids.append(tuple(node_index))
+        node_start.append(len(speed))
+        component_start.append(len(theta))
+        operation_start.append(len(demand))
+        link_start.append(len(psi))
+    return {
+        "node_speed": speed,
+        "node_cores": cores,
+        "component_theta": theta,
+        "component_node": comp_node,
+        "operation_demand": demand,
+        "operation_component": op_comp,
+        "step_operation": step_op,
+        "step_count": step_count,
+        "link_ends": ends,
+        "link_psi": psi,
+        "mix_weights": mix,
+        "populations": population,
+        "think_times": think,
+        "node_start": node_start,
+        "component_start": component_start,
+        "operation_start": operation_start,
+        "link_start": link_start,
+        "station_ids": station_ids,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Refactoring on object graphs
+# ---------------------------------------------------------------------------
+
+
+def owner_map(arch: Architecture) -> dict[str, Component]:
+    return {op.id: comp for comp in arch.components for op in comp.operations}
+
+
+def unrouted_call(arch: Architecture) -> str | None:
+    """The first cross-node call that no link joins, walking every scenario."""
+    linked = {link.endpoints for link in arch.links}
+    node_of = {op.id: arch.deployment[comp.id] for comp in arch.components for op in comp.operations}
+    for scen in arch.scenarios:
+        caller = None
+        for step in scen.steps:
+            callee = node_of[step.operation]
+            if caller is not None and caller != callee and (caller, callee) not in linked and (callee, caller) not in linked:
+                return (
+                    f"scenario '{scen.id}': call to '{step.operation}' crosses nodes "
+                    f"('{caller}', '{callee}') with no connecting link"
+                )
+            caller = callee
+    return None
+
+
+def fresh_suffix(taken: set[str], bases) -> int:
+    """Smallest k >= 1 such that every f"{base}{k}" is unused."""
+    k = 1
+    bases = list(bases)
+    while any(f"{base}{k}" in taken for base in bases):
+        k += 1
+    return k
+
+
+def all_ids(arch: Architecture) -> set[str]:
+    ids = {c.id for c in arch.components}
+    ids.update(op.id for c in arch.components for op in c.operations)
+    ids.update(n.id for n in arch.nodes)
+    ids.update(l.id for l in arch.links)
+    ids.update(s.id for s in arch.scenarios)
+    return ids
+
+
+def instantiate_node(arch: Architecture, template_id: str) -> tuple[Architecture, str]:
+    template = next(n for n in arch.nodes if n.id == template_id)
+    suffix = fresh_suffix(
+        all_ids(arch), [f"{template_id}_copy", f"{template_id}_uplink"] + [f"{l.id}_copy" for l in arch.links]
+    )
+    new_id = f"{template_id}_copy{suffix}"
+    new_node = ProcessorNode(id=new_id, speed_factor=template.speed_factor, cores=template.cores)
+    new_links = list(arch.links)
+    template_links = [l for l in arch.links if template_id in l.endpoints]
+    for link in template_links:
+        other = link.endpoints[0] if link.endpoints[1] == template_id else link.endpoints[1]
+        new_links.append(
+            NetworkLink(
+                id=f"{link.id}_copy{suffix}",
+                endpoints=(other, new_id),
+                failure_probability=link.failure_probability,
+                delay=link.delay,
+            )
+        )
+    new_links.append(
+        NetworkLink(
+            id=f"{template_id}_uplink{suffix}",
+            endpoints=(template_id, new_id),
+            failure_probability=min((l.failure_probability for l in template_links), default=0.0),
+            delay=min((l.delay for l in template_links), default=0.0),
+        )
+    )
+    return (
+        Architecture(arch.components, arch.nodes + (new_node,), tuple(new_links), arch.scenarios, dict(arch.deployment)),
+        new_id,
+    )
+
+
+def resolve_target_node(arch: Architecture, target: str):
+    if target.startswith(NEW_NODE_PREFIX):
+        template_id = target[len(NEW_NODE_PREFIX) :]
+        if not any(n.id == template_id for n in arch.nodes):
+            return f"template node '{template_id}' does not exist"
+        return instantiate_node(arch, template_id)
+    if not any(n.id == target for n in arch.nodes):
+        return f"target node '{target}' does not exist"
+    return arch, target
+
+
+def apply_clone(arch: Architecture, action: CloneComponent):
+    source = next((c for c in arch.components if c.id == action.component), None)
+    if source is None:
+        return None, f"component '{action.component}' does not exist"
+    resolved = resolve_target_node(arch, action.target)
+    if isinstance(resolved, str):
+        return None, resolved
+    arch, target_node = resolved
+    suffix = fresh_suffix(all_ids(arch), [f"{source.id}_clone"] + [f"{op.id}_clone" for op in source.operations])
+    replica_id = f"{source.id}_clone{suffix}"
+    op_twin = {op.id: f"{op.id}_clone{suffix}" for op in source.operations}
+    replica = Component(
+        id=replica_id,
+        operations=tuple(Operation(id=op_twin[op.id], cpu_demand=op.cpu_demand) for op in source.operations),
+        failure_probability=source.failure_probability,
+    )
+    scenarios = []
+    for scen in arch.scenarios:
+        steps = []
+        for step in scen.steps:
+            if step.operation in op_twin:
+                half = step.count / 2.0
+                steps.append(CallStep(operation=step.operation, count=half))
+                steps.append(CallStep(operation=op_twin[step.operation], count=half))
+            else:
+                steps.append(step)
+        scenarios.append(UsageScenario(scen.id, scen.mix_weight, scen.population, scen.think_time, tuple(steps)))
+    deployment = dict(arch.deployment)
+    deployment[replica_id] = target_node
+    return Architecture(arch.components + (replica,), arch.nodes, arch.links, tuple(scenarios), deployment), ""
+
+
+def detach_operation(arch: Architecture, source: Component, op_id: str):
+    moved = next(op for op in source.operations if op.id == op_id)
+    remaining = tuple(op for op in source.operations if op.id != op_id)
+    deployment = dict(arch.deployment)
+    components = []
+    for comp in arch.components:
+        if comp.id != source.id:
+            components.append(comp)
+        elif remaining:
+            components.append(Component(comp.id, remaining, comp.failure_probability))
+    if not remaining:
+        del deployment[source.id]
+    return components, deployment, moved
+
+
+def apply_move_to_component(arch: Architecture, action: MoveOperationToComponent):
+    owners = owner_map(arch)
+    if action.operation not in owners:
+        return None, f"operation '{action.operation}' does not exist"
+    source = owners[action.operation]
+    if not any(c.id == action.target_component for c in arch.components):
+        return None, f"target component '{action.target_component}' does not exist"
+    if source.id == action.target_component:
+        return None, f"operation '{action.operation}' is already owned by '{source.id}'"
+    components, deployment, moved = detach_operation(arch, source, action.operation)
+    components = [
+        Component(c.id, c.operations + (moved,), c.failure_probability) if c.id == action.target_component else c
+        for c in components
+    ]
+    return Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment), ""
+
+
+def apply_move_to_new(arch: Architecture, action: MoveOperationToNewComponent):
+    owners = owner_map(arch)
+    if action.operation not in owners:
+        return None, f"operation '{action.operation}' does not exist"
+    if not any(n.id == action.target_node for n in arch.nodes):
+        return None, f"target node '{action.target_node}' does not exist"
+    source = owners[action.operation]
+    suffix = fresh_suffix(all_ids(arch), [f"{action.operation}_host"])
+    host_id = f"{action.operation}_host{suffix}"
+    components, deployment, moved = detach_operation(arch, source, action.operation)
+    components.append(Component(id=host_id, operations=(moved,), failure_probability=source.failure_probability))
+    deployment[host_id] = action.target_node
+    return Architecture(tuple(components), arch.nodes, arch.links, arch.scenarios, deployment), ""
+
+
+def apply_redeploy(arch: Architecture, action: RedeployComponent):
+    if not any(c.id == action.component for c in arch.components):
+        return None, f"component '{action.component}' does not exist"
+    current = arch.deployment[action.component]
+    if not action.target.startswith(NEW_NODE_PREFIX) and action.target == current:
+        return None, f"target equals current node '{current}'"
+    resolved = resolve_target_node(arch, action.target)
+    if isinstance(resolved, str):
+        return None, resolved
+    arch, target_node = resolved
+    deployment = dict(arch.deployment)
+    deployment[action.component] = target_node
+    return Architecture(arch.components, arch.nodes, arch.links, arch.scenarios, deployment), ""
+
+
+APPLIERS = {
+    ActionKind.CLONE: apply_clone,
+    ActionKind.MOVE_TO_COMPONENT: apply_move_to_component,
+    ActionKind.MOVE_TO_NEW: apply_move_to_new,
+    ActionKind.REDEPLOY: apply_redeploy,
+}
+
+
+def is_feasible(arch: Architecture, action):
+    """(the new architecture, "") or (None, the reason), walking every scenario."""
+    result, reason = APPLIERS[action.kind](arch, action)
+    if result is None:
+        return None, reason
+    call = unrouted_call(result)
+    if call is not None:
+        return None, f"result would be unroutable: {call}"
+    return result, ""
+
+
+def pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def sample_action(arch: Architecture, kind: ActionKind, rng, allow_new_nodes: bool):
+    """The parameters of an action of ``kind``, drawn from lists of ids."""
+    node_ids = [n.id for n in arch.nodes]
+    new_node_targets = [NEW_NODE_PREFIX + n for n in node_ids] if allow_new_nodes else []
+    if kind == ActionKind.CLONE:
+        comp = pick(rng, list(arch.components))
+        return CloneComponent(comp.id, pick(rng, node_ids + new_node_targets))
+    owners = owner_map(arch)
+    if kind == ActionKind.MOVE_TO_COMPONENT:
+        op_id = pick(rng, list(owners))
+        others = [c.id for c in arch.components if c.id != owners[op_id].id]
+        if not others:
+            return None
+        return MoveOperationToComponent(op_id, pick(rng, others))
+    if kind == ActionKind.MOVE_TO_NEW:
+        op_id = pick(rng, list(owners))
+        return MoveOperationToNewComponent(op_id, pick(rng, node_ids))
+    comp = pick(rng, list(arch.components))
+    current = arch.deployment[comp.id]
+    targets = [n for n in node_ids if n != current] + new_node_targets
+    if not targets:
+        return None
+    return RedeployComponent(comp.id, pick(rng, targets))
+
+
+def random_action(arch: Architecture, rng, allow_new_nodes: bool = True):
+    """A feasible action drawn as ``refactoring.random_action`` draws it."""
+    remaining = list(ActionKind)
+    while remaining:
+        kind = pick(rng, remaining)
+        for _ in range(_MAX_TRIES):
+            action = sample_action(arch, kind, rng, allow_new_nodes)
+            if action is None:
+                break
+            result, _ = is_feasible(arch, action)
+            if result is not None:
+                return action, result
+        remaining.remove(kind)
+    raise RuntimeError("no feasible action")

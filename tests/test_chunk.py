@@ -146,7 +146,9 @@ def test_a_chunk_routes_iff_every_member_routes(name, seed, size, unlinked):
     rng = np.random.default_rng(seed)
     folds = [folded for _, folded in random_candidates(probe_model(name), rng, size)]
     folds = [replace(folded, links=()) if drop else folded for folded, drop in zip(folds, unlinked)]
-    calls = [call for call in map(unrouted_call, folds) if call is not None]
+    walked = [unrouted_call(folded.fold) for folded in folds]
+    assert walked == [oracle.unrouted_call(folded) for folded in folds]
+    calls = [call for call in walked if call is not None]
     chunk = CompiledChunk(folds)
     if not calls:
         invocations, messages = invocation_matrix(chunk)

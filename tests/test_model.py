@@ -381,7 +381,7 @@ def test_unroutable_models_fail_like_the_naive_reference():
     with pytest.raises(RoutingError) as error:
         invocation_matrix(CompiledChunk([arch]))
     assert "call to 'opC' crosses nodes ('n2', 'n3')" in str(error.value)
-    assert str(error.value) == unrouted_call(arch)
+    assert str(error.value) == unrouted_call(arch.fold)
     # demand needs no routing
     np.testing.assert_array_equal(CompiledChunk([arch]).demands, naive_demand_matrix(arch))
 

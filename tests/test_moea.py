@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archopt import casestudies, moea
+import oracle
+from archopt import casestudies, kernels, moea
 from archopt.cli import front_csv_text
 from archopt.model import RoutingError, digest, save
 from archopt.moea import (
@@ -20,6 +21,7 @@ from archopt.moea import (
     Individual,
     SearchConfig,
     _Budget,
+    _distances,
     _grid_cells,
     _objective_rows,
     _offspring,
@@ -231,7 +233,7 @@ def test_crossover_single_point_cut(small_arch, monkeypatch):
             assert folded == apply_sequence(small_arch, child)
     # the store gained each child's prefixes past the cut; every entry is its prefix's fold
     for prefix, fold in kept.items():
-        assert fold == apply_sequence(small_arch, RefactoringSequence(prefix))
+        assert fold.architecture() == apply_sequence(small_arch, RefactoringSequence(prefix))
     assert len(kept) == 2 * (len(a) - 1) + 2 * (len(a) - 2)
 
 
@@ -262,8 +264,12 @@ def test_offspring_reuse_a_parents_stored_folds(small_arch, monkeypatch):
     children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), store))
     # the first child probes its last gene only; the others find its fold
     assert probes == [seq.actions[-1]]
-    assert children == [(seq, folded)] * config.population
-    assert store == {**kept, seq.actions: folded}
+    assert [child for child, _ in children] == [seq] * config.population
+    assert all(fold is children[0][1] for _, fold in children)
+    assert children[0][1].architecture() == folded
+    assert store.keys() == kept.keys() | {seq.actions}
+    assert all(store[prefix] is fold for prefix, fold in kept.items())
+    assert store[seq.actions] is children[0][1]
 
 
 def test_children_of_the_initial_population_probe_only_their_last_gene(small_arch, monkeypatch):
@@ -336,23 +342,47 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
 
 def test_spea2_nondominated_pair_enters_archive():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    fitness, _ = _spea2_fitness(union)
+    fitness = _spea2_fitness(union)
     assert (fitness < 1.0).all()
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2))
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2), lambda: False)
     assert len(archive) == 2
 
 
 def test_spea2_dominated_point_raw_strength():
     union = [fake_individual((0.0, 0.0), 0), fake_individual((1.0, 1.0), 1)]
-    fitness, _ = _spea2_fitness(union)
+    fitness = _spea2_fitness(union)
     # dominator strength S=1, so dominated point's raw fitness is 1 (+density)
     assert fitness[0] < 1.0
     assert 1.0 <= fitness[1] < 2.0
 
 
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.booleans(),
+    sentinels=st.integers(0, 3),
+)
+def test_spea2_fitness_and_dominance_match_the_pairwise_formulas(n, d, seed, grid, sentinels):
+    # accumulated one objective at a time, they match the (n, n, d) formulas
+    # bit for bit, with ties (grid values) and invalid rows (1e30)
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, 4, (n, d)).astype(float) if grid else rng.normal(size=(n, d))
+    points[: min(sentinels, n)] = 1e30
+    points = rng.permutation(points)
+    fitness = _spea2_fitness([fake_individual(tuple(row), i) for i, row in enumerate(points)])
+    want_fitness, want_dists = oracle.spea2_fitness(points)
+    assert fitness.tobytes() == want_fitness.tobytes()
+    assert _distances(points, np.arange(n)).tobytes() == want_dists.tobytes()
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    assert _distances(points, rows).tobytes() == want_dists[rows].tobytes()
+    assert np.array_equal(kernels.dominance_matrix(points), oracle.dominance_matrix(points))
+
+
 def test_spea2_truncation_is_deterministic():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=1))
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=1), lambda: False)
     assert len(archive) == 1
     assert archive[0].order == 0  # tie broken by index
 
@@ -363,7 +393,7 @@ def test_spea2_fills_with_best_dominated():
         fake_individual((1.0, 1.0), 1),
         fake_individual((2.0, 2.0), 2),
     ]
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2))
+    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2), lambda: False)
     assert [ind.order for ind in archive] == [0, 1]
 
 
@@ -542,7 +572,7 @@ def test_run_three_objective_mode(small_arch):
 
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    evaluator._record(RefactoringSequence(()), SolverError("solver blew up", residual=1.0), small_arch)
+    evaluator._record(RefactoringSequence(()), SolverError("solver blew up", residual=1.0), small_arch.fold)
     front = evaluator.reported_front()
     assert [ind.order for ind in front] == [0]
     assert not front[0].valid
@@ -553,8 +583,8 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
     # dominate each other
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     failure = SolverError("solver blew up", residual=1.0)
-    first = evaluator._record(RefactoringSequence(()), failure, small_arch)
-    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), failure, small_arch)
+    first = evaluator._record(RefactoringSequence(()), failure, small_arch.fold)
+    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), failure, small_arch.fold)
     assert [ind.order for ind in evaluator.reported_front()] == [first.order, second.order]
     archive, points = _pesa2_insert([], np.empty((0, 4)), first, 4, 8)
     assert _pesa2_insert(archive, points, second, 4, 8)[0] == [first, second]
@@ -614,6 +644,28 @@ def test_only_scored_architectures_compile(algorithm, monkeypatch):
     assert 1 < max(scored) <= moea.CHUNK_SIZE
     probed, _ = is_feasible(arch, RedeployComponent("storage", "new-node:app2"))
     assert probed is not None and len(built) == 1 + len([n for n in scored if n])
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
+def test_architectures_are_built_only_for_the_front_and_invalid_individuals(algorithm, monkeypatch):
+    # probes, folds and scoring work on folds; an Architecture is the I/O
+    # form, built to digest an invalid individual or a reported front member
+    from archopt import model
+
+    built = []
+    init = model.Architecture.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    arch = casestudies.load_case_study("small")
+    monkeypatch.setattr(model.Architecture, "__init__", counting)
+    inject_solver_failures(monkeypatch, every=9)
+    front = run(arch, SearchConfig(algorithm=algorithm, **PINNED_CONFIG))
+    invalid = sum(front.metadata["invalid_by_type"].values())
+    assert invalid > 0
+    assert len(built) == invalid + sum(ind.valid for ind in front.individuals)
 
 
 def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
