@@ -37,7 +37,6 @@ from .refactoring import (
     MoveOperationToNewComponent,
     RedeployComponent,
     RefactoringSequence,
-    apply,
     apply_sequence,
     distance,
     is_feasible,

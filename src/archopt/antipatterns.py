@@ -77,7 +77,7 @@ def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception],
     total = np.bincount(chunk.step_scenario, weights=step_demand, minlength=len(chunk) * n_scen).reshape(-1, n_scen)
     total = total[chunk.owners(chunk.operation_start)]
     own = chunk.scenario_sums(chunk.step_operation, len(chunk.operation_demand), step_demand)
-    share = np.divide(own, total, out=np.zeros_like(own), where=total > 0.0)
+    share = np.divide(own, total, out=np.zeros(own.shape), where=total > 0.0)
     dominant = (total > 0.0) & (share >= th.paf_demand_share)
 
     return _Rules(

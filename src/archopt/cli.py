@@ -198,7 +198,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
     seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
-    [initial_qn] = to_qn(CompiledChunk([arch]))
+    [initial_qn] = to_qn(CompiledChunk([arch.fold]))
     [outcome] = score(solve_amva(initial_qn), [(seq, apply_sequence(arch.fold, seq))], search.brf, search.thresholds)
     if isinstance(outcome, Exception):
         print(f"error: candidate architecture could not be evaluated: {outcome}", file=sys.stderr)

@@ -24,7 +24,7 @@ import numpy as np
 
 
 def exact_mva(demands, think_time, population):
-    q = np.zeros_like(demands)
+    q = np.zeros(np.shape(demands))
     x = 0.0
     r_total = 0.0
     for n in range(1, population + 1):
@@ -75,7 +75,7 @@ def amva(demands, populations, think_times, n_stations, tol, max_iter):
         step = np.abs(q_new - q).max(axis=(1, 2))
         q = q_new
         done = step < tol
-        leaving = done if it < max_iter - 1 else np.ones_like(done)
+        leaving = done if it < max_iter - 1 else np.ones(done.shape, dtype=bool)
         if not leaving.any():
             continue
         models = active[leaving]
@@ -107,15 +107,27 @@ def dominates(a, b):
     return (a <= b).all(-1) & (a < b).any(-1)
 
 
-def dominance_matrix(points, others=None):
-    """dom[i, j] is True iff points[i] dominates others[j] (points[j] when
-    ``others`` is None).  Compares one objective at a time, so no
-    temporary is larger than the result."""
+# Rows of an (n, n) matrix built at once: the temporaries of the dominance
+# matrix, and of SPEA2's distances, stay near this many rows, so their
+# memory grows as n, not n^2.
+BLOCK_ROWS = 256
+
+
+def dominance_matrix(points, spent=None):
+    """dom[i, j] is True iff points[i] dominates points[j].  Built in
+    blocks of ``BLOCK_ROWS`` rows, one objective at a time, so no temporary
+    is larger than a block; None once ``spent()`` is true between blocks."""
     points = np.asarray(points, dtype=float)
-    others = points if others is None else np.asarray(others, dtype=float)
-    no_worse = np.ones((len(points), len(others)), dtype=bool)
-    better = np.zeros((len(points), len(others)), dtype=bool)
-    for a, b in zip(points.T, others.T):
-        no_worse &= a[:, None] <= b[None, :]
-        better |= a[:, None] < b[None, :]
-    return no_worse & better
+    n = len(points)
+    dom = np.empty((n, n), dtype=bool)
+    for start in range(0, n, BLOCK_ROWS):
+        if spent is not None and spent():
+            return None
+        block = points[start : start + BLOCK_ROWS]
+        no_worse = np.ones((len(block), n), dtype=bool)
+        better = np.zeros((len(block), n), dtype=bool)
+        for a, b in zip(block.T, points.T):
+            no_worse &= a[:, None] <= b[None, :]
+            better |= a[:, None] < b[None, :]
+        np.logical_and(no_worse, better, out=dom[start : start + BLOCK_ROWS])
+    return dom

@@ -91,7 +91,8 @@ class Architecture:
         kept on the instance (``cached_property`` writes ``__dict__``, which
         a frozen dataclass allows).  Needs resolvable references and ids
         unique within each kind, as a validated architecture has them."""
-        return Fold.of(self)
+        root = FoldRoot(self)
+        return Fold(root, tuple(root.comp), tuple(root.node_index), root.links, root.steps, len(root.owner), {}, {}, ())
 
 
 # An id of the form f"{stem}_copy{k}" (k >= 1, no leading zero), as node
@@ -181,13 +182,6 @@ class Fold(NamedTuple):
     comp: dict
     owner: dict[str, str]
     added: tuple[str, ...]
-
-    @staticmethod
-    def of(arch: Architecture) -> Fold:
-        """The root fold of a new root built from ``arch``."""
-        root = FoldRoot(arch)
-        components, nodes = tuple(root.comp), tuple(root.node_index)
-        return Fold(root, components, nodes, root.links, root.steps, len(root.owner), {}, {}, ())
 
     def row(self, component_id: str):
         """The component's (operation ids, failure probability, node id), or
@@ -599,24 +593,21 @@ class CompiledChunk:
     scenario order, then in the order their scenario lists them.  Every
     derived matrix is one ``np.bincount`` over the whole chunk, and each
     bin receives entries of one fold only, in its step order, so a fold's
-    values are bit-identical to a loop over its own architecture.  An
-    ``Architecture`` compiles as its root fold.
+    values are bit-identical to a loop over its own architecture.
 
     The folds share one scenario count, so every per-scenario matrix is
     ``(rows, scenarios)``.  Each needs resolvable references (a deployment
     target for every component, a node for every link endpoint, an owner
     for every step), at least one component, and at most one link per
     node pair; a validated architecture and its folds have them.  The
-    search compiles the initial model once and each chunk it scores once.
-    It scores only folds that passed ``validate`` or an ``is_feasible``
-    probe, whose walk (``unrouted_call``) is the one routing decision, so
-    ``invocation_matrix`` routes a chunk as a whole and raises on a chunk
-    holding an unroutable fold.  Derived matrices are built on first use.
-    Every array is read-only.
+    search scores only folds that passed ``validate`` or an
+    ``is_feasible`` probe, so ``invocation_matrix`` routes a chunk as a
+    whole.  Derived matrices are built on first use; every array is
+    read-only.
     """
 
-    def __init__(self, members: Sequence[Fold | Architecture]):
-        self.folds = folds = tuple(m.fold if isinstance(m, Architecture) else m for m in members)
+    def __init__(self, folds: Sequence[Fold]):
+        self.folds = folds = tuple(folds)
         counts = {len(fold.steps) for fold in folds}
         if len(counts) != 1:
             raise ValueError(f"a chunk needs architectures with one scenario count, got {sorted(counts)}")
@@ -735,7 +726,7 @@ class CompiledChunk:
 
 def invocation_matrix(chunk: CompiledChunk) -> tuple[np.ndarray, np.ndarray]:
     """The chunk's expected component invocations v[i, j] and link messages
-    m[l, j] (read-only); architecture b owns rows ``component_start[b]:
+    m[l, j] (read-only); fold b owns rows ``component_start[b]:
     component_start[b + 1]`` of v and ``link_start[b]:link_start[b + 1]``
     of m.
 

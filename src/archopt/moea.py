@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernels
 from .antipatterns import Thresholds, detect
+from .kernels import BLOCK_ROWS
 from .model import Architecture, CompiledChunk, Fold, digest, validate
 from .pareto import admit, crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
@@ -224,12 +225,11 @@ class Evaluator:
         violations = validate(initial)
         if violations:
             raise ValueError("initial architecture is invalid:\n" + "\n".join(violations))
-        self.initial = initial
         # the root of every fold of the search
         self.fold = initial.fold
         self.config = config
         self.initial_digest = digest(initial)
-        [initial_qn] = to_qn(CompiledChunk([initial]))
+        [initial_qn] = to_qn(CompiledChunk([self.fold]))
         self.initial_perf = solve_amva(initial_qn)
         self.individuals: dict[RefactoringSequence, Individual] = {}
         # running non-dominated archive over everything evaluated; kept
@@ -268,7 +268,7 @@ class Evaluator:
         sequence folded again (an invalid member already has its digest)."""
         front = sorted(self._front, key=lambda ind: (ind.objectives, ind.order))
         return [
-            ind if not ind.valid else replace(ind, phenotype_digest=digest(apply_sequence(self.initial, ind.sequence)))
+            replace(ind, phenotype_digest=digest(apply_sequence(self.fold, ind.sequence).architecture())) if ind.valid else ind
             for ind in front
         ]
 
@@ -315,7 +315,7 @@ def _tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:
 
 
 def crossover(
-    initial: Fold | Architecture,
+    initial: Fold,
     a: RefactoringSequence,
     b: RefactoringSequence,
     rng: np.random.Generator,
@@ -337,7 +337,7 @@ def crossover(
 
 
 def mutate(
-    initial: Fold | Architecture,
+    initial: Fold,
     seq: RefactoringSequence,
     rng: np.random.Generator,
     gene_prob: float,
@@ -346,7 +346,7 @@ def mutate(
 ) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
-    Returns the child with its fold, in the form of ``initial``."""
+    Returns the child with its fold."""
     return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
 
 
@@ -386,11 +386,16 @@ def _finite_rows(points: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(points), points, 1e30)
 
 
-def _nsga2_parents(population: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
+def _nsga2_parents(
+    population: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
+) -> Callable[[], Individual] | None:
     points = _objective_rows(population)
+    fronts = fast_nondominated_sort(points, spent)
+    if fronts is None:
+        return None
     rank = np.zeros(len(population), dtype=int)
     crowding = np.zeros(len(population))
-    for level, front in enumerate(fast_nondominated_sort(points)):
+    for level, front in enumerate(fronts):
         rank[front] = level
         crowding[front] = crowding_distance(points[front])
     return partial(_nsga2_select_parent, population, rank, crowding, rng)
@@ -407,7 +412,7 @@ def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
 
 def _nsga2_survival(
     population: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
-) -> list[Individual]:
+) -> list[Individual] | None:
     union = population + evaluated
     # A union that fits is kept in evaluation order, which the tournament
     # indexes.  Only the initial population fits (a short one means the
@@ -416,8 +421,11 @@ def _nsga2_survival(
     if len(union) <= config.population:
         return union
     points = _objective_rows(union)
+    fronts = fast_nondominated_sort(points, spent)
+    if fronts is None:
+        return None
     survivors: list[Individual] = []
-    for front in fast_nondominated_sort(points):
+    for front in fronts:
         if len(survivors) + len(front) <= config.population:
             survivors.extend(union[i] for i in front)
         else:
@@ -434,12 +442,6 @@ def _nsga2_survival(
 # ---------------------------------------------------------------------------
 
 
-# Rows of an (n, n) matrix that SPEA2 builds at once: its temporaries stay
-# near this many rows, so memory grows as n, not n^2, beyond the dominance
-# matrix itself.
-_SPEA2_ROWS = 256
-
-
 def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Euclidean distances from each of ``rows`` to every point, inf to
     itself; the squares are summed one objective at a time, in order."""
@@ -452,20 +454,17 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] = lambda: False) -> np.ndarray | None:
+def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] | None) -> np.ndarray | None:
     """R(i): the summed strength S(j), the count j dominates, of each of
     i's dominators (integer counts, so exact in any summation order); None
     once ``spent()`` is true between row blocks."""
-    n = len(points)
-    dom = np.empty((n, n), dtype=bool)
-    for start in range(0, n, _SPEA2_ROWS):
-        if spent():
-            return None
-        dom[start : start + _SPEA2_ROWS] = kernels.dominance_matrix(points[start : start + _SPEA2_ROWS], points)
+    dom = kernels.dominance_matrix(points, spent)
+    if dom is None:
+        return None
     strength = dom.sum(axis=1).astype(float)
-    raw = np.zeros(n)
-    for start in range(0, n, _SPEA2_ROWS):
-        raw += strength[start : start + _SPEA2_ROWS] @ dom[start : start + _SPEA2_ROWS]
+    raw = np.zeros(len(points))
+    for start in range(0, len(points), BLOCK_ROWS):
+        raw += strength[start : start + BLOCK_ROWS] @ dom[start : start + BLOCK_ROWS]
     return raw
 
 
@@ -477,16 +476,18 @@ def _spea2_density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.full(len(rows), 0.5)
     k = max(1, min(int(np.floor(np.sqrt(n))), n - 1))
     sigma = np.zeros(len(rows))
-    for start in range(0, len(rows), _SPEA2_ROWS):
-        block = _distances(points, rows[start : start + _SPEA2_ROWS])
-        sigma[start : start + _SPEA2_ROWS] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = _distances(points, rows[start : start + BLOCK_ROWS])
+        sigma[start : start + BLOCK_ROWS] = np.partition(block, k - 1, axis=1)[:, k - 1]
     return 1.0 / (sigma + 2.0)
 
 
-def _spea2_fitness(union: list[Individual]) -> np.ndarray:
-    """F(i) = R(i) + D(i) of every member."""
+def _spea2_fitness(union: list[Individual], spent: Callable[[], bool] | None = None) -> np.ndarray | None:
+    """F(i) = R(i) + D(i) of every member; None once ``spent()`` is true
+    between row blocks of R."""
     points = _objective_rows(union)
-    return _spea2_raw(points) + _spea2_density(points, np.arange(len(union)))
+    raw = _spea2_raw(points, spent)
+    return None if raw is None else raw + _spea2_density(points, np.arange(len(union)))
 
 
 def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int] | None:
@@ -530,8 +531,11 @@ def _spea2_survival(
     return [union[i] for i in chosen]
 
 
-def _spea2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
-    return partial(_spea2_select_parent, archive, _spea2_fitness(archive), rng)
+def _spea2_parents(
+    archive: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
+) -> Callable[[], Individual] | None:
+    fitness = _spea2_fitness(archive, spent)
+    return None if fitness is None else partial(_spea2_select_parent, archive, fitness, rng)
 
 
 def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
@@ -583,7 +587,9 @@ def _pesa2_survival(
     return archive
 
 
-def _pesa2_parents(archive: list[Individual], rng: np.random.Generator, config: SearchConfig) -> Callable[[], Individual]:
+def _pesa2_parents(
+    archive: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
+) -> Callable[[], Individual]:
     return partial(_pesa2_select, archive, _grid_cells(_objective_rows(archive), config.divisions), rng)
 
 
@@ -604,11 +610,12 @@ def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng:
 # ---------------------------------------------------------------------------
 
 # The valid ``algorithm`` values and their steps of the loop: parents(kept,
-# rng, config) picks one generation's parents from what the algorithm
-# keeps, and survive(kept, evaluated, config, spent) is what it keeps after
-# it.  Nothing reads the survivors of a spent budget, so a survival may give
-# up, returning None, once ``spent()`` is true (SPEA2's, whose work grows
-# as the square of what it keeps, does).
+# rng, config, spent) picks one generation's parents from what the
+# algorithm keeps, and survive(kept, evaluated, config, spent) is what it
+# keeps after it.  Nothing reads what either builds once the budget is
+# spent, so either may give up, returning None, once ``spent()`` is true
+# (NSGA-II's and SPEA2's, whose work grows as the square of what they
+# keep, do).
 _ALGORITHMS = {
     "nsga2": (_nsga2_parents, _nsga2_survival),
     "spea2": (_spea2_parents, _spea2_survival),
@@ -630,13 +637,19 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         random_sequence(evaluator.fold, config.sequence_length, rng, config.allow_new_nodes, folds)
         for _ in range(config.population)
     )
-    # Survival runs only while the budget lasts: nothing reads the
-    # survivors of a spent search, and survival draws no random numbers.
+
+    # Survival and parent choice run only while the budget lasts: nothing
+    # reads what they build for a spent search, and neither draws random
+    # numbers before it returns.
+    def spent() -> bool:
+        return budget.spent(evaluator.solver_evaluations)
+
     kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
-    while not budget.spent(evaluator.solver_evaluations):
-        kept = survive(kept, evaluated, config, lambda: budget.spent(evaluator.solver_evaluations))
-        if kept is None:
+    while not spent():
+        kept = survive(kept, evaluated, config, spent)
+        select = None if kept is None else parents(kept, rng, config, spent)
+        if select is None:
             break
         evaluations = evaluator.solver_evaluations
         # Every kept individual was sampled or bred through the store.
@@ -644,7 +657,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         # fold is let go once scored.
         prefixes = {ind.sequence.actions[:i] for ind in kept for i in range(1, len(ind.sequence))}
         folds = {prefix: folds[prefix] for prefix in prefixes}
-        offspring = _offspring(evaluator, parents(kept, rng, config), rng, folds)
+        offspring = _offspring(evaluator, select, rng, folds)
         evaluated = evaluator.evaluate_many(offspring, budget)
         generations += 1
         if evaluator.solver_evaluations == evaluations:

@@ -18,18 +18,24 @@ def admit(points: np.ndarray, candidate: np.ndarray) -> np.ndarray | None:
     return ~dominates(candidate, points)
 
 
-def fast_nondominated_sort(points) -> list[list[int]]:
-    """Partition point indices into fronts F1, F2, ... by Pareto rank."""
+def fast_nondominated_sort(points, spent=None) -> list[list[int]] | None:
+    """Partition point indices into fronts F1, F2, ... by Pareto rank; None
+    once ``spent()`` is true between blocks of the dominance matrix or
+    between fronts."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n == 0:
         return []
-    dom = kernels.dominance_matrix(points)
+    dom = kernels.dominance_matrix(points, spent)
+    if dom is None:
+        return None
     counts = dom.sum(axis=0).astype(np.int64)  # how many points dominate each
     fronts: list[list[int]] = []
     assigned = np.zeros(n, dtype=bool)
     current = np.where(counts == 0)[0]
     while current.size:
+        if spent is not None and spent():
+            return None
         fronts.append([int(i) for i in current])
         assigned[current] = True
         counts = counts - dom[current].sum(axis=0)

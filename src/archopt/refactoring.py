@@ -3,8 +3,7 @@
 All actions preserve functional behavior: the operations a scenario
 invokes and its total expected demand stay the same, only placement and
 replication change.  Actions apply to a ``Fold`` and build a new one,
-never mutating their input; given an ``Architecture``, the public
-functions fold its root and return an ``Architecture``.
+never mutating their input.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
-from .model import Architecture, Fold, unrouted_call
+from .model import Fold, unrouted_call
 
 NEW_NODE_PREFIX = "new-node:"
 
@@ -29,13 +28,11 @@ class ActionKind(str, Enum):
 
 
 class InfeasibleActionError(ValueError):
-    """An action cannot be applied to the given architecture."""
+    """Action ``index`` of a sequence cannot be applied where it stands."""
 
-    def __init__(self, reason: str, index: int | None = None):
-        self.reason = reason
+    def __init__(self, reason: str, index: int):
         self.index = index
-        message = reason if index is None else f"action {index}: {reason}"
-        super().__init__(message)
+        super().__init__(f"action {index}: {reason}")
 
 
 class NoFeasibleActionError(RuntimeError):
@@ -346,19 +343,10 @@ _APPLIERS = {
 }
 
 
-def _fold_of(base: Fold | Architecture) -> Fold:
-    return base.fold if isinstance(base, Architecture) else base
-
-
-def _like(base: Fold | Architecture, fold: Fold) -> Fold | Architecture:
-    """``fold`` in the form of ``base``."""
-    return fold.architecture() if isinstance(base, Architecture) else fold
-
-
-def is_feasible(base: Fold | Architecture, action: RefactoringAction) -> tuple[Fold | Architecture | None, str]:
+def is_feasible(fold: Fold, action: RefactoringAction) -> tuple[Fold | None, str]:
     """Apply the action if it is feasible: (the new fold, "") or (None, the
     blocking reason), so the first item is truthy exactly when the action
-    is feasible.  Given an architecture, returns one.
+    is feasible.
 
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
@@ -367,32 +355,23 @@ def is_feasible(base: Fold | Architecture, action: RefactoringAction) -> tuple[F
     routable: only the scenarios the applier names are walked, which finds
     the same first unrouted call as a walk of all.
     """
-    result, changed = _APPLIERS[action.kind](_fold_of(base), action)
+    result, changed = _APPLIERS[action.kind](fold, action)
     if result is None:
         return None, changed
     call = unrouted_call(result, changed)
     if call is not None:
         return None, f"result would be unroutable: {call}"
-    return _like(base, result), ""
+    return result, ""
 
 
-def apply(base: Fold | Architecture, action: RefactoringAction) -> Fold | Architecture:
-    """Apply a single feasible action, returning a new fold or architecture."""
-    result, reason = is_feasible(base, action)
-    if result is None:
-        raise InfeasibleActionError(reason)
-    return result
-
-
-def apply_sequence(base: Fold | Architecture, seq: RefactoringSequence) -> Fold | Architecture:
-    """Left fold of ``apply``; reports the index of the first infeasible action."""
-    current = _fold_of(base)
+def apply_sequence(fold: Fold, seq: RefactoringSequence) -> Fold:
+    """Apply each action in turn; reports the index of the first infeasible one."""
     for index, action in enumerate(seq.actions):
-        result, reason = is_feasible(current, action)
+        result, reason = is_feasible(fold, action)
         if result is None:
-            raise InfeasibleActionError(reason, index=index)
-        current = result
-    return _like(base, current)
+            raise InfeasibleActionError(reason, index)
+        fold = result
+    return fold
 
 
 def distance(seq: RefactoringSequence, brf: Mapping[ActionKind, float] | None = None) -> float:
@@ -457,14 +436,10 @@ def _sample_action(fold: Fold, kind: ActionKind, rng: np.random.Generator, allow
 _MAX_TRIES = 50
 
 
-def random_action(
-    base: Fold | Architecture, rng: np.random.Generator, allow_new_nodes: bool = True
-) -> tuple[RefactoringAction, Fold | Architecture]:
+def random_action(fold: Fold, rng: np.random.Generator, allow_new_nodes: bool = True) -> tuple[RefactoringAction, Fold]:
     """Sample a feasible action: kind uniformly, then parameters by
     reject-and-resample; falls back to the remaining kinds on exhaustion.
-    Returns the action with what its accepted probe built, in the form of
-    ``base``."""
-    fold = _fold_of(base)
+    Returns the action with the fold its accepted probe built."""
     remaining = list(ActionKind)
     while remaining:
         kind = _pick(rng, remaining)
@@ -474,60 +449,57 @@ def random_action(
                 break
             result, _ = is_feasible(fold, action)
             if result is not None:
-                return action, _like(base, result)
+                return action, result
         remaining.remove(kind)
     raise NoFeasibleActionError("no feasible action exists for this architecture")
 
 
 def repair(
-    base: Fold | Architecture,
+    fold: Fold,
     seq: RefactoringSequence,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     resample_probability: float = 0.0,
     folds: Folds | None = None,
-) -> tuple[RefactoringSequence, Fold | Architecture]:
+) -> tuple[RefactoringSequence, Fold]:
     """Walk the genes in prefix order and rewrite each infeasible one, and
     each one forced with ``resample_probability``, with a random feasible one.
 
-    Returns the repaired sequence with its fold, in the form of ``base``.
-    A kept gene's fold is read from ``folds`` when its prefix is there,
-    instead of probed, and every prefix's fold is recorded in it; the force
-    draws are the same either way.
+    Returns the repaired sequence with its fold.  A kept gene's fold is
+    read from ``folds`` when its prefix is there, instead of probed, and
+    every prefix's fold is recorded in it; the force draws are the same
+    either way.
     """
     folds = {} if folds is None else folds
-    current = _fold_of(base)
     prefix: tuple[RefactoringAction, ...] = ()
     for action in seq.actions:
         force = resample_probability > 0.0 and rng.random() < resample_probability
         result = None
         if not force:
-            result = folds.get(prefix + (action,)) or is_feasible(current, action)[0]
+            result = folds.get(prefix + (action,)) or is_feasible(fold, action)[0]
         if result is None:
-            action, result = random_action(current, rng, allow_new_nodes)
+            action, result = random_action(fold, rng, allow_new_nodes)
         prefix += (action,)
-        folds[prefix] = current = result
-    return RefactoringSequence(prefix), _like(base, current)
+        folds[prefix] = fold = result
+    return RefactoringSequence(prefix), fold
 
 
 def random_sequence(
-    base: Fold | Architecture,
+    fold: Fold,
     length: int,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
-) -> tuple[RefactoringSequence, Fold | Architecture]:
+) -> tuple[RefactoringSequence, Fold]:
     """Sample a feasible sequence by chaining random actions; returns it
-    with its fold in the form of ``base``, and records each prefix's fold
-    in ``folds``."""
+    with its fold, and records each prefix's fold in ``folds``."""
     folds = {} if folds is None else folds
-    current = _fold_of(base)
     prefix: tuple[RefactoringAction, ...] = ()
     for _ in range(length):
-        action, current = random_action(current, rng, allow_new_nodes)
+        action, fold = random_action(fold, rng, allow_new_nodes)
         prefix += (action,)
-        folds[prefix] = current
-    return RefactoringSequence(prefix), _like(base, current)
+        folds[prefix] = fold
+    return RefactoringSequence(prefix), fold
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from archopt.model import (
     ProcessorNode,
     UsageScenario,
 )
+from archopt.refactoring import RefactoringSequence, apply_sequence
 
 
 def make_arch(
@@ -49,6 +50,12 @@ def make_arch(
         for sid, weight, pop, think, steps in scenarios
     )
     return Architecture(comps, node_objs, link_objs, scen_objs, dict(deployment))
+
+
+def apply_action(arch: Architecture, action) -> Architecture:
+    """``arch`` with one feasible action applied; an infeasible one raises
+    ``InfeasibleActionError`` naming its reason."""
+    return apply_sequence(arch.fold, RefactoringSequence((action,))).architecture()
 
 
 @pytest.fixture

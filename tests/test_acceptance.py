@@ -107,7 +107,7 @@ def test_c02_littles_law_and_bounds():
             bound = min(population / (think + demands.sum()), 1.0 / demands.max())
             ok = ok and rel <= 1e-6 and result.throughput[0] <= bound + 1e-9
     # multiclass corpus and the case studies: law per class
-    cases = [to_qn(CompiledChunk([casestudies.load_case_study(n)]))[0] for n in ("small", "large")]
+    cases = [to_qn(CompiledChunk([casestudies.load_case_study(n).fold]))[0] for n in ("small", "large")]
     for _ in range(30):
         stations, classes = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         cases.append(
@@ -133,7 +133,7 @@ def test_c02_littles_law_and_bounds():
 def _monte_carlo(arch, samples, rng):
     from archopt.model import invocation_matrix
 
-    invocations, messages = invocation_matrix(CompiledChunk([arch]))
+    invocations, messages = invocation_matrix(CompiledChunk([arch.fold]))
     estimate, variance = 0.0, 0.0
     for j, scen in enumerate(arch.scenarios):
         failures = np.zeros(samples)
@@ -177,7 +177,7 @@ def test_c03_reliability_vs_monte_carlo():
         # make the mix sum exactly 1
         scenarios[-1] = (scenarios[-1][0], 1.0 - float(np.sum(weights[:-1])), 1, 0.0, scenarios[-1][4])
         arch = make_arch(comps, nodes, deployment, scenarios, links)
-        closed = reliability(CompiledChunk([arch]))[0]
+        closed = reliability(CompiledChunk([arch.fold]))[0]
         estimate, stderr = _monte_carlo(arch, 100_000, rng)
         sigma = abs(closed - estimate) / stderr if stderr > 0 else 0.0
         worst_sigma = max(worst_sigma, sigma)
@@ -268,8 +268,8 @@ def test_c06_refactoring_functional_equivalence():
         ]
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            seq, _ = random_sequence(arch, 4, rng)
-            folded = apply_sequence(arch, seq)
+            seq, _ = random_sequence(arch.fold, 4, rng)
+            folded = apply_sequence(arch.fold, seq).architecture()
             folded_ops = {op.id: op for comp in folded.components for op in comp.operations}
             for j, scen in enumerate(folded.scenarios):
                 total = math.fsum(step.count * folded_ops[step.operation].cpu_demand for step in scen.steps)
@@ -299,7 +299,7 @@ def test_c07_end_to_end_determinism(tmp_path):
 
 def test_c08_budget_compliance():
     arch = casestudies.load_case_study("small")
-    solve_amva(to_qn(CompiledChunk([arch]))[0])  # warm solver path outside the timed region
+    solve_amva(to_qn(CompiledChunk([arch.fold]))[0])  # warm solver path outside the timed region
     ok = True
     details = []
     for budget in (5.0, 10.0, 20.0):

@@ -28,7 +28,7 @@ def fired(arch, perf, th=None):
     """The (kind, element) pairs that the rules' masks mark on a chunk of
     one architecture, in rule order; a concurrent-processing element is a
     node pair."""
-    rules = _rules(CompiledChunk([arch]), [perf], th or Thresholds())
+    rules = _rules(CompiledChunk([arch.fold]), [perf], th or Thresholds())
     nodes = [node.id for node in arch.nodes]
     operations = [op.id for comp in arch.components for op in comp.operations]
     pairs = [("blob", arch.components[i].id) for i in np.flatnonzero(rules.blob)]
@@ -52,7 +52,7 @@ def test_threshold_invariants():
 def test_idle_system_has_no_detections(two_comp_arch):
     perf = perf_for(two_comp_arch, [0.0, 0.0])
     assert fired(two_comp_arch, perf) == []
-    assert detect(CompiledChunk([two_comp_arch]), [perf]) == [0]
+    assert detect(CompiledChunk([two_comp_arch.fold]), [perf]) == [0]
 
 
 def test_concurrent_processing_pair():
@@ -126,31 +126,31 @@ def test_detection_count_unit_is_kind_element():
     )
     perf = perf_for(arch, [0.9])
     assert [pair for pair in fired(arch, perf) if pair[0] == "blob"] == [("blob", "hub")]
-    assert detect(CompiledChunk([arch]), [perf]) == [len(fired(arch, perf))]
+    assert detect(CompiledChunk([arch.fold]), [perf]) == [len(fired(arch, perf))]
 
 
 def test_detections_deterministic_and_order_independent(small_arch):
-    perf = solve_amva(to_qn(CompiledChunk([small_arch]))[0])
+    perf = solve_amva(to_qn(CompiledChunk([small_arch.fold]))[0])
     first = fired(small_arch, perf)
     assert first and fired(small_arch, perf) == first
     # the same architecture scores the same at any position of a chunk
-    chunk = CompiledChunk([small_arch, small_arch, small_arch])
+    chunk = CompiledChunk([small_arch.fold, small_arch.fold, small_arch.fold])
     assert detect(chunk, [perf, RuntimeError("failed"), perf]) == [len(first), None, len(first)]
 
 
 def test_raising_util_high_never_increases_count(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(CompiledChunk([arch]))[0])
+        perf = solve_amva(to_qn(CompiledChunk([arch.fold]))[0])
         counts = []
         for high in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
-            counts.append(detect(CompiledChunk([arch]), [perf], Thresholds(util_high=high))[0])
+            counts.append(detect(CompiledChunk([arch.fold]), [perf], Thresholds(util_high=high))[0])
         assert counts == sorted(counts, reverse=True)
 
 
 def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(CompiledChunk([arch]))[0])
-        assert detect(CompiledChunk([arch]), [perf])[0] >= 1
+        perf = solve_amva(to_qn(CompiledChunk([arch.fold]))[0])
+        assert detect(CompiledChunk([arch.fold]), [perf])[0] >= 1
 
 
 def naive_detect(arch, perf, th):
@@ -160,7 +160,7 @@ def naive_detect(arch, perf, th):
     ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
     detections = []
-    invocations, _ = invocation_matrix(CompiledChunk([arch]))
+    invocations, _ = invocation_matrix(CompiledChunk([arch.fold]))
     mean_invocations = invocations.mean(axis=0)
     for i, comp in enumerate(arch.components):
         if util[node_of[comp.id]] < th.util_high:
@@ -201,9 +201,9 @@ def naive_detect(arch, perf, th):
 def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share, paf_demand_share):
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    folded = apply_sequence(arch, random_sequence(arch, length, rng)[0])
+    folded = apply_sequence(arch.fold, random_sequence(arch.fold, length, rng)[0]).architecture()
     perf = perf_for(folded, rng.random(len(folded.nodes)))
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
     reference = naive_detect(folded, perf, th)
     assert fired(folded, perf, th) == reference
-    assert detect(CompiledChunk([folded]), [perf], th)[0] == len(reference)
+    assert detect(CompiledChunk([folded.fold]), [perf], th)[0] == len(reference)

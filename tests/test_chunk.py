@@ -51,7 +51,7 @@ def jittered(arch, rng):
 def random_candidates(arch, rng, size):
     """``size`` random plans of 0-4 actions with their folds; clones add
     rows and ``new-node:`` targets add nodes and links, so sizes differ."""
-    return [random_sequence(arch, int(rng.integers(0, 5)), rng) for _ in range(size)]
+    return [random_sequence(arch.fold, int(rng.integers(0, 5)), rng) for _ in range(size)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,7 +80,8 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
     outcomes = score(initial, candidates, DEFAULT_BRF, th)
     invocations, messages = invocation_matrix(chunk)
     nodes, comps, links = chunk.node_start, chunk.component_start, chunk.link_start
-    for b, (seq, folded) in enumerate(candidates):
+    for b, (seq, fold) in enumerate(candidates):
+        folded = fold.architecture()
         view = oracle.View(folded)
         assert same_bits(chunk.demands[nodes[b] : nodes[b + 1]], view.demands())
         expected_invocations, expected_messages = view.routes()
@@ -121,7 +122,7 @@ def test_a_failing_candidate_changes_no_other_outcome(seed, size, position):
     arch = probe_model("small")
     rng = np.random.default_rng(seed)
     candidates = random_candidates(arch, rng, size)
-    failing = (candidates[0][0], zero_demand(arch))
+    failing = (candidates[0][0], zero_demand(arch).fold)
     initial = solve_amva(oracle.to_qn(arch))
     th = Thresholds()
     alone = score(initial, candidates, DEFAULT_BRF, th)
@@ -144,12 +145,12 @@ def test_a_failing_candidate_changes_no_other_outcome(seed, size, position):
 def test_a_chunk_routes_iff_every_member_routes(name, seed, size, unlinked):
     # a plan's fold without links keeps its demands, but may call across nodes
     rng = np.random.default_rng(seed)
-    folds = [folded for _, folded in random_candidates(probe_model(name), rng, size)]
+    folds = [fold.architecture() for _, fold in random_candidates(probe_model(name), rng, size)]
     folds = [replace(folded, links=()) if drop else folded for folded, drop in zip(folds, unlinked)]
     walked = [unrouted_call(folded.fold) for folded in folds]
     assert walked == [oracle.unrouted_call(folded) for folded in folds]
     calls = [call for call in walked if call is not None]
-    chunk = CompiledChunk(folds)
+    chunk = CompiledChunk([folded.fold for folded in folds])
     if not calls:
         invocations, messages = invocation_matrix(chunk)
         assert invocations.shape == (chunk.component_start[-1], chunk.n_scenarios)
@@ -162,4 +163,4 @@ def test_a_chunk_routes_iff_every_member_routes(name, seed, size, unlinked):
 
 def test_a_chunk_needs_one_scenario_count():
     with pytest.raises(ValueError, match="one scenario count"):
-        CompiledChunk([probe_model("small"), probe_model("large")])  # 2 and 3 scenarios
+        CompiledChunk([probe_model("small").fold, probe_model("large").fold])  # 2 and 3 scenarios

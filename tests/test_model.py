@@ -204,7 +204,7 @@ def test_demand_matrix_hand_example():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.6]])
+    np.testing.assert_allclose(CompiledChunk([arch.fold]).demands, [[0.6]])
 
 
 def test_demand_matrix_speed_scaling():
@@ -214,7 +214,7 @@ def test_demand_matrix_speed_scaling():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 3.0)])],
     )
-    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.3]])
+    np.testing.assert_allclose(CompiledChunk([arch.fold]).demands, [[0.3]])
 
 
 def test_demand_matrix_zero_count_contributes_nothing():
@@ -224,18 +224,18 @@ def test_demand_matrix_zero_count_contributes_nothing():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 0.0)])],
     )
-    np.testing.assert_allclose(CompiledChunk([arch]).demands, [[0.0]])
+    np.testing.assert_allclose(CompiledChunk([arch.fold]).demands, [[0.0]])
 
 
 def test_demand_matrix_linearity(small_arch):
-    base = CompiledChunk([small_arch]).demands
+    base = CompiledChunk([small_arch.fold]).demands
     halved_nodes = tuple(
         ProcessorNode(n.id, n.speed_factor / 2.0, n.cores) for n in small_arch.nodes
     )
     halved = Architecture(
         small_arch.components, halved_nodes, small_arch.links, small_arch.scenarios, dict(small_arch.deployment)
     )
-    np.testing.assert_allclose(CompiledChunk([halved]).demands, 2.0 * base, rtol=1e-12)
+    np.testing.assert_allclose(CompiledChunk([halved.fold]).demands, 2.0 * base, rtol=1e-12)
 
 
 # -- invocation matrix -------------------------------------------------------
@@ -248,13 +248,13 @@ def test_invocations_colocated_no_messages():
         deployment={"a": "n1", "b": "n1"},
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 2.0), ("opB", 1.0)])],
     )
-    v, m = invocation_matrix(CompiledChunk([arch]))
+    v, m = invocation_matrix(CompiledChunk([arch.fold]))
     np.testing.assert_allclose(v, [[2.0], [1.0]])
     assert m.size == 0
 
 
 def test_invocations_cross_node_messages(two_comp_arch):
-    v, m = invocation_matrix(CompiledChunk([two_comp_arch]))
+    v, m = invocation_matrix(CompiledChunk([two_comp_arch.fold]))
     np.testing.assert_allclose(v, [[3.0], [1.0]])
     # only the op1 -> op2 hop crosses n1 -> n2
     np.testing.assert_allclose(m, [[1.0]])
@@ -268,7 +268,7 @@ def test_single_step_scenario_never_crosses_links():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 5.0)])],
         links=[("l12", "n1", "n2", 0.1, 0.0)],
     )
-    _, m = invocation_matrix(CompiledChunk([arch]))
+    _, m = invocation_matrix(CompiledChunk([arch.fold]))
     np.testing.assert_allclose(m, [[0.0]])
 
 
@@ -280,7 +280,7 @@ def test_missing_link_raises_naming_nodes():
         scenarios=[("s1", 1.0, 1, 0.0, [("opA", 1.0), ("opB", 1.0)])],
     )
     with pytest.raises(RoutingError, match="'n1', 'n2'"):
-        invocation_matrix(CompiledChunk([arch]))
+        invocation_matrix(CompiledChunk([arch.fold]))
 
 
 def test_all_zero_counts_give_zero_matrices(two_comp_arch):
@@ -291,7 +291,7 @@ def test_all_zero_counts_give_zero_matrices(two_comp_arch):
         scenarios=[("s1", 1.0, 4, 1.0, [("op1", 0.0), ("op2", 0.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    v, m = invocation_matrix(CompiledChunk([zeroed]))
+    v, m = invocation_matrix(CompiledChunk([zeroed.fold]))
     assert (v >= 0).all() and not v.any()
     assert not m.any()
 
@@ -351,13 +351,13 @@ def with_parallel_link(arch, reverse=False):
 )
 def test_compiled_matrices_equal_naive_reference(name, seed, length):
     arch = casestudies.load_case_study(name)
-    folded = apply_sequence(arch, random_sequence(arch, length, np.random.default_rng(seed))[0])
-    invocations, messages = invocation_matrix(CompiledChunk([folded]))
+    folded = apply_sequence(arch.fold, random_sequence(arch.fold, length, np.random.default_rng(seed))[0]).architecture()
+    invocations, messages = invocation_matrix(CompiledChunk([folded.fold]))
     naive_invocations, naive_messages = naive_invocation_matrix(folded)
     # same additions in the same order: equal to the last bit
     np.testing.assert_array_equal(invocations, naive_invocations)
     np.testing.assert_array_equal(messages, naive_messages)
-    np.testing.assert_array_equal(CompiledChunk([folded]).demands, naive_demand_matrix(folded))
+    np.testing.assert_array_equal(CompiledChunk([folded.fold]).demands, naive_demand_matrix(folded))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["same-order", "reversed"])
@@ -379,16 +379,16 @@ def test_unroutable_models_fail_like_the_naive_reference():
     )
     assert naive_invocation_matrix(arch) is None
     with pytest.raises(RoutingError) as error:
-        invocation_matrix(CompiledChunk([arch]))
+        invocation_matrix(CompiledChunk([arch.fold]))
     assert "call to 'opC' crosses nodes ('n2', 'n3')" in str(error.value)
     assert str(error.value) == unrouted_call(arch.fold)
     # demand needs no routing
-    np.testing.assert_array_equal(CompiledChunk([arch]).demands, naive_demand_matrix(arch))
+    np.testing.assert_array_equal(CompiledChunk([arch.fold]).demands, naive_demand_matrix(arch))
 
 
 def test_compiled_matrices_are_read_only(two_comp_arch):
-    invocations, messages = invocation_matrix(CompiledChunk([two_comp_arch]))
-    for matrix in (invocations, messages, CompiledChunk([two_comp_arch]).demands):
+    invocations, messages = invocation_matrix(CompiledChunk([two_comp_arch.fold]))
+    for matrix in (invocations, messages, CompiledChunk([two_comp_arch.fold]).demands):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 99.0
-    assert invocation_matrix(CompiledChunk([two_comp_arch]))[0][0, 0] == 3.0
+    assert invocation_matrix(CompiledChunk([two_comp_arch.fold]))[0][0, 0] == 3.0

@@ -23,6 +23,8 @@ from archopt.moea import (
     _Budget,
     _distances,
     _grid_cells,
+    _nsga2_parents,
+    _nsga2_survival,
     _objective_rows,
     _offspring,
     _pesa2_insert,
@@ -36,7 +38,7 @@ from archopt.moea import (
     run,
 )
 from archopt.perfqn import SolverError
-from archopt.pareto import dominates
+from archopt.pareto import dominates, fast_nondominated_sort
 from archopt.refactoring import (
     CloneComponent,
     RedeployComponent,
@@ -154,7 +156,7 @@ def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
     seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
     ind = evaluator.evaluate(seq)
     assert not ind.valid
-    assert ind.phenotype_digest == digest(apply_sequence(small_arch, seq))
+    assert ind.phenotype_digest == digest(apply_sequence(small_arch.fold, seq).architecture())
     assert evaluator.invalid_by_type == {"SolverError": 1, "ValueError": 0}
     assert all(v == float("inf") for v in ind.objectives)
     # any valid individual dominates the sentinel
@@ -184,7 +186,7 @@ def kept_folds(arch, rng, *parents) -> dict:
     their proper prefixes."""
     store = {}
     for seq in parents:
-        mutate(arch, seq, rng, 0.0, folds=store)
+        mutate(arch.fold, seq, rng, 0.0, folds=store)
     return {prefix: fold for prefix, fold in store.items() if len(prefix) < len(parents[0])}
 
 
@@ -223,43 +225,43 @@ def test_crossover_single_point_cut(small_arch, monkeypatch):
     probes = count_probes(monkeypatch)
     for store, probed_genes in ((None, len(a)), (kept, len(a) - 2)):
         probes.clear()
-        (child_a, folded_a), (child_b, folded_b) = crossover(small_arch, a, b, FixedCutRng(2), folds=store)
+        (child_a, folded_a), (child_b, folded_b) = crossover(small_arch.fold, a, b, FixedCutRng(2), folds=store)
         # every gene is feasible where it lands; given the parents' folds,
         # no gene before the cut is probed
         assert len(probes) == 2 * probed_genes
         assert child_a.actions == a.actions[:2] + b.actions[2:]
         assert child_b.actions == b.actions[:2] + a.actions[2:]
         for child, folded in ((child_a, folded_a), (child_b, folded_b)):
-            assert folded == apply_sequence(small_arch, child)
+            assert folded.architecture() == apply_sequence(small_arch.fold, child).architecture()
     # the store gained each child's prefixes past the cut; every entry is its prefix's fold
     for prefix, fold in kept.items():
-        assert fold.architecture() == apply_sequence(small_arch, RefactoringSequence(prefix))
+        assert fold.architecture() == apply_sequence(small_arch.fold, RefactoringSequence(prefix)).architecture()
     assert len(kept) == 2 * (len(a) - 1) + 2 * (len(a) - 2)
 
 
 def test_crossover_deterministic(small_arch):
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    a, _ = random_sequence(small_arch, 4, np.random.default_rng(1))
-    b, _ = random_sequence(small_arch, 4, np.random.default_rng(2))
-    assert crossover(small_arch, a, b, rng1) == crossover(small_arch, a, b, rng2)
+    a, _ = random_sequence(small_arch.fold, 4, np.random.default_rng(1))
+    b, _ = random_sequence(small_arch.fold, 4, np.random.default_rng(2))
+    assert crossover(small_arch.fold, a, b, rng1) == crossover(small_arch.fold, a, b, rng2)
 
 
 def test_mutation_zero_probability_is_identity(small_arch):
-    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out, folded = mutate(small_arch, seq, np.random.default_rng(0), gene_prob=0.0)
+    seq, _ = random_sequence(small_arch.fold, 4, np.random.default_rng(3))
+    out, folded = mutate(small_arch.fold, seq, np.random.default_rng(0), gene_prob=0.0)
     assert out == seq
-    assert folded == apply_sequence(small_arch, seq)
+    assert folded.architecture() == apply_sequence(small_arch.fold, seq).architecture()
 
 
 def test_offspring_reuse_a_parents_stored_folds(small_arch, monkeypatch):
     # no crossover and no mutation: every child is its parent
     config = SearchConfig(max_evaluations=0, population=4, crossover_prob=0.0, mutation_prob=0.0)
-    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
+    seq, _ = random_sequence(small_arch.fold, 4, np.random.default_rng(3))
     store = kept_folds(small_arch, np.random.default_rng(0), seq)
     kept = dict(store)
     parent = replace(fake_individual((0.0, 0.0, 0.0, 0.0)), sequence=seq)
     evaluator = Evaluator(small_arch, config)
-    folded = apply_sequence(small_arch, seq)
+    folded = apply_sequence(small_arch.fold, seq).architecture()
     probes = count_probes(monkeypatch)
     children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), store))
     # the first child probes its last gene only; the others find its fold
@@ -301,12 +303,12 @@ def test_children_of_the_initial_population_probe_only_their_last_gene(small_arc
 
 
 def test_mutation_deterministic(small_arch):
-    seq, _ = random_sequence(small_arch, 4, np.random.default_rng(3))
-    out1, folded1 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
-    out2, folded2 = mutate(small_arch, seq, np.random.default_rng(9), gene_prob=0.5)
+    seq, _ = random_sequence(small_arch.fold, 4, np.random.default_rng(3))
+    out1, folded1 = mutate(small_arch.fold, seq, np.random.default_rng(9), gene_prob=0.5)
+    out2, folded2 = mutate(small_arch.fold, seq, np.random.default_rng(9), gene_prob=0.5)
     assert out1 == out2
-    assert folded1 == folded2
-    assert folded1 == apply_sequence(small_arch, out1)
+    assert folded1.architecture() == folded2.architecture()
+    assert folded1.architecture() == apply_sequence(small_arch.fold, out1).architecture()
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,22 +320,22 @@ def test_mutation_deterministic(small_arch):
 def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_prob):
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    (a, _), (b, _) = random_sequence(arch, 4, rng), random_sequence(arch, 4, rng)
+    (a, _), (b, _) = random_sequence(arch.fold, 4, rng), random_sequence(arch.fold, 4, rng)
     # crossover from the prefix folds the parents keep builds the same children
     store = kept_folds(arch, rng, a, b)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    children = crossover(arch, a, b, rng, folds=store)
-    rebuilt = crossover(arch, a, b, replay)
-    assert [(c, save(f)) for c, f in children] == [(c, save(f)) for c, f in rebuilt]
+    children = crossover(arch.fold, a, b, rng, folds=store)
+    rebuilt = crossover(arch.fold, a, b, replay)
+    assert [(c, save(f.architecture())) for c, f in children] == [(c, save(f.architecture())) for c, f in rebuilt]
     assert rng.bit_generator.state == replay.bit_generator.state
     for child, _ in children:
         # mutate reads crossover's folds of the child from the store
         with_rng, without_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, got_folded = mutate(arch, child, with_rng, gene_prob, folds=store)
-        want, want_folded = mutate(arch, child, without_rng, gene_prob)
+        got, got_folded = mutate(arch.fold, child, with_rng, gene_prob, folds=store)
+        want, want_folded = mutate(arch.fold, child, without_rng, gene_prob)
         assert got == want
-        assert save(got_folded) == save(want_folded)
+        assert save(got_folded.architecture()) == save(want_folded.architecture())
         assert with_rng.bit_generator.state == without_rng.bit_generator.state
 
 
@@ -520,6 +522,62 @@ def test_survival_runs_only_while_the_budget_lasts(small_arch, algorithm, monkey
     assert len(calls) == meta["generations"] > 0
 
 
+def spent_after(k: int):
+    """A budget check that turns true at its (k + 1)-th call, and counts them."""
+    calls = []
+
+    def spent() -> bool:
+        calls.append(None)
+        return len(calls) > k
+
+    spent.calls = calls
+    return spent
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 700))
+def test_nsga2_survival_and_parents_give_up_once_spent(seed, n):
+    # a union of several row blocks and fronts: each step checks the budget
+    # between blocks of its dominance matrix and between fronts, returns None
+    # from the first check that finds it spent, and is unchanged otherwise
+    rng = np.random.default_rng(seed)
+    union = [fake_individual(tuple(row), i) for i, row in enumerate(rng.integers(0, 6, (n, 4)).astype(float))]
+    config = SearchConfig(max_evaluations=0, population=64)
+    survivors = _nsga2_survival([], union, config, lambda: False)
+    never = spent_after(10**9)
+    assert _nsga2_survival([], union, config, never) == survivors
+    checks = len(never.calls)
+    assert checks == -(-n // kernels.BLOCK_ROWS) + len(fast_nondominated_sort(_objective_rows(union)))
+    for k in range(checks):
+        assert _nsga2_survival([], union, config, spent_after(k)) is None
+    select = _nsga2_parents(union, np.random.default_rng(0), config, never)
+    assert select is not None and len(never.calls) == 2 * checks
+    for k in range(checks):
+        assert _nsga2_parents(union, np.random.default_rng(0), config, spent_after(k)) is None
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
+@pytest.mark.parametrize("step", [0, 1], ids=["parents", "survive"])
+def test_search_stops_when_a_step_finds_the_budget_spent(small_arch, monkeypatch, algorithm, step):
+    # the first generation runs; in the second, the step finds the budget
+    # spent at its first check and the search ends without breeding again
+    config = SearchConfig(algorithm=algorithm, seed=1, population=8, archive_size=8, max_evaluations=1000)
+    steps = list(moea._ALGORITHMS[algorithm])
+    real, results = steps[step], []
+
+    def giving_up(*args):
+        *rest, spent = args
+        results.append(real(*rest, spent_after(0) if results else spent))
+        return results[-1]
+
+    steps[step] = giving_up
+    monkeypatch.setitem(moea._ALGORITHMS, algorithm, tuple(steps))
+    evaluator = Evaluator(small_arch, config)
+    assert _search(evaluator, _Budget(config)) == (1, False)
+    assert len(results) == 2 and results[0] is not None and results[1] is None
+    assert evaluator.solver_evaluations <= 2 * config.population
+
+
 # Population 4000 on the large case study: the initial population alone
 # outlasts a 2 s budget, so no survival may run.
 SPEA2_CHILD = """
@@ -606,7 +664,7 @@ def test_digest_only_for_the_reported_front(small_arch):
     config = SearchConfig(seed=4, max_evaluations=150, population=8)
     front = run(small_arch, config)
     for ind in front.individuals:
-        assert ind.phenotype_digest == digest(apply_sequence(small_arch, ind.sequence))
+        assert ind.phenotype_digest == digest(apply_sequence(small_arch.fold, ind.sequence).architecture())
     # the search itself digests no valid individual
     evaluator = Evaluator(small_arch, config)
     _search(evaluator, _Budget(config))
@@ -638,11 +696,11 @@ def test_only_scored_architectures_compile(algorithm, monkeypatch):
     config = SearchConfig(algorithm=algorithm, seed=1, max_evaluations=120, population=16, archive_size=16)
     front = run(arch, config)
     # the initial model, then one compile per scored chunk; probes build none
-    assert built[0] == (arch,)
+    assert built[0] == (arch.fold,)
     assert [len(chunk) for chunk in built[1:]] == [n for n in scored if n]
     assert sum(scored) == front.metadata["evaluations_used"]
     assert 1 < max(scored) <= moea.CHUNK_SIZE
-    probed, _ = is_feasible(arch, RedeployComponent("storage", "new-node:app2"))
+    probed, _ = is_feasible(arch.fold, RedeployComponent("storage", "new-node:app2"))
     assert probed is not None and len(built) == 1 + len([n for n in scored if n])
 
 
@@ -745,7 +803,7 @@ def test_front_csv_bytes_with_invalid_individuals_match_recorded(small_arch, alg
 )
 def test_evaluate_bounds_on_random_feasible_sequences(name, seed, length):
     arch = casestudies.load_case_study(name)
-    seq, _ = random_sequence(arch, length, np.random.default_rng(seed))
+    seq, _ = random_sequence(arch.fold, length, np.random.default_rng(seed))
     ind = Evaluator(arch, SearchConfig(max_evaluations=0)).evaluate(seq)  # must not raise
     if ind.valid:
         assert -1.0 <= ind.metrics.perfq <= 1.0

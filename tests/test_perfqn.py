@@ -38,8 +38,8 @@ def assert_littles_law(model, result, rel=1e-6):
 
 
 def test_to_qn_direct_mapping(two_comp_arch):
-    model = to_qn(CompiledChunk([two_comp_arch]))[0]
-    np.testing.assert_allclose(model.demands, CompiledChunk([two_comp_arch]).demands)
+    model = to_qn(CompiledChunk([two_comp_arch.fold]))[0]
+    np.testing.assert_allclose(model.demands, CompiledChunk([two_comp_arch.fold]).demands)
     assert model.class_ids == ("s1",)
     np.testing.assert_allclose(model.populations, [4.0])
 
@@ -51,11 +51,11 @@ def test_to_qn_rate_scales_by_cores():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 2, 0.0, [("op1", 1.0)])],
     )
-    np.testing.assert_allclose(to_qn(CompiledChunk([arch]))[0].demands, [[0.15]])
+    np.testing.assert_allclose(to_qn(CompiledChunk([arch.fold]))[0].demands, [[0.15]])
 
 
 def test_to_qn_shapes_match_architecture(small_arch):
-    model = to_qn(CompiledChunk([small_arch]))[0]
+    model = to_qn(CompiledChunk([small_arch.fold]))[0]
     assert model.demands.shape == (3, 2)
 
 
@@ -279,7 +279,7 @@ def test_amva_monotone_in_demand():
 
 def test_case_study_solutions_satisfy_littles_law(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        model = to_qn(CompiledChunk([arch]))[0]
+        model = to_qn(CompiledChunk([arch.fold]))[0]
         assert_littles_law(model, solve_amva(model))
 
 

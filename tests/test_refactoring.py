@@ -23,7 +23,6 @@ from archopt.refactoring import (
     MoveOperationToNewComponent,
     RedeployComponent,
     RefactoringSequence,
-    apply,
     apply_sequence,
     distance,
     is_feasible,
@@ -34,7 +33,7 @@ from archopt.refactoring import (
     sequence_to_records,
     sequence_to_text,
 )
-from conftest import make_arch
+from conftest import apply_action, make_arch
 
 
 def total_weighted_demand(arch):
@@ -50,25 +49,25 @@ def total_weighted_demand(arch):
 
 
 def test_redeploy_to_current_node_infeasible(two_comp_arch):
-    ok, reason = is_feasible(two_comp_arch, RedeployComponent("c1", "n1"))
+    ok, reason = is_feasible(two_comp_arch.fold, RedeployComponent("c1", "n1"))
     assert not ok
     assert "target equals current node" in reason
 
 
 def test_move_to_current_owner_infeasible(two_comp_arch):
-    ok, reason = is_feasible(two_comp_arch, MoveOperationToComponent("op1", "c1"))
+    ok, reason = is_feasible(two_comp_arch.fold, MoveOperationToComponent("op1", "c1"))
     assert not ok
 
 
 def test_clone_on_valid_model_feasible(two_comp_arch):
-    ok, reason = is_feasible(two_comp_arch, CloneComponent("c1", "n2"))
+    ok, reason = is_feasible(two_comp_arch.fold, CloneComponent("c1", "n2"))
     assert ok, reason
 
 
 def test_unknown_ids_infeasible(two_comp_arch):
-    assert not is_feasible(two_comp_arch, CloneComponent("ghost", "n1"))[0]
-    assert not is_feasible(two_comp_arch, RedeployComponent("c1", "ghost"))[0]
-    assert not is_feasible(two_comp_arch, MoveOperationToNewComponent("ghost", "n1"))[0]
+    assert not is_feasible(two_comp_arch.fold, CloneComponent("ghost", "n1"))[0]
+    assert not is_feasible(two_comp_arch.fold, RedeployComponent("c1", "ghost"))[0]
+    assert not is_feasible(two_comp_arch.fold, MoveOperationToNewComponent("ghost", "n1"))[0]
 
 
 # -- apply -------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_clone_splits_counts_evenly():
         scenarios=[("s1", 1.0, 2, 0.0, [("op1", 10.0)])],
         links=[("l12", "n1", "n2", 0.0, 0.0)],
     )
-    result = apply(arch, CloneComponent("c1", "n2"))
+    result = apply_action(arch, CloneComponent("c1", "n2"))
     assert len(result.components) == 2
     replica = result.components[1]
     assert replica.failure_probability == 0.05
@@ -92,9 +91,9 @@ def test_clone_splits_counts_evenly():
 
 
 def test_redeploy_moves_demand_between_nodes(two_comp_arch):
-    before = CompiledChunk([two_comp_arch]).demands
-    result = apply(two_comp_arch, RedeployComponent("c1", "n2"))
-    after = CompiledChunk([result]).demands
+    before = CompiledChunk([two_comp_arch.fold]).demands
+    result = apply_action(two_comp_arch, RedeployComponent("c1", "n2"))
+    after = CompiledChunk([result.fold]).demands
     np.testing.assert_allclose(before[0, 0], 0.6)
     np.testing.assert_allclose(after[0, 0], 0.0)
     np.testing.assert_allclose(after[1, 0], before[0, 0] + before[1, 0])
@@ -103,7 +102,7 @@ def test_redeploy_moves_demand_between_nodes(two_comp_arch):
 
 
 def test_move_to_new_component_deletes_emptied_owner(two_comp_arch):
-    result = apply(two_comp_arch, MoveOperationToNewComponent("op2", "n1"))
+    result = apply_action(two_comp_arch, MoveOperationToNewComponent("op2", "n1"))
     ids = [c.id for c in result.components]
     assert "c2" not in ids  # old owner had only op2
     host = result.components[-1]
@@ -113,13 +112,13 @@ def test_move_to_new_component_deletes_emptied_owner(two_comp_arch):
 
 
 def test_move_to_existing_component(two_comp_arch):
-    result = apply(two_comp_arch, MoveOperationToComponent("op2", "c1"))
+    result = apply_action(two_comp_arch, MoveOperationToComponent("op2", "c1"))
     assert [c.id for c in result.components] == ["c1"]
     assert [op.id for op in result.components[0].operations] == ["op1", "op2"]
 
 
 def test_new_node_target_copies_template_and_links(two_comp_arch):
-    result = apply(two_comp_arch, RedeployComponent("c1", "new-node:n2"))
+    result = apply_action(two_comp_arch, RedeployComponent("c1", "new-node:n2"))
     assert len(result.nodes) == 3
     fresh = result.nodes[-1]
     assert fresh.id not in {"n1", "n2"}
@@ -131,14 +130,14 @@ def test_new_node_target_copies_template_and_links(two_comp_arch):
 
 def test_apply_never_mutates_input(two_comp_arch):
     snapshot = copy.deepcopy(two_comp_arch)
-    apply(two_comp_arch, CloneComponent("c1", "n2"))
-    apply(two_comp_arch, RedeployComponent("c1", "n2"))
+    apply_action(two_comp_arch, CloneComponent("c1", "n2"))
+    apply_action(two_comp_arch, RedeployComponent("c1", "n2"))
     assert two_comp_arch == snapshot
 
 
 def test_apply_rejects_infeasible_with_reason(two_comp_arch):
     with pytest.raises(InfeasibleActionError, match="target equals current node"):
-        apply(two_comp_arch, RedeployComponent("c1", "n1"))
+        apply_action(two_comp_arch, RedeployComponent("c1", "n1"))
 
 
 def test_apply_sequence_reports_first_bad_index(two_comp_arch):
@@ -151,15 +150,15 @@ def test_apply_sequence_reports_first_bad_index(two_comp_arch):
         )
     )
     with pytest.raises(InfeasibleActionError) as err:
-        apply_sequence(two_comp_arch, seq)
+        apply_sequence(two_comp_arch.fold, seq)
     assert err.value.index == 2
 
 
 def test_independent_actions_commute_structurally(two_comp_arch):
     a = RedeployComponent("c1", "n2")
     b = RedeployComponent("c2", "n1")
-    one = apply(apply(two_comp_arch, a), b)
-    other = apply(apply(two_comp_arch, b), a)
+    one = apply_action(apply_action(two_comp_arch, a), b)
+    other = apply_action(apply_action(two_comp_arch, b), a)
     assert one == other
 
 
@@ -189,7 +188,7 @@ def test_distance_uniform_table():
 
 def test_distance_permutation_invariant(small_arch):
     rng = np.random.default_rng(5)
-    seq, _ = random_sequence(small_arch, 6, rng)
+    seq, _ = random_sequence(small_arch.fold, 6, rng)
     shuffled = RefactoringSequence(tuple(seq.actions[i] for i in rng.permutation(6)))
     assert distance(shuffled) == distance(seq)
 
@@ -198,10 +197,10 @@ def test_distance_permutation_invariant(small_arch):
 
 
 def test_random_action_deterministic_for_fixed_seed(small_arch):
-    a, built_a = random_action(small_arch, np.random.default_rng(42))
-    b, built_b = random_action(small_arch, np.random.default_rng(42))
+    a, built_a = random_action(small_arch.fold, np.random.default_rng(42))
+    b, built_b = random_action(small_arch.fold, np.random.default_rng(42))
     assert a == b
-    assert built_a == built_b == apply(small_arch, a)
+    assert built_a.architecture() == built_b.architecture() == apply_action(small_arch, a)
 
 
 def test_single_node_model_never_redeploys_without_new_nodes():
@@ -212,10 +211,10 @@ def test_single_node_model_never_redeploys_without_new_nodes():
         scenarios=[("s1", 1.0, 1, 0.0, [("op1", 1.0), ("op2", 1.0)])],
     )
     rng = np.random.default_rng(0)
-    kinds = {random_action(arch, rng, allow_new_nodes=False)[0].kind for _ in range(200)}
+    kinds = {random_action(arch.fold, rng, allow_new_nodes=False)[0].kind for _ in range(200)}
     assert ActionKind.REDEPLOY not in kinds
     rng = np.random.default_rng(0)
-    kinds_with_new = {random_action(arch, rng, allow_new_nodes=True)[0].kind for _ in range(200)}
+    kinds_with_new = {random_action(arch.fold, rng, allow_new_nodes=True)[0].kind for _ in range(200)}
     assert ActionKind.REDEPLOY in kinds_with_new
 
 
@@ -230,9 +229,9 @@ def test_repair_produces_applicable_sequences(small_arch):
             RedeployComponent("web", "spare"),
         )
     )
-    repaired, folded = repair(small_arch, seq, rng)
-    assert folded == apply_sequence(small_arch, repaired)
-    assert validate(folded) == []
+    repaired, folded = repair(small_arch.fold, seq, rng)
+    assert folded.architecture() == apply_sequence(small_arch.fold, repaired).architecture()
+    assert validate(folded.architecture()) == []
     assert repaired.actions[3] == seq.actions[3]  # feasible gene kept
 
 
@@ -249,30 +248,30 @@ def test_repair_from_a_store_matches_repair_without(name, seed, cut, resample_pr
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
     store = {}
-    (a, _), (b, _) = random_sequence(arch, 4, rng, folds=store), random_sequence(arch, 4, rng, folds=store)
+    (a, _), (b, _) = random_sequence(arch.fold, 4, rng, folds=store), random_sequence(arch.fold, 4, rng, folds=store)
     # a's genes up to the cut are stored; b's after it may not apply there
     seq = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
     prefilled = dict(store)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    got, got_folded = repair(arch, seq, rng, resample_probability=resample_probability, folds=store)
-    want, want_folded = repair(arch, seq, replay, resample_probability=resample_probability)
+    got, got_folded = repair(arch.fold, seq, rng, resample_probability=resample_probability, folds=store)
+    want, want_folded = repair(arch.fold, seq, replay, resample_probability=resample_probability)
     assert got == want
-    assert save(got_folded) == save(want_folded)
+    assert save(got_folded.architecture()) == save(want_folded.architecture())
     assert rng.bit_generator.state == replay.bit_generator.state
     assert prefilled.keys() <= store.keys()
     assert all(got.actions[:i] in store for i in range(1, len(got) + 1))
     for prefix, fold in store.items():
-        assert save(fold.architecture()) == save(apply_sequence(arch, RefactoringSequence(prefix)))
+        assert save(fold.architecture()) == save(apply_sequence(arch.fold, RefactoringSequence(prefix)).architecture())
 
 
 def test_conservation_over_random_sequences(small_arch):
     rng = np.random.default_rng(9)
     base = total_weighted_demand(small_arch)
     for _ in range(50):
-        seq, built = random_sequence(small_arch, 4, rng)
-        folded = apply_sequence(small_arch, seq)
-        assert built == folded
+        seq, built = random_sequence(small_arch.fold, 4, rng)
+        folded = apply_sequence(small_arch.fold, seq).architecture()
+        assert built.architecture() == folded
         after = total_weighted_demand(folded)
         np.testing.assert_allclose(after, base, rtol=1e-12)
         assert validate(folded) == []
@@ -312,7 +311,7 @@ def test_action_record_and_text_are_pinned(action, record, text):
 
 def test_sequence_records_round_trip(small_arch):
     rng = np.random.default_rng(4)
-    seq, _ = random_sequence(small_arch, 4, rng)
+    seq, _ = random_sequence(small_arch.fold, 4, rng)
     assert sequence_from_records(sequence_to_records(seq)) == seq
 
 
@@ -328,15 +327,15 @@ def test_every_prefix_fold_is_valid(name, seed, length, gene_prob):
     # validity only where a model enters; this is the check it no longer runs
     arch = casestudies.load_case_study(name)
     rng = np.random.default_rng(seed)
-    seq, _ = random_sequence(arch, length, rng)
+    seq, _ = random_sequence(arch.fold, length, rng)
     if gene_prob:
         # resampled genes land on prefixes the original sequence never saw
         from archopt.moea import mutate
 
-        seq, _ = mutate(arch, seq, rng, gene_prob)
+        seq, _ = mutate(arch.fold, seq, rng, gene_prob)
     current = arch
     for action in seq.actions:
-        current = apply(current, action)
+        current = apply_action(current, action)
         assert validate(current) == []
 
 

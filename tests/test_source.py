@@ -50,18 +50,31 @@ def program_trees() -> dict[Path, ast.AST]:
     return {path: ast.parse(path.read_text()) for path in paths}
 
 
+# Public definitions that only tests read, each kept for its reason.
+READ_BY_TESTS_ONLY = {
+    # the exact solver is criterion 01's reference for the approximate one
+    "solve_exact_mva",
+    # the inverse of ``load``: the round-trip tests and the fold-versus-oracle
+    # byte checks compare models through it
+    "save",
+}
+
+
 def test_every_public_definition_is_read():
     # a public top-level function or class that neither the program nor the
-    # benchmark reads, outside its own definition, is code only tests run
+    # benchmark reads, outside its own definition, is code only tests run;
+    # the package's re-exports in __init__.py are not reads
     trees = program_trees()
-    total = sum((reads(tree) for tree in trees.values()), Counter())
+    total = sum((reads(tree) for path, tree in trees.items() if path != SRC / "__init__.py"), Counter())
     unread = []
     for path in sorted(SRC.glob("*.py")):
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if total[node.name] == reads(node)[node.name]:
+                if total[node.name] == reads(node)[node.name] and node.name not in READ_BY_TESTS_ONLY:
                     unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert unread == []
+    # an exemption the program has come to read is stale
+    assert sorted(name for name in READ_BY_TESTS_ONLY if total[name]) == []
 
 
 def is_record(node: ast.ClassDef) -> bool:
