@@ -27,7 +27,7 @@ from .model import (
 )
 from .moea import Evaluator, Individual, ParetoFront, SearchConfig, run
 from .pareto import crowding_distance, dominates, fast_nondominated_sort, hypervolume
-from .perfqn import PerformanceResult, QnModel, SolverError, perfq, solve_amva, solve_amva_many, solve_exact_mva, to_qn
+from .perfqn import PerformanceResult, QnModel, QnSolution, SolverError, perfq, solve_amva, solve_amva_many, solve_exact_mva, to_qn
 from .refactoring import (
     DEFAULT_BRF,
     ActionKind,

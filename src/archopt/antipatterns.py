@@ -1,4 +1,4 @@
-"""Performance antipattern detection on (architecture, performance) pairs.
+"""Performance antipattern detection on a scored chunk and its queueing solution.
 
 Three crisp rules with relative thresholds:
 
@@ -15,14 +15,13 @@ rules' masks.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import CompiledChunk
-from .perfqn import PerformanceResult
+from .perfqn import QnSolution
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,11 @@ class _Rules(NamedTuple):
     pipe_and_filter: np.ndarray  # per operation
 
 
-def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception], th: Thresholds) -> _Rules:
-    """The rules over a chunk.  Each performance result lists utilization in
-    its architecture's node order, as ``to_qn`` numbers the stations; an
-    architecture whose entry is a failure counts as idle everywhere."""
-    nodes = np.diff(chunk.node_start)
-    node_util = np.concatenate(
-        [perf.utilization if isinstance(perf, PerformanceResult) else np.zeros(n) for perf, n in zip(perfs, nodes)]
-    )
+def _rules(chunk: CompiledChunk, solution: QnSolution, th: Thresholds) -> _Rules:
+    """The rules over a chunk, from its solution's utilization in the
+    chunk's node rows, as ``to_qn`` numbers the stations; a failed fold's
+    rows are zeros, so it counts as idle everywhere."""
+    node_util = solution.utilization
     comp_util = node_util[chunk.component_node]
     op_util = comp_util[chunk.operation_component]
 
@@ -72,28 +68,32 @@ def _rules(chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception],
     heavy = invocations > (th.blob_share * mean_invocations)[comp_arch]
 
     # speed-independent demand of each step, summed per (architecture,
-    # scenario) and per (operation, scenario) in step order
+    # scenario) and per (operation, scenario) in step order; only an
+    # operation on a node at or above util_high can fire, so its own sums
+    # are built over those operations' steps alone
     step_demand = chunk.step_count * chunk.operation_demand[chunk.step_operation]
     total = np.bincount(chunk.step_scenario, weights=step_demand, minlength=len(chunk) * n_scen).reshape(-1, n_scen)
-    total = total[chunk.owners(chunk.operation_start)]
-    own = chunk.scenario_sums(chunk.step_operation, len(chunk.operation_demand), step_demand)
+    hot_op = op_util >= th.util_high
+    steps = np.flatnonzero(hot_op[chunk.step_operation])
+    rank = np.cumsum(hot_op) - 1  # a hot operation's row among the hot ones
+    own = chunk.scenario_sums(rank[chunk.step_operation[steps]], int(hot_op.sum()), step_demand, steps)
+    total = total[chunk.owners(chunk.operation_start)[hot_op]]
     share = np.divide(own, total, out=np.zeros(own.shape), where=total > 0.0)
-    dominant = (total > 0.0) & (share >= th.paf_demand_share)
+    pipe_and_filter = np.zeros_like(hot_op)
+    pipe_and_filter[hot_op] = ((total > 0.0) & (share >= th.paf_demand_share)).any(axis=1)
 
     return _Rules(
         blob=(comp_util >= th.util_high) & heavy.any(axis=1),
         hot=node_util >= th.util_high,
         idle=node_util <= th.util_low,
-        pipe_and_filter=(op_util >= th.util_high) & dominant.any(axis=1),
+        pipe_and_filter=pipe_and_filter,
     )
 
 
-def detect(
-    chunk: CompiledChunk, perfs: Sequence[PerformanceResult | Exception], thresholds: Thresholds | None = None
-) -> list[int | None]:
+def detect(chunk: CompiledChunk, solution: QnSolution, thresholds: Thresholds | None = None) -> list[int | None]:
     """Per architecture of the chunk, the number of distinct (kind, element)
-    detections; None where its performance entry is a failure."""
-    rules = _rules(chunk, perfs, thresholds or Thresholds())
+    detections; None where its solve failed."""
+    rules = _rules(chunk, solution, thresholds or Thresholds())
     size = len(chunk)
 
     def fired(mask, start):
@@ -103,4 +103,4 @@ def detect(
     # util_high, so no node is both and every hot-idle pair fires once
     pairs = fired(rules.hot, chunk.node_start) * fired(rules.idle, chunk.node_start)
     counts = fired(rules.blob, chunk.component_start) + pairs + fired(rules.pipe_and_filter, chunk.operation_start)
-    return [count if isinstance(perf, PerformanceResult) else None for count, perf in zip(counts.tolist(), perfs)]
+    return [count if failure is None else None for count, failure in zip(counts.tolist(), solution.failures)]

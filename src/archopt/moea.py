@@ -157,9 +157,9 @@ def objective_vector(metrics: EvalMetrics, use_pas: bool) -> tuple[float, ...]:
     return (-metrics.perfq, -metrics.reliability, metrics.distance)
 
 
-# What scoring one candidate gives: its metrics with its performance, or
-# the failure that makes it an invalid individual.
-Outcome = tuple[EvalMetrics, PerformanceResult] | Exception
+# What scoring one candidate gives: its metrics, or the failure that makes
+# it an invalid individual.
+Outcome = EvalMetrics | Exception
 
 
 def score(
@@ -169,23 +169,20 @@ def score(
     thresholds: Thresholds,
 ) -> list[Outcome]:
     """Scores the candidates' folds as one chunk: one compile, one
-    ``to_qn``, one ``solve_amva_many``, one reliability and one
+    ``to_qn``, one ``solve_amva_many``, one perfQ, one reliability and one
     antipattern count of all.  Returns one outcome per candidate, in
     order; a candidate whose solve fails makes only itself invalid."""
     if not candidates:
         return []
     chunk = CompiledChunk([folded for _, folded in candidates])
-    solved = solve_amva_many(to_qn(chunk))
+    solution = solve_amva_many(to_qn(chunk))
+    changes = perfq(initial_perf.response_time, solution.response_time).tolist()
     survival = compute_reliability(chunk)
-    counts = detect(chunk, solved, thresholds)
-    outcomes: list[Outcome] = []
-    for (seq, _), perf, rel, pas in zip(candidates, solved, survival, counts):
-        if isinstance(perf, Exception):
-            outcomes.append(perf)
-        else:
-            metrics = EvalMetrics(perfq(initial_perf, perf), rel, pas, distance(seq, brf))
-            outcomes.append((metrics, perf))
-    return outcomes
+    counts = detect(chunk, solution, thresholds)
+    return [
+        EvalMetrics(change, rel, pas, distance(seq, brf)) if failure is None else failure
+        for (seq, _), failure, change, rel, pas in zip(candidates, solution.failures, changes, survival, counts)
+    ]
 
 
 def _offer(members: list[Individual], points: np.ndarray, candidate: Individual) -> tuple[list[Individual], np.ndarray]:
@@ -229,8 +226,7 @@ class Evaluator:
         self.fold = initial.fold
         self.config = config
         self.initial_digest = digest(initial)
-        [initial_qn] = to_qn(CompiledChunk([self.fold]))
-        self.initial_perf = solve_amva(initial_qn)
+        self.initial_perf = solve_amva(to_qn(CompiledChunk([self.fold])))
         self.individuals: dict[RefactoringSequence, Individual] = {}
         # running non-dominated archive over everything evaluated; kept
         # incrementally so the final front costs nothing extra
@@ -255,9 +251,8 @@ class Evaluator:
             dim = 4 if self.config.use_pas_objective else 3
             individual = Individual(seq, phenotype, metrics, (INVALID_SENTINEL,) * dim, False, order)
         else:
-            metrics, _ = outcome
-            objectives = objective_vector(metrics, self.config.use_pas_objective)
-            individual = Individual(seq, None, metrics, objectives, True, order)
+            objectives = objective_vector(outcome, self.config.use_pas_objective)
+            individual = Individual(seq, None, outcome, objectives, True, order)
         self._front, self._front_points = _offer(self._front, self._front_points, individual)
         self.individuals[seq] = individual
         return individual

@@ -35,15 +35,20 @@ def check(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {name}{suffix}"
 
 
-def single_class_qn(demands, population, think):
-    demands = np.asarray(demands, float).reshape(-1, 1)
+def batch_of_one(demands, populations, think_times):
+    demands = np.asarray(demands, float)
     return QnModel(
-        tuple(f"k{i}" for i in range(demands.shape[0])),
-        ("c0",),
+        [tuple(f"k{i}" for i in range(demands.shape[0]))],
+        tuple(f"c{j}" for j in range(demands.shape[1])),
         demands,
-        np.array([float(population)]),
-        np.array([float(think)]),
+        np.array([0, demands.shape[0]]),
+        np.asarray(populations, float).reshape(1, -1),
+        np.asarray(think_times, float).reshape(1, -1),
     )
+
+
+def single_class_qn(demands, population, think):
+    return batch_of_one(np.asarray(demands, float).reshape(-1, 1), [population], [think])
 
 
 def random_solver_corpus(seed=0, count=100):
@@ -68,7 +73,7 @@ def test_c01_solver_oracle_equivalence():
         rel_x = abs(approx.throughput[0] - exact.throughput[0]) / exact.throughput[0]
         rel_r = abs(approx.response_time[0] - exact.response_time[0]) / exact.response_time[0]
         worst = max(worst, rel_x, rel_r)
-        if model.populations[0] == 1:
+        if model.populations[0, 0] == 1:
             if abs(approx.throughput[0] - exact.throughput[0]) > 1e-9:
                 exact_at_one = False
             if abs(approx.response_time[0] - exact.response_time[0]) > 1e-9:
@@ -107,13 +112,11 @@ def test_c02_littles_law_and_bounds():
             bound = min(population / (think + demands.sum()), 1.0 / demands.max())
             ok = ok and rel <= 1e-6 and result.throughput[0] <= bound + 1e-9
     # multiclass corpus and the case studies: law per class
-    cases = [to_qn(CompiledChunk([casestudies.load_case_study(n).fold]))[0] for n in ("small", "large")]
+    cases = [to_qn(CompiledChunk([casestudies.load_case_study(n).fold])) for n in ("small", "large")]
     for _ in range(30):
         stations, classes = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         cases.append(
-            QnModel(
-                tuple(f"k{i}" for i in range(stations)),
-                tuple(f"c{j}" for j in range(classes)),
+            batch_of_one(
                 rng.uniform(0.0, 0.4, size=(stations, classes)),
                 rng.integers(1, 25, size=classes).astype(float),
                 rng.uniform(0.1, 2.0, size=classes),
@@ -122,8 +125,8 @@ def test_c02_littles_law_and_bounds():
     for model in cases:
         result = solve_amva(model)
         for j in range(len(model.class_ids)):
-            lhs = result.throughput[j] * (result.response_time[j] + model.think_times[j])
-            rel = abs(lhs - model.populations[j]) / model.populations[j]
+            lhs = result.throughput[j] * (result.response_time[j] + model.think_times[0, j])
+            rel = abs(lhs - model.populations[0, j]) / model.populations[0, j]
             worst_rel = max(worst_rel, rel)
             ok = ok and rel <= 1e-6
         ok = ok and (result.utilization <= 1.0 + 1e-6).all()
@@ -299,7 +302,7 @@ def test_c07_end_to_end_determinism(tmp_path):
 
 def test_c08_budget_compliance():
     arch = casestudies.load_case_study("small")
-    solve_amva(to_qn(CompiledChunk([arch.fold]))[0])  # warm solver path outside the timed region
+    solve_amva(to_qn(CompiledChunk([arch.fold])))  # warm solver path outside the timed region
     ok = True
     details = []
     for budget in (5.0, 10.0, 20.0):

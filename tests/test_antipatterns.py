@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -8,19 +9,22 @@ from hypothesis import strategies as st
 from archopt import casestudies
 from archopt.antipatterns import Thresholds, _rules, detect
 from archopt.model import CompiledChunk, invocation_matrix
-from archopt.perfqn import PerformanceResult, solve_amva, to_qn
+from archopt.perfqn import QnSolution, solve_amva_many, to_qn
 from archopt.refactoring import apply_sequence, random_sequence
 from conftest import make_arch
 
 
 def perf_for(arch, utilization):
+    """The solution of a chunk of ``arch`` alone, with this utilization of
+    its nodes."""
     n = len(arch.scenarios)
-    return PerformanceResult(
-        station_ids=tuple(node.id for node in arch.nodes),
-        class_ids=tuple(s.id for s in arch.scenarios),
-        throughput=np.ones(n),
-        response_time=np.ones(n),
+    return QnSolution(
+        throughput=np.ones((1, n)),
+        response_time=np.ones((1, n)),
         utilization=np.asarray(utilization, float),
+        delay=np.zeros((1, n), dtype=bool),
+        iterations=np.zeros(1, dtype=int),
+        failures=[None],
     )
 
 
@@ -28,7 +32,7 @@ def fired(arch, perf, th=None):
     """The (kind, element) pairs that the rules' masks mark on a chunk of
     one architecture, in rule order; a concurrent-processing element is a
     node pair."""
-    rules = _rules(CompiledChunk([arch.fold]), [perf], th or Thresholds())
+    rules = _rules(CompiledChunk([arch.fold]), perf, th or Thresholds())
     nodes = [node.id for node in arch.nodes]
     operations = [op.id for comp in arch.components for op in comp.operations]
     pairs = [("blob", arch.components[i].id) for i in np.flatnonzero(rules.blob)]
@@ -52,7 +56,7 @@ def test_threshold_invariants():
 def test_idle_system_has_no_detections(two_comp_arch):
     perf = perf_for(two_comp_arch, [0.0, 0.0])
     assert fired(two_comp_arch, perf) == []
-    assert detect(CompiledChunk([two_comp_arch.fold]), [perf]) == [0]
+    assert detect(CompiledChunk([two_comp_arch.fold]), perf) == [0]
 
 
 def test_concurrent_processing_pair():
@@ -126,37 +130,38 @@ def test_detection_count_unit_is_kind_element():
     )
     perf = perf_for(arch, [0.9])
     assert [pair for pair in fired(arch, perf) if pair[0] == "blob"] == [("blob", "hub")]
-    assert detect(CompiledChunk([arch.fold]), [perf]) == [len(fired(arch, perf))]
+    assert detect(CompiledChunk([arch.fold]), perf) == [len(fired(arch, perf))]
 
 
 def test_detections_deterministic_and_order_independent(small_arch):
-    perf = solve_amva(to_qn(CompiledChunk([small_arch.fold]))[0])
+    perf = solve_amva_many(to_qn(CompiledChunk([small_arch.fold])))
     first = fired(small_arch, perf)
     assert first and fired(small_arch, perf) == first
     # the same architecture scores the same at any position of a chunk
     chunk = CompiledChunk([small_arch.fold, small_arch.fold, small_arch.fold])
-    assert detect(chunk, [perf, RuntimeError("failed"), perf]) == [len(first), None, len(first)]
+    solution = replace(solve_amva_many(to_qn(chunk)), failures=[None, RuntimeError("failed"), None])
+    assert detect(chunk, solution) == [len(first), None, len(first)]
 
 
 def test_raising_util_high_never_increases_count(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(CompiledChunk([arch.fold]))[0])
+        perf = solve_amva_many(to_qn(CompiledChunk([arch.fold])))
         counts = []
         for high in (0.5, 0.6, 0.7, 0.8, 0.9, 0.99):
-            counts.append(detect(CompiledChunk([arch.fold]), [perf], Thresholds(util_high=high))[0])
+            counts.append(detect(CompiledChunk([arch.fold]), perf, Thresholds(util_high=high))[0])
         assert counts == sorted(counts, reverse=True)
 
 
 def test_case_studies_start_with_antipatterns(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        perf = solve_amva(to_qn(CompiledChunk([arch.fold]))[0])
-        assert detect(CompiledChunk([arch.fold]), [perf])[0] >= 1
+        perf = solve_amva_many(to_qn(CompiledChunk([arch.fold])))
+        assert detect(CompiledChunk([arch.fold]), perf)[0] >= 1
 
 
 def naive_detect(arch, perf, th):
     """The object-graph loops the vectorized rules replaced: the
     (kind, element) pairs that fire, in rule order."""
-    util = {node_id: float(u) for node_id, u in zip(perf.station_ids, perf.utilization)}
+    util = {node.id: float(u) for node, u in zip(arch.nodes, perf.utilization)}
     ops = {op.id: op for comp in arch.components for op in comp.operations}
     node_of = {c.id: arch.deployment[c.id] for c in arch.components}
     detections = []
@@ -206,4 +211,4 @@ def test_detect_equals_naive_reference(name, seed, length, util_high, blob_share
     th = Thresholds(util_high=util_high, util_low=0.3, blob_share=blob_share, paf_demand_share=paf_demand_share)
     reference = naive_detect(folded, perf, th)
     assert fired(folded, perf, th) == reference
-    assert detect(CompiledChunk([folded.fold]), [perf], th)[0] == len(reference)
+    assert detect(CompiledChunk([folded.fold]), perf, th)[0] == len(reference)

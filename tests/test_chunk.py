@@ -11,7 +11,7 @@ import oracle
 from archopt.antipatterns import Thresholds, _rules, detect
 from archopt.model import CompiledChunk, RoutingError, invocation_matrix, unrouted_call
 from archopt.moea import EvalMetrics, score
-from archopt.perfqn import perfq, solve_amva, solve_amva_many, to_qn
+from archopt.perfqn import solve_amva_many, to_qn
 from archopt.refactoring import DEFAULT_BRF, distance, random_sequence
 from archopt.reliability import reliability
 from test_refactoring import probe_model
@@ -76,7 +76,7 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
     survival = reliability(chunk)
     counts = detect(chunk, solved, th)
     rules = _rules(chunk, solved, th)
-    initial = solve_amva(oracle.to_qn(arch))
+    initial = oracle.solve_amva(oracle.to_qn(arch))
     outcomes = score(initial, candidates, DEFAULT_BRF, th)
     invocations, messages = invocation_matrix(chunk)
     nodes, comps, links = chunk.node_start, chunk.component_start, chunk.link_start
@@ -89,19 +89,19 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
         assert same_bits(messages[links[b] : links[b + 1]], expected_messages)
 
         perf, overall, pas = oracle.score(folded, th)
-        assert same_bits(solved[b].response_time, perf.response_time)
-        assert same_bits(solved[b].throughput, perf.throughput)
-        assert same_bits(solved[b].utilization, perf.utilization)
+        assert solved.failures[b] is None
+        assert same_bits(solved.response_time[b], perf.response_time)
+        assert same_bits(solved.throughput[b], perf.throughput)
+        assert same_bits(solved.utilization[nodes[b] : nodes[b + 1]], perf.utilization)
         assert same_bits(survival[b], overall)
         assert counts[b] == pas
         fired = oracle.rules(folded, perf, th)
         for name, start in (("blob", chunk.component_start), ("hot", chunk.node_start),
                             ("idle", chunk.node_start), ("pipe_and_filter", chunk.operation_start)):
             assert same_bits(getattr(rules, name)[start[b] : start[b + 1]], fired[name]), name
-        metrics, scored = outcomes[b]
-        assert metrics == EvalMetrics(perfq(initial, perf), overall, pas, distance(seq, DEFAULT_BRF))
-        assert same_bits(metrics.perfq, perfq(initial, perf))
-        assert same_bits(scored.response_time, perf.response_time)
+        metrics = outcomes[b]
+        assert metrics == EvalMetrics(oracle.perfq(initial, perf), overall, pas, distance(seq, DEFAULT_BRF))
+        assert same_bits(metrics.perfq, oracle.perfq(initial, perf))
 
 
 def zero_demand(arch):
@@ -123,16 +123,24 @@ def test_a_failing_candidate_changes_no_other_outcome(seed, size, position):
     rng = np.random.default_rng(seed)
     candidates = random_candidates(arch, rng, size)
     failing = (candidates[0][0], zero_demand(arch).fold)
-    initial = solve_amva(oracle.to_qn(arch))
+    initial = oracle.solve_amva(oracle.to_qn(arch))
     th = Thresholds()
     alone = score(initial, candidates, DEFAULT_BRF, th)
     mixed = score(initial, candidates[:position] + [failing] + candidates[position:], DEFAULT_BRF, th)
-    failure = mixed.pop(min(position, size))
+    at = min(position, size)
+    failure = mixed.pop(at)
     assert isinstance(failure, ValueError)
-    for (metrics, perf), (mixed_metrics, mixed_perf) in zip(alone, mixed):
-        assert metrics == mixed_metrics
-        assert same_bits(perf.response_time, mixed_perf.response_time)
-        assert same_bits(perf.utilization, mixed_perf.utilization)
+    assert alone == mixed
+    # the solutions the scores read, fold by fold
+    folds = [fold for _, fold in candidates]
+    chunk, mixed_chunk = CompiledChunk(folds), CompiledChunk(folds[:at] + [failing[1]] + folds[at:])
+    solution, mixed_solution = solve_amva_many(to_qn(chunk)), solve_amva_many(to_qn(mixed_chunk))
+    for b in range(size):
+        m = b if b < at else b + 1
+        assert same_bits(solution.response_time[b], mixed_solution.response_time[m])
+        rows = slice(chunk.node_start[b], chunk.node_start[b + 1])
+        mixed_rows = slice(mixed_chunk.node_start[m], mixed_chunk.node_start[m + 1])
+        assert same_bits(solution.utilization[rows], mixed_solution.utilization[mixed_rows])
 
 
 @settings(max_examples=40, deadline=None)

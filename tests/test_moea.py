@@ -125,8 +125,8 @@ def test_evaluation_cache_skips_solver(small_arch):
 
 
 def inject_solver_failures(monkeypatch, every: int) -> list[SolverError]:
-    """Replace every ``every``-th solved model's result by a SolverError.
-    Models are counted in submission order at both bindings of the batch
+    """Replace every ``every``-th solved fold's outcome by a SolverError.
+    Folds are counted in submission order at both bindings of the batch
     solver, so the initial architecture's solve (through ``solve_amva``)
     is call 1.  Returns the list the injected failures are appended to."""
     from archopt import moea, perfqn
@@ -135,15 +135,16 @@ def inject_solver_failures(monkeypatch, every: int) -> list[SolverError]:
     calls = [0]
     injected: list[SolverError] = []
 
-    def flaky_many(qns):
-        results = []
-        for result in real_many(qns):
+    def flaky_many(qn):
+        solution = real_many(qn)
+        failures = []
+        for failure in solution.failures:
             calls[0] += 1
             if calls[0] % every == 0:
-                result = SolverError("did not converge", residual=1.0)
-                injected.append(result)
-            results.append(result)
-        return results
+                failure = SolverError("did not converge", residual=1.0)
+                injected.append(failure)
+            failures.append(failure)
+        return replace(solution, failures=failures)
 
     monkeypatch.setattr(perfqn, "solve_amva_many", flaky_many)
     monkeypatch.setattr(moea, "solve_amva_many", flaky_many)
@@ -726,6 +727,24 @@ def test_architectures_are_built_only_for_the_front_and_invalid_individuals(algo
     assert len(built) == invalid + sum(ind.valid for ind in front.individuals)
 
 
+def test_a_search_builds_one_performance_result(large_arch, monkeypatch):
+    # the search scores each chunk from its batch solution; the initial
+    # model's one-model view is the only PerformanceResult it builds
+    from archopt import perfqn
+
+    built = []
+    init = perfqn.PerformanceResult.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perfqn.PerformanceResult, "__init__", counting)
+    front = run(large_arch, SearchConfig(**PINNED_CONFIG))
+    assert front.metadata["evaluations_used"] == 200
+    assert len(built) == 1
+
+
 def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
     from archopt import moea
 
@@ -734,22 +753,23 @@ def test_run_counts_invalid_individuals_by_type(small_arch, monkeypatch):
     flaky_many = moea.solve_amva_many
     solved = [0]
 
-    def flakier_many(qns):
+    def flakier_many(qn):
         # a ValueError replaces only a solve that succeeded, so each
         # candidate fails once, with the failure that is counted
-        results = flaky_many(qns)
-        for b, perf in enumerate(results):
-            if isinstance(perf, Exception):
+        solution = flaky_many(qn)
+        failures = list(solution.failures)
+        for b, failure in enumerate(failures):
+            if failure is not None:
                 continue
             solved[0] += 1
             if solved[0] % 5 == 0:
                 # not a class of its own: counted as the ValueError it is
                 raised["ValueError"] += 1
-                results[b] = RoutingError("no link")
+                failures[b] = RoutingError("no link")
             elif solved[0] % 11 == 0:
                 raised["ValueError"] += 1
-                results[b] = ValueError("bad value")
-        return results
+                failures[b] = ValueError("bad value")
+        return replace(solution, failures=failures)
 
     # the scorer's binding only: the initial model's solve stays as it was
     monkeypatch.setattr(moea, "solve_amva_many", flakier_many)

@@ -8,7 +8,6 @@ from archopt.model import CompiledChunk
 from archopt.perfqn import (
     AMVA_MAX_ITER,
     AMVA_TOL,
-    PerformanceResult,
     QnModel,
     SolverError,
     perfq,
@@ -21,16 +20,36 @@ from conftest import make_arch
 
 
 def qn(demands, populations, think_times):
+    """A batch of one model."""
     demands = np.asarray(demands, dtype=float)
     stations = tuple(f"k{i}" for i in range(demands.shape[0]))
     classes = tuple(f"c{j}" for j in range(demands.shape[1]))
-    return QnModel(stations, classes, demands, np.asarray(populations, float), np.asarray(think_times, float))
+    return QnModel(
+        [stations],
+        classes,
+        demands,
+        np.array([0, len(demands)]),
+        np.asarray(populations, float)[None, :],
+        np.asarray(think_times, float)[None, :],
+    )
+
+
+def batch(models):
+    """The batches of one model of ``models``, one class count, as one batch."""
+    return QnModel(
+        [ids for model in models for ids in model.station_ids],
+        models[0].class_ids,
+        np.vstack([model.demands for model in models]),
+        np.cumsum([0] + [len(model.demands) for model in models]),
+        np.vstack([model.populations for model in models]),
+        np.vstack([model.think_times for model in models]),
+    )
 
 
 def assert_littles_law(model, result, rel=1e-6):
     for j in range(len(model.class_ids)):
-        lhs = result.throughput[j] * (result.response_time[j] + model.think_times[j])
-        assert lhs == pytest.approx(model.populations[j], rel=rel)
+        lhs = result.throughput[j] * (result.response_time[j] + model.think_times[0, j])
+        assert lhs == pytest.approx(model.populations[0, j], rel=rel)
     np.testing.assert_allclose(result.utilization, model.demands @ result.throughput, rtol=1e-9)
 
 
@@ -38,10 +57,10 @@ def assert_littles_law(model, result, rel=1e-6):
 
 
 def test_to_qn_direct_mapping(two_comp_arch):
-    model = to_qn(CompiledChunk([two_comp_arch.fold]))[0]
+    model = to_qn(CompiledChunk([two_comp_arch.fold]))
     np.testing.assert_allclose(model.demands, CompiledChunk([two_comp_arch.fold]).demands)
     assert model.class_ids == ("s1",)
-    np.testing.assert_allclose(model.populations, [4.0])
+    np.testing.assert_allclose(model.populations[0], [4.0])
 
 
 def test_to_qn_rate_scales_by_cores():
@@ -51,11 +70,11 @@ def test_to_qn_rate_scales_by_cores():
         deployment={"c1": "n1"},
         scenarios=[("s1", 1.0, 2, 0.0, [("op1", 1.0)])],
     )
-    np.testing.assert_allclose(to_qn(CompiledChunk([arch.fold]))[0].demands, [[0.15]])
+    np.testing.assert_allclose(to_qn(CompiledChunk([arch.fold])).demands, [[0.15]])
 
 
 def test_to_qn_shapes_match_architecture(small_arch):
-    model = to_qn(CompiledChunk([small_arch.fold]))[0]
+    model = to_qn(CompiledChunk([small_arch.fold]))
     assert model.demands.shape == (3, 2)
 
 
@@ -166,14 +185,20 @@ def random_qn(rng, n_stations, n_classes):
     return qn(demands, populations, think_times)
 
 
-def assert_same_bits(result, want):
-    """``result`` holds X, R and the iteration count of ``want``, a
-    converged reference solve, bit for bit."""
+def reference(model, max_iter=AMVA_MAX_ITER):
+    """``reference_amva`` of a batch of one model."""
+    return reference_amva(model.demands, model.populations[0], model.think_times[0], AMVA_TOL, max_iter)
+
+
+def assert_same_bits(solution, b, want):
+    """Fold b of ``solution`` holds X, R and the iteration count of
+    ``want``, a converged reference solve, bit for bit."""
     x, r_class, iterations, _, converged = want
     assert converged
-    assert result.throughput.tobytes() == x.tobytes()
-    assert result.response_time.tobytes() == r_class.tobytes()
-    assert result.iterations == iterations
+    assert solution.failures[b] is None
+    assert solution.throughput[b].tobytes() == x.tobytes()
+    assert solution.response_time[b].tobytes() == r_class.tobytes()
+    assert solution.iterations[b] == iterations
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,12 +208,16 @@ def assert_same_bits(result, want):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_amva_matches_per_model_loop_bit_for_bit(class_counts, shapes, seed):
-    # a few class counts shared by many models, so stacks mix station counts
+    # a few class counts shared by many models, so stacks mix station
+    # counts; a batch holds one class count
     rng = np.random.default_rng(seed)
     models = [random_qn(rng, k, class_counts[c % len(class_counts)]) for k, c in shapes]
-    for model, result in zip(models, solve_amva_many(models)):
-        want = reference_amva(model.demands, model.populations, model.think_times, AMVA_TOL, AMVA_MAX_ITER)
-        assert_same_bits(result, want)
+    for count in set(class_counts):
+        members = [model for model in models if len(model.class_ids) == count]
+        if members:
+            solution = solve_amva_many(batch(members))
+            for b, model in enumerate(members):
+                assert_same_bits(solution, b, reference(model))
 
 
 def test_non_converging_model_fails_alone(monkeypatch):
@@ -200,20 +229,22 @@ def test_non_converging_model_fails_alone(monkeypatch):
     # the others at most about 210; all share one stack
     slow = qn([[1.0, 0.9, 0.8], [0.9, 1.0, 0.95], [0.8, 0.95, 1.0]], [500] * 3, [0.0] * 3)
     models.insert(1, slow)
-    results = solve_amva_many(models)
+    solution = solve_amva_many(batch(models))
 
-    stalled = reference_amva(slow.demands, slow.populations, slow.think_times, AMVA_TOL, max_iter)
+    stalled = reference(slow, max_iter)
     assert not stalled[4]
-    assert isinstance(results[1], SolverError)
-    assert results[1].residual == stalled[3]
+    assert isinstance(solution.failures[1], SolverError)
+    assert solution.failures[1].residual == stalled[3]
     with pytest.raises(SolverError, match=f"within {max_iter} iterations"):
         solve_amva(slow)
-    for model, result in zip(models[:1] + models[2:], results[:1] + results[2:]):
-        assert_same_bits(result, reference_amva(model.demands, model.populations, model.think_times, AMVA_TOL, max_iter))
+    for b, model in enumerate(models):
+        if b == 1:
+            continue
+        assert_same_bits(solution, b, reference(model, max_iter))
         single = solve_amva(model)
         for field in ("throughput", "response_time"):
-            assert getattr(single, field).tobytes() == getattr(result, field).tobytes()
-        assert single.iterations == result.iterations
+            assert getattr(single, field).tobytes() == getattr(solution, field)[b].tobytes()
+        assert single.iterations == solution.iterations[b]
 
 
 def test_amva_many_keeps_model_order_and_failures():
@@ -227,13 +258,16 @@ def test_amva_many_keeps_model_order_and_failures():
         qn([[0.0, 0.0]], [3, 5], [1.0, 1.0]),
         qn([[0.5, 0.2]], [3, 4], [0.0, 0.0]),
     ]
-    results = solve_amva_many(models)
-    assert isinstance(results[1], ValueError)
-    assert results[3].delay_only == ("c0", "c1")
-    assert results[4].iterations == 1
-    for i in (0, 2, 4):
-        assert_same_bits(results[i], reference_amva(models[i].demands, models[i].populations, models[i].think_times, AMVA_TOL, AMVA_MAX_ITER))
-    assert solve_amva_many([]) == []
+    # one batch per class count: models 1 and 2, then models 0, 3 and 4
+    one_class = solve_amva_many(batch(models[1:3]))
+    two_class = solve_amva_many(batch([models[0], models[3], models[4]]))
+    assert isinstance(one_class.failures[0], ValueError)
+    assert two_class.delay[1].tolist() == [True, True]
+    assert two_class.iterations[2] == 1
+    for solution, b, i in ((two_class, 0, 0), (one_class, 1, 2), (two_class, 2, 4)):
+        assert_same_bits(solution, b, reference(models[i]))
+    empty = QnModel([], ("c0",), np.zeros((0, 1)), np.array([0]), np.zeros((0, 1)), np.zeros((0, 1)))
+    assert solve_amva_many(empty).failures == []
 
 
 def test_amva_littles_law_random_models():
@@ -279,7 +313,7 @@ def test_amva_monotone_in_demand():
 
 def test_case_study_solutions_satisfy_littles_law(small_arch, large_arch):
     for arch in (small_arch, large_arch):
-        model = to_qn(CompiledChunk([arch.fold]))[0]
+        model = to_qn(CompiledChunk([arch.fold]))
         assert_littles_law(model, solve_amva(model))
 
 
@@ -287,14 +321,8 @@ def test_case_study_solutions_satisfy_littles_law(small_arch, large_arch):
 
 
 def perf_with_response(times):
-    n = len(times)
-    return PerformanceResult(
-        station_ids=("k0",),
-        class_ids=tuple(f"c{j}" for j in range(n)),
-        throughput=np.ones(n),
-        response_time=np.asarray(times, float),
-        utilization=np.zeros(1),
-    )
+    """Response times, as perfQ reads them from a solution."""
+    return np.asarray(times, float)
 
 
 def test_perfq_zero_when_unchanged():
@@ -329,6 +357,10 @@ def test_perfq_requires_same_scenarios():
     b = perf_with_response([1.0, 2.0])
     with pytest.raises(ValueError, match="scenario sets differ"):
         perfq(a, b)
+    # a batch of rows: broadcasting must not pair one initial response time
+    # with a row of two
+    with pytest.raises(ValueError, match="scenario sets differ"):
+        perfq(a, np.stack([b, b, b]))
 
 
 def test_perfq_bounded():
