@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 import logging
-import math
 import os
 import statistics
 import sys
@@ -85,12 +84,9 @@ def _parse_brf(raw) -> dict[ActionKind, float]:
     table = dict(DEFAULT_BRF)
     for key, value in raw.items():
         try:
-            kind = ActionKind(key)
+            table[ActionKind(key)] = value
         except ValueError as exc:
             raise ConfigError(f"brf: unknown action kind '{key}'") from exc
-        if not _is_number(value) or not 0 < value < math.inf:
-            raise ConfigError(f"brf.{key}: factor must be a positive finite number, got {value!r}")
-        table[kind] = float(value)
     return table
 
 

@@ -6,6 +6,7 @@ models at once, and a single model is a stack of one.
 ``dominates`` is the one dominance rule of the package, and
 ``dominance_matrix`` applies it to every pair of a point set; the sorting,
 archive and hypervolume code in ``pareto`` and ``moea`` all build on them.
+A search step that finds its budget spent ends by ``BudgetSpent``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def dominates(a, b):
     return (a <= b).all(-1) & (a < b).any(-1)
 
 
+class BudgetSpent(Exception):
+    """A search step found the budget spent: nothing reads what it would
+    build, so it stops, and the search with it."""
+
+
 # Rows of an (n, n) matrix built at once: the temporaries of the dominance
 # matrix, and of SPEA2's distances, stay near this many rows, so their
 # memory grows as n, not n^2.
@@ -116,13 +122,14 @@ BLOCK_ROWS = 256
 def dominance_matrix(points, spent=None):
     """dom[i, j] is True iff points[i] dominates points[j].  Built in
     blocks of ``BLOCK_ROWS`` rows, one objective at a time, so no temporary
-    is larger than a block; None once ``spent()`` is true between blocks."""
+    is larger than a block.  Raises ``BudgetSpent`` once ``spent()`` is
+    true between blocks."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     dom = np.empty((n, n), dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         if spent is not None and spent():
-            return None
+            raise BudgetSpent
         block = points[start : start + BLOCK_ROWS]
         no_worse = np.ones((len(block), n), dtype=bool)
         better = np.zeros((len(block), n), dtype=bool)

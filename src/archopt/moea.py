@@ -3,10 +3,11 @@
 Genotype: fixed-length action sequence.  Objectives, all minimized:
 (-perfQ, -reliability, antipattern count, distance); the antipattern
 objective can be dropped to run a 3-objective search.  NSGA-II, SPEA2
-and PESA-II run in one generational loop and differ only in how they
-pick parents from what they keep and what they keep after each
-generation.  The returned front is the non-dominated subset of every
-individual evaluated during the run, not just what was kept.
+and PESA-II run in one generational loop and differ only in its step:
+what they keep after each generation and how they pick the next
+generation's parents from it.  The returned front is the non-dominated
+subset of every individual evaluated during the run, not just what was
+kept.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import kernels
 from .antipatterns import Thresholds, detect
-from .kernels import BLOCK_ROWS
+from .kernels import BLOCK_ROWS, BudgetSpent, dominates
 from .model import Architecture, CompiledChunk, Fold, digest, validate
-from .pareto import admit, crowding_distance, fast_nondominated_sort
+from .pareto import crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
     DEFAULT_BRF,
@@ -119,6 +120,10 @@ class SearchConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.budget_seconds is not None and not math.isfinite(self.budget_seconds):
             raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds}")
+        factors = self.brf.values()
+        if set(self.brf) != set(ActionKind) or not all(_TYPE_CHECKS["float"](f) and 0 < f < math.inf for f in factors):
+            kinds = [kind.value for kind in ActionKind]
+            raise ValueError(f"brf must map each of {kinds} to a positive finite number, got {self.brf!r}")
 
     @property
     def gene_mutation_prob(self) -> float:
@@ -185,15 +190,18 @@ def score(
     ]
 
 
-def _offer(members: list[Individual], points: np.ndarray, candidate: Individual) -> tuple[list[Individual], np.ndarray]:
+def _offer(members: list[Individual], points: np.ndarray, candidates: list[Individual]) -> tuple[list[Individual], np.ndarray]:
     """The non-dominated set ``members`` and their raw objective rows
-    ``points`` after offering ``candidate``: unchanged when a member
-    dominates it, else without the members it dominates and with it last."""
-    point = np.array(candidate.objectives)
-    keep = admit(points, point)
-    if keep is None:
-        return members, points
-    return [ind for ind, k in zip(members, keep) if k] + [candidate], np.vstack([points[keep], point[None, :]])
+    ``points`` after offering ``candidates``: the members and candidates,
+    in that order, that no other of them dominates.  Dominance is
+    transitive, so that is the set, in the order, that offering the
+    candidates one at a time leaves."""
+    new = np.array([ind.objectives for ind in candidates], dtype=float)
+    both = np.vstack([points, new])
+    # the members dominate no other member already
+    keep = ~dominates(new[:, None], both[None]).any(0)
+    keep[len(points) :] &= ~dominates(points[:, None], new[None]).any(0)
+    return [ind for ind, k in zip(members + candidates, keep) if k], both[keep]
 
 
 class _Budget:
@@ -236,26 +244,30 @@ class Evaluator:
         self.cache_hits = 0
         self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
-    def _record(self, seq: RefactoringSequence, outcome: Outcome, folded: Fold) -> Individual:
-        """Store a scored candidate.  Its phenotype is digested only when
-        it is invalid, for the warning; ``run`` digests the final front."""
-        self.solver_evaluations += 1
-        order = len(self.individuals)
-        if isinstance(outcome, Exception):
-            phenotype = digest(folded.architecture())
-            kind = next(cls for cls in EVALUATION_FAILURES if isinstance(outcome, cls))
-            self.invalid_by_type[kind.__name__] += 1
-            log.warning("invalid individual (%s): %s", phenotype[:12], outcome)
-            sentinel = float("nan")
-            metrics = EvalMetrics(sentinel, sentinel, 0, sentinel)
-            dim = 4 if self.config.use_pas_objective else 3
-            individual = Individual(seq, phenotype, metrics, (INVALID_SENTINEL,) * dim, False, order)
-        else:
-            objectives = objective_vector(outcome, self.config.use_pas_objective)
-            individual = Individual(seq, None, outcome, objectives, True, order)
-        self._front, self._front_points = _offer(self._front, self._front_points, individual)
-        self.individuals[seq] = individual
-        return individual
+    def _record(self, chunk: list[Candidate], outcomes: list[Outcome]) -> None:
+        """Store scored candidates in submission order, then offer them to
+        the front at once.  A phenotype is digested only when it is
+        invalid, for the warning; ``run`` digests the final front."""
+        recorded = []
+        for (seq, folded), outcome in zip(chunk, outcomes):
+            self.solver_evaluations += 1
+            order = len(self.individuals)
+            if isinstance(outcome, Exception):
+                phenotype = digest(folded.architecture())
+                kind = next(cls for cls in EVALUATION_FAILURES if isinstance(outcome, cls))
+                self.invalid_by_type[kind.__name__] += 1
+                log.warning("invalid individual (%s): %s", phenotype[:12], outcome)
+                sentinel = float("nan")
+                metrics = EvalMetrics(sentinel, sentinel, 0, sentinel)
+                dim = 4 if self.config.use_pas_objective else 3
+                individual = Individual(seq, phenotype, metrics, (INVALID_SENTINEL,) * dim, False, order)
+            else:
+                objectives = objective_vector(outcome, self.config.use_pas_objective)
+                individual = Individual(seq, None, outcome, objectives, True, order)
+            self.individuals[seq] = individual
+            recorded.append(individual)
+        if recorded:
+            self._front, self._front_points = _offer(self._front, self._front_points, recorded)
 
     def reported_front(self) -> list[Individual]:
         """The front as ``run`` reports it: sorted by objectives, then
@@ -269,9 +281,7 @@ class Evaluator:
 
     def _score_chunk(self, chunk: list[Candidate]) -> None:
         """Score new candidates together and record them in submission order."""
-        outcomes = score(self.initial_perf, chunk, self.config.brf, self.config.thresholds)
-        for (seq, folded), outcome in zip(chunk, outcomes):
-            self._record(seq, outcome, folded)
+        self._record(chunk, score(self.initial_perf, chunk, self.config.brf, self.config.thresholds))
 
     def evaluate(self, seq: RefactoringSequence) -> Individual:
         """Score a sequence, folded from the initial architecture."""
@@ -381,19 +391,41 @@ def _finite_rows(points: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(points), points, 1e30)
 
 
-def _nsga2_parents(
-    population: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
-) -> Callable[[], Individual] | None:
-    points = _objective_rows(population)
-    fronts = fast_nondominated_sort(points, spent)
-    if fronts is None:
-        return None
-    rank = np.zeros(len(population), dtype=int)
-    crowding = np.zeros(len(population))
-    for level, front in enumerate(fronts):
+def _nsga2_step(
+    population: list[Individual],
+    evaluated: list[Individual],
+    rng: np.random.Generator,
+    config: SearchConfig,
+    spent: Callable[[], bool],
+) -> tuple[list[Individual], Callable[[], Individual]]:
+    """Survivors of the union by rank, the last front that does not fit
+    filled by descending crowding, and a tournament on the same sort: every
+    dominator of a survivor survives, so the survivors keep their union
+    ranks, and each rank's crowding is over its survivors, in their order."""
+    union = population + evaluated
+    points = _objective_rows(union)
+    kept: list[int] = []
+    rank = np.zeros(len(union), dtype=int)
+    crowding = np.zeros(len(union))
+    for level, front in enumerate(fast_nondominated_sort(points, spent)):
+        room = config.population - len(kept)
+        if not room:
+            break
+        if len(front) > room:
+            crowd = crowding_distance(points[front])
+            # fill by descending crowding, ties by evaluation order
+            order = sorted(range(len(front)), key=lambda i: (-crowd[i], union[front[i]].order))
+            front = [front[i] for i in order[:room]]
+        kept += front
         rank[front] = level
         crowding[front] = crowding_distance(points[front])
-    return partial(_nsga2_select_parent, population, rank, crowding, rng)
+    # A union that fits is kept in evaluation order, which the tournament
+    # indexes.  Only the initial population fits (a short one means the
+    # budget is spent, so it never gets here).
+    if len(union) <= config.population:
+        kept = list(range(len(union)))
+    survivors = [union[i] for i in kept]
+    return survivors, partial(_nsga2_select_parent, survivors, rank[kept], crowding[kept], rng)
 
 
 def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
@@ -403,33 +435,6 @@ def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
     if crowding[i] != crowding[j]:
         return population[i] if crowding[i] > crowding[j] else population[j]
     return population[min(i, j)]
-
-
-def _nsga2_survival(
-    population: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
-) -> list[Individual] | None:
-    union = population + evaluated
-    # A union that fits is kept in evaluation order, which the tournament
-    # indexes.  Only the initial population fits (a short one means the
-    # budget is spent, so it never gets here), and sorting it would keep
-    # the same members, so no front moves.
-    if len(union) <= config.population:
-        return union
-    points = _objective_rows(union)
-    fronts = fast_nondominated_sort(points, spent)
-    if fronts is None:
-        return None
-    survivors: list[Individual] = []
-    for front in fronts:
-        if len(survivors) + len(front) <= config.population:
-            survivors.extend(union[i] for i in front)
-        else:
-            crowd = crowding_distance(points[front])
-            # fill by descending crowding, ties by evaluation order
-            order = sorted(range(len(front)), key=lambda i: (-crowd[i], union[front[i]].order))
-            survivors.extend(union[front[i]] for i in order[: config.population - len(survivors)])
-            break
-    return survivors
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +454,11 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] | None) -> np.ndarray | None:
+def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] | None) -> np.ndarray:
     """R(i): the summed strength S(j), the count j dominates, of each of
-    i's dominators (integer counts, so exact in any summation order); None
-    once ``spent()`` is true between row blocks."""
+    i's dominators (integer counts, so exact in any summation order),
+    checking ``spent()`` between row blocks."""
     dom = kernels.dominance_matrix(points, spent)
-    if dom is None:
-        return None
     strength = dom.sum(axis=1).astype(float)
     raw = np.zeros(len(points))
     for start in range(0, len(points), BLOCK_ROWS):
@@ -477,45 +480,46 @@ def _spea2_density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return 1.0 / (sigma + 2.0)
 
 
-def _spea2_fitness(union: list[Individual], spent: Callable[[], bool] | None = None) -> np.ndarray | None:
-    """F(i) = R(i) + D(i) of every member; None once ``spent()`` is true
-    between row blocks of R."""
-    points = _objective_rows(union)
-    raw = _spea2_raw(points, spent)
-    return None if raw is None else raw + _spea2_density(points, np.arange(len(union)))
+def _spea2_fitness(points: np.ndarray, spent: Callable[[], bool] | None = None) -> np.ndarray:
+    """F(i) = R(i) + D(i) of every objective row (as ``_objective_rows``
+    gives them), checking ``spent()`` between row blocks of R."""
+    return _spea2_raw(points, spent) + _spea2_density(points, np.arange(len(points)))
 
 
-def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int] | None:
+def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int]:
     # iteratively drop the member with lexicographically smallest sorted
     # nearest-neighbor distances; on full ties the highest index goes,
     # so earlier individuals win as everywhere else
     keep = list(archive_idx)
     while len(keep) > target:
         if spent():
-            return None
+            raise BudgetSpent
         sub = dists[np.ix_(keep, keep)]
         ranked = sorted(range(len(keep)), key=lambda i: (tuple(np.sort(sub[i])), -keep[i]))
         keep.pop(ranked[0])
     return keep
 
 
-def _spea2_survival(
-    archive: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
-) -> list[Individual] | None:
+def _spea2_step(
+    archive: list[Individual],
+    evaluated: list[Individual],
+    rng: np.random.Generator,
+    config: SearchConfig,
+    spent: Callable[[], bool],
+) -> tuple[list[Individual], Callable[[], Individual]]:
+    """The archive after environmental selection from the union, and a
+    tournament on its fitness."""
     union = evaluated + archive
     points = _objective_rows(union)
     raw = _spea2_raw(points, spent)
-    if raw is None:
-        return None
     # D(i) is in (0, 1/2], so F(i) < 1 exactly for the non-dominated (R = 0)
-    nondom = np.flatnonzero(raw == 0)
-    if len(nondom) > config.archive_size:
-        local = np.arange(len(nondom))
-        kept = _spea2_truncate(local.tolist(), _distances(points[nondom], local), config.archive_size, spent)
-        return None if kept is None else [union[nondom[i]] for i in kept]
-    chosen = nondom.tolist()
+    chosen = np.flatnonzero(raw == 0).tolist()
     need, dominated = config.archive_size - len(chosen), np.flatnonzero(raw > 0)
-    if need > 0 and dominated.size:
+    if need < 0:
+        local = np.arange(len(chosen))
+        kept = _spea2_truncate(local.tolist(), _distances(points[chosen], local), config.archive_size, spent)
+        chosen = [chosen[i] for i in kept]
+    elif need and dominated.size:
         # every member with a larger R than the need-th smallest ranks after
         # the need best (F < R + 1), so only these need their density
         nth = min(need, dominated.size) - 1
@@ -523,14 +527,8 @@ def _spea2_survival(
         fitness = raw[candidates] + _spea2_density(points, candidates)
         ranked = sorted(range(len(candidates)), key=lambda c: (fitness[c], union[candidates[c]].order))
         chosen += [int(candidates[c]) for c in ranked[:need]]
-    return [union[i] for i in chosen]
-
-
-def _spea2_parents(
-    archive: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
-) -> Callable[[], Individual] | None:
-    fitness = _spea2_fitness(archive, spent)
-    return None if fitness is None else partial(_spea2_select_parent, archive, fitness, rng)
+    archive = [union[i] for i in chosen]
+    return archive, partial(_spea2_select_parent, archive, _spea2_fitness(points[chosen], spent), rng)
 
 
 def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
@@ -562,7 +560,7 @@ def _pesa2_insert(
 ) -> tuple[list[Individual], np.ndarray]:
     """The archive and its raw objective rows ``points`` after offering
     ``candidate``, evicting one member when it overflows ``capacity``."""
-    archive, points = _offer(archive, points, candidate)
+    archive, points = _offer(archive, points, [candidate])
     if len(archive) > capacity:
         cells = _grid_cells(_finite_rows(points), divisions)
         crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
@@ -572,20 +570,20 @@ def _pesa2_insert(
     return archive, points
 
 
-def _pesa2_survival(
-    archive: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
-) -> list[Individual]:
+def _pesa2_step(
+    archive: list[Individual],
+    evaluated: list[Individual],
+    rng: np.random.Generator,
+    config: SearchConfig,
+    spent: Callable[[], bool],
+) -> tuple[list[Individual], Callable[[], Individual]]:
+    """The archive after inserting each of ``evaluated`` in turn, and a
+    selection over its hypergrid."""
     # kept beside the archive, so no insert rebuilds them
     points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
     for ind in evaluated:
         archive, points = _pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
-    return archive
-
-
-def _pesa2_parents(
-    archive: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
-) -> Callable[[], Individual]:
-    return partial(_pesa2_select, archive, _grid_cells(_objective_rows(archive), config.divisions), rng)
+    return archive, partial(_pesa2_select, archive, _grid_cells(_finite_rows(points), config.divisions), rng)
 
 
 def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
@@ -604,17 +602,16 @@ def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng:
 # Driver
 # ---------------------------------------------------------------------------
 
-# The valid ``algorithm`` values and their steps of the loop: parents(kept,
-# rng, config, spent) picks one generation's parents from what the
-# algorithm keeps, and survive(kept, evaluated, config, spent) is what it
-# keeps after it.  Nothing reads what either builds once the budget is
-# spent, so either may give up, returning None, once ``spent()`` is true
-# (NSGA-II's and SPEA2's, whose work grows as the square of what they
-# keep, do).
+# The valid ``algorithm`` values and their step of the loop: step(kept,
+# evaluated, rng, config, spent) returns what the algorithm keeps after a
+# generation and the parent selector of the next.  Nothing reads what it
+# builds once the budget is spent, so it may give up by raising
+# ``BudgetSpent`` once ``spent()`` is true (NSGA-II's and SPEA2's, whose
+# work grows as the square of what they keep, do).
 _ALGORITHMS = {
-    "nsga2": (_nsga2_parents, _nsga2_survival),
-    "spea2": (_spea2_parents, _spea2_survival),
-    "pesa2": (_pesa2_parents, _pesa2_survival),
+    "nsga2": _nsga2_step,
+    "spea2": _spea2_step,
+    "pesa2": _pesa2_step,
 }
 
 
@@ -625,7 +622,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     would never be met."""
     config = evaluator.config
     rng = np.random.default_rng(config.seed)
-    parents, survive = _ALGORITHMS[config.algorithm]
+    step = _ALGORITHMS[config.algorithm]
     # the fold of each action prefix built from the initial architecture
     folds: Folds = {}
     initial = (
@@ -633,18 +630,18 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         for _ in range(config.population)
     )
 
-    # Survival and parent choice run only while the budget lasts: nothing
-    # reads what they build for a spent search, and neither draws random
-    # numbers before it returns.
+    # The step runs only while the budget lasts: nothing reads what it
+    # builds for a spent search, and it draws no random numbers before it
+    # returns.
     def spent() -> bool:
         return budget.spent(evaluator.solver_evaluations)
 
     kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
     while not spent():
-        kept = survive(kept, evaluated, config, spent)
-        select = None if kept is None else parents(kept, rng, config, spent)
-        if select is None:
+        try:
+            kept, select = step(kept, evaluated, rng, config, spent)
+        except BudgetSpent:
             break
         evaluations = evaluator.solver_evaluations
         # Every kept individual was sampled or bred through the store.

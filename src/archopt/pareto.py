@@ -1,5 +1,6 @@
 """Pareto dominance machinery: non-dominated sorting, crowding distance,
-and exact hypervolume.  All objectives are minimized."""
+and exact hypervolume.  All objectives are minimized.  A sort given a
+budget check ``spent`` raises ``kernels.BudgetSpent`` once it is spent."""
 
 from __future__ import annotations
 
@@ -9,33 +10,22 @@ from . import kernels
 from .kernels import dominates
 
 
-def admit(points: np.ndarray, candidate: np.ndarray) -> np.ndarray | None:
-    """Admission of ``candidate`` into the non-dominated set ``points``:
-    None when a member dominates it, else the mask of members it does not
-    dominate (the ones to keep)."""
-    if dominates(points, candidate).any():
-        return None
-    return ~dominates(candidate, points)
-
-
-def fast_nondominated_sort(points, spent=None) -> list[list[int]] | None:
-    """Partition point indices into fronts F1, F2, ... by Pareto rank; None
-    once ``spent()`` is true between blocks of the dominance matrix or
-    between fronts."""
+def fast_nondominated_sort(points, spent=None) -> list[list[int]]:
+    """Partition point indices into fronts F1, F2, ... by Pareto rank,
+    checking ``spent()`` between blocks of the dominance matrix and between
+    fronts."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n == 0:
         return []
     dom = kernels.dominance_matrix(points, spent)
-    if dom is None:
-        return None
     counts = dom.sum(axis=0).astype(np.int64)  # how many points dominate each
     fronts: list[list[int]] = []
     assigned = np.zeros(n, dtype=bool)
     current = np.where(counts == 0)[0]
     while current.size:
         if spent is not None and spent():
-            return None
+            raise kernels.BudgetSpent
         fronts.append([int(i) for i in current])
         assigned[current] = True
         counts = counts - dom[current].sum(axis=0)

@@ -9,11 +9,16 @@ solve must give the same bits (``test_qn_batch.py``).  The
 refactoring functions apply actions to ``Architecture`` values, as the
 program did before it folded them onto a root and an overlay; folds must
 give the same outcomes, reasons, random draws and ``save()`` bytes
-(``test_fold.py``).
+(``test_fold.py``).  NSGA-II's survival and parent choice sort the union
+and then its survivors, as the program did before one step sorted each
+generation once, and the cumulative front admits candidates one at a time,
+as it did before a scored chunk was offered at once; the step and the
+offer must give the same bits (``test_step.py``).
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +35,8 @@ from archopt.model import (
     ProcessorNode,
     UsageScenario,
 )
+from archopt.moea import Individual, SearchConfig, _nsga2_select_parent, _objective_rows
+from archopt.pareto import crowding_distance, fast_nondominated_sort
 from archopt.perfqn import SolverError
 from archopt.refactoring import (
     _MAX_TRIES,
@@ -331,6 +338,74 @@ def spea2_fitness(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = max(1, min(k, n - 1)) if n > 1 else 1
     sigma = np.sort(dists, axis=1)[:, k - 1] if n > 1 else np.zeros(n)
     return raw + 1.0 / (sigma + 2.0), dists
+
+
+# ---------------------------------------------------------------------------
+# NSGA-II survival and parent choice, one sort each; admission to the
+# non-dominated set one candidate at a time
+# ---------------------------------------------------------------------------
+
+
+def nsga2_parents(
+    population: list[Individual], rng: np.random.Generator, config: SearchConfig, spent: Callable[[], bool]
+) -> Callable[[], Individual] | None:
+    points = _objective_rows(population)
+    fronts = fast_nondominated_sort(points, spent)
+    if fronts is None:
+        return None
+    rank = np.zeros(len(population), dtype=int)
+    crowding = np.zeros(len(population))
+    for level, front in enumerate(fronts):
+        rank[front] = level
+        crowding[front] = crowding_distance(points[front])
+    return partial(_nsga2_select_parent, population, rank, crowding, rng)
+
+
+def nsga2_survival(
+    population: list[Individual], evaluated: list[Individual], config: SearchConfig, spent: Callable[[], bool]
+) -> list[Individual] | None:
+    union = population + evaluated
+    # A union that fits is kept in evaluation order, which the tournament
+    # indexes.  Only the initial population fits (a short one means the
+    # budget is spent, so it never gets here), and sorting it would keep
+    # the same members, so no front moves.
+    if len(union) <= config.population:
+        return union
+    points = _objective_rows(union)
+    fronts = fast_nondominated_sort(points, spent)
+    if fronts is None:
+        return None
+    survivors: list[Individual] = []
+    for front in fronts:
+        if len(survivors) + len(front) <= config.population:
+            survivors.extend(union[i] for i in front)
+        else:
+            crowd = crowding_distance(points[front])
+            # fill by descending crowding, ties by evaluation order
+            order = sorted(range(len(front)), key=lambda i: (-crowd[i], union[front[i]].order))
+            survivors.extend(union[front[i]] for i in order[: config.population - len(survivors)])
+            break
+    return survivors
+
+
+def admit(points: np.ndarray, candidate: np.ndarray) -> np.ndarray | None:
+    """Admission of ``candidate`` into the non-dominated set ``points``:
+    None when a member dominates it, else the mask of members it does not
+    dominate (the ones to keep)."""
+    if dominates(points, candidate).any():
+        return None
+    return ~dominates(candidate, points)
+
+
+def offer(members: list[Individual], points: np.ndarray, candidate: Individual) -> tuple[list[Individual], np.ndarray]:
+    """The non-dominated set ``members`` and their raw objective rows
+    ``points`` after offering ``candidate``: unchanged when a member
+    dominates it, else without the members it dominates and with it last."""
+    point = np.array(candidate.objectives)
+    keep = admit(points, point)
+    if keep is None:
+        return members, points
+    return [ind for ind, k in zip(members, keep) if k] + [candidate], np.vstack([points[keep], point[None, :]])
 
 
 # ---------------------------------------------------------------------------

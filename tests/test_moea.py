@@ -23,15 +23,14 @@ from archopt.moea import (
     _Budget,
     _distances,
     _grid_cells,
-    _nsga2_parents,
-    _nsga2_survival,
+    _nsga2_step,
     _objective_rows,
     _offspring,
     _pesa2_insert,
     _pesa2_select,
     _search,
     _spea2_fitness,
-    _spea2_survival,
+    _spea2_step,
     crossover,
     mutate,
     objective_vector,
@@ -40,6 +39,8 @@ from archopt.moea import (
 from archopt.perfqn import SolverError
 from archopt.pareto import dominates, fast_nondominated_sort
 from archopt.refactoring import (
+    DEFAULT_BRF,
+    ActionKind,
     CloneComponent,
     RedeployComponent,
     RefactoringSequence,
@@ -78,6 +79,15 @@ def test_config_population_must_be_even():
         ("budget_seconds", -1.0),
         ("max_evaluations", -5),
         ("seed", -1),
+        # a table must give each action kind a positive finite factor
+        ("brf", {ActionKind.CLONE: 1.0}),
+        ("brf", {**DEFAULT_BRF, "bogus": 1.0}),
+        ("brf", dict.fromkeys(ActionKind, -1.0)),
+        ("brf", dict.fromkeys(ActionKind, 0.0)),
+        ("brf", dict.fromkeys(ActionKind, float("nan"))),
+        ("brf", dict.fromkeys(ActionKind, float("inf"))),
+        ("brf", dict.fromkeys(ActionKind, True)),
+        ("brf", dict.fromkeys(ActionKind, "1.5")),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
@@ -345,15 +355,16 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
 
 def test_spea2_nondominated_pair_enters_archive():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    fitness = _spea2_fitness(union)
+    fitness = _spea2_fitness(_objective_rows(union))
     assert (fitness < 1.0).all()
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2), lambda: False)
+    config = SearchConfig(max_evaluations=0, archive_size=2)
+    archive, _ = _spea2_step([], union, np.random.default_rng(0), config, lambda: False)
     assert len(archive) == 2
 
 
 def test_spea2_dominated_point_raw_strength():
     union = [fake_individual((0.0, 0.0), 0), fake_individual((1.0, 1.0), 1)]
-    fitness = _spea2_fitness(union)
+    fitness = _spea2_fitness(_objective_rows(union))
     # dominator strength S=1, so dominated point's raw fitness is 1 (+density)
     assert fitness[0] < 1.0
     assert 1.0 <= fitness[1] < 2.0
@@ -374,7 +385,7 @@ def test_spea2_fitness_and_dominance_match_the_pairwise_formulas(n, d, seed, gri
     points = rng.integers(0, 4, (n, d)).astype(float) if grid else rng.normal(size=(n, d))
     points[: min(sentinels, n)] = 1e30
     points = rng.permutation(points)
-    fitness = _spea2_fitness([fake_individual(tuple(row), i) for i, row in enumerate(points)])
+    fitness = _spea2_fitness(points)
     want_fitness, want_dists = oracle.spea2_fitness(points)
     assert fitness.tobytes() == want_fitness.tobytes()
     assert _distances(points, np.arange(n)).tobytes() == want_dists.tobytes()
@@ -385,7 +396,8 @@ def test_spea2_fitness_and_dominance_match_the_pairwise_formulas(n, d, seed, gri
 
 def test_spea2_truncation_is_deterministic():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=1), lambda: False)
+    config = SearchConfig(max_evaluations=0, archive_size=1)
+    archive, _ = _spea2_step([], union, np.random.default_rng(0), config, lambda: False)
     assert len(archive) == 1
     assert archive[0].order == 0  # tie broken by index
 
@@ -396,7 +408,8 @@ def test_spea2_fills_with_best_dominated():
         fake_individual((1.0, 1.0), 1),
         fake_individual((2.0, 2.0), 2),
     ]
-    archive = _spea2_survival([], union, SearchConfig(max_evaluations=0, archive_size=2), lambda: False)
+    config = SearchConfig(max_evaluations=0, archive_size=2)
+    archive, _ = _spea2_step([], union, np.random.default_rng(0), config, lambda: False)
     assert [ind.order for ind in archive] == [0, 1]
 
 
@@ -510,17 +523,39 @@ def test_run_initial_population_respects_max_evaluations(small_arch):
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
 def test_survival_runs_only_while_the_budget_lasts(small_arch, algorithm, monkeypatch):
-    parents, survive = moea._ALGORITHMS[algorithm]
+    step = moea._ALGORITHMS[algorithm]
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return survive(*args)
+        return step(*args)
 
-    monkeypatch.setitem(moea._ALGORITHMS, algorithm, (parents, counted))
+    monkeypatch.setitem(moea._ALGORITHMS, algorithm, counted)
     meta = run(small_arch, SearchConfig(algorithm=algorithm, **PINNED_CONFIG)).metadata
-    # one survival before each generation's breeding, none after the last
+    # one step before each generation's breeding, none after the last
     assert len(calls) == meta["generations"] > 0
+
+
+def test_nsga2_sorts_once_per_generation_and_offers_once_per_chunk(small_arch, monkeypatch):
+    # the step ranks the tournament from survival's sort of the union, and
+    # the evaluator offers each scored chunk to the front at once
+    sorts, chunks, offers = [], [], []
+
+    def counting(log, real):
+        def wrapper(*args):
+            log.append(args)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(moea, "fast_nondominated_sort", counting(sorts, moea.fast_nondominated_sort))
+    monkeypatch.setattr(moea, "score", counting(chunks, moea.score))
+    monkeypatch.setattr(moea, "_offer", counting(offers, moea._offer))
+    meta = run(small_arch, SearchConfig(algorithm="nsga2", **PINNED_CONFIG)).metadata
+    assert len(sorts) == meta["generations"] == RUN_METADATA["pinned", "nsga2"][2]
+    scored = [len(candidates) for _, candidates, *_ in chunks if candidates]
+    assert [len(candidates) for *_, candidates in offers] == scored
+    assert sum(scored) == meta["evaluations_used"]
 
 
 def spent_after(k: int):
@@ -538,41 +573,42 @@ def spent_after(k: int):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 700))
 def test_nsga2_survival_and_parents_give_up_once_spent(seed, n):
-    # a union of several row blocks and fronts: each step checks the budget
-    # between blocks of its dominance matrix and between fronts, returns None
-    # from the first check that finds it spent, and is unchanged otherwise
+    # a union of several row blocks and fronts: the step sorts it once,
+    # checking the budget between blocks of its dominance matrix and between
+    # fronts; it raises BudgetSpent from the first check that finds it
+    # spent, draws no random number before, and is unchanged otherwise
     rng = np.random.default_rng(seed)
     union = [fake_individual(tuple(row), i) for i, row in enumerate(rng.integers(0, 6, (n, 4)).astype(float))]
     config = SearchConfig(max_evaluations=0, population=64)
-    survivors = _nsga2_survival([], union, config, lambda: False)
+    survivors, _ = _nsga2_step([], union, np.random.default_rng(0), config, lambda: False)
     never = spent_after(10**9)
-    assert _nsga2_survival([], union, config, never) == survivors
+    assert _nsga2_step([], union, np.random.default_rng(0), config, never)[0] == survivors
     checks = len(never.calls)
     assert checks == -(-n // kernels.BLOCK_ROWS) + len(fast_nondominated_sort(_objective_rows(union)))
     for k in range(checks):
-        assert _nsga2_survival([], union, config, spent_after(k)) is None
-    select = _nsga2_parents(union, np.random.default_rng(0), config, never)
-    assert select is not None and len(never.calls) == 2 * checks
-    for k in range(checks):
-        assert _nsga2_parents(union, np.random.default_rng(0), config, spent_after(k)) is None
+        step_rng = np.random.default_rng(0)
+        with pytest.raises(kernels.BudgetSpent):
+            _nsga2_step([], union, step_rng, config, spent_after(k))
+        assert step_rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2"])
-@pytest.mark.parametrize("step", [0, 1], ids=["parents", "survive"])
-def test_search_stops_when_a_step_finds_the_budget_spent(small_arch, monkeypatch, algorithm, step):
+def test_search_stops_when_a_step_finds_the_budget_spent(small_arch, monkeypatch, algorithm):
     # the first generation runs; in the second, the step finds the budget
     # spent at its first check and the search ends without breeding again
     config = SearchConfig(algorithm=algorithm, seed=1, population=8, archive_size=8, max_evaluations=1000)
-    steps = list(moea._ALGORITHMS[algorithm])
-    real, results = steps[step], []
+    real, results = moea._ALGORITHMS[algorithm], []
 
     def giving_up(*args):
         *rest, spent = args
-        results.append(real(*rest, spent_after(0) if results else spent))
+        try:
+            results.append(real(*rest, spent_after(0) if results else spent))
+        except kernels.BudgetSpent:
+            results.append(None)
+            raise
         return results[-1]
 
-    steps[step] = giving_up
-    monkeypatch.setitem(moea._ALGORITHMS, algorithm, tuple(steps))
+    monkeypatch.setitem(moea._ALGORITHMS, algorithm, giving_up)
     evaluator = Evaluator(small_arch, config)
     assert _search(evaluator, _Budget(config)) == (1, False)
     assert len(results) == 2 and results[0] is not None and results[1] is None
@@ -631,7 +667,7 @@ def test_run_three_objective_mode(small_arch):
 
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    evaluator._record(RefactoringSequence(()), SolverError("solver blew up", residual=1.0), small_arch.fold)
+    evaluator._record([(RefactoringSequence(()), small_arch.fold)], [SolverError("solver blew up", residual=1.0)])
     front = evaluator.reported_front()
     assert [ind.order for ind in front] == [0]
     assert not front[0].valid
@@ -642,8 +678,10 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
     # dominate each other
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     failure = SolverError("solver blew up", residual=1.0)
-    first = evaluator._record(RefactoringSequence(()), failure, small_arch.fold)
-    second = evaluator._record(RefactoringSequence((RedeployComponent("catalog", "spare"),)), failure, small_arch.fold)
+    sequences = [RefactoringSequence(()), RefactoringSequence((RedeployComponent("catalog", "spare"),))]
+    for seq in sequences:
+        evaluator._record([(seq, small_arch.fold)], [failure])
+    first, second = (evaluator.individuals[seq] for seq in sequences)
     assert [ind.order for ind in evaluator.reported_front()] == [first.order, second.order]
     archive, points = _pesa2_insert([], np.empty((0, 4)), first, 4, 8)
     assert _pesa2_insert(archive, points, second, 4, 8)[0] == [first, second]

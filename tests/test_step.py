@@ -1,0 +1,95 @@
+"""The NSGA-II step and the front offer against the paths they replaced
+(``oracle.py``).
+
+The step must keep the oracle's survivors, in order, and hold the rank and
+crowding arrays that the oracle's second sort builds for the tournament.
+One offer of a chunk must leave the members, in order, and the ``points``
+bytes that offering its candidates one at a time leaves.  Rows are drawn
+from a small integer grid, so ties and duplicate rows are common; some are
+the invalid sentinel, and some individuals appear twice, as cache hits do.
+The property tests set no ``max_examples``, so a hypothesis profile sets
+their size: CI runs them again under ``--hypothesis-profile=thorough``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
+from archopt.moea import EvalMetrics, Individual, SearchConfig, _nsga2_step, _offer
+from archopt.refactoring import RefactoringSequence
+
+
+def draw_individuals(rng: np.random.Generator, n: int, dim: int, sentinels: int, repeats: int) -> list[Individual]:
+    """``n`` individuals on a 0..3 grid, the first ``sentinels`` invalid
+    (inf rows), in shuffled evaluation order, then ``repeats`` of them again;
+    shuffled."""
+    metrics = EvalMetrics(perfq=0.0, reliability=1.0, pas=0, distance=0.0)
+    rows = rng.integers(0, 4, (n, dim)).astype(float)
+    rows[:sentinels] = np.inf
+    orders = rng.permutation(n).tolist()
+    fresh = [
+        Individual(RefactoringSequence(()), f"d{order}", metrics, tuple(row), bool(np.isfinite(row).all()), order)
+        for row, order in zip(rows.tolist(), orders)
+    ]
+    pool = fresh + [fresh[i] for i in rng.integers(0, n, repeats)]
+    return [pool[i] for i in rng.permutation(len(pool))]
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    dim=st.integers(2, 4),
+    half=st.integers(2, 24),
+    sentinels=st.integers(0, 4),
+    repeats=st.integers(0, 8),
+)
+def test_nsga2_step_matches_survival_then_parents(seed, n, dim, half, sentinels, repeats):
+    # unions that fit the population and unions whose last kept front
+    # straddles it, split anywhere into population and evaluated
+    rng = np.random.default_rng(seed)
+    union = draw_individuals(rng, n, dim, min(sentinels, n), repeats)
+    cut = int(rng.integers(0, len(union) + 1))
+    config = SearchConfig(max_evaluations=0, population=2 * half)
+    want = oracle.nsga2_survival(union[:cut], union[cut:], config, lambda: False)
+    want_select = oracle.nsga2_parents(want, np.random.default_rng(seed), config, lambda: False)
+    got, select = _nsga2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
+    assert [id(ind) for ind in got] == [id(ind) for ind in want]
+    assert select.func is want_select.func
+    got_population, got_rank, got_crowding, _ = select.args
+    _, want_rank, want_crowding, _ = want_select.args
+    assert got_population is got
+    assert got_rank.dtype == want_rank.dtype and got_rank.tobytes() == want_rank.tobytes()
+    assert got_crowding.dtype == want_crowding.dtype and got_crowding.tobytes() == want_crowding.tobytes()
+    # the same tournaments follow
+    want_rng, got_rng = want_select.args[-1], select.args[-1]
+    assert [id(want_select()) for _ in range(8)] == [id(select()) for _ in range(8)]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offered=st.integers(0, 60),
+    chunk=st.integers(1, 40),
+    dim=st.integers(2, 4),
+    sentinels=st.integers(0, 4),
+    repeats=st.integers(0, 8),
+)
+def test_offer_of_a_chunk_matches_offers_one_at_a_time(seed, offered, chunk, dim, sentinels, repeats):
+    # members built by offering ``offered`` individuals one at a time; the
+    # chunk may hold an individual twice, or one that is already a member
+    rng = np.random.default_rng(seed)
+    pool = draw_individuals(rng, offered + chunk, dim, min(sentinels, offered + chunk), repeats)
+    members, points = [], np.empty((0, dim))
+    for ind in pool[:offered]:
+        members, points = oracle.offer(members, points, ind)
+    candidates = pool[offered:]
+    want_members, want_points = members, points
+    for ind in candidates:
+        want_members, want_points = oracle.offer(want_members, want_points, ind)
+    got_members, got_points = _offer(members, points, candidates)
+    assert [id(ind) for ind in got_members] == [id(ind) for ind in want_members]
+    assert got_points.dtype == want_points.dtype and got_points.shape == want_points.shape
+    assert got_points.tobytes() == want_points.tobytes()
