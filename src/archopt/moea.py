@@ -197,11 +197,16 @@ def _offer(members: list[Individual], points: np.ndarray, candidates: list[Indiv
     transitive, so that is the set, in the order, that offering the
     candidates one at a time leaves."""
     new = np.array([ind.objectives for ind in candidates], dtype=float)
+    fresh = ~dominates(points[:, None], new[None]).any(0)
+    if not fresh.any():
+        return members, points
+    # The members are mutually non-dominated, so a candidate that one of
+    # them dominates dominates no member, nor any candidate that no member
+    # dominates: only the fresh candidates need testing against the rest.
     both = np.vstack([points, new])
-    # the members dominate no other member already
-    keep = ~dominates(new[:, None], both[None]).any(0)
-    keep[len(points) :] &= ~dominates(points[:, None], new[None]).any(0)
-    return [ind for ind, k in zip(members + candidates, keep) if k], both[keep]
+    keep = ~dominates(new[fresh][:, None], both[None]).any(0)
+    keep[len(points) :] &= fresh
+    return [ind for ind, k in zip(members + candidates, keep.tolist()) if k], both[keep]
 
 
 class _Budget:
