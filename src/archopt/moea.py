@@ -120,10 +120,11 @@ class SearchConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.budget_seconds is not None and not math.isfinite(self.budget_seconds):
             raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds}")
-        factors = self.brf.values()
-        if set(self.brf) != set(ActionKind) or not all(_TYPE_CHECKS["float"](f) and 0 < f < math.inf for f in factors):
-            kinds = [kind.value for kind in ActionKind]
-            raise ValueError(f"brf must map each of {kinds} to a positive finite number, got {self.brf!r}")
+        if set(self.brf) != set(ActionKind):
+            raise ValueError(f"brf must have a factor for each of {[kind.value for kind in ActionKind]}, got {self.brf!r}")
+        for kind, factor in self.brf.items():
+            if not (_TYPE_CHECKS["float"](factor) and 0 < factor < math.inf):
+                raise ValueError(f"brf.{ActionKind(kind).value}: factor must be a positive finite number, got {factor!r}")
 
     @property
     def gene_mutation_prob(self) -> float:
