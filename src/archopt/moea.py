@@ -65,6 +65,7 @@ _TYPE_CHECKS = {
     "str": lambda value: isinstance(value, str),
     "list": lambda value: isinstance(value, list),
     "dict": lambda value: isinstance(value, dict),
+    "Thresholds": lambda value: isinstance(value, Thresholds),
 }
 
 
@@ -460,14 +461,13 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _spea2_raw(points: np.ndarray, spent: Callable[[], bool] | None) -> np.ndarray:
-    """R(i): the summed strength S(j), the count j dominates, of each of
-    i's dominators (integer counts, so exact in any summation order),
-    checking ``spent()`` between row blocks."""
-    dom = kernels.dominance_matrix(points, spent)
+def _spea2_raw(dom: np.ndarray) -> np.ndarray:
+    """R(i) of each point of the dominance matrix ``dom``: the summed
+    strength S(j), the count j dominates, of each of i's dominators
+    (integer counts, so exact in any summation order)."""
     strength = dom.sum(axis=1).astype(float)
-    raw = np.zeros(len(points))
-    for start in range(0, len(points), BLOCK_ROWS):
+    raw = np.zeros(len(dom))
+    for start in range(0, len(dom), BLOCK_ROWS):
         raw += strength[start : start + BLOCK_ROWS] @ dom[start : start + BLOCK_ROWS]
     return raw
 
@@ -486,24 +486,19 @@ def _spea2_density(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return 1.0 / (sigma + 2.0)
 
 
-def _spea2_fitness(points: np.ndarray, spent: Callable[[], bool] | None = None) -> np.ndarray:
-    """F(i) = R(i) + D(i) of every objective row (as ``_objective_rows``
-    gives them), checking ``spent()`` between row blocks of R."""
-    return _spea2_raw(points, spent) + _spea2_density(points, np.arange(len(points)))
-
-
-def _spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int]:
-    # iteratively drop the member with lexicographically smallest sorted
-    # nearest-neighbor distances; on full ties the highest index goes,
-    # so earlier individuals win as everywhere else
-    keep = list(archive_idx)
+def _spea2_truncate(dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int]:
+    """The ``target`` rows of the square distance matrix ``dists`` left
+    after dropping, one at a time, the row whose sorted distances to the
+    rest are lexicographically smallest; on a full tie the highest index
+    goes, so earlier individuals win as everywhere else."""
+    keep = np.arange(len(dists))
     while len(keep) > target:
         if spent():
             raise BudgetSpent
-        sub = dists[np.ix_(keep, keep)]
-        ranked = sorted(range(len(keep)), key=lambda i: (tuple(np.sort(sub[i])), -keep[i]))
-        keep.pop(ranked[0])
-    return keep
+        nearest = np.sort(dists[np.ix_(keep, keep)], axis=1)
+        # the last key decides first: nearest distance, next, ..., highest index
+        keep = np.delete(keep, np.lexsort((-keep, *nearest.T[::-1]))[0])
+    return keep.tolist()
 
 
 def _spea2_step(
@@ -514,16 +509,16 @@ def _spea2_step(
     spent: Callable[[], bool],
 ) -> tuple[list[Individual], Callable[[], Individual]]:
     """The archive after environmental selection from the union, and a
-    tournament on its fitness."""
+    tournament on its fitness, whose R reads the union's dominance matrix."""
     union = evaluated + archive
     points = _objective_rows(union)
-    raw = _spea2_raw(points, spent)
+    dom = kernels.dominance_matrix(points, spent)
+    raw = _spea2_raw(dom)
     # D(i) is in (0, 1/2], so F(i) < 1 exactly for the non-dominated (R = 0)
     chosen = np.flatnonzero(raw == 0).tolist()
     need, dominated = config.archive_size - len(chosen), np.flatnonzero(raw > 0)
     if need < 0:
-        local = np.arange(len(chosen))
-        kept = _spea2_truncate(local.tolist(), _distances(points[chosen], local), config.archive_size, spent)
+        kept = _spea2_truncate(_distances(points[chosen], np.arange(len(chosen))), config.archive_size, spent)
         chosen = [chosen[i] for i in kept]
     elif need and dominated.size:
         # every member with a larger R than the need-th smallest ranks after
@@ -534,7 +529,8 @@ def _spea2_step(
         ranked = sorted(range(len(candidates)), key=lambda c: (fitness[c], union[candidates[c]].order))
         chosen += [int(candidates[c]) for c in ranked[:need]]
     archive = [union[i] for i in chosen]
-    return archive, partial(_spea2_select_parent, archive, _spea2_fitness(points[chosen], spent), rng)
+    fitness = _spea2_raw(dom[np.ix_(chosen, chosen)]) + _spea2_density(points[chosen], np.arange(len(chosen)))
+    return archive, partial(_spea2_select_parent, archive, fitness, rng)
 
 
 def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
@@ -569,7 +565,7 @@ def _pesa2_insert(
     archive, points = _offer(archive, points, [candidate])
     if len(archive) > capacity:
         cells = _grid_cells(_finite_rows(points), divisions)
-        crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
+        crowded_key = min(cells, key=lambda key: (-len(cells[key]), key))  # ties -> lowest cell
         evict = cells[crowded_key][0]  # oldest member of the most crowded cell
         archive = archive[:evict] + archive[evict + 1 :]
         points = np.delete(points, evict, axis=0)
@@ -589,11 +585,12 @@ def _pesa2_step(
     points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
     for ind in evaluated:
         archive, points = _pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
-    return archive, partial(_pesa2_select, archive, _grid_cells(_finite_rows(points), config.divisions), rng)
+    cells = _grid_cells(_finite_rows(points), config.divisions)
+    return archive, partial(_pesa2_select, archive, cells, sorted(cells), rng)
 
 
-def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
-    keys = sorted(cells)
+def _pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], keys: list, rng: np.random.Generator) -> Individual:
+    """A member of the less crowded of two cells drawn from ``keys``, the sorted ``cells``."""
     first = keys[int(rng.integers(len(keys)))]
     second = keys[int(rng.integers(len(keys)))]
     if len(cells[first]) != len(cells[second]):

@@ -13,7 +13,12 @@ give the same outcomes, reasons, random draws and ``save()`` bytes
 and then its survivors, as the program did before one step sorted each
 generation once, and the cumulative front admits candidates one at a time,
 as it did before a scored chunk was offered at once; the step and the
-offer must give the same bits (``test_step.py``).
+offer must give the same bits (``test_step.py``).  SPEA2's survival builds
+a second dominance matrix for its archive's fitness and truncates by
+sorting each row's tuple of distances, and PESA-II sorts the cell keys on
+every parent draw and on every eviction, as the program did before each
+step built its selection state once; the steps must keep the same
+archives and make the same draws (``test_step.py``).
 """
 
 from collections.abc import Callable, Sequence
@@ -24,7 +29,7 @@ import numpy as np
 
 from archopt import kernels, perfqn
 from archopt.antipatterns import Thresholds
-from archopt.kernels import dominates
+from archopt.kernels import BLOCK_ROWS, BudgetSpent, dominates
 from archopt.model import (
     Architecture,
     CallStep,
@@ -35,7 +40,18 @@ from archopt.model import (
     ProcessorNode,
     UsageScenario,
 )
-from archopt.moea import Individual, SearchConfig, _nsga2_select_parent, _objective_rows
+from archopt.moea import (
+    Individual,
+    SearchConfig,
+    _distances,
+    _finite_rows,
+    _grid_cells,
+    _nsga2_select_parent,
+    _objective_rows,
+    _offer,
+    _spea2_density,
+    _spea2_select_parent,
+)
 from archopt.pareto import crowding_distance, fast_nondominated_sort
 from archopt.perfqn import SolverError
 from archopt.refactoring import (
@@ -406,6 +422,102 @@ def offer(members: list[Individual], points: np.ndarray, candidate: Individual) 
     if keep is None:
         return members, points
     return [ind for ind, k in zip(members, keep) if k] + [candidate], np.vstack([points[keep], point[None, :]])
+
+
+# ---------------------------------------------------------------------------
+# SPEA2 survival with a second dominance matrix for the archive and a tuple
+# sort per truncation; PESA-II with the cell keys sorted on every use
+# ---------------------------------------------------------------------------
+
+
+def spea2_raw(points: np.ndarray, spent: Callable[[], bool] | None) -> np.ndarray:
+    dom = kernels.dominance_matrix(points, spent)
+    strength = dom.sum(axis=1).astype(float)
+    raw = np.zeros(len(points))
+    for start in range(0, len(points), BLOCK_ROWS):
+        raw += strength[start : start + BLOCK_ROWS] @ dom[start : start + BLOCK_ROWS]
+    return raw
+
+
+def spea2_archive_fitness(points: np.ndarray, spent: Callable[[], bool] | None = None) -> np.ndarray:
+    return spea2_raw(points, spent) + _spea2_density(points, np.arange(len(points)))
+
+
+def spea2_truncate(archive_idx: list[int], dists: np.ndarray, target: int, spent: Callable[[], bool]) -> list[int]:
+    # iteratively drop the member with lexicographically smallest sorted
+    # nearest-neighbor distances; on full ties the highest index goes
+    keep = list(archive_idx)
+    while len(keep) > target:
+        if spent():
+            raise BudgetSpent
+        sub = dists[np.ix_(keep, keep)]
+        ranked = sorted(range(len(keep)), key=lambda i: (tuple(np.sort(sub[i])), -keep[i]))
+        keep.pop(ranked[0])
+    return keep
+
+
+def spea2_step(
+    archive: list[Individual],
+    evaluated: list[Individual],
+    rng: np.random.Generator,
+    config: SearchConfig,
+    spent: Callable[[], bool],
+) -> tuple[list[Individual], Callable[[], Individual]]:
+    union = evaluated + archive
+    points = _objective_rows(union)
+    raw = spea2_raw(points, spent)
+    chosen = np.flatnonzero(raw == 0).tolist()
+    need, dominated = config.archive_size - len(chosen), np.flatnonzero(raw > 0)
+    if need < 0:
+        local = np.arange(len(chosen))
+        kept = spea2_truncate(local.tolist(), _distances(points[chosen], local), config.archive_size, spent)
+        chosen = [chosen[i] for i in kept]
+    elif need and dominated.size:
+        nth = min(need, dominated.size) - 1
+        candidates = dominated[raw[dominated] <= np.partition(raw[dominated], nth)[nth]]
+        fitness = raw[candidates] + _spea2_density(points, candidates)
+        ranked = sorted(range(len(candidates)), key=lambda c: (fitness[c], union[candidates[c]].order))
+        chosen += [int(candidates[c]) for c in ranked[:need]]
+    archive = [union[i] for i in chosen]
+    return archive, partial(_spea2_select_parent, archive, spea2_archive_fitness(points[chosen], spent), rng)
+
+
+def pesa2_insert(
+    archive: list[Individual], points: np.ndarray, candidate: Individual, capacity: int, divisions: int
+) -> tuple[list[Individual], np.ndarray]:
+    archive, points = _offer(archive, points, [candidate])
+    if len(archive) > capacity:
+        cells = _grid_cells(_finite_rows(points), divisions)
+        crowded_key = max(sorted(cells), key=lambda key: len(cells[key]))  # ties -> lowest cell
+        evict = cells[crowded_key][0]  # oldest member of the most crowded cell
+        archive = archive[:evict] + archive[evict + 1 :]
+        points = np.delete(points, evict, axis=0)
+    return archive, points
+
+
+def pesa2_step(
+    archive: list[Individual],
+    evaluated: list[Individual],
+    rng: np.random.Generator,
+    config: SearchConfig,
+    spent: Callable[[], bool],
+) -> tuple[list[Individual], Callable[[], Individual]]:
+    points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
+    for ind in evaluated:
+        archive, points = pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
+    return archive, partial(pesa2_select, archive, _grid_cells(_finite_rows(points), config.divisions), rng)
+
+
+def pesa2_select(archive: list[Individual], cells: dict[tuple, list[int]], rng: np.random.Generator) -> Individual:
+    keys = sorted(cells)
+    first = keys[int(rng.integers(len(keys)))]
+    second = keys[int(rng.integers(len(keys)))]
+    if len(cells[first]) != len(cells[second]):
+        chosen = first if len(cells[first]) < len(cells[second]) else second
+    else:
+        chosen = first if rng.random() < 0.5 else second
+    members = cells[chosen]
+    return archive[members[int(rng.integers(len(members)))]]
 
 
 # ---------------------------------------------------------------------------

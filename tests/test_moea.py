@@ -29,7 +29,8 @@ from archopt.moea import (
     _pesa2_insert,
     _pesa2_select,
     _search,
-    _spea2_fitness,
+    _spea2_density,
+    _spea2_raw,
     _spea2_step,
     crossover,
     mutate,
@@ -88,6 +89,10 @@ def test_config_population_must_be_even():
         ("brf", dict.fromkeys(ActionKind, float("inf"))),
         ("brf", dict.fromkeys(ActionKind, True)),
         ("brf", dict.fromkeys(ActionKind, "1.5")),
+        # a plain dict would fail only when the first chunk is scored, and
+        # None would fall back to the defaults
+        ("thresholds", {"util_high": 0.9}),
+        ("thresholds", None),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
@@ -353,9 +358,13 @@ def test_mutate_with_crossover_folds_matches_mutate_without(name, seed, gene_pro
 # -- SPEA2 internals --------------------------------------------------------------
 
 
+def spea2_fitness(points):
+    return _spea2_raw(kernels.dominance_matrix(points)) + _spea2_density(points, np.arange(len(points)))
+
+
 def test_spea2_nondominated_pair_enters_archive():
     union = [fake_individual((0.0, 1.0), 0), fake_individual((1.0, 0.0), 1)]
-    fitness = _spea2_fitness(_objective_rows(union))
+    fitness = spea2_fitness(_objective_rows(union))
     assert (fitness < 1.0).all()
     config = SearchConfig(max_evaluations=0, archive_size=2)
     archive, _ = _spea2_step([], union, np.random.default_rng(0), config, lambda: False)
@@ -364,7 +373,7 @@ def test_spea2_nondominated_pair_enters_archive():
 
 def test_spea2_dominated_point_raw_strength():
     union = [fake_individual((0.0, 0.0), 0), fake_individual((1.0, 1.0), 1)]
-    fitness = _spea2_fitness(_objective_rows(union))
+    fitness = spea2_fitness(_objective_rows(union))
     # dominator strength S=1, so dominated point's raw fitness is 1 (+density)
     assert fitness[0] < 1.0
     assert 1.0 <= fitness[1] < 2.0
@@ -385,7 +394,7 @@ def test_spea2_fitness_and_dominance_match_the_pairwise_formulas(n, d, seed, gri
     points = rng.integers(0, 4, (n, d)).astype(float) if grid else rng.normal(size=(n, d))
     points[: min(sentinels, n)] = 1e30
     points = rng.permutation(points)
-    fitness = _spea2_fitness(points)
+    fitness = spea2_fitness(points)
     want_fitness, want_dists = oracle.spea2_fitness(points)
     assert fitness.tobytes() == want_fitness.tobytes()
     assert _distances(points, np.arange(n)).tobytes() == want_dists.tobytes()
@@ -413,6 +422,18 @@ def test_spea2_fills_with_best_dominated():
     assert [ind.order for ind in archive] == [0, 1]
 
 
+def test_spea2_step_builds_one_dominance_matrix(monkeypatch):
+    # the archive's tournament fitness reads the union's matrix
+    calls = []
+    build = kernels.dominance_matrix
+    monkeypatch.setattr(moea.kernels, "dominance_matrix", lambda *args: calls.append(args) or build(*args))
+    union = [fake_individual((i, 4 - i), i) for i in range(5)] + [fake_individual((4, 4), 5)]
+    config = SearchConfig(max_evaluations=0, archive_size=3)
+    archive, _ = _spea2_step([], union, np.random.default_rng(0), config, lambda: False)
+    assert len(archive) == 3
+    assert len(calls) == 1
+
+
 # -- PESA-II internals -------------------------------------------------------------
 
 
@@ -421,7 +442,7 @@ def test_pesa2_single_member_always_selected():
     cells = _grid_cells(_objective_rows(archive), divisions=8)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert _pesa2_select(archive, cells, rng) is archive[0]
+        assert _pesa2_select(archive, cells, sorted(cells), rng) is archive[0]
 
 
 def test_pesa2_insert_rejects_dominated_and_evicts_crowded():

@@ -1,9 +1,11 @@
-"""The NSGA-II step and the front offer against the paths they replaced
-(``oracle.py``).
+"""The NSGA-II, SPEA2 and PESA-II steps and the front offer against the
+paths they replaced (``oracle.py``).
 
-The step must keep the oracle's survivors, in order, and hold the rank and
-crowding arrays that the oracle's second sort builds for the tournament.
-One offer of a chunk must leave the members, in order, and the ``points``
+The NSGA-II step must keep the oracle's survivors, in order, and hold the
+rank and crowding arrays that the oracle's second sort builds for the
+tournament.  The SPEA2 and PESA-II steps must keep the oracle's archive,
+in order, and make the same parent draws; SPEA2's tournament fitness must
+have the bytes of the oracle's second dominance matrix.  One offer of a chunk must leave the members, in order, and the ``points``
 bytes that offering its candidates one at a time leaves.  Rows are drawn
 from a small integer grid, so ties and duplicate rows are common; some are
 the invalid sentinel, and some individuals appear twice, as cache hits do.
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from archopt.moea import EvalMetrics, Individual, SearchConfig, _nsga2_step, _offer
+from archopt.moea import EvalMetrics, Individual, SearchConfig, _nsga2_step, _offer, _pesa2_step, _spea2_step
 from archopt.refactoring import RefactoringSequence
 
 
@@ -93,3 +95,61 @@ def test_offer_of_a_chunk_matches_offers_one_at_a_time(seed, offered, chunk, dim
     assert [id(ind) for ind in got_members] == [id(ind) for ind in want_members]
     assert got_points.dtype == want_points.dtype and got_points.shape == want_points.shape
     assert got_points.tobytes() == want_points.tobytes()
+
+
+def assert_same_draws(select, want_select) -> None:
+    """Eight parents drawn by each selector are the same individuals, and
+    their generators end in the same state."""
+    assert [id(want_select()) for _ in range(8)] == [id(select()) for _ in range(8)]
+    assert select.args[-1].bit_generator.state == want_select.args[-1].bit_generator.state
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    dim=st.integers(2, 4),
+    archive_size=st.integers(1, 40),
+    sentinels=st.integers(0, 4),
+    repeats=st.integers(0, 8),
+)
+def test_spea2_step_matches_two_matrices_and_tuple_truncation(seed, n, dim, archive_size, sentinels, repeats):
+    # small archives truncate the non-dominated, large ones fill from the
+    # dominated; duplicate rows make full ties in the truncation
+    rng = np.random.default_rng(seed)
+    union = draw_individuals(rng, n, dim, min(sentinels, n), repeats)
+    cut = int(rng.integers(0, len(union) + 1))
+    config = SearchConfig(max_evaluations=0, archive_size=archive_size)
+    want, want_select = oracle.spea2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
+    got, select = _spea2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
+    assert [id(ind) for ind in got] == [id(ind) for ind in want]
+    assert select.func is want_select.func and select.args[0] is got
+    assert select.args[1].dtype == want_select.args[1].dtype
+    assert select.args[1].tobytes() == want_select.args[1].tobytes()
+    assert_same_draws(select, want_select)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    dim=st.integers(3, 4),
+    archive_size=st.integers(1, 40),
+    divisions=st.integers(1, 4),
+    sentinels=st.integers(0, 4),
+    repeats=st.integers(0, 8),
+)
+def test_pesa2_step_matches_keys_sorted_on_every_use(seed, n, dim, archive_size, divisions, sentinels, repeats):
+    # an archive built by the oracle from part of the pool, then one step
+    # over the rest; few divisions crowd the cells, small archives evict
+    rng = np.random.default_rng(seed)
+    pool = draw_individuals(rng, n, dim, min(sentinels, n), repeats)
+    cut = int(rng.integers(0, len(pool) + 1))
+    config = SearchConfig(max_evaluations=0, archive_size=archive_size, divisions=divisions, use_pas_objective=dim == 4)
+    archive, points = [], np.empty((0, dim))
+    for ind in pool[:cut]:
+        archive, points = oracle.pesa2_insert(archive, points, ind, archive_size, divisions)
+    want, want_select = oracle.pesa2_step(archive, pool[cut:], np.random.default_rng(seed), config, lambda: False)
+    got, select = _pesa2_step(archive, pool[cut:], np.random.default_rng(seed), config, lambda: False)
+    assert [id(ind) for ind in got] == [id(ind) for ind in want]
+    assert_same_draws(select, want_select)
