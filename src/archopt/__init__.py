@@ -36,7 +36,6 @@ from .refactoring import (
     MoveOperationToComponent,
     MoveOperationToNewComponent,
     RedeployComponent,
-    RefactoringSequence,
     apply_sequence,
     distance,
     is_feasible,

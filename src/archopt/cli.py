@@ -31,7 +31,7 @@ from .refactoring import (
     ActionKind,
     InfeasibleActionError,
     NoFeasibleActionError,
-    RefactoringSequence,
+    Plan,
     apply_sequence,
     sequence_from_records,
     sequence_to_text,
@@ -142,7 +142,7 @@ def _load_model(path: str) -> Architecture:
     return load(_resolve_model_path(path).read_text())
 
 
-def _load_sequence(path: str) -> RefactoringSequence:
+def _load_sequence(path: str) -> Plan:
     records = json.loads(Path(path).read_text())
     if not isinstance(records, list):
         raise ConfigError(f"{path}: sequence file must be a JSON array of action records")
@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
     arch = _load_model(args.model)
     config = load_config(args.config) if args.config else RunConfig(model=args.model)
     search = config.search_config(max_evaluations=0)  # for its brf table and thresholds
-    seq = _load_sequence(args.sequence) if args.sequence else RefactoringSequence(())
+    seq = _load_sequence(args.sequence) if args.sequence else ()
     folded = apply_sequence(arch.fold, seq)
     [metrics] = score(solve_amva(to_qn(CompiledChunk([arch.fold]))), [(seq, folded)], search.brf, search.thresholds)
     if isinstance(metrics, Exception):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +24,7 @@ import numpy as np
 from . import kernels
 from .antipatterns import Thresholds, detect
 from .kernels import BLOCK_ROWS, BudgetSpent, dominates
-from .model import Architecture, CompiledChunk, Fold, digest, validate
+from .model import Architecture, CompiledChunk, Fold, _is_integer, _is_number, digest, validate
 from .pareto import crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
@@ -33,7 +32,7 @@ from .refactoring import (
     ActionKind,
     Candidate,
     Folds,
-    RefactoringSequence,
+    Plan,
     apply_sequence,
     distance,
     random_sequence,
@@ -59,8 +58,8 @@ CHUNK_SIZE = 32
 # Type checks of the dataclass fields annotated with these types (the
 # annotations are strings).
 _TYPE_CHECKS = {
-    "int": lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool),
-    "float": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+    "int": _is_integer,
+    "float": _is_number,
     "bool": lambda value: isinstance(value, bool),
     "str": lambda value: isinstance(value, str),
     "list": lambda value: isinstance(value, list),
@@ -144,7 +143,7 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class Individual:
-    sequence: RefactoringSequence
+    sequence: Plan
     phenotype_digest: str | None  # set for invalid individuals and, by ``run``, for final-front members
     metrics: EvalMetrics
     objectives: tuple[float, ...]  # active objective vector, minimized
@@ -231,7 +230,8 @@ class _Budget:
 
 class Evaluator:
     """Scores each genotype once.  ``individuals`` maps each evaluated genotype
-    to its individual, in evaluation order: the cache and the run's log."""
+    to its individual, in evaluation order: the cache, the run's log and its
+    evaluation count."""
 
     def __init__(self, initial: Architecture, config: SearchConfig):
         violations = validate(initial)
@@ -242,12 +242,11 @@ class Evaluator:
         self.config = config
         self.initial_digest = digest(initial)
         self.initial_perf = solve_amva(to_qn(CompiledChunk([self.fold])))
-        self.individuals: dict[RefactoringSequence, Individual] = {}
+        self.individuals: dict[Plan, Individual] = {}
         # running non-dominated archive over everything evaluated; kept
         # incrementally so the final front costs nothing extra
         self._front: list[Individual] = []
         self._front_points = np.empty((0, 4 if config.use_pas_objective else 3))
-        self.solver_evaluations = 0
         self.cache_hits = 0
         self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
@@ -257,7 +256,6 @@ class Evaluator:
         invalid, for the warning; ``run`` digests the final front."""
         recorded = []
         for (seq, folded), outcome in zip(chunk, outcomes):
-            self.solver_evaluations += 1
             order = len(self.individuals)
             if isinstance(outcome, Exception):
                 phenotype = digest(folded.architecture())
@@ -290,7 +288,7 @@ class Evaluator:
         """Score new candidates together and record them in submission order."""
         self._record(chunk, score(self.initial_perf, chunk, self.config.brf, self.config.thresholds))
 
-    def evaluate(self, seq: RefactoringSequence) -> Individual:
+    def evaluate(self, seq: Plan) -> Individual:
         """Score a sequence, folded from the initial architecture."""
         cached = self.individuals.get(seq)
         if cached is not None:
@@ -305,8 +303,8 @@ class Evaluator:
         are scored in chunks of ``CHUNK_SIZE``.  Once ``budget`` is spent,
         counting the pending ones as evaluated, no further candidate is
         drawn; the pending ones are still scored."""
-        drawn: list[RefactoringSequence] = []
-        pending: dict[RefactoringSequence, Fold] = {}
+        drawn: list[Plan] = []
+        pending: dict[Plan, Fold] = {}
         for seq, folded in candidates:
             drawn.append(seq)
             if seq in self.individuals or seq in pending:
@@ -316,20 +314,23 @@ class Evaluator:
                 if len(pending) == CHUNK_SIZE:
                     self._score_chunk(list(pending.items()))
                     pending.clear()
-            if budget.spent(self.solver_evaluations + len(pending)):
+            if budget.spent(len(self.individuals) + len(pending)):
                 break
         self._score_chunk(list(pending.items()))
         return [self.individuals[seq] for seq in drawn]
 
 
-def _tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:
-    return int(rng.integers(size)), int(rng.integers(size))
+def _tournament(members: list[Individual], keys, rng: np.random.Generator) -> Individual:
+    """Binary tournament: of two members drawn by index, the one with the
+    smaller key, ties to the lower index."""
+    i, j = int(rng.integers(len(members))), int(rng.integers(len(members)))
+    return members[i] if (keys[i], i) <= (keys[j], j) else members[j]
 
 
 def crossover(
     initial: Fold,
-    a: RefactoringSequence,
-    b: RefactoringSequence,
+    a: Plan,
+    b: Plan,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
@@ -340,17 +341,15 @@ def crossover(
         raise ValueError(f"parent lengths differ: {len(a)} vs {len(b)}")
     length = len(a)
     cut = int(rng.integers(1, length)) if length >= 2 else length
-    child_a = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
-    child_b = RefactoringSequence(b.actions[:cut] + a.actions[cut:])
     return (
-        repair(initial, child_a, rng, allow_new_nodes, folds=folds),
-        repair(initial, child_b, rng, allow_new_nodes, folds=folds),
+        repair(initial, a[:cut] + b[cut:], rng, allow_new_nodes, folds=folds),
+        repair(initial, b[:cut] + a[cut:], rng, allow_new_nodes, folds=folds),
     )
 
 
 def mutate(
     initial: Fold,
-    seq: RefactoringSequence,
+    seq: Plan,
     rng: np.random.Generator,
     gene_prob: float,
     allow_new_nodes: bool = True,
@@ -432,16 +431,9 @@ def _nsga2_step(
     if len(union) <= config.population:
         kept = list(range(len(union)))
     survivors = [union[i] for i in kept]
-    return survivors, partial(_nsga2_select_parent, survivors, rank[kept], crowding[kept], rng)
-
-
-def _nsga2_select_parent(population, rank, crowding, rng) -> Individual:
-    i, j = _tournament(rng, len(population))
-    if rank[i] != rank[j]:
-        return population[i] if rank[i] < rank[j] else population[j]
-    if crowding[i] != crowding[j]:
-        return population[i] if crowding[i] > crowding[j] else population[j]
-    return population[min(i, j)]
+    # the lower rank wins, then the larger crowding
+    keys = list(zip(rank[kept].tolist(), (-crowding[kept]).tolist()))
+    return survivors, partial(_tournament, survivors, keys, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +522,7 @@ def _spea2_step(
         chosen += [int(candidates[c]) for c in ranked[:need]]
     archive = [union[i] for i in chosen]
     fitness = _spea2_raw(dom[np.ix_(chosen, chosen)]) + _spea2_density(points[chosen], np.arange(len(chosen)))
-    return archive, partial(_spea2_select_parent, archive, fitness, rng)
-
-
-def _spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
-    i, j = _tournament(rng, len(archive))
-    return archive[i] if (fitness[i], i) <= (fitness[j], j) else archive[j]
+    return archive, partial(_tournament, archive, fitness, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +624,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     # builds for a spent search, and it draws no random numbers before it
     # returns.
     def spent() -> bool:
-        return budget.spent(evaluator.solver_evaluations)
+        return budget.spent(len(evaluator.individuals))
 
     kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
@@ -646,16 +633,16 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
             kept, select = step(kept, evaluated, rng, config, spent)
         except BudgetSpent:
             break
-        evaluations = evaluator.solver_evaluations
-        # Every kept individual was sampled or bred through the store.
-        # Breeding reuses only their proper prefixes, so a whole plan's
-        # fold is let go once scored.
-        prefixes = {ind.sequence.actions[:i] for ind in kept for i in range(1, len(ind.sequence))}
+        evaluations = len(evaluator.individuals)
+        # Every kept individual was sampled or bred through the store, so
+        # each of its prefixes, the whole plan too, has its fold there; a
+        # child equal to a kept plan then probes nothing.
+        prefixes = {ind.sequence[:i] for ind in kept for i in range(1, len(ind.sequence) + 1)}
         folds = {prefix: folds[prefix] for prefix in prefixes}
         offspring = _offspring(evaluator, select, rng, folds)
         evaluated = evaluator.evaluate_many(offspring, budget)
         generations += 1
-        if evaluator.solver_evaluations == evaluations:
+        if len(evaluator.individuals) == evaluations:
             return generations, True
     return generations, False
 
@@ -677,7 +664,7 @@ def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
         "budget_seconds": config.budget_seconds,
         "max_evaluations": config.max_evaluations,
         "use_pas_objective": config.use_pas_objective,
-        "evaluations_used": evaluator.solver_evaluations,
+        "evaluations_used": len(evaluator.individuals),
         "cache_hits": evaluator.cache_hits,
         "invalid_by_type": dict(evaluator.invalid_by_type),
         "generations": generations,
@@ -688,7 +675,7 @@ def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
     }
     log.info(
         "%s seed=%s: %d evaluations, %d generations, front size %d, %.2fs",
-        config.algorithm, config.seed, evaluator.solver_evaluations, generations, len(front), wall,
+        config.algorithm, config.seed, len(evaluator.individuals), generations, len(front), wall,
     )
     return ParetoFront(individuals=tuple(front), metadata=metadata)
 

@@ -78,19 +78,13 @@ class RedeployComponent:
 RefactoringAction = Union[CloneComponent, MoveOperationToNewComponent, MoveOperationToComponent, RedeployComponent]
 
 
-@dataclass(frozen=True)
-class RefactoringSequence:
-    actions: tuple[RefactoringAction, ...]
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-# A sequence with its fold from the initial architecture.
-Candidate = tuple[RefactoringSequence, Fold]
-# The fold of each action prefix from one initial architecture.  A fold is
-# a pure function of its prefix, so any plan with that prefix may reuse it.
-Folds = dict[tuple[RefactoringAction, ...], Fold]
+# A refactoring plan: its actions in the order they apply.
+Plan = tuple[RefactoringAction, ...]
+# A plan with its fold from the initial architecture.
+Candidate = tuple[Plan, Fold]
+# The fold of each plan prefix from one initial architecture.  A fold is a
+# pure function of its prefix, so any plan with that prefix may reuse it.
+Folds = dict[Plan, Fold]
 
 
 DEFAULT_BRF: dict[ActionKind, float] = {
@@ -364,9 +358,9 @@ def is_feasible(fold: Fold, action: RefactoringAction) -> tuple[Fold | None, str
     return result, ""
 
 
-def apply_sequence(fold: Fold, seq: RefactoringSequence) -> Fold:
+def apply_sequence(fold: Fold, seq: Plan) -> Fold:
     """Apply each action in turn; reports the index of the first infeasible one."""
-    for index, action in enumerate(seq.actions):
+    for index, action in enumerate(seq):
         result, reason = is_feasible(fold, action)
         if result is None:
             raise InfeasibleActionError(reason, index)
@@ -374,10 +368,10 @@ def apply_sequence(fold: Fold, seq: RefactoringSequence) -> Fold:
     return fold
 
 
-def distance(seq: RefactoringSequence, brf: Mapping[ActionKind, float] | None = None) -> float:
+def distance(seq: Plan, brf: Mapping[ActionKind, float] | None = None) -> float:
     """Architectural distance: sum of per-action baseline refactoring factors."""
     table = DEFAULT_BRF if brf is None else brf
-    return math.fsum(table[action.kind] for action in seq.actions)
+    return math.fsum(table[action.kind] for action in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +450,12 @@ def random_action(fold: Fold, rng: np.random.Generator, allow_new_nodes: bool = 
 
 def repair(
     fold: Fold,
-    seq: RefactoringSequence,
+    seq: Plan,
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     resample_probability: float = 0.0,
     folds: Folds | None = None,
-) -> tuple[RefactoringSequence, Fold]:
+) -> Candidate:
     """Walk the genes in prefix order and rewrite each infeasible one, and
     each one forced with ``resample_probability``, with a random feasible one.
 
@@ -471,8 +465,8 @@ def repair(
     either way.
     """
     folds = {} if folds is None else folds
-    prefix: tuple[RefactoringAction, ...] = ()
-    for action in seq.actions:
+    prefix: Plan = ()
+    for action in seq:
         force = resample_probability > 0.0 and rng.random() < resample_probability
         result = None
         if not force:
@@ -481,7 +475,7 @@ def repair(
             action, result = random_action(fold, rng, allow_new_nodes)
         prefix += (action,)
         folds[prefix] = fold = result
-    return RefactoringSequence(prefix), fold
+    return prefix, fold
 
 
 def random_sequence(
@@ -490,16 +484,16 @@ def random_sequence(
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
-) -> tuple[RefactoringSequence, Fold]:
+) -> Candidate:
     """Sample a feasible sequence by chaining random actions; returns it
     with its fold, and records each prefix's fold in ``folds``."""
     folds = {} if folds is None else folds
-    prefix: tuple[RefactoringAction, ...] = ()
+    prefix: Plan = ()
     for _ in range(length):
         action, fold = random_action(fold, rng, allow_new_nodes)
         prefix += (action,)
         folds[prefix] = fold
-    return RefactoringSequence(prefix), fold
+    return prefix, fold
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +537,12 @@ def action_from_dict(record: dict) -> RefactoringAction:
     return cls(*(record[key] for key in keys))
 
 
-def sequence_to_records(seq: RefactoringSequence) -> list[dict]:
-    return [action_to_dict(a) for a in seq.actions]
+def sequence_to_records(seq: Plan) -> list[dict]:
+    return [action_to_dict(a) for a in seq]
 
 
-def sequence_from_records(records: list[dict]) -> RefactoringSequence:
-    return RefactoringSequence(tuple(action_from_dict(r) for r in records))
+def sequence_from_records(records: list[dict]) -> Plan:
+    return tuple(action_from_dict(r) for r in records)
 
 
 def action_to_text(action: RefactoringAction) -> str:
@@ -556,5 +550,5 @@ def action_to_text(action: RefactoringAction) -> str:
     return f"{action.kind.value}({source}->{target})"
 
 
-def sequence_to_text(seq: RefactoringSequence) -> str:
-    return "; ".join(action_to_text(a) for a in seq.actions)
+def sequence_to_text(seq: Plan) -> str:
+    return "; ".join(action_to_text(a) for a in seq)

@@ -28,7 +28,7 @@ from archopt.model import (
     ProcessorNode,
     UsageScenario,
 )
-from archopt.refactoring import RefactoringSequence, apply_sequence
+from archopt.refactoring import apply_sequence
 
 
 def make_arch(
@@ -55,7 +55,7 @@ def make_arch(
 def apply_action(arch: Architecture, action) -> Architecture:
     """``arch`` with one feasible action applied; an infeasible one raises
     ``InfeasibleActionError`` naming its reason."""
-    return apply_sequence(arch.fold, RefactoringSequence((action,))).architecture()
+    return apply_sequence(arch.fold, (action,)).architecture()
 
 
 @pytest.fixture

@@ -18,7 +18,10 @@ a second dominance matrix for its archive's fitness and truncates by
 sorting each row's tuple of distances, and PESA-II sorts the cell keys on
 every parent draw and on every eviction, as the program did before each
 step built its selection state once; the steps must keep the same
-archives and make the same draws (``test_step.py``).
+archives and make the same draws (``test_step.py``).  NSGA-II and SPEA2
+each pick parents with a tournament of their own, as the program did
+before both shared one tournament by key; the shared one must make the
+same draws (``test_step.py``).
 """
 
 from collections.abc import Callable, Sequence
@@ -46,11 +49,9 @@ from archopt.moea import (
     _distances,
     _finite_rows,
     _grid_cells,
-    _nsga2_select_parent,
     _objective_rows,
     _offer,
     _spea2_density,
-    _spea2_select_parent,
 )
 from archopt.pareto import crowding_distance, fast_nondominated_sort
 from archopt.perfqn import SolverError
@@ -374,7 +375,20 @@ def nsga2_parents(
     for level, front in enumerate(fronts):
         rank[front] = level
         crowding[front] = crowding_distance(points[front])
-    return partial(_nsga2_select_parent, population, rank, crowding, rng)
+    return partial(nsga2_select_parent, population, rank, crowding, rng)
+
+
+def tournament(rng: np.random.Generator, size: int) -> tuple[int, int]:
+    return int(rng.integers(size)), int(rng.integers(size))
+
+
+def nsga2_select_parent(population, rank, crowding, rng) -> Individual:
+    i, j = tournament(rng, len(population))
+    if rank[i] != rank[j]:
+        return population[i] if rank[i] < rank[j] else population[j]
+    if crowding[i] != crowding[j]:
+        return population[i] if crowding[i] > crowding[j] else population[j]
+    return population[min(i, j)]
 
 
 def nsga2_survival(
@@ -479,7 +493,12 @@ def spea2_step(
         ranked = sorted(range(len(candidates)), key=lambda c: (fitness[c], union[candidates[c]].order))
         chosen += [int(candidates[c]) for c in ranked[:need]]
     archive = [union[i] for i in chosen]
-    return archive, partial(_spea2_select_parent, archive, spea2_archive_fitness(points[chosen], spent), rng)
+    return archive, partial(spea2_select_parent, archive, spea2_archive_fitness(points[chosen], spent), rng)
+
+
+def spea2_select_parent(archive: list[Individual], fitness: np.ndarray, rng: np.random.Generator) -> Individual:
+    i, j = tournament(rng, len(archive))
+    return archive[i] if (fitness[i], i) <= (fitness[j], j) else archive[j]
 
 
 def pesa2_insert(

@@ -9,7 +9,7 @@ from archopt import casestudies
 from archopt.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from archopt.model import load, save, to_dict
 from archopt.moea import Evaluator, SearchConfig
-from archopt.refactoring import RedeployComponent, RefactoringSequence, sequence_from_records, sequence_to_text
+from archopt.refactoring import RedeployComponent, sequence_from_records, sequence_to_text
 
 
 SMALL = str(casestudies.path("small"))
@@ -99,7 +99,7 @@ def test_eval_with_sequence_json(tmp_path, capsys):
     assert report["perfQ"] > 0.0
     # same code path as the evaluator
     evaluator = Evaluator(load(Path(SMALL).read_text()), SearchConfig(max_evaluations=0))
-    ind = evaluator.evaluate(RefactoringSequence((RedeployComponent("catalog", "spare"),)))
+    ind = evaluator.evaluate((RedeployComponent("catalog", "spare"),))
     assert report["perfQ"] == ind.metrics.perfq
     assert report["reliability"] == ind.metrics.reliability
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 from archopt import casestudies, kernels, moea
-from archopt.cli import front_csv_text
+from archopt.cli import front_csv_text, write_front
 from archopt.model import RoutingError, digest, save
 from archopt.moea import (
     EvalMetrics,
@@ -44,16 +44,16 @@ from archopt.refactoring import (
     ActionKind,
     CloneComponent,
     RedeployComponent,
-    RefactoringSequence,
     apply_sequence,
     is_feasible,
     random_sequence,
+    sequence_from_records,
 )
 
 
 def fake_individual(objectives, order=0, valid=True):
     metrics = EvalMetrics(perfq=0.0, reliability=1.0, pas=0, distance=0.0)
-    return Individual(RefactoringSequence(()), f"d{order}", metrics, tuple(objectives), valid, order)
+    return Individual((), f"d{order}", metrics, tuple(objectives), valid, order)
 
 
 # -- config ---------------------------------------------------------------------
@@ -93,6 +93,10 @@ def test_config_population_must_be_even():
         # None would fall back to the defaults
         ("thresholds", {"util_high": 0.9}),
         ("thresholds", None),
+        # a numpy integer would run the whole search, then fail to be
+        # written to front.json
+        ("seed", np.int64(3)),
+        ("max_evaluations", np.int64(20)),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
@@ -111,7 +115,7 @@ def test_objective_vector_modes():
 
 def test_empty_sequence_evaluates_to_identity(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    ind = evaluator.evaluate(RefactoringSequence(()))
+    ind = evaluator.evaluate(())
     assert ind.metrics.perfq == 0.0
     assert ind.metrics.distance == 0.0
     assert ind.valid
@@ -122,7 +126,7 @@ def test_empty_sequence_evaluates_to_identity(small_arch):
 def test_redeploying_hot_component_improves_perfq(small_arch):
     # catalog saturates app1 while spare idles; moving it must help
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
+    seq = (RedeployComponent("catalog", "spare"),)
     ind = evaluator.evaluate(seq)
     assert ind.metrics.perfq > 0.0
     assert ind.objectives[0] < 0.0
@@ -130,11 +134,11 @@ def test_redeploying_hot_component_improves_perfq(small_arch):
 
 def test_evaluation_cache_skips_solver(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
+    seq = (RedeployComponent("catalog", "spare"),)
     first = evaluator.evaluate(seq)
-    solver_calls = evaluator.solver_evaluations
-    second = evaluator.evaluate(RefactoringSequence((RedeployComponent("catalog", "spare"),)))
-    assert evaluator.solver_evaluations == solver_calls
+    evaluations = len(evaluator.individuals)
+    second = evaluator.evaluate((RedeployComponent("catalog", "spare"),))
+    assert len(evaluator.individuals) == evaluations
     assert evaluator.cache_hits == 1
     assert first is second
 
@@ -169,7 +173,7 @@ def inject_solver_failures(monkeypatch, every: int) -> list[SolverError]:
 def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     inject_solver_failures(monkeypatch, every=1)
-    seq = RefactoringSequence((RedeployComponent("catalog", "spare"),))
+    seq = (RedeployComponent("catalog", "spare"),)
     ind = evaluator.evaluate(seq)
     assert not ind.valid
     assert ind.phenotype_digest == digest(apply_sequence(small_arch.fold, seq).architecture())
@@ -199,11 +203,11 @@ def count_probes(monkeypatch) -> list:
 
 def kept_folds(arch, rng, *parents) -> dict:
     """The store as the search keeps it for ``parents``: the folds of
-    their proper prefixes."""
+    each of their prefixes, the whole plans too."""
     store = {}
     for seq in parents:
         mutate(arch.fold, seq, rng, 0.0, folds=store)
-    return {prefix: fold for prefix, fold in store.items() if len(prefix) < len(parents[0])}
+    return store
 
 
 class FixedCutRng:
@@ -220,21 +224,17 @@ class FixedCutRng:
 
 
 def test_crossover_single_point_cut(small_arch, monkeypatch):
-    a = RefactoringSequence(
-        (
-            RedeployComponent("web", "spare"),
-            RedeployComponent("auth", "spare"),
-            CloneComponent("catalog", "app2"),
-            CloneComponent("web", "app2"),
-        )
+    a = (
+        RedeployComponent("web", "spare"),
+        RedeployComponent("auth", "spare"),
+        CloneComponent("catalog", "app2"),
+        CloneComponent("web", "app2"),
     )
-    b = RefactoringSequence(
-        (
-            CloneComponent("storage", "app1"),
-            RedeployComponent("orders", "app1"),
-            RedeployComponent("storage", "spare"),
-            CloneComponent("auth", "app1"),
-        )
+    b = (
+        CloneComponent("storage", "app1"),
+        RedeployComponent("orders", "app1"),
+        RedeployComponent("storage", "spare"),
+        CloneComponent("auth", "app1"),
     )
     rng = np.random.default_rng(0)
     kept = kept_folds(small_arch, rng, a, b)
@@ -245,14 +245,14 @@ def test_crossover_single_point_cut(small_arch, monkeypatch):
         # every gene is feasible where it lands; given the parents' folds,
         # no gene before the cut is probed
         assert len(probes) == 2 * probed_genes
-        assert child_a.actions == a.actions[:2] + b.actions[2:]
-        assert child_b.actions == b.actions[:2] + a.actions[2:]
+        assert child_a == a[:2] + b[2:]
+        assert child_b == b[:2] + a[2:]
         for child, folded in ((child_a, folded_a), (child_b, folded_b)):
             assert folded.architecture() == apply_sequence(small_arch.fold, child).architecture()
     # the store gained each child's prefixes past the cut; every entry is its prefix's fold
     for prefix, fold in kept.items():
-        assert fold.architecture() == apply_sequence(small_arch.fold, RefactoringSequence(prefix)).architecture()
-    assert len(kept) == 2 * (len(a) - 1) + 2 * (len(a) - 2)
+        assert fold.architecture() == apply_sequence(small_arch.fold, prefix).architecture()
+    assert len(kept) == 2 * len(a) + 2 * (len(a) - 2)
 
 
 def test_crossover_deterministic(small_arch):
@@ -280,21 +280,20 @@ def test_offspring_reuse_a_parents_stored_folds(small_arch, monkeypatch):
     folded = apply_sequence(small_arch.fold, seq).architecture()
     probes = count_probes(monkeypatch)
     children = list(_offspring(evaluator, lambda: parent, np.random.default_rng(0), store))
-    # the first child probes its last gene only; the others find its fold
-    assert probes == [seq.actions[-1]]
+    # every child finds its parent's whole fold, so none probes
+    assert probes == []
     assert [child for child, _ in children] == [seq] * config.population
-    assert all(fold is children[0][1] for _, fold in children)
+    assert all(fold is store[seq] for _, fold in children)
     assert children[0][1].architecture() == folded
-    assert store.keys() == kept.keys() | {seq.actions}
+    assert store.keys() == kept.keys()
     assert all(store[prefix] is fold for prefix, fold in kept.items())
-    assert store[seq.actions] is children[0][1]
 
 
-def test_children_of_the_initial_population_probe_only_their_last_gene(small_arch, monkeypatch):
+def test_children_equal_to_a_kept_plan_probe_nothing(small_arch, monkeypatch):
     from archopt import moea
 
     # no crossover and no mutation: every child is an initial-population
-    # parent, whose proper prefixes the search stored when it sampled it
+    # parent, whose every prefix the search stored when it sampled it
     config = SearchConfig(seed=2, max_evaluations=100, population=8, crossover_prob=0.0, mutation_prob=0.0)
     evaluator = Evaluator(small_arch, config)
     probes = count_probes(monkeypatch)
@@ -310,12 +309,9 @@ def test_children_of_the_initial_population_probe_only_their_last_gene(small_arc
     monkeypatch.setattr(moea, "mutate", recording)
     assert _search(evaluator, _Budget(config)) == (1, True)  # every child is a cache hit
     assert len(bred) == config.population
-    seen = set()
     for child, probed in bred:
         assert child in evaluator.individuals
-        # a repeat finds the whole fold its first copy stored this generation
-        assert probed == ([] if child in seen else [child.actions[-1]])
-        seen.add(child)
+        assert probed == []
 
 
 def test_mutation_deterministic(small_arch):
@@ -633,7 +629,7 @@ def test_search_stops_when_a_step_finds_the_budget_spent(small_arch, monkeypatch
     evaluator = Evaluator(small_arch, config)
     assert _search(evaluator, _Budget(config)) == (1, False)
     assert len(results) == 2 and results[0] is not None and results[1] is None
-    assert evaluator.solver_evaluations <= 2 * config.population
+    assert len(evaluator.individuals) <= 2 * config.population
 
 
 # Population 4000 on the large case study: the initial population alone
@@ -688,7 +684,7 @@ def test_run_three_objective_mode(small_arch):
 
 def test_cumulative_front_with_only_invalid_individuals(small_arch):
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
-    evaluator._record([(RefactoringSequence(()), small_arch.fold)], [SolverError("solver blew up", residual=1.0)])
+    evaluator._record([((), small_arch.fold)], [SolverError("solver blew up", residual=1.0)])
     front = evaluator.reported_front()
     assert [ind.order for ind in front] == [0]
     assert not front[0].valid
@@ -699,7 +695,7 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
     # dominate each other
     evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=0))
     failure = SolverError("solver blew up", residual=1.0)
-    sequences = [RefactoringSequence(()), RefactoringSequence((RedeployComponent("catalog", "spare"),))]
+    sequences = [(), (RedeployComponent("catalog", "spare"),)]
     for seq in sequences:
         evaluator._record([(seq, small_arch.fold)], [failure])
     first, second = (evaluator.individuals[seq] for seq in sequences)
@@ -718,6 +714,44 @@ def test_incremental_front_matches_batch_recompute(small_arch):
     points = [ind.objectives for ind in individuals]
     expected = {individuals[i].order for i in nondominated_indices(points)}
     assert {ind.order for ind in evaluator.reported_front()} == expected
+
+
+def run_keeping_evaluator(monkeypatch, arch, config):
+    """``run``'s front and the evaluator it searched with."""
+    evaluators = []
+
+    class Kept(Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    monkeypatch.setattr(moea, "Evaluator", Kept)
+    front = run(arch, config)
+    [evaluator] = evaluators
+    return front, evaluator
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
+def test_evaluations_used_is_the_number_of_individuals(small_arch, monkeypatch, algorithm):
+    config = SearchConfig(algorithm=algorithm, seed=4, max_evaluations=90, population=8, archive_size=8)
+    front, evaluator = run_keeping_evaluator(monkeypatch, small_arch, config)
+    assert front.metadata["evaluations_used"] == len(evaluator.individuals) == config.max_evaluations
+    assert [ind.order for ind in evaluator.individuals.values()] == list(range(config.max_evaluations))
+
+
+def test_a_plan_read_back_from_front_json_is_a_cache_hit(small_arch, monkeypatch, tmp_path):
+    config = SearchConfig(seed=5, max_evaluations=60, population=8)
+    front, evaluator = run_keeping_evaluator(monkeypatch, small_arch, config)
+    _, json_path = write_front(front, tmp_path)
+    solutions = json.loads(json_path.read_text())["solutions"]
+    assert len(solutions) == len(front.individuals) > 0
+    for solution, ind in zip(solutions, front.individuals):
+        plan = sequence_from_records(solution["actions"])
+        assert plan == ind.sequence
+        hits = evaluator.cache_hits
+        assert evaluator.evaluate(plan) is evaluator.individuals[ind.sequence]
+        assert evaluator.cache_hits == hits + 1
+    assert len(evaluator.individuals) == config.max_evaluations
 
 
 def test_digest_only_for_the_reported_front(small_arch):

@@ -11,7 +11,7 @@ import oracle
 from archopt import perfqn
 from archopt.model import CompiledChunk
 from archopt.perfqn import SolverError, solve_amva_many, to_qn
-from archopt.refactoring import RedeployComponent, RefactoringSequence, apply_sequence
+from archopt.refactoring import RedeployComponent, apply_sequence
 from test_chunk import jittered, random_candidates, same_bits
 from test_refactoring import probe_model
 
@@ -86,7 +86,7 @@ def test_one_chunk_holds_every_kind_of_fold(monkeypatch):
     monkeypatch.setattr(perfqn, "AMVA_MAX_ITER", 25)
     arch = probe_model("small")
     one_class = quieted(arch, {1}, 1.0)
-    new_node = RefactoringSequence((RedeployComponent("storage", "new-node:app2"),))
+    new_node = (RedeployComponent("storage", "new-node:app2"),)
     folds = [
         arch.fold,
         one_class.fold,

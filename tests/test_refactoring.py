@@ -22,7 +22,6 @@ from archopt.refactoring import (
     MoveOperationToComponent,
     MoveOperationToNewComponent,
     RedeployComponent,
-    RefactoringSequence,
     apply_sequence,
     distance,
     is_feasible,
@@ -141,13 +140,11 @@ def test_apply_rejects_infeasible_with_reason(two_comp_arch):
 
 
 def test_apply_sequence_reports_first_bad_index(two_comp_arch):
-    seq = RefactoringSequence(
-        (
-            CloneComponent("c1", "n2"),
-            RedeployComponent("c2", "n1"),
-            RedeployComponent("c2", "n1"),  # now already on n1
-            CloneComponent("c2", "n2"),
-        )
+    seq = (
+        CloneComponent("c1", "n2"),
+        RedeployComponent("c2", "n1"),
+        RedeployComponent("c2", "n1"),  # now already on n1
+        CloneComponent("c2", "n2"),
     )
     with pytest.raises(InfeasibleActionError) as err:
         apply_sequence(two_comp_arch.fold, seq)
@@ -166,30 +163,28 @@ def test_independent_actions_commute_structurally(two_comp_arch):
 
 
 def test_distance_default_table_sums():
-    seq = RefactoringSequence(
-        (
-            CloneComponent("c1", "n2"),
-            MoveOperationToNewComponent("op1", "n1"),
-            MoveOperationToComponent("op1", "c2"),
-            RedeployComponent("c1", "n2"),
-        )
+    seq = (
+        CloneComponent("c1", "n2"),
+        MoveOperationToNewComponent("op1", "n1"),
+        MoveOperationToComponent("op1", "c2"),
+        RedeployComponent("c1", "n2"),
     )
     assert distance(seq) == pytest.approx(6.12)
 
 
 def test_distance_empty_sequence_is_zero():
-    assert distance(RefactoringSequence(())) == 0.0
+    assert distance(()) == 0.0
 
 
 def test_distance_uniform_table():
-    seq = RefactoringSequence(tuple(CloneComponent("c1", "n2") for _ in range(4)))
+    seq = tuple(CloneComponent("c1", "n2") for _ in range(4))
     assert distance(seq, {kind: 1.0 for kind in ActionKind}) == 4.0
 
 
 def test_distance_permutation_invariant(small_arch):
     rng = np.random.default_rng(5)
     seq, _ = random_sequence(small_arch.fold, 6, rng)
-    shuffled = RefactoringSequence(tuple(seq.actions[i] for i in rng.permutation(6)))
+    shuffled = tuple(seq[i] for i in rng.permutation(6))
     assert distance(shuffled) == distance(seq)
 
 
@@ -221,18 +216,16 @@ def test_single_node_model_never_redeploys_without_new_nodes():
 def test_repair_produces_applicable_sequences(small_arch):
     rng = np.random.default_rng(1)
     # corrupt a feasible sequence with nonsense genes and repair it
-    seq = RefactoringSequence(
-        (
-            RedeployComponent("catalog", "app1"),  # infeasible: already there
-            CloneComponent("ghost", "app2"),
-            MoveOperationToComponent("search_items", "catalog"),  # own component
-            RedeployComponent("web", "spare"),
-        )
+    seq = (
+        RedeployComponent("catalog", "app1"),  # infeasible: already there
+        CloneComponent("ghost", "app2"),
+        MoveOperationToComponent("search_items", "catalog"),  # own component
+        RedeployComponent("web", "spare"),
     )
     repaired, folded = repair(small_arch.fold, seq, rng)
     assert folded.architecture() == apply_sequence(small_arch.fold, repaired).architecture()
     assert validate(folded.architecture()) == []
-    assert repaired.actions[3] == seq.actions[3]  # feasible gene kept
+    assert repaired[3] == seq[3]  # feasible gene kept
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,7 +243,7 @@ def test_repair_from_a_store_matches_repair_without(name, seed, cut, resample_pr
     store = {}
     (a, _), (b, _) = random_sequence(arch.fold, 4, rng, folds=store), random_sequence(arch.fold, 4, rng, folds=store)
     # a's genes up to the cut are stored; b's after it may not apply there
-    seq = RefactoringSequence(a.actions[:cut] + b.actions[cut:])
+    seq = a[:cut] + b[cut:]
     prefilled = dict(store)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
@@ -260,9 +253,9 @@ def test_repair_from_a_store_matches_repair_without(name, seed, cut, resample_pr
     assert save(got_folded.architecture()) == save(want_folded.architecture())
     assert rng.bit_generator.state == replay.bit_generator.state
     assert prefilled.keys() <= store.keys()
-    assert all(got.actions[:i] in store for i in range(1, len(got) + 1))
+    assert all(got[:i] in store for i in range(1, len(got) + 1))
     for prefix, fold in store.items():
-        assert save(fold.architecture()) == save(apply_sequence(arch.fold, RefactoringSequence(prefix)).architecture())
+        assert save(fold.architecture()) == save(apply_sequence(arch.fold, prefix).architecture())
 
 
 def test_conservation_over_random_sequences(small_arch):
@@ -302,7 +295,7 @@ def test_conservation_over_random_sequences(small_arch):
     ],
 )
 def test_action_record_and_text_are_pinned(action, record, text):
-    seq = RefactoringSequence((action,))
+    seq = (action,)
     assert sequence_to_records(seq) == [record]
     assert list(sequence_to_records(seq)[0]) == list(record)  # key order too
     assert sequence_to_text(seq) == text
@@ -334,7 +327,7 @@ def test_every_prefix_fold_is_valid(name, seed, length, gene_prob):
 
         seq, _ = mutate(arch.fold, seq, rng, gene_prob)
     current = arch
-    for action in seq.actions:
+    for action in seq:
         current = apply_action(current, action)
         assert validate(current) == []
 

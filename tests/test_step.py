@@ -1,25 +1,28 @@
 """The NSGA-II, SPEA2 and PESA-II steps and the front offer against the
 paths they replaced (``oracle.py``).
 
-The NSGA-II step must keep the oracle's survivors, in order, and hold the
-rank and crowding arrays that the oracle's second sort builds for the
-tournament.  The SPEA2 and PESA-II steps must keep the oracle's archive,
-in order, and make the same parent draws; SPEA2's tournament fitness must
-have the bytes of the oracle's second dominance matrix.  One offer of a chunk must leave the members, in order, and the ``points``
-bytes that offering its candidates one at a time leaves.  Rows are drawn
-from a small integer grid, so ties and duplicate rows are common; some are
-the invalid sentinel, and some individuals appear twice, as cache hits do.
+The NSGA-II step must keep the oracle's survivors, in order, and key its
+tournament by the rank and crowding that the oracle's second sort builds.
+The SPEA2 and PESA-II steps must keep the oracle's archive, in order;
+SPEA2's tournament fitness must have the bytes of the oracle's second
+dominance matrix.  Every step must make the oracle's parent draws, and the
+shared tournament those of both old selectors.  One offer of a chunk must
+leave the members, in order, and the ``points`` bytes that offering its
+candidates one at a time leaves.  Rows are drawn from a small integer
+grid, so ties and duplicate rows are common; some are the invalid
+sentinel, and some individuals appear twice, as cache hits do.
 The property tests set no ``max_examples``, so a hypothesis profile sets
 their size: CI runs them again under ``--hypothesis-profile=thorough``.
 """
+
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from archopt.moea import EvalMetrics, Individual, SearchConfig, _nsga2_step, _offer, _pesa2_step, _spea2_step
-from archopt.refactoring import RefactoringSequence
+from archopt.moea import EvalMetrics, Individual, SearchConfig, _nsga2_step, _offer, _pesa2_step, _spea2_step, _tournament
 
 
 def draw_individuals(rng: np.random.Generator, n: int, dim: int, sentinels: int, repeats: int) -> list[Individual]:
@@ -31,7 +34,7 @@ def draw_individuals(rng: np.random.Generator, n: int, dim: int, sentinels: int,
     rows[:sentinels] = np.inf
     orders = rng.permutation(n).tolist()
     fresh = [
-        Individual(RefactoringSequence(()), f"d{order}", metrics, tuple(row), bool(np.isfinite(row).all()), order)
+        Individual((), f"d{order}", metrics, tuple(row), bool(np.isfinite(row).all()), order)
         for row, order in zip(rows.tolist(), orders)
     ]
     pool = fresh + [fresh[i] for i in rng.integers(0, n, repeats)]
@@ -58,16 +61,9 @@ def test_nsga2_step_matches_survival_then_parents(seed, n, dim, half, sentinels,
     want_select = oracle.nsga2_parents(want, np.random.default_rng(seed), config, lambda: False)
     got, select = _nsga2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
     assert [id(ind) for ind in got] == [id(ind) for ind in want]
-    assert select.func is want_select.func
-    got_population, got_rank, got_crowding, _ = select.args
     _, want_rank, want_crowding, _ = want_select.args
-    assert got_population is got
-    assert got_rank.dtype == want_rank.dtype and got_rank.tobytes() == want_rank.tobytes()
-    assert got_crowding.dtype == want_crowding.dtype and got_crowding.tobytes() == want_crowding.tobytes()
-    # the same tournaments follow
-    want_rng, got_rng = want_select.args[-1], select.args[-1]
-    assert [id(want_select()) for _ in range(8)] == [id(select()) for _ in range(8)]
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert select.args[1] == list(zip(want_rank.tolist(), (-want_crowding).tolist()))
+    assert_same_draws(select, want_select)
 
 
 @settings(deadline=None)
@@ -123,7 +119,6 @@ def test_spea2_step_matches_two_matrices_and_tuple_truncation(seed, n, dim, arch
     want, want_select = oracle.spea2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
     got, select = _spea2_step(union[:cut], union[cut:], np.random.default_rng(seed), config, lambda: False)
     assert [id(ind) for ind in got] == [id(ind) for ind in want]
-    assert select.func is want_select.func and select.args[0] is got
     assert select.args[1].dtype == want_select.args[1].dtype
     assert select.args[1].tobytes() == want_select.args[1].tobytes()
     assert_same_draws(select, want_select)
@@ -153,3 +148,29 @@ def test_pesa2_step_matches_keys_sorted_on_every_use(seed, n, dim, archive_size,
     got, select = _pesa2_step(archive, pool[cut:], np.random.default_rng(seed), config, lambda: False)
     assert [id(ind) for ind in got] == [id(ind) for ind in want]
     assert_same_draws(select, want_select)
+
+
+KEY_VALUES = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf])
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    keys=st.lists(st.tuples(st.integers(0, 2), KEY_VALUES, KEY_VALUES), min_size=1, max_size=12),
+)
+def test_tournament_matches_both_old_selectors(seed, keys):
+    # few distinct values, so most draws tie on rank, crowding or fitness
+    members = [object() for _ in keys]
+    rank, crowding, fitness = (np.array(column) for column in zip(*keys))
+    nsga2_keys = list(zip(rank.tolist(), (-crowding).tolist()))
+    for got, want in (
+        (
+            partial(_tournament, members, nsga2_keys, np.random.default_rng(seed)),
+            partial(oracle.nsga2_select_parent, members, rank, crowding, np.random.default_rng(seed)),
+        ),
+        (
+            partial(_tournament, members, fitness, np.random.default_rng(seed)),
+            partial(oracle.spea2_select_parent, members, fitness, np.random.default_rng(seed)),
+        ),
+    ):
+        assert_same_draws(got, want)
