@@ -159,6 +159,15 @@ class FoldRoot:
         self.components = {c.id: c for c in comps}
         self.operations = {op.id: op for c in comps for op in c.operations}
 
+    @cached_property
+    def fragments(self) -> tuple[dict[int, str], dict[str, str]]:
+        """The canonical JSON of each of the source's components, nodes,
+        links and scenarios, by ``id()`` of the element (the source keeps
+        it alive), and of each component and node id, quoted."""
+        source = self.source
+        encoded = {id(e): _canonical(as_dict(e)) for kind, as_dict in _ELEMENT_DICTS.items() for e in getattr(source, kind)}
+        return encoded, {text: _canonical(text) for text in (*self.comp, *self.node)}
+
 
 class Fold(NamedTuple):
     """An architecture as its root's rows plus what a plan changed.
@@ -189,14 +198,15 @@ class Fold(NamedTuple):
         comp = self.comp
         return comp[component_id] if component_id in comp else self.root.comp.get(component_id)
 
-    def architecture(self) -> Architecture:
-        """The architecture this fold stands for; it shares every element
-        the plan left unchanged with the root's source."""
+    def _elements(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The components, nodes, links and scenarios of ``architecture()``;
+        each that the plan left unchanged is the root's source's own (a
+        redeployed component is, too: its node is in the deployment)."""
         root = self.root
         source, overlay, operations, demand = root.source, self.comp, root.operations, root.demand
         components = []
         for c in self.components:
-            if c not in overlay:
+            if c not in overlay or overlay[c][:2] == root.comp.get(c, ())[:2]:
                 components.append(root.components[c])
                 continue
             ops, theta, _ = overlay[c]
@@ -211,14 +221,34 @@ class Fold(NamedTuple):
             )
             for scen, steps, original in zip(source.scenarios, self.steps, root.steps)
         )
-        return Architecture(
-            components=tuple(components),
-            nodes=source.nodes + tuple(ProcessorNode(n, *root.node[n]) for n in self.nodes[root.n_nodes :]),
-            links=source.links
-            + tuple(NetworkLink(i, (a, b), psi, delay) for i, a, b, psi, delay in self.links[root.n_links :]),
-            scenarios=scenarios,
-            deployment={c: self.row(c)[2] for c in self.components},
+        return (
+            tuple(components),
+            source.nodes + tuple(ProcessorNode(n, *root.node[n]) for n in self.nodes[root.n_nodes :]),
+            source.links + tuple(NetworkLink(i, (a, b), psi, delay) for i, a, b, psi, delay in self.links[root.n_links :]),
+            scenarios,
         )
+
+    def architecture(self) -> Architecture:
+        """The architecture this fold stands for; it shares every element
+        the plan left unchanged with the root's source."""
+        return Architecture(*self._elements(), deployment={c: self.row(c)[2] for c in self.components})
+
+    def digest(self) -> str:
+        """``digest(self.architecture())``: the same canonical JSON, joined
+        from the fragments its root encoded once; only the elements and ids
+        that the plan changed or added are encoded here."""
+        encoded, quoted = self.root.fragments
+        parts = {
+            kind: "[" + ",".join(encoded.get(id(e)) or _canonical(as_dict(e)) for e in elements) + "]"
+            for (kind, as_dict), elements in zip(_ELEMENT_DICTS.items(), self._elements())
+        }
+
+        def q(text: str) -> str:
+            return quoted.get(text) or _canonical(text)
+
+        parts["deployment"] = "{" + ",".join(f"{q(c)}:{q(self.row(c)[2])}" for c in sorted(self.components)) + "}"
+        document = "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
+        return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
 def unrouted_call(fold: Fold, scenarios: Iterable[int] | None = None) -> str | None:
@@ -394,38 +424,32 @@ def validate(arch: Architecture) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _component_dict(c: Component) -> dict:
+    operations = [{"id": o.id, "cpu_demand": o.cpu_demand} for o in c.operations]
+    return {"id": c.id, "failure_probability": c.failure_probability, "operations": operations}
+
+
+def _node_dict(n: ProcessorNode) -> dict:
+    return {"id": n.id, "speed_factor": n.speed_factor, "cores": n.cores}
+
+
+def _link_dict(l: NetworkLink) -> dict:
+    return {"id": l.id, "nodes": list(l.endpoints), "failure_probability": l.failure_probability, "delay": l.delay}
+
+
+def _scenario_dict(s: UsageScenario) -> dict:
+    steps = [{"operation": st.operation, "count": st.count} for st in s.steps]
+    return {"id": s.id, "mix_weight": s.mix_weight, "population": s.population, "think_time": s.think_time, "steps": steps}
+
+
+# The element lists of the document: each key, also the field of
+# ``Architecture`` that holds them in this order, and its element's dict.
+_ELEMENT_DICTS = {"components": _component_dict, "nodes": _node_dict, "links": _link_dict, "scenarios": _scenario_dict}
+
+
 def to_dict(arch: Architecture) -> dict:
-    return {
-        "components": [
-            {
-                "id": c.id,
-                "failure_probability": c.failure_probability,
-                "operations": [{"id": o.id, "cpu_demand": o.cpu_demand} for o in c.operations],
-            }
-            for c in arch.components
-        ],
-        "nodes": [{"id": n.id, "speed_factor": n.speed_factor, "cores": n.cores} for n in arch.nodes],
-        "links": [
-            {
-                "id": l.id,
-                "nodes": list(l.endpoints),
-                "failure_probability": l.failure_probability,
-                "delay": l.delay,
-            }
-            for l in arch.links
-        ],
-        "scenarios": [
-            {
-                "id": s.id,
-                "mix_weight": s.mix_weight,
-                "population": s.population,
-                "think_time": s.think_time,
-                "steps": [{"operation": st.operation, "count": st.count} for st in s.steps],
-            }
-            for s in arch.scenarios
-        ],
-        "deployment": dict(arch.deployment),
-    }
+    document = {kind: [as_dict(e) for e in getattr(arch, kind)] for kind, as_dict in _ELEMENT_DICTS.items()}
+    return {**document, "deployment": dict(arch.deployment)}
 
 
 def save(arch: Architecture) -> str:
@@ -433,10 +457,13 @@ def save(arch: Architecture) -> str:
     return json.dumps(to_dict(arch), indent=2, sort_keys=True) + "\n"
 
 
+# The canonical JSON text that a digest hashes: sorted keys, no spaces.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def digest(arch: Architecture) -> str:
     """Stable content hash of an architecture (used as phenotype digest)."""
-    canonical = json.dumps(to_dict(arch), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(to_dict(arch)).encode("utf-8")).hexdigest()
 
 
 def _expect(obj, key: str, kind, path: str, optional_default=None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -50,9 +51,10 @@ INVALID_SENTINEL = float("inf")
 # an ``is_feasible`` probe, so its calls are routable.
 EVALUATION_FAILURES = (SolverError, ValueError)
 # New candidates scored together as one chunk compiled from their folds,
-# with one stacked AMVA solve.  Bounds the pending folds held at once, and
-# how far the time budget can overrun.
-CHUNK_SIZE = 32
+# with one stacked AMVA solve: a generation of up to this many children is
+# scored at once.  Bounds the pending folds held at once, and how far the
+# time budget can overrun.
+CHUNK_SIZE = 128
 
 
 # Type checks of the dataclass fields annotated with these types (the
@@ -247,6 +249,8 @@ class Evaluator:
         # incrementally so the final front costs nothing extra
         self._front: list[Individual] = []
         self._front_points = np.empty((0, 4 if config.use_pas_objective else 3))
+        # the fold of each front member, by order, so the front is digested without folding again
+        self._front_folds: dict[int, Fold] = {}
         self.cache_hits = 0
         self.invalid_by_type = dict.fromkeys((cls.__name__ for cls in EVALUATION_FAILURES), 0)
 
@@ -258,7 +262,7 @@ class Evaluator:
         for (seq, folded), outcome in zip(chunk, outcomes):
             order = len(self.individuals)
             if isinstance(outcome, Exception):
-                phenotype = digest(folded.architecture())
+                phenotype = folded.digest()
                 kind = next(cls for cls in EVALUATION_FAILURES if isinstance(outcome, cls))
                 self.invalid_by_type[kind.__name__] += 1
                 log.warning("invalid individual (%s): %s", phenotype[:12], outcome)
@@ -272,17 +276,17 @@ class Evaluator:
             self.individuals[seq] = individual
             recorded.append(individual)
         if recorded:
-            self._front, self._front_points = _offer(self._front, self._front_points, recorded)
+            front, self._front_points = _offer(self._front, self._front_points, recorded)
+            if front is not self._front:  # some candidate entered
+                folds = {**self._front_folds, **{ind.order: folded for ind, (_, folded) in zip(recorded, chunk)}}
+                self._front, self._front_folds = front, {ind.order: folds[ind.order] for ind in front}
 
     def reported_front(self) -> list[Individual]:
         """The front as ``run`` reports it: sorted by objectives, then
         evaluation order, with each member's phenotype digested from its
-        sequence folded again (an invalid member already has its digest)."""
+        kept fold (an invalid member already has its digest)."""
         front = sorted(self._front, key=lambda ind: (ind.objectives, ind.order))
-        return [
-            replace(ind, phenotype_digest=digest(apply_sequence(self.fold, ind.sequence).architecture())) if ind.valid else ind
-            for ind in front
-        ]
+        return [replace(ind, phenotype_digest=self._front_folds[ind.order].digest()) if ind.valid else ind for ind in front]
 
     def _score_chunk(self, chunk: list[Candidate]) -> None:
         """Score new candidates together and record them in submission order."""
@@ -488,8 +492,14 @@ def _spea2_truncate(dists: np.ndarray, target: int, spent: Callable[[], bool]) -
         if spent():
             raise BudgetSpent
         nearest = np.sort(dists[np.ix_(keep, keep)], axis=1)
-        # the last key decides first: nearest distance, next, ..., highest index
-        keep = np.delete(keep, np.lexsort((-keep, *nearest.T[::-1]))[0])
+        # narrow the tied rows column by column: nearest distance, next, ...
+        rows = np.arange(len(keep))
+        for column in nearest.T:
+            values = column[rows]
+            rows = rows[values == values.min()]
+            if len(rows) == 1:
+                break
+        keep = np.delete(keep, rows[-1])
     return keep.tolist()
 
 
@@ -530,33 +540,22 @@ def _spea2_step(
 # ---------------------------------------------------------------------------
 
 
-def _grid_cells(rows: np.ndarray, divisions: int) -> dict[tuple, list[int]]:
-    """Row indices by cell of an adaptive hypergrid over the bounding box
-    of objective ``rows`` (as ``_objective_rows`` gives them),
+def _grid_keys(rows: np.ndarray, divisions: int) -> list[tuple]:
+    """The cell of each of objective ``rows`` (as ``_objective_rows``
+    gives them) in an adaptive hypergrid over their bounding box,
     ``divisions`` cells per objective."""
     lo = rows.min(axis=0)
     hi = rows.max(axis=0)
     width = np.where(hi > lo, (hi - lo) / divisions, 1.0)
+    return list(map(tuple, np.clip(((rows - lo) / width).astype(int), 0, divisions - 1).tolist()))
+
+
+def _grid_cells(rows: np.ndarray, divisions: int) -> dict[tuple, list[int]]:
+    """Row indices by cell of ``_grid_keys``."""
     cells: dict[tuple, list[int]] = {}
-    index = np.clip(((rows - lo) / width).astype(int), 0, divisions - 1)
-    for i, row in enumerate(index.tolist()):
-        cells.setdefault(tuple(row), []).append(i)
+    for i, key in enumerate(_grid_keys(rows, divisions)):
+        cells.setdefault(key, []).append(i)
     return cells
-
-
-def _pesa2_insert(
-    archive: list[Individual], points: np.ndarray, candidate: Individual, capacity: int, divisions: int
-) -> tuple[list[Individual], np.ndarray]:
-    """The archive and its raw objective rows ``points`` after offering
-    ``candidate``, evicting one member when it overflows ``capacity``."""
-    archive, points = _offer(archive, points, [candidate])
-    if len(archive) > capacity:
-        cells = _grid_cells(_finite_rows(points), divisions)
-        crowded_key = min(cells, key=lambda key: (-len(cells[key]), key))  # ties -> lowest cell
-        evict = cells[crowded_key][0]  # oldest member of the most crowded cell
-        archive = archive[:evict] + archive[evict + 1 :]
-        points = np.delete(points, evict, axis=0)
-    return archive, points
 
 
 def _pesa2_step(
@@ -567,11 +566,30 @@ def _pesa2_step(
     spent: Callable[[], bool],
 ) -> tuple[list[Individual], Callable[[], Individual]]:
     """The archive after inserting each of ``evaluated`` in turn, and a
-    selection over its hypergrid."""
-    # kept beside the archive, so no insert rebuilds them
+    selection over its hypergrid.  A candidate enters when no member
+    dominates it, and drops the members it dominates; an overflow evicts the
+    oldest member of the most crowded cell.  The inserts are replayed on
+    one dominance matrix per block of candidates, over the archive and the
+    block: a row is a member while ``alive``, in the order of the rows."""
     points = np.array([ind.objectives for ind in archive]).reshape(-1, 4 if config.use_pas_objective else 3)
-    for ind in evaluated:
-        archive, points = _pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
+    for start in range(0, len(evaluated), BLOCK_ROWS):
+        block = evaluated[start : start + BLOCK_ROWS]
+        union, points = archive + block, np.vstack([points, [ind.objectives for ind in block]])
+        dom, finite = kernels.dominance_matrix(points), _finite_rows(points)
+        alive = np.arange(len(union)) < len(archive)
+        for c in range(len(archive), len(union)):
+            if dom[alive, c].any():
+                continue
+            alive &= ~dom[c]
+            alive[c] = True
+            if alive.sum() > config.archive_size:
+                rows = np.flatnonzero(alive)
+                keys = _grid_keys(finite[rows], config.divisions)
+                counts = Counter(keys)
+                top = max(counts.values())
+                # the oldest member of the lowest of the most crowded cells
+                alive[rows[keys.index(min(key for key, n in counts.items() if n == top))]] = False
+        archive, points = [ind for ind, a in zip(union, alive.tolist()) if a], points[alive]
     cells = _grid_cells(_finite_rows(points), config.divisions)
     return archive, partial(_pesa2_select, archive, cells, sorted(cells), rng)
 

@@ -21,9 +21,16 @@ step built its selection state once; the steps must keep the same
 archives and make the same draws (``test_step.py``).  NSGA-II and SPEA2
 each pick parents with a tournament of their own, as the program did
 before both shared one tournament by key; the shared one must make the
-same draws (``test_step.py``).
+same draws (``test_step.py``).  PESA-II offers each candidate to its
+archive on its own, as the program did before one step replayed a
+generation's inserts on one dominance matrix (``test_step.py``).  A
+phenotype digest encodes the whole document at once, as the program did
+before a fold joined its root's encoded fragments; the digests must be
+the same (``test_fold.py``).
 """
 
+import hashlib
+import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -839,3 +846,40 @@ def random_action(arch: Architecture, rng, allow_new_nodes: bool = True):
                 return action, result
         remaining.remove(kind)
     raise RuntimeError("no feasible action")
+
+
+# ---------------------------------------------------------------------------
+# A phenotype digest of the whole document, encoded at once
+# ---------------------------------------------------------------------------
+
+
+def digest(arch: Architecture) -> str:
+    """The sha256 of the architecture's whole document as canonical JSON
+    (sorted keys, no spaces), built and encoded in one pass."""
+    document = {
+        "components": [
+            {
+                "id": c.id,
+                "failure_probability": c.failure_probability,
+                "operations": [{"id": o.id, "cpu_demand": o.cpu_demand} for o in c.operations],
+            }
+            for c in arch.components
+        ],
+        "nodes": [{"id": n.id, "speed_factor": n.speed_factor, "cores": n.cores} for n in arch.nodes],
+        "links": [
+            {"id": l.id, "nodes": list(l.endpoints), "failure_probability": l.failure_probability, "delay": l.delay}
+            for l in arch.links
+        ],
+        "scenarios": [
+            {
+                "id": s.id,
+                "mix_weight": s.mix_weight,
+                "population": s.population,
+                "think_time": s.think_time,
+                "steps": [{"operation": st.operation, "count": st.count} for st in s.steps],
+            }
+            for s in arch.scenarios
+        ],
+        "deployment": dict(arch.deployment),
+    }
+    return hashlib.sha256(json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()

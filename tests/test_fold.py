@@ -1,7 +1,8 @@
 """Folds against the object-graph refactoring they replaced (``oracle.py``).
 
 A fold probe must give the oracle's outcome, reason text and ``save()``
-bytes, draw the same random numbers, and compile to the same chunk rows.
+bytes, draw the same random numbers, and compile to the same chunk rows;
+a fold's digest must be the oracle's digest of its whole document.
 The property tests set no ``max_examples``, so a hypothesis profile sets
 their size: CI runs them again under ``--hypothesis-profile=thorough``.
 """
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from archopt.model import CompiledChunk, save
+from archopt.model import CompiledChunk, digest, save
 from archopt.refactoring import (
     NEW_NODE_PREFIX,
     ActionKind,
@@ -20,8 +21,10 @@ from archopt.refactoring import (
     MoveOperationToNewComponent,
     RedeployComponent,
     _sample_action,
+    apply_sequence,
     is_feasible,
     random_action,
+    random_sequence,
 )
 from conftest import make_arch
 from test_refactoring import probe_model
@@ -163,3 +166,21 @@ def test_an_operation_named_like_a_twin():
     result = apply_both(arch, [CloneComponent("c", "n2"), CloneComponent("c_clone2", "n1")])
     assert [c.id for c in result.components] == ["c", "d", "c_clone2", "c_clone2_clone1"]
     assert [op.id for op in result.components[2].operations] == ["a_clone2", "a_clone1_clone2"]
+
+
+@settings(deadline=None)
+@given(
+    name=st.sampled_from(["small", "large", "x3", "edge"]),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 6),
+    allow_new_nodes=st.booleans(),
+)
+def test_fold_digest_matches_the_whole_document(name, seed, length, allow_new_nodes):
+    # every prefix of a random plan: its copies, clones and moved operations
+    # are encoded on their own, the rest comes from the root's fragments;
+    # "edge" has a component named like a link copy and a non-ASCII id
+    arch = edge_model([("l12_copy1", ["a", "b"]), ("cé", ["d"])]) if name == "edge" else probe_model(name)
+    plan, _ = random_sequence(arch.fold, length, np.random.default_rng(seed), allow_new_nodes)
+    for end in range(len(plan) + 1):
+        fold = apply_sequence(arch.fold, plan[:end])
+        assert fold.digest() == oracle.digest(fold.architecture()) == digest(fold.architecture())

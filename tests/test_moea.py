@@ -26,8 +26,8 @@ from archopt.moea import (
     _nsga2_step,
     _objective_rows,
     _offspring,
-    _pesa2_insert,
     _pesa2_select,
+    _pesa2_step,
     _search,
     _spea2_density,
     _spea2_raw,
@@ -176,7 +176,8 @@ def test_solver_failure_marks_individual_invalid(small_arch, monkeypatch):
     seq = (RedeployComponent("catalog", "spare"),)
     ind = evaluator.evaluate(seq)
     assert not ind.valid
-    assert ind.phenotype_digest == digest(apply_sequence(small_arch.fold, seq).architecture())
+    # digested from its own fold, with the bytes of the whole document
+    assert ind.phenotype_digest == oracle.digest(apply_sequence(small_arch.fold, seq).architecture())
     assert evaluator.invalid_by_type == {"SolverError": 1, "ValueError": 0}
     assert all(v == float("inf") for v in ind.objectives)
     # any valid individual dominates the sentinel
@@ -441,29 +442,53 @@ def test_pesa2_single_member_always_selected():
         assert _pesa2_select(archive, cells, sorted(cells), rng) is archive[0]
 
 
-def test_pesa2_insert_rejects_dominated_and_evicts_crowded():
-    a = fake_individual((0.1, 0.9), 0)
-    b = fake_individual((0.15, 0.85), 1)  # same cell as a
-    c = fake_individual((0.9, 0.1), 2)
-    archive, points = [a], np.array([a.objectives])
-    archive, points = _pesa2_insert(archive, points, b, capacity=2, divisions=2)
-    archive, points = _pesa2_insert(archive, points, c, capacity=2, divisions=2)
+def pesa2_archive(archive, evaluated, capacity, divisions, dim=3):
+    """The archive that ``_pesa2_step`` keeps after inserting ``evaluated``."""
+    config = SearchConfig(max_evaluations=0, archive_size=capacity, divisions=divisions, use_pas_objective=dim == 4)
+    kept, select = _pesa2_step(archive, evaluated, np.random.default_rng(0), config, lambda: False)
+    # the selection's grid is over the kept members' rows
+    assert sorted(i for members in select.args[1].values() for i in members) == list(range(len(kept)))
+    return kept
+
+
+def test_pesa2_step_rejects_dominated_and_evicts_crowded():
+    # a constant third objective leaves the grid of the first two
+    a = fake_individual((0.1, 0.9, 0.0), 0)
+    b = fake_individual((0.15, 0.85, 0.0), 1)  # same cell as a
+    c = fake_individual((0.9, 0.1, 0.0), 2)
+    archive = pesa2_archive([a], [b, c], capacity=2, divisions=2)
     assert len(archive) == 2
-    np.testing.assert_array_equal(points, [ind.objectives for ind in archive])
     # a and b share a cell; the oldest of that cell was evicted
     assert c in archive
     assert a not in archive and b in archive
 
 
-def test_pesa2_insert_drops_newly_dominated_members():
-    archive = [fake_individual((0.5, 0.5), 0)]
-    better = fake_individual((0.1, 0.1), 1)
-    archive, points = _pesa2_insert(archive, np.array([archive[0].objectives]), better, capacity=4, divisions=4)
+def test_pesa2_step_drops_newly_dominated_members():
+    archive = [fake_individual((0.5, 0.5, 0.0), 0)]
+    better = fake_individual((0.1, 0.1, 0.0), 1)
+    archive = pesa2_archive(archive, [better], capacity=4, divisions=4)
     assert archive == [better]
-    np.testing.assert_array_equal(points, [better.objectives])
     # dominated candidates never enter
-    worse = fake_individual((0.2, 0.2), 2)
-    assert _pesa2_insert(archive, points, worse, capacity=4, divisions=4)[0] == [better]
+    worse = fake_individual((0.2, 0.2, 0.0), 2)
+    assert pesa2_archive(archive, [worse], capacity=4, divisions=4) == [better]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pesa2_step_replays_block_by_block(monkeypatch, seed):
+    # blocks of 5 candidates, so the archive carries over between blocks
+    from test_step import draw_individuals
+
+    monkeypatch.setattr(moea, "BLOCK_ROWS", 5)
+    rng = np.random.default_rng(seed)
+    pool = draw_individuals(rng, 40, 3, 3, 6)
+    config = SearchConfig(max_evaluations=0, archive_size=8, divisions=2, use_pas_objective=False)
+    archive, points = [], np.empty((0, 3))
+    for ind in pool[:10]:
+        archive, points = oracle.pesa2_insert(archive, points, ind, config.archive_size, config.divisions)
+    want, want_select = oracle.pesa2_step(archive, pool[10:], np.random.default_rng(seed), config, lambda: False)
+    got, select = _pesa2_step(archive, pool[10:], np.random.default_rng(seed), config, lambda: False)
+    assert [id(ind) for ind in got] == [id(ind) for ind in want]
+    assert [id(want_select()) for _ in range(8)] == [id(select()) for _ in range(8)]
 
 
 # -- run() contract ----------------------------------------------------------------
@@ -700,8 +725,7 @@ def test_front_admission_keeps_equal_invalid_rows(small_arch):
         evaluator._record([(seq, small_arch.fold)], [failure])
     first, second = (evaluator.individuals[seq] for seq in sequences)
     assert [ind.order for ind in evaluator.reported_front()] == [first.order, second.order]
-    archive, points = _pesa2_insert([], np.empty((0, 4)), first, 4, 8)
-    assert _pesa2_insert(archive, points, second, 4, 8)[0] == [first, second]
+    assert pesa2_archive([], [first, second], capacity=4, divisions=8, dim=4) == [first, second]
 
 
 def test_incremental_front_matches_batch_recompute(small_arch):
@@ -799,9 +823,9 @@ def test_only_scored_architectures_compile(algorithm, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "spea2", "pesa2"])
-def test_architectures_are_built_only_for_the_front_and_invalid_individuals(algorithm, monkeypatch):
-    # probes, folds and scoring work on folds; an Architecture is the I/O
-    # form, built to digest an invalid individual or a reported front member
+def test_a_search_builds_no_architecture(algorithm, monkeypatch):
+    # probes, folds, scoring and digests work on folds; an Architecture is
+    # only the I/O form, even for invalid individuals and the front
     from archopt import model
 
     built = []
@@ -815,9 +839,45 @@ def test_architectures_are_built_only_for_the_front_and_invalid_individuals(algo
     monkeypatch.setattr(model.Architecture, "__init__", counting)
     inject_solver_failures(monkeypatch, every=9)
     front = run(arch, SearchConfig(algorithm=algorithm, **PINNED_CONFIG))
-    invalid = sum(front.metadata["invalid_by_type"].values())
-    assert invalid > 0
-    assert len(built) == invalid + sum(ind.valid for ind in front.individuals)
+    assert sum(front.metadata["invalid_by_type"].values()) > 0
+    assert any(ind.valid for ind in front.individuals)
+    assert built == []
+
+
+def test_a_pesa2_generation_is_scored_as_one_chunk(small_arch, monkeypatch):
+    # a population of 48 is one chunk per generation, plus the initial one
+    chunks = []
+    real_score = moea.score
+
+    def counting(initial_perf, candidates, brf, thresholds):
+        chunks.append(len(candidates))
+        return real_score(initial_perf, candidates, brf, thresholds)
+
+    monkeypatch.setattr(moea, "score", counting)
+    config = SearchConfig(algorithm="pesa2", seed=1, population=48, archive_size=48, max_evaluations=400)
+    meta = run(small_arch, config).metadata
+    scored = [n for n in chunks if n]
+    assert meta["generations"] > 2
+    assert len(scored) <= meta["generations"] + 1
+    assert sum(scored) == meta["evaluations_used"] and max(scored) <= config.population
+
+
+def test_reported_front_folds_nothing(small_arch, monkeypatch):
+    # the front keeps each member's fold, so reporting it probes no action
+    from archopt import refactoring
+
+    config = SearchConfig(seed=4, max_evaluations=150, population=8)
+    evaluator = Evaluator(small_arch, config)
+    _search(evaluator, _Budget(config))
+    probes = []
+    real = refactoring.is_feasible
+    monkeypatch.setattr(refactoring, "is_feasible", lambda *args: probes.append(args) or real(*args))
+    front = evaluator.reported_front()
+    assert probes == []
+    monkeypatch.undo()
+    assert len(front) > 1
+    for ind in front:
+        assert ind.phenotype_digest == oracle.digest(apply_sequence(small_arch.fold, ind.sequence).architecture())
 
 
 def test_a_search_builds_one_performance_result(large_arch, monkeypatch):
