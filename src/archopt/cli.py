@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .antipatterns import Thresholds
-from .model import Architecture, CompiledChunk, ModelFormatError, _is_number, load, validate
+from .model import Architecture, CompiledChunk, ModelFormatError, _is_number, load, unique_keys, validate
 from .moea import ParetoFront, SearchConfig, check_field_types, front_to_json_dict, objective_vector, run, score
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
@@ -101,7 +101,7 @@ def _parse_thresholds(raw) -> Thresholds:
 
 def load_config(path: str) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -143,7 +143,7 @@ def _load_model(path: str) -> Architecture:
 
 
 def _load_sequence(path: str) -> Plan:
-    records = json.loads(Path(path).read_text())
+    records = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ConfigError))
     if not isinstance(records, list):
         raise ConfigError(f"{path}: sequence file must be a JSON array of action records")
     return sequence_from_records(records)

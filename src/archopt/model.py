@@ -165,7 +165,7 @@ class FoldRoot:
         links and scenarios, by ``id()`` of the element (the source keeps
         it alive), and of each component and node id, quoted."""
         source = self.source
-        encoded = {id(e): _canonical(as_dict(e)) for kind, as_dict in _ELEMENT_DICTS.items() for e in getattr(source, kind)}
+        encoded = {id(e): _canonical(to_dict(e)) for e in (*source.components, *source.nodes, *source.links, *source.scenarios)}
         return encoded, {text: _canonical(text) for text in (*self.comp, *self.node)}
 
 
@@ -238,9 +238,9 @@ class Fold(NamedTuple):
         from the fragments its root encoded once; only the elements and ids
         that the plan changed or added are encoded here."""
         encoded, quoted = self.root.fragments
-        parts = {
-            kind: "[" + ",".join(encoded.get(id(e)) or _canonical(as_dict(e)) for e in elements) + "]"
-            for (kind, as_dict), elements in zip(_ELEMENT_DICTS.items(), self._elements())
+        parts = {  # each element list's key, as _FIELDS[Architecture] orders them
+            key: "[" + ",".join(encoded.get(id(e)) or _canonical(to_dict(e)) for e in elements) + "]"
+            for key, elements in zip(_FIELDS[Architecture], self._elements())
         }
 
         def q(text: str) -> str:
@@ -292,6 +292,72 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _Field(NamedTuple):
+    """One key of an element's document object.  ``type`` is float, int, str, an element
+    class (a list of them), tuple (a pair of node ids) or dict (component id -> node id)."""
+
+    type: type
+    default: object = None  # the JSON value of an absent key; None: required
+    rule: str = ""  # the violation that a value outside ``bound`` raises
+    bound: str = ""  # a key of _BOUNDS
+    attr: str = ""  # the element's attribute, when it is not the key
+
+
+# The document format (README's "Model format" table): each element class's keys
+# in the order they are read; a nested list comes first, so its errors precede its owner's id.
+_FIELDS = {
+    Architecture: {
+        "components": _Field(Component),
+        "nodes": _Field(ProcessorNode),
+        "links": _Field(NetworkLink, []),
+        "scenarios": _Field(UsageScenario),
+        "deployment": _Field(dict),
+    },
+    Component: {
+        "operations": _Field(Operation),
+        "id": _Field(str),
+        "failure_probability": _Field(float, None, "failure-probability-range", "in [0, 1]"),
+    },
+    Operation: {"id": _Field(str), "cpu_demand": _Field(float, None, "cpu-demand-range", "finite and >= 0")},
+    ProcessorNode: {
+        "id": _Field(str),
+        "speed_factor": _Field(float, 1.0, "speed-factor-range", "> 0"),
+        "cores": _Field(int, 1, "cores-range", "an integer >= 1"),
+    },
+    NetworkLink: {
+        "nodes": _Field(tuple, attr="endpoints"),
+        "id": _Field(str),
+        "failure_probability": _Field(float, 0.0, "failure-probability-range", "in [0, 1]"),
+        "delay": _Field(float, 0.0, "delay-range", "finite and >= 0"),
+    },
+    UsageScenario: {
+        "steps": _Field(CallStep),
+        "id": _Field(str),
+        "mix_weight": _Field(float, None, "scenario-mix-weight-range", "in [0, 1]"),
+        "population": _Field(int, None, "scenario-population", "an integer >= 1"),
+        "think_time": _Field(float, None, "scenario-think-time", "finite and >= 0"),
+    },
+    CallStep: {"operation": _Field(str), "count": _Field(float, None, "step-count-range", "finite and >= 0")},
+}
+
+# Each bound of a range rule, as its violation states it, and its test.
+_BOUNDS = {
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "> 0": lambda v: math.isfinite(v) and v > 0.0,
+    "an integer >= 1": lambda v: _is_integer(v) and v >= 1,
+}
+
+
+def _out_of_range(element, subject: str) -> list[str]:
+    """The violation of each bounded field of ``element`` (named ``subject``) that is out of its bound."""
+    return [
+        f"{f.rule}: {subject} has {key.replace('_', ' ')} {value}, must be {f.bound}"
+        for key, f in _FIELDS[type(element)].items()
+        if f.bound and not _BOUNDS[f.bound](value := getattr(element, f.attr or key))
+    ]
+
+
 def validate(arch: Architecture) -> list[str]:
     """Check every invariant and return one description per violation.
 
@@ -319,28 +385,14 @@ def validate(arch: Architecture) -> list[str]:
             seen.add(elem_id)
 
     for comp in arch.components:
-        if not 0.0 <= comp.failure_probability <= 1.0:
-            violations.append(
-                f"failure-probability-range: component '{comp.id}' has "
-                f"failure probability {comp.failure_probability}, must be in [0, 1]"
-            )
+        violations += _out_of_range(comp, f"component '{comp.id}'")
         if not comp.operations:
             violations.append(f"component-empty: component '{comp.id}' owns no operations")
         for op in comp.operations:
-            if not (math.isfinite(op.cpu_demand) and op.cpu_demand >= 0.0):
-                violations.append(
-                    f"cpu-demand-range: operation '{op.id}' has cpu demand "
-                    f"{op.cpu_demand}, must be finite and >= 0"
-                )
+            violations += _out_of_range(op, f"operation '{op.id}'")
 
     for node in arch.nodes:
-        if not (math.isfinite(node.speed_factor) and node.speed_factor > 0.0):
-            violations.append(
-                f"speed-factor-range: node '{node.id}' has speed factor "
-                f"{node.speed_factor}, must be > 0"
-            )
-        if not _is_integer(node.cores) or node.cores < 1:
-            violations.append(f"cores-range: node '{node.id}' has cores {node.cores}, must be an integer >= 1")
+        violations += _out_of_range(node, f"node '{node.id}'")
 
     node_id_set = set(node_ids)
     pair_link: dict[frozenset[str], NetworkLink] = {}
@@ -354,13 +406,7 @@ def validate(arch: Architecture) -> list[str]:
         for endpoint in link.endpoints:
             if endpoint not in node_id_set:
                 violations.append(f"link-endpoints: link '{link.id}' references missing node '{endpoint}'")
-        if not 0.0 <= link.failure_probability <= 1.0:
-            violations.append(
-                f"failure-probability-range: link '{link.id}' has failure "
-                f"probability {link.failure_probability}, must be in [0, 1]"
-            )
-        if not (math.isfinite(link.delay) and link.delay >= 0.0):
-            violations.append(f"delay-range: link '{link.id}' has delay {link.delay}, must be finite and >= 0")
+        violations += _out_of_range(link, f"link '{link.id}'")
 
     comp_id_set = set(comp_ids)
     for comp_id in arch.deployment:
@@ -375,21 +421,7 @@ def validate(arch: Architecture) -> list[str]:
 
     op_id_set = set(op_ids)
     for scen in arch.scenarios:
-        if not 0.0 <= scen.mix_weight <= 1.0:
-            violations.append(
-                f"scenario-mix-weight-range: scenario '{scen.id}' has mix weight "
-                f"{scen.mix_weight}, must be in [0, 1]"
-            )
-        if not _is_integer(scen.population) or scen.population < 1:
-            violations.append(
-                f"scenario-population: scenario '{scen.id}' has population "
-                f"{scen.population}, must be an integer >= 1"
-            )
-        if not (math.isfinite(scen.think_time) and scen.think_time >= 0.0):
-            violations.append(
-                f"scenario-think-time: scenario '{scen.id}' has think time "
-                f"{scen.think_time}, must be finite and >= 0"
-            )
+        violations += _out_of_range(scen, f"scenario '{scen.id}'")
         if not scen.steps:
             violations.append(f"scenario-steps-empty: scenario '{scen.id}' has no steps")
         for step in scen.steps:
@@ -397,11 +429,7 @@ def validate(arch: Architecture) -> list[str]:
                 violations.append(
                     f"step-unknown-operation: scenario '{scen.id}' references missing operation '{step.operation}'"
                 )
-            if not (math.isfinite(step.count) and step.count >= 0.0):
-                violations.append(
-                    f"step-count-range: scenario '{scen.id}' step for '{step.operation}' "
-                    f"has count {step.count}, must be finite and >= 0"
-                )
+            violations += _out_of_range(step, f"scenario '{scen.id}' step for '{step.operation}'")
 
     if arch.scenarios:
         total_weight = math.fsum(s.mix_weight for s in arch.scenarios)
@@ -424,32 +452,14 @@ def validate(arch: Architecture) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _component_dict(c: Component) -> dict:
-    operations = [{"id": o.id, "cpu_demand": o.cpu_demand} for o in c.operations]
-    return {"id": c.id, "failure_probability": c.failure_probability, "operations": operations}
-
-
-def _node_dict(n: ProcessorNode) -> dict:
-    return {"id": n.id, "speed_factor": n.speed_factor, "cores": n.cores}
-
-
-def _link_dict(l: NetworkLink) -> dict:
-    return {"id": l.id, "nodes": list(l.endpoints), "failure_probability": l.failure_probability, "delay": l.delay}
-
-
-def _scenario_dict(s: UsageScenario) -> dict:
-    steps = [{"operation": st.operation, "count": st.count} for st in s.steps]
-    return {"id": s.id, "mix_weight": s.mix_weight, "population": s.population, "think_time": s.think_time, "steps": steps}
-
-
-# The element lists of the document: each key, also the field of
-# ``Architecture`` that holds them in this order, and its element's dict.
-_ELEMENT_DICTS = {"components": _component_dict, "nodes": _node_dict, "links": _link_dict, "scenarios": _scenario_dict}
-
-
-def to_dict(arch: Architecture) -> dict:
-    document = {kind: [as_dict(e) for e in getattr(arch, kind)] for kind, as_dict in _ELEMENT_DICTS.items()}
-    return {**document, "deployment": dict(arch.deployment)}
+def to_dict(element) -> dict:
+    """The document object of an architecture, or of one of its elements."""
+    document = {}
+    for key, f in _FIELDS[type(element)].items():
+        value, kind = getattr(element, f.attr or key), f.type
+        value = [to_dict(e) for e in value] if kind in _FIELDS else list(value) if kind is tuple else value
+        document[key] = dict(value) if kind is dict else value  # a copy: the document may be edited
+    return document
 
 
 def save(arch: Architecture) -> str:
@@ -466,131 +476,59 @@ def digest(arch: Architecture) -> str:
     return hashlib.sha256(_canonical(to_dict(arch)).encode("utf-8")).hexdigest()
 
 
-def _expect(obj, key: str, kind, path: str, optional_default=None):
-    if key not in obj:
-        if optional_default is not None:
-            return optional_default
-        raise ModelFormatError(f"{path}.{key}: required key is missing")
-    value = obj[key]
-    if kind is float:
-        if not _is_number(value):
-            raise ModelFormatError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if not _is_integer(value):
-            raise ModelFormatError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
-        return value
-    if not isinstance(value, kind):
-        raise ModelFormatError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _object(raw, path: str, keys: tuple[str, ...]) -> None:
-    """Check that ``raw`` is an object of the document whose every key is one of ``keys``."""
+def _parse(cls, raw, path: str):
+    """The ``cls`` element of the document object ``raw`` at ``path``,
+    unvalidated.  A key the format does not define is rejected, not ignored."""
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: expected an object")
+    fields = _FIELDS[cls]
     for key in raw:
-        if key not in keys:
+        if key not in fields:
             raise ModelFormatError(f"{path}.{key}: unknown key")
+    values = {}
+    for key, f in fields.items():
+        if key not in raw and f.default is None:
+            raise ModelFormatError(f"{path}.{key}: required key is missing")
+        value, kind, where = raw.get(key, f.default), f.type, f"{path}.{key}"
+        if kind is float or kind is int:
+            if not (_is_number(value) if kind is float else _is_integer(value)):
+                expected = "a number" if kind is float else "an integer"
+                raise ModelFormatError(f"{where}: expected {expected}, got {type(value).__name__}")
+            value = kind(value)
+        elif not isinstance(value, json_type := kind if kind is str or kind is dict else list):
+            raise ModelFormatError(f"{where}: expected {json_type.__name__}, got {type(value).__name__}")
+        elif kind in _FIELDS:
+            value = tuple(_parse(kind, e, f"{where}[{i}]") for i, e in enumerate(value))
+        elif kind is tuple:
+            if len(value) != 2 or not all(isinstance(e, str) for e in value):
+                raise ModelFormatError(f"{where}: expected a pair of node ids")
+            value = tuple(value)
+        elif kind is dict:
+            for comp_id, node_id in value.items():
+                if not isinstance(node_id, str):
+                    raise ModelFormatError(f"{where}.{comp_id}: expected a node id string")
+        values[f.attr or key] = value
+    return cls(**values)
 
 
-def from_dict(doc: dict) -> Architecture:
-    """Build an Architecture from a parsed document without validating it.
-    A key the format does not define is rejected, not ignored."""
-    _object(doc, "$", ("components", "nodes", "links", "scenarios", "deployment"))
-
-    components = []
-    for i, raw in enumerate(_expect(doc, "components", list, "$")):
-        path = f"$.components[{i}]"
-        _object(raw, path, ("id", "operations", "failure_probability"))
-        operations = []
-        for k, raw_op in enumerate(_expect(raw, "operations", list, path)):
-            op_path = f"{path}.operations[{k}]"
-            _object(raw_op, op_path, ("id", "cpu_demand"))
-            operations.append(
-                Operation(id=_expect(raw_op, "id", str, op_path), cpu_demand=_expect(raw_op, "cpu_demand", float, op_path))
-            )
-        components.append(
-            Component(
-                id=_expect(raw, "id", str, path),
-                operations=tuple(operations),
-                failure_probability=_expect(raw, "failure_probability", float, path),
-            )
-        )
-
-    nodes = []
-    for i, raw in enumerate(_expect(doc, "nodes", list, "$")):
-        path = f"$.nodes[{i}]"
-        _object(raw, path, ("id", "speed_factor", "cores"))
-        nodes.append(
-            ProcessorNode(
-                id=_expect(raw, "id", str, path),
-                speed_factor=_expect(raw, "speed_factor", float, path, optional_default=1.0),
-                cores=_expect(raw, "cores", int, path, optional_default=1),
-            )
-        )
-
-    links = []
-    for i, raw in enumerate(_expect(doc, "links", list, "$") if "links" in doc else []):
-        path = f"$.links[{i}]"
-        _object(raw, path, ("id", "nodes", "failure_probability", "delay"))
-        endpoints = _expect(raw, "nodes", list, path)
-        if len(endpoints) != 2 or not all(isinstance(e, str) for e in endpoints):
-            raise ModelFormatError(f"{path}.nodes: expected a pair of node ids")
-        links.append(
-            NetworkLink(
-                id=_expect(raw, "id", str, path),
-                endpoints=(endpoints[0], endpoints[1]),
-                failure_probability=_expect(raw, "failure_probability", float, path, optional_default=0.0),
-                delay=_expect(raw, "delay", float, path, optional_default=0.0),
-            )
-        )
-
-    scenarios = []
-    for i, raw in enumerate(_expect(doc, "scenarios", list, "$")):
-        path = f"$.scenarios[{i}]"
-        _object(raw, path, ("id", "mix_weight", "population", "think_time", "steps"))
-        steps = []
-        for k, raw_step in enumerate(_expect(raw, "steps", list, path)):
-            step_path = f"{path}.steps[{k}]"
-            _object(raw_step, step_path, ("operation", "count"))
-            steps.append(
-                CallStep(
-                    operation=_expect(raw_step, "operation", str, step_path),
-                    count=_expect(raw_step, "count", float, step_path),
-                )
-            )
-        scenarios.append(
-            UsageScenario(
-                id=_expect(raw, "id", str, path),
-                mix_weight=_expect(raw, "mix_weight", float, path),
-                population=_expect(raw, "population", int, path),
-                think_time=_expect(raw, "think_time", float, path),
-                steps=tuple(steps),
-            )
-        )
-
-    deployment = _expect(doc, "deployment", dict, "$")
-    for comp_id, node_id in deployment.items():
-        if not isinstance(node_id, str):
-            raise ModelFormatError(f"$.deployment.{comp_id}: expected a node id string")
-
-    return Architecture(
-        components=tuple(components),
-        nodes=tuple(nodes),
-        links=tuple(links),
-        scenarios=tuple(scenarios),
-        deployment=dict(deployment),
-    )
+def unique_keys(pairs: list[tuple[str, object]], error: type[ValueError] = ModelFormatError) -> dict:
+    """The ``object_pairs_hook`` of every JSON file the program reads: a key
+    given twice in one object raises ``error``, not read as its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise error(f"duplicate key '{key}'")
+        obj[key] = value
+    return obj
 
 
 def load(document: str, check: bool = True) -> Architecture:
     """Parse an architecture document; with ``check`` enforce all invariants."""
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    arch = from_dict(doc)
+    arch = _parse(Architecture, doc, "$")
     if check:
         violations = validate(arch)
         if violations:

@@ -5,7 +5,7 @@ from hypothesis import settings
 from archopt import casestudies
 
 # ``--hypothesis-profile=thorough`` runs every property test that sets no
-# ``max_examples`` of its own (the fold-, batch-solve- and step-versus-oracle tests) on several
+# ``max_examples`` of its own (the fold-, batch-solve-, step- and model-format-versus-oracle tests) on several
 # hundred examples; tier-1 keeps hypothesis's default profile.
 settings.register_profile("thorough", max_examples=500)
 

@@ -26,29 +26,37 @@ archive on its own, as the program did before one step replayed a
 generation's inserts on one dominance matrix (``test_step.py``).  A
 phenotype digest encodes the whole document at once, as the program did
 before a fold joined its root's encoded fragments; the digests must be
-the same (``test_fold.py``).
+the same (``test_fold.py``).  The document format is parsed, serialized
+and range-checked field by field by hand, as the program did before one
+field table drove all three; the table must give the same error texts,
+violations, ``save()`` text and digests (``test_model_format.py``).
 """
 
 import hashlib
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from archopt import kernels, perfqn
+from archopt import kernels, model, perfqn
 from archopt.antipatterns import Thresholds
 from archopt.kernels import BLOCK_ROWS, BudgetSpent, dominates
 from archopt.model import (
+    MIX_WEIGHT_TOL,
     Architecture,
     CallStep,
     CompiledChunk,
     Component,
+    ModelFormatError,
     NetworkLink,
     Operation,
     ProcessorNode,
     UsageScenario,
+    _is_integer,
+    _is_number,
 )
 from archopt.moea import (
     Individual,
@@ -883,3 +891,283 @@ def digest(arch: Architecture) -> str:
         "deployment": dict(arch.deployment),
     }
     return hashlib.sha256(json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The document format, field by field
+# ---------------------------------------------------------------------------
+
+
+def validate(arch: Architecture) -> list[str]:
+    """Check every invariant and return one description per violation.
+
+    An empty list means the architecture is well formed.  Each entry names
+    the violated rule and the offending element.
+    """
+    violations: list[str] = []
+    node_ids = [n.id for n in arch.nodes]
+    comp_ids = [c.id for c in arch.components]
+    op_ids = [op.id for c in arch.components for op in c.operations]
+    link_ids = [l.id for l in arch.links]
+    scen_ids = [s.id for s in arch.scenarios]
+
+    for category, ids in (
+        ("component", comp_ids),
+        ("operation", op_ids),
+        ("node", node_ids),
+        ("link", link_ids),
+        ("scenario", scen_ids),
+    ):
+        seen = set()
+        for elem_id in ids:
+            if elem_id in seen:
+                violations.append(f"duplicate-id: {category} id '{elem_id}' is not unique")
+            seen.add(elem_id)
+
+    for comp in arch.components:
+        if not 0.0 <= comp.failure_probability <= 1.0:
+            violations.append(
+                f"failure-probability-range: component '{comp.id}' has "
+                f"failure probability {comp.failure_probability}, must be in [0, 1]"
+            )
+        if not comp.operations:
+            violations.append(f"component-empty: component '{comp.id}' owns no operations")
+        for op in comp.operations:
+            if not (math.isfinite(op.cpu_demand) and op.cpu_demand >= 0.0):
+                violations.append(
+                    f"cpu-demand-range: operation '{op.id}' has cpu demand "
+                    f"{op.cpu_demand}, must be finite and >= 0"
+                )
+
+    for node in arch.nodes:
+        if not (math.isfinite(node.speed_factor) and node.speed_factor > 0.0):
+            violations.append(
+                f"speed-factor-range: node '{node.id}' has speed factor "
+                f"{node.speed_factor}, must be > 0"
+            )
+        if not _is_integer(node.cores) or node.cores < 1:
+            violations.append(f"cores-range: node '{node.id}' has cores {node.cores}, must be an integer >= 1")
+
+    node_id_set = set(node_ids)
+    pair_link: dict[frozenset[str], NetworkLink] = {}
+    for link in arch.links:
+        a, b = link.endpoints
+        if a == b:
+            violations.append(f"link-endpoints: link '{link.id}' endpoints must differ")
+        first = pair_link.setdefault(frozenset(link.endpoints), link)
+        if first is not link:
+            violations.append(f"link-parallel: links '{first.id}' and '{link.id}' join the same two nodes")
+        for endpoint in link.endpoints:
+            if endpoint not in node_id_set:
+                violations.append(f"link-endpoints: link '{link.id}' references missing node '{endpoint}'")
+        if not 0.0 <= link.failure_probability <= 1.0:
+            violations.append(
+                f"failure-probability-range: link '{link.id}' has failure "
+                f"probability {link.failure_probability}, must be in [0, 1]"
+            )
+        if not (math.isfinite(link.delay) and link.delay >= 0.0):
+            violations.append(f"delay-range: link '{link.id}' has delay {link.delay}, must be finite and >= 0")
+
+    comp_id_set = set(comp_ids)
+    for comp_id in arch.deployment:
+        if comp_id not in comp_id_set:
+            violations.append(f"deployment-unknown-component: deployment entry for missing component '{comp_id}'")
+    for comp_id in comp_ids:
+        target = arch.deployment.get(comp_id)
+        if target is None:
+            violations.append(f"deployment-total: component '{comp_id}' has no deployment target")
+        elif target not in node_id_set:
+            violations.append(f"deployment-target: component '{comp_id}' is deployed to missing node '{target}'")
+
+    op_id_set = set(op_ids)
+    for scen in arch.scenarios:
+        if not 0.0 <= scen.mix_weight <= 1.0:
+            violations.append(
+                f"scenario-mix-weight-range: scenario '{scen.id}' has mix weight "
+                f"{scen.mix_weight}, must be in [0, 1]"
+            )
+        if not _is_integer(scen.population) or scen.population < 1:
+            violations.append(
+                f"scenario-population: scenario '{scen.id}' has population "
+                f"{scen.population}, must be an integer >= 1"
+            )
+        if not (math.isfinite(scen.think_time) and scen.think_time >= 0.0):
+            violations.append(
+                f"scenario-think-time: scenario '{scen.id}' has think time "
+                f"{scen.think_time}, must be finite and >= 0"
+            )
+        if not scen.steps:
+            violations.append(f"scenario-steps-empty: scenario '{scen.id}' has no steps")
+        for step in scen.steps:
+            if step.operation not in op_id_set:
+                violations.append(
+                    f"step-unknown-operation: scenario '{scen.id}' references missing operation '{step.operation}'"
+                )
+            if not (math.isfinite(step.count) and step.count >= 0.0):
+                violations.append(
+                    f"step-count-range: scenario '{scen.id}' step for '{step.operation}' "
+                    f"has count {step.count}, must be finite and >= 0"
+                )
+
+    if arch.scenarios:
+        total_weight = math.fsum(s.mix_weight for s in arch.scenarios)
+        if abs(total_weight - 1.0) > MIX_WEIGHT_TOL:
+            violations.append(f"scenario-mix-sum: scenario mix weights must sum to 1, got {total_weight!r}")
+    else:
+        violations.append("scenario-missing: architecture defines no usage scenarios")
+
+    # the walk needs every reference resolved, which the checks above vouch for
+    if not violations:
+        call = model.unrouted_call(arch.fold)
+        if call is not None:
+            violations.append(f"routing: {call}")
+
+    return violations
+
+
+def _component_dict(c: Component) -> dict:
+    operations = [{"id": o.id, "cpu_demand": o.cpu_demand} for o in c.operations]
+    return {"id": c.id, "failure_probability": c.failure_probability, "operations": operations}
+
+
+def _node_dict(n: ProcessorNode) -> dict:
+    return {"id": n.id, "speed_factor": n.speed_factor, "cores": n.cores}
+
+
+def _link_dict(l: NetworkLink) -> dict:
+    return {"id": l.id, "nodes": list(l.endpoints), "failure_probability": l.failure_probability, "delay": l.delay}
+
+
+def _scenario_dict(s: UsageScenario) -> dict:
+    steps = [{"operation": st.operation, "count": st.count} for st in s.steps]
+    return {"id": s.id, "mix_weight": s.mix_weight, "population": s.population, "think_time": s.think_time, "steps": steps}
+
+
+_ELEMENT_DICTS = {"components": _component_dict, "nodes": _node_dict, "links": _link_dict, "scenarios": _scenario_dict}
+
+
+def to_dict(arch: Architecture) -> dict:
+    document = {kind: [as_dict(e) for e in getattr(arch, kind)] for kind, as_dict in _ELEMENT_DICTS.items()}
+    return {**document, "deployment": dict(arch.deployment)}
+
+
+def save(arch: Architecture) -> str:
+    return json.dumps(to_dict(arch), indent=2, sort_keys=True) + "\n"
+
+
+def _expect(obj, key: str, kind, path: str, optional_default=None):
+    if key not in obj:
+        if optional_default is not None:
+            return optional_default
+        raise ModelFormatError(f"{path}.{key}: required key is missing")
+    value = obj[key]
+    if kind is float:
+        if not _is_number(value):
+            raise ModelFormatError(f"{path}.{key}: expected a number, got {type(value).__name__}")
+        return float(value)
+    if kind is int:
+        if not _is_integer(value):
+            raise ModelFormatError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
+        return value
+    if not isinstance(value, kind):
+        raise ModelFormatError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _object(raw, path: str, keys: tuple[str, ...]) -> None:
+    """Check that ``raw`` is an object of the document whose every key is one of ``keys``."""
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: expected an object")
+    for key in raw:
+        if key not in keys:
+            raise ModelFormatError(f"{path}.{key}: unknown key")
+
+
+def from_dict(doc: dict) -> Architecture:
+    """Build an Architecture from a parsed document without validating it.
+    A key the format does not define is rejected, not ignored."""
+    _object(doc, "$", ("components", "nodes", "links", "scenarios", "deployment"))
+
+    components = []
+    for i, raw in enumerate(_expect(doc, "components", list, "$")):
+        path = f"$.components[{i}]"
+        _object(raw, path, ("id", "operations", "failure_probability"))
+        operations = []
+        for k, raw_op in enumerate(_expect(raw, "operations", list, path)):
+            op_path = f"{path}.operations[{k}]"
+            _object(raw_op, op_path, ("id", "cpu_demand"))
+            operations.append(
+                Operation(id=_expect(raw_op, "id", str, op_path), cpu_demand=_expect(raw_op, "cpu_demand", float, op_path))
+            )
+        components.append(
+            Component(
+                id=_expect(raw, "id", str, path),
+                operations=tuple(operations),
+                failure_probability=_expect(raw, "failure_probability", float, path),
+            )
+        )
+
+    nodes = []
+    for i, raw in enumerate(_expect(doc, "nodes", list, "$")):
+        path = f"$.nodes[{i}]"
+        _object(raw, path, ("id", "speed_factor", "cores"))
+        nodes.append(
+            ProcessorNode(
+                id=_expect(raw, "id", str, path),
+                speed_factor=_expect(raw, "speed_factor", float, path, optional_default=1.0),
+                cores=_expect(raw, "cores", int, path, optional_default=1),
+            )
+        )
+
+    links = []
+    for i, raw in enumerate(_expect(doc, "links", list, "$") if "links" in doc else []):
+        path = f"$.links[{i}]"
+        _object(raw, path, ("id", "nodes", "failure_probability", "delay"))
+        endpoints = _expect(raw, "nodes", list, path)
+        if len(endpoints) != 2 or not all(isinstance(e, str) for e in endpoints):
+            raise ModelFormatError(f"{path}.nodes: expected a pair of node ids")
+        links.append(
+            NetworkLink(
+                id=_expect(raw, "id", str, path),
+                endpoints=(endpoints[0], endpoints[1]),
+                failure_probability=_expect(raw, "failure_probability", float, path, optional_default=0.0),
+                delay=_expect(raw, "delay", float, path, optional_default=0.0),
+            )
+        )
+
+    scenarios = []
+    for i, raw in enumerate(_expect(doc, "scenarios", list, "$")):
+        path = f"$.scenarios[{i}]"
+        _object(raw, path, ("id", "mix_weight", "population", "think_time", "steps"))
+        steps = []
+        for k, raw_step in enumerate(_expect(raw, "steps", list, path)):
+            step_path = f"{path}.steps[{k}]"
+            _object(raw_step, step_path, ("operation", "count"))
+            steps.append(
+                CallStep(
+                    operation=_expect(raw_step, "operation", str, step_path),
+                    count=_expect(raw_step, "count", float, step_path),
+                )
+            )
+        scenarios.append(
+            UsageScenario(
+                id=_expect(raw, "id", str, path),
+                mix_weight=_expect(raw, "mix_weight", float, path),
+                population=_expect(raw, "population", int, path),
+                think_time=_expect(raw, "think_time", float, path),
+                steps=tuple(steps),
+            )
+        )
+
+    deployment = _expect(doc, "deployment", dict, "$")
+    for comp_id, node_id in deployment.items():
+        if not isinstance(node_id, str):
+            raise ModelFormatError(f"$.deployment.{comp_id}: expected a node id string")
+
+    return Architecture(
+        components=tuple(components),
+        nodes=tuple(nodes),
+        links=tuple(links),
+        scenarios=tuple(scenarios),
+        deployment=dict(deployment),
+    )

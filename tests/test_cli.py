@@ -156,6 +156,21 @@ def test_eval_malformed_action_record_is_an_error_line(tmp_path, capsys, records
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+def test_repeated_key_is_a_domain_error(tmp_path, capsys, command):
+    # json.loads alone keeps the last of the two
+    if command == "optimize":
+        config = write_config(tmp_path)
+        config.write_text(config.read_text()[:-1] + ', "seed": 6}')
+        argv, key = ["optimize", "--config", str(config)], "seed"
+    else:
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text('[{"kind": "redeploy", "component": "catalog", "target": "spare", "target": "app1"}]')
+        argv, key = ["eval", SMALL, str(seq_path)], "target"
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: duplicate key '{key}'\n"
+
+
 # -- optimize -----------------------------------------------------------------
 
 

@@ -108,6 +108,142 @@ def test_bool_is_not_an_integer_count(two_comp_arch, mutant, violation):
     assert validate(mutant(two_comp_arch)) == [violation]
 
 
+@pytest.mark.parametrize(
+    "mutant, violations",
+    [
+        (
+            lambda a: replace(a, components=(replace(a.components[0], failure_probability=1.3), a.components[1])),
+            ["failure-probability-range: component 'c1' has failure probability 1.3, must be in [0, 1]"],
+        ),
+        (
+            lambda a: replace(a, components=(Component("c1", (Operation("op1", -0.1),), 0.0), a.components[1])),
+            ["cpu-demand-range: operation 'op1' has cpu demand -0.1, must be finite and >= 0"],
+        ),
+        (
+            lambda a: replace(a, nodes=(replace(a.nodes[0], speed_factor=0.0), a.nodes[1])),
+            ["speed-factor-range: node 'n1' has speed factor 0.0, must be > 0"],
+        ),
+        (
+            lambda a: replace(a, nodes=(a.nodes[0], replace(a.nodes[1], speed_factor=float("inf")))),
+            ["speed-factor-range: node 'n2' has speed factor inf, must be > 0"],
+        ),
+        (
+            lambda a: replace(a, nodes=(replace(a.nodes[0], cores=0), a.nodes[1])),
+            ["cores-range: node 'n1' has cores 0, must be an integer >= 1"],
+        ),
+        (
+            lambda a: replace(a, links=(replace(a.links[0], failure_probability=-0.5),)),
+            ["failure-probability-range: link 'l12' has failure probability -0.5, must be in [0, 1]"],
+        ),
+        (
+            lambda a: replace(a, links=(replace(a.links[0], delay=float("nan")),)),
+            ["delay-range: link 'l12' has delay nan, must be finite and >= 0"],
+        ),
+        (
+            lambda a: replace(a, scenarios=(replace(a.scenarios[0], mix_weight=1.5),)),
+            [
+                "scenario-mix-weight-range: scenario 's1' has mix weight 1.5, must be in [0, 1]",
+                "scenario-mix-sum: scenario mix weights must sum to 1, got 1.5",
+            ],
+        ),
+        (
+            lambda a: replace(a, scenarios=(replace(a.scenarios[0], population=0),)),
+            ["scenario-population: scenario 's1' has population 0, must be an integer >= 1"],
+        ),
+        (
+            lambda a: replace(a, scenarios=(replace(a.scenarios[0], think_time=-1.0),)),
+            ["scenario-think-time: scenario 's1' has think time -1.0, must be finite and >= 0"],
+        ),
+        (
+            lambda a: replace(
+                a, scenarios=(replace(a.scenarios[0], steps=(a.scenarios[0].steps[0], CallStep("op2", float("inf")))),)
+            ),
+            ["step-count-range: scenario 's1' step for 'op2' has count inf, must be finite and >= 0"],
+        ),
+    ],
+    ids=[
+        "component-theta", "cpu-demand", "speed-zero", "speed-inf", "cores", "link-psi", "delay",
+        "mix-weight", "population", "think-time", "step-count",
+    ],
+)
+def test_range_violation_texts(two_comp_arch, mutant, violations):
+    arch = mutant(two_comp_arch)
+    assert validate(arch) == violations
+    with pytest.raises(ModelFormatError) as error:
+        load(save(arch))
+    assert str(error.value) == "invalid architecture:\n" + "\n".join(f"  - {v}" for v in violations)
+
+
+def _set(*path_and_value):
+    """A document mutation that sets the value at ``path`` (keys and indices)."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return mutate
+
+
+def _delete(*path_and_key):
+    *path, key = path_and_key
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_delete("components", 0, "failure_probability"), "$.components[0].failure_probability: required key is missing"),
+        (_delete("nodes", 0, "id"), "$.nodes[0].id: required key is missing"),
+        (_delete("deployment"), "$.deployment: required key is missing"),
+        (_set("components", 0, "operations", 0, "cpu_demand", "0.2"), "$.components[0].operations[0].cpu_demand: expected a number, got str"),
+        (_set("scenarios", 0, "steps", 1, "count", True), "$.scenarios[0].steps[1].count: expected a number, got bool"),
+        (_set("links", 0, "delay", None), "$.links[0].delay: expected a number, got NoneType"),
+        (_set("nodes", 1, "cores", 2.0), "$.nodes[1].cores: expected an integer, got float"),
+        (_set("scenarios", 0, "population", False), "$.scenarios[0].population: expected an integer, got bool"),
+        (_set("nodes", 1, "id", 5), "$.nodes[1].id: expected str, got int"),
+        (_set("scenarios", 0, "steps", 0, "operation", ["op1"]), "$.scenarios[0].steps[0].operation: expected str, got list"),
+        (_set("components", {}), "$.components: expected list, got dict"),
+        (_set("scenarios", 0, "steps", "op1"), "$.scenarios[0].steps: expected list, got str"),
+        (_set("links", 0, "nodes", {"a": "n1"}), "$.links[0].nodes: expected list, got dict"),
+        (_set("deployment", []), "$.deployment: expected dict, got list"),
+        (_set("scenarios", 0, "steps", 1, 3), "$.scenarios[0].steps[1]: expected an object"),
+        (_set("nodes", 0, ["n1"]), "$.nodes[0]: expected an object"),
+        (_set("links", 0, "nodes", ["n1"]), "$.links[0].nodes: expected a pair of node ids"),
+        (_set("links", 0, "nodes", ["n1", "n2", "n1"]), "$.links[0].nodes: expected a pair of node ids"),
+        (_set("links", 0, "nodes", ["n1", 2]), "$.links[0].nodes: expected a pair of node ids"),
+        (_set("deployment", "c2", 1), "$.deployment.c2: expected a node id string"),
+        (_set("nodes", 0, "cpu", 1), "$.nodes[0].cpu: unknown key"),
+        # the first error in reading order wins: a nested list before its
+        # owner's id, an unknown key before any value of its object
+        (_delete("links", 0, "id"), "$.links[0].id: required key is missing"),
+        (lambda doc: doc["links"][0].clear(), "$.links[0].nodes: required key is missing"),
+        (lambda doc: doc["components"][0].update(id=1, operations=None), "$.components[0].operations: expected list, got NoneType"),
+        (lambda doc: doc["scenarios"][0].update(id=1, extra=0), "$.scenarios[0].extra: unknown key"),
+        (lambda doc: doc.update(nodes=None, components=None), "$.components: expected list, got NoneType"),
+    ],
+)
+def test_parse_error_texts(two_comp_arch, mutate, message):
+    doc = to_dict(two_comp_arch)
+    mutate(doc)
+    with pytest.raises(ModelFormatError) as error:
+        load(json.dumps(doc))
+    assert str(error.value) == message
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(ModelFormatError) as error:
+        load("[]")
+    assert str(error.value) == "$: expected an object"
+
+
 def test_duplicate_operation_ids_flagged(two_comp_arch):
     dup = Component("c3", (Operation("op1", 0.5),), 0.0)
     broken = Architecture(
@@ -170,6 +306,16 @@ def test_load_rejects_unknown_keys_naming_path(two_comp_arch, mutate, path):
     with pytest.raises(ModelFormatError) as error:
         load(json.dumps(doc))
     assert str(error.value) == f"{path}: unknown key"
+
+
+def test_load_rejects_a_repeated_key():
+    # json.loads alone keeps the last of the two, a cpu demand of 5.0
+    text = casestudies.path("small").read_text()
+    repeated = text.replace('"cpu_demand": 0.004}', '"cpu_demand": 0.004, "cpu_demand": 5.0}', 1)
+    assert repeated != text
+    with pytest.raises(ModelFormatError) as error:
+        load(repeated)
+    assert str(error.value) == "duplicate key 'cpu_demand'"
 
 
 def test_load_reports_parse_error_position():
