@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -100,6 +100,18 @@ class Architecture:
 _COPY_ID = re.compile(r"(.*)_copy([1-9][0-9]*)")
 
 
+class _RootRows(NamedTuple):
+    """A source's own rows of a compiled chunk, local to its fold, in
+    ``CompiledChunk``'s numbering (see ``FoldRoot.rows``)."""
+
+    components: tuple[str, ...]
+    op_comp: list[int]
+    demand: list[float]
+    op_index: dict[str, int]
+    step_op: list[list[int]]  # per scenario
+    step_count: list[list[float]]
+
+
 class FoldRoot:
     """What every fold of one architecture shares, built once.
 
@@ -112,9 +124,13 @@ class FoldRoot:
     takes its source's values, and its id names one source (the digits
     after its last ``_clone``/``_copy`` are the suffix), so one entry per
     id is exact for every fold.  ``copies`` maps k to the stems of the
-    source's ids of the form ``<stem>_copy<k>``.  A fold only appends
-    nodes and links, so the rows of the source's nodes and links,
-    compiled here, are the first rows of every fold's.
+    source's ids of the form ``<stem>_copy<k>``, and ``node_copies`` holds
+    each node copy built for a template that no link of its plan touched
+    (see ``refactoring._instantiate_node``).  A fold only appends nodes
+    and links, so the rows of the source's nodes and links, compiled
+    here, are the first rows of every fold's.  ``rows`` and ``fragments``,
+    the source's other compiled rows and its canonical JSON, are built on
+    first use.
     """
 
     def __init__(self, arch: Architecture):
@@ -147,6 +163,7 @@ class FoldRoot:
             if match:
                 copies.setdefault(int(match[2]), set()).add(match[1])
         self.copies = {k: frozenset(stems) for k, stems in copies.items()}
+        self.node_copies: dict[tuple[str, int], tuple] = {}
         # the source's own rows of a compiled chunk, local to its fold
         self.speed = [n.speed_factor for n in nodes]
         self.cores = [n.cores for n in nodes]
@@ -160,13 +177,45 @@ class FoldRoot:
         self.operations = {op.id: op for c in comps for op in c.operations}
 
     @cached_property
-    def fragments(self) -> tuple[dict[int, str], dict[str, str]]:
-        """The canonical JSON of each of the source's components, nodes,
-        links and scenarios, by ``id()`` of the element (the source keeps
-        it alive), and of each component and node id, quoted."""
+    def rows(self) -> _RootRows:
+        """The source's operation and step rows of a compiled chunk, built
+        on the first compile.  A fold only appends operations,
+        so these operation rows are the first of every fold's, and a
+        scenario's step rows are every fold's that did not split it."""
+        comp_ids = list(self.comp)
+        op_index = {op: k for k, op in enumerate(self.owner)}
+        return _RootRows(
+            components=tuple(comp_ids),
+            op_comp=[comp_ids.index(c) for c in self.owner.values()],
+            demand=[self.demand[op] for op in self.owner],
+            op_index=op_index,
+            step_op=[[op_index[op] for op, _ in steps] for steps in self.steps],
+            step_count=[[count for _, count in steps] for steps in self.steps],
+        )
+
+    @cached_property
+    def fragments(self) -> tuple[tuple[dict, dict, dict, dict, dict], tuple[bool, bool, bool, bool]]:
+        """Memos of canonical JSON, the source's encoded here and a fold's
+        own on first use (``Fold.digest``): each component by (id,
+        operation ids, failure probability), each node by id, each link by
+        its row, each scenario by (index, steps), and each component and
+        node id, quoted; and whether each element memo keeps what a fold
+        adds.  A row fixes its element's text, except that a float key
+        cannot tell -0.0 from 0.0, so a source holding a negative-zero
+        failure probability, delay or step count keeps no generated
+        component, link or scenario."""
         source = self.source
-        encoded = {id(e): _canonical(to_dict(e)) for e in (*source.components, *source.nodes, *source.links, *source.scenarios)}
-        return encoded, {text: _canonical(text) for text in (*self.comp, *self.node)}
+        memos = (
+            {(c, *row[:2]): _canonical(to_dict(e)) for (c, row), e in zip(self.comp.items(), source.components)},
+            {n.id: _canonical(to_dict(n)) for n in source.nodes},
+            {row: _canonical(to_dict(l)) for row, l in zip(self.links, source.links)},
+            {(j, steps): _canonical(to_dict(s)) for j, (steps, s) in enumerate(zip(self.steps, source.scenarios))},
+            {text: _canonical(text) for text in (*self.comp, *self.node)},
+        )
+        floats = [c.failure_probability for c in source.components] + [v for l in self.links for v in l[3:]]
+        floats += [count for steps in self.steps for _, count in steps]
+        keep = not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in floats)
+        return memos, (keep, True, keep, keep)
 
 
 class Fold(NamedTuple):
@@ -235,52 +284,73 @@ class Fold(NamedTuple):
 
     def digest(self) -> str:
         """``digest(self.architecture())``: the same canonical JSON, joined
-        from the fragments its root encoded once; only the elements and ids
-        that the plan changed or added are encoded here."""
-        encoded, quoted = self.root.fragments
-        parts = {  # each element list's key, as _FIELDS[Architecture] orders them
-            key: "[" + ",".join(encoded.get(id(e)) or _canonical(to_dict(e)) for e in elements) + "]"
-            for key, elements in zip(_FIELDS[Architecture], self._elements())
-        }
+        from the fragments its root keeps by row; an element or id is
+        encoded only the first time a fold of the root holds it."""
+        root, overlay = self.root, self.comp
+        memos, keep = root.fragments
+        rows = [(c, *(overlay[c] if c in overlay else root.comp[c])) for c in self.components]
+        keys = ([row[:3] for row in rows], self.nodes, self.links, list(enumerate(self.steps)))
+        texts = [[memo.get(key) for key in kind] for memo, kind in zip(memos, keys)]
+        if any(None in kind for kind in texts):  # encode, from the architecture, what no fold held before
+            for memo, kind, found, elements, kept in zip(memos, keys, texts, self._elements(), keep):
+                for i, text in enumerate(found):
+                    if text is None:
+                        found[i] = _canonical(to_dict(elements[i]))
+                        if kept:
+                            memo[kind[i]] = found[i]
+        quoted = memos[4]
 
         def q(text: str) -> str:
-            return quoted.get(text) or _canonical(text)
+            return quoted.get(text) or quoted.setdefault(text, _canonical(text))
 
-        parts["deployment"] = "{" + ",".join(f"{q(c)}:{q(self.row(c)[2])}" for c in sorted(self.components)) + "}"
+        parts = {key: "[" + ",".join(found) + "]" for key, found in zip(_FIELDS[Architecture], texts)}
+        parts["deployment"] = "{" + ",".join(f"{q(c)}:{q(node)}" for c, _, _, node in sorted(rows)) + "}"
         document = "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
         return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-def unrouted_call(fold: Fold, scenarios: Iterable[int] | None = None) -> str | None:
+def unrouted_call(fold: Fold, moved: Sequence[str] | None = None) -> str | None:
     """The first cross-node call that no network link joins, as the text of
     its ``RoutingError``, or None when every call is routable.  This walk
     is the one routing decision: ``validate`` and every ``is_feasible``
     probe take it, so every architecture a search scores is routable.
 
-    Walks the steps of each of ``scenarios`` (indices, ascending; all when
-    None) in order: the caller of a step is the node hosting the previous
-    step's operation; the first step's caller is the client, which sits
-    outside all nodes.  Requires resolvable references (a deployment
-    target for every component, an owner for every step).
+    Walks the steps of each scenario in order: the caller of a step is the
+    node hosting the previous step's operation; the first step's caller is
+    the client, which sits outside all nodes.  With ``moved`` (operation
+    ids), only the scenarios invoking one of them are walked and only the
+    calls into and out of them are checked.  Requires resolvable
+    references (a deployment target for every component, an owner for
+    every step).
     """
     root = fold.root
     comp, owner = fold.comp, fold.owner
     root_comp, root_owner, linked = root.comp, root.owner, root.pairs
     steps, added = fold.steps, None
-    for j in range(len(steps)) if scenarios is None else scenarios:
-        caller = None
+
+    if moved is None:
+        scenarios = range(len(steps))
+    elif len(moved) == 1:
+        scenarios = root.scenarios_of.get(moved[0], ())
+    else:
+        scenarios = sorted({j for op in moved for j in root.scenarios_of.get(op, ())})
+    for j in scenarios:
+        previous = None
         for op, _ in steps[j]:
-            c = owner[op] if op in owner else root_owner[op]
-            callee = (comp[c] if c in comp else root_comp[c])[2]
-            if caller is not None and caller != callee and (caller, callee) not in linked:
-                if added is None:  # the endpoints of the plan's links, on the first call they may join
-                    added = {pair for _, a, b, _, _ in fold.links[root.n_links :] for pair in ((a, b), (b, a))}
-                if (caller, callee) not in added:
-                    return (
-                        f"scenario '{root.scenario_ids[j]}': call to '{op}' crosses nodes "
-                        f"('{caller}', '{callee}') with no connecting link"
-                    )
-            caller = callee
+            if previous is not None and (moved is None or op in moved or previous in moved):
+                c = owner[previous] if previous in owner else root_owner[previous]
+                caller = (comp[c] if c in comp else root_comp[c])[2]
+                c = owner[op] if op in owner else root_owner[op]
+                callee = (comp[c] if c in comp else root_comp[c])[2]
+                if caller != callee and (caller, callee) not in linked:
+                    if added is None:  # the endpoints of the plan's links, on the first call they may join
+                        added = {pair for _, a, b, _, _ in fold.links[root.n_links :] for pair in ((a, b), (b, a))}
+                    if (caller, callee) not in added:
+                        return (
+                            f"scenario '{root.scenario_ids[j]}': call to '{op}' crosses nodes "
+                            f"('{caller}', '{callee}') with no connecting link"
+                        )
+            previous = op
     return None
 
 
@@ -305,6 +375,7 @@ class _Field(NamedTuple):
 
 # The document format (README's "Model format" table): each element class's keys
 # in the order they are read; a nested list comes first, so its errors precede its owner's id.
+# A float (number) or int (integer) field takes only values that fit a float, as a compiled chunk holds them.
 _FIELDS = {
     Architecture: {
         "components": _Field(Component),
@@ -494,7 +565,11 @@ def _parse(cls, raw, path: str):
             if not (_is_number(value) if kind is float else _is_integer(value)):
                 expected = "a number" if kind is float else "an integer"
                 raise ModelFormatError(f"{where}: expected {expected}, got {type(value).__name__}")
-            value = kind(value)
+            try:
+                number = float(value)
+            except OverflowError:  # a JSON integer can be too large for a float
+                raise ModelFormatError(f"{where}: integer too large for a float") from None
+            value = number if kind is float else value
         elif not isinstance(value, json_type := kind if kind is str or kind is dict else list):
             raise ModelFormatError(f"{where}: expected {json_type.__name__}, got {type(value).__name__}")
         elif kind in _FIELDS:
@@ -541,8 +616,8 @@ def load(document: str, check: bool = True) -> Architecture:
 # ---------------------------------------------------------------------------
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+def _frozen(values: list, dtype) -> np.ndarray:
+    array = np.fromiter(values, dtype, len(values))  # faster than np.array for a list of scalars
     array.flags.writeable = False
     return array
 
@@ -553,9 +628,15 @@ class CompiledChunk:
     Each fold's nodes, components, operations, links and steps take
     consecutive rows after those of the folds before it; fold b owns rows
     ``start[b]:start[b + 1]`` of each kind (``node_start``,
-    ``component_start``, ...).  Operations are numbered in component
-    order, then in the order their component lists them; steps in
-    scenario order, then in the order their scenario lists them.  Every
+    ``component_start``, ...).  Nodes, components and links are in the
+    fold's order, and steps in scenario order, then in the order their
+    scenario lists them.  Operations are numbered root-first: the root's
+    in the root's component order, then each twin in the order its clone
+    added it.  So a scenario the plan did not split keeps the root's step
+    rows, and a move patches one operation's component row; component
+    order stays the fold's, because ``reliability`` multiplies over
+    component rows in order, and operation order reaches only
+    per-operation rows and integer counts.  Every
     derived matrix is one ``np.bincount`` over the whole chunk, and each
     bin receives entries of one fold only, in its step order, so a fold's
     values are bit-identical to a loop over its own architecture.
@@ -584,7 +665,7 @@ class CompiledChunk:
         node_start, component_start, operation_start, link_start, step_start = [0], [0], [0], [0], [0]
         for fold in folds:
             root = fold.root
-            node_attr, root_comp, overlay, root_demand = root.node, root.comp, fold.comp, root.demand
+            rows, root_comp, root_demand = root.rows, root.comp, root.demand
             speed += root.speed
             cores += root.cores
             ends += root.ends
@@ -592,22 +673,43 @@ class CompiledChunk:
             node_index = root.node_index
             added = fold.nodes[root.n_nodes :]
             if added:
+                node_attr = root.node
                 node_index = {**node_index, **{node: k for k, node in enumerate(added, root.n_nodes)}}
                 speed += [node_attr[node][0] for node in added]
                 cores += [node_attr[node][1] for node in added]
                 added_links = fold.links[root.n_links :]
                 ends += [node_index[end] for link in added_links for end in (link[1], link[2])]
                 psi += [link[3] for link in added_links]
-            rows = [overlay[c] if c in overlay else root_comp[c] for c in fold.components]
-            comp_node += [node_index[row[2]] for row in rows]
-            theta += [row[1] for row in rows]
-            ops = [op for row in rows for op in row[0]]
-            op_comp += [i for i, row in enumerate(rows) for _ in row[0]]
-            demand += [root_demand[op] for op in ops]
-            op_index = {op: k for k, op in enumerate(ops)}
-            step_op += [op_index[op] for steps in fold.steps for op, _ in steps]
-            step_count += [count for steps in fold.steps for _, count in steps]
-            scen_steps += [len(steps) for steps in fold.steps]
+            overlay, op_index, components = fold.comp, rows.op_index, fold.components
+            position = {c: i for i, c in enumerate(components)}
+            comps = [overlay[c] if c in overlay else root_comp[c] for c in components]
+            comp_node += [node_index[row[2]] for row in comps]
+            theta += [row[1] for row in comps]
+            # the root's operations keep their rows; each changed owner's is
+            # patched, and each twin's appended, in the order it was added
+            if components[: len(rows.components)] == rows.components:
+                local = rows.op_comp.copy()
+            else:  # a root component was emptied: later ones moved up
+                local = [position.get(c) for c in root.owner.values()]
+            twins = []
+            for op, c in fold.owner.items():
+                if op in op_index:
+                    local[op_index[op]] = position[c]
+                else:
+                    twins.append(op)
+                    local.append(position[c])
+            op_comp += local
+            demand += rows.demand + [root_demand[op] for op in twins]
+            if twins:
+                op_index = {**op_index, **dict(zip(twins, range(len(local) - len(twins), len(local))))}
+            for steps, original, ops, counts in zip(fold.steps, root.steps, rows.step_op, rows.step_count):
+                if steps is original:
+                    step_op += ops
+                    step_count += counts
+                else:
+                    step_op += [op_index[op] for op, _ in steps]
+                    step_count += [count for _, count in steps]
+                scen_steps.append(len(steps))
             mix += root.mix
             population += root.population
             think += root.think
@@ -624,7 +726,7 @@ class CompiledChunk:
             """``local`` row indices of each fold's rows (bounded by ``start``)
             plus the fold's first row of the kind that ``owner_start`` bounds."""
             offsets = np.repeat(np.array(owner_start[:-1], dtype=np.intp), np.diff(start))
-            array = np.array(local, dtype=np.intp) + offsets
+            array = np.fromiter(local, np.intp, len(local)) + offsets
             array.flags.writeable = False
             return array
 

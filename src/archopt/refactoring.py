@@ -147,7 +147,9 @@ def _instantiate_node(fold: Fold, template_id: str) -> tuple[Fold, str]:
     all of the template's neighbors plus one to the template itself.
 
     The suffix k is the smallest for which the node id, the uplink id and
-    every link's copy id ``<link>_copy<k>`` are unused."""
+    every link's copy id ``<link>_copy<k>`` are unused.  A copy whose
+    template no link of the plan touches depends on (template, k) alone,
+    so the root builds it once."""
     k = 1
     while (
         _taken(fold, f"{template_id}_copy{k}")
@@ -156,15 +158,27 @@ def _instantiate_node(fold: Fold, template_id: str) -> tuple[Fold, str]:
     ):
         k += 1
     root = fold.root
+    # the template's links in link order: the root's first, as a fold only appends
+    added_links = tuple(link for link in fold.links[root.n_links :] if template_id in (link[1], link[2]))
+    copy = None if added_links else root.node_copies.get((template_id, k))
+    if copy is None:
+        copy = _node_copy(root, template_id, k, root.links_at.get(template_id, ()) + added_links)
+        if not added_links:
+            root.node_copies[template_id, k] = copy
+    new_id, new_links, new_ids = copy
+    nodes, links, added = fold.nodes + (new_id,), fold.links + new_links, fold.added + new_ids
+    return Fold(root, fold.components, nodes, links, fold.steps, fold.n_ops, fold.comp, fold.owner, added), new_id
+
+
+def _node_copy(root, template_id: str, k: int, template_links: tuple) -> tuple[str, tuple, tuple[str, ...]]:
+    """The id of copy k of a template node with the given links, the copy's
+    link rows, and every id it adds."""
     new_id = f"{template_id}_copy{k}"
     root.node[new_id] = root.node[template_id]
-    new_links = []
-    # the template's links in link order: the root's first, as a fold only appends
-    template_links = root.links_at.get(template_id, ()) + tuple(
-        link for link in fold.links[root.n_links :] if template_id in (link[1], link[2])
-    )
-    for link_id, a, b, psi, delay in template_links:
-        new_links.append((f"{link_id}_copy{k}", a if b == template_id else b, new_id, psi, delay))
+    new_links = [
+        (f"{link_id}_copy{k}", a if b == template_id else b, new_id, psi, delay)
+        for link_id, a, b, psi, delay in template_links
+    ]
     # same-segment assumption: the copy reaches its template at least as
     # well as the template's best existing link
     new_links.append(
@@ -176,14 +190,7 @@ def _instantiate_node(fold: Fold, template_id: str) -> tuple[Fold, str]:
             min((link[4] for link in new_links), default=0.0),
         )
     )
-    return (
-        fold._replace(
-            nodes=fold.nodes + (new_id,),
-            links=fold.links + tuple(new_links),
-            added=fold.added + (new_id,) + tuple(link[0] for link in new_links),
-        ),
-        new_id,
-    )
+    return new_id, tuple(new_links), (new_id,) + tuple(link[0] for link in new_links)
 
 
 def _resolve_target_node(fold: Fold, target: str) -> tuple[Fold, str] | str:
@@ -203,12 +210,6 @@ def _resolve_target_node(fold: Fold, target: str) -> tuple[Fold, str] | str:
 # ---------------------------------------------------------------------------
 
 
-def _invoking(fold: Fold, ops) -> list[int]:
-    """The scenarios invoking any of ``ops``, ascending."""
-    scenarios_of = fold.root.scenarios_of
-    return sorted({j for op in ops for j in scenarios_of.get(op, ())})
-
-
 def _apply_clone(fold: Fold, action: CloneComponent):
     source = fold.row(action.component)
     if source is None:
@@ -223,14 +224,14 @@ def _apply_clone(fold: Fold, action: CloneComponent):
     replica_id = f"{action.component}_clone{suffix}"
     op_twin = {op: f"{op}_clone{suffix}" for op in ops}
     root = fold.root
+    scenarios_of = root.scenarios_of
     for op, twin in op_twin.items():
         root.demand[twin] = root.demand[op]
-        root.scenarios_of[twin] = root.scenarios_of.get(op, ())
+        scenarios_of[twin] = scenarios_of.get(op, ())
 
     # only the scenarios invoking a cloned operation change
-    invoking = _invoking(fold, ops)
     steps = list(fold.steps)
-    for j in invoking:
+    for j in sorted({j for op in ops for j in scenarios_of.get(op, ())}):
         split: list[tuple[str, float]] = []
         for step in steps[j]:
             op, count = step
@@ -242,17 +243,10 @@ def _apply_clone(fold: Fold, action: CloneComponent):
         steps[j] = tuple(split)
 
     twins = tuple(op_twin.values())
-    return (
-        fold._replace(
-            components=fold.components + (replica_id,),
-            steps=tuple(steps),
-            n_ops=fold.n_ops + len(twins),
-            comp={**fold.comp, replica_id: (twins, theta, target_node)},
-            owner={**fold.owner, **dict.fromkeys(twins, replica_id)},
-            added=fold.added + twins,
-        ),
-        invoking,
-    )
+    components, n_ops = fold.components + (replica_id,), fold.n_ops + len(twins)
+    comp = {**fold.comp, replica_id: (twins, theta, target_node)}
+    owner = {**fold.owner, **dict.fromkeys(twins, replica_id)}
+    return Fold(root, components, fold.nodes, fold.links, tuple(steps), n_ops, comp, owner, fold.added + twins), twins
 
 
 def _detach_operation(fold: Fold, source_id: str, op_id: str):
@@ -274,6 +268,13 @@ def _owner(fold: Fold, op_id: str) -> str | None:
     return owner[op_id] if op_id in owner else fold.root.owner.get(op_id)
 
 
+def _moved(fold: Fold, op_id: str, components: tuple[str, ...], comp: dict, owner_id: str):
+    """The fold with operation ``op_id`` moved to ``owner_id``, and the
+    moved operation."""
+    owner = {**fold.owner, op_id: owner_id}
+    return Fold(fold.root, components, fold.nodes, fold.links, fold.steps, fold.n_ops, comp, owner, fold.added), (op_id,)
+
+
 def _apply_move_to_component(fold: Fold, action: MoveOperationToComponent):
     op_id, target_id = action.operation, action.target_component
     source_id = _owner(fold, op_id)
@@ -288,10 +289,7 @@ def _apply_move_to_component(fold: Fold, action: MoveOperationToComponent):
     components, comp = _detach_operation(fold, source_id, op_id)
     ops, theta, node = target
     comp[target_id] = (ops + (op_id,), theta, node)
-    return (
-        fold._replace(components=components, comp=comp, owner={**fold.owner, op_id: target_id}),
-        fold.root.scenarios_of.get(op_id, ()),
-    )
+    return _moved(fold, op_id, components, comp, target_id)
 
 
 def _apply_move_to_new(fold: Fold, action: MoveOperationToNewComponent):
@@ -307,10 +305,7 @@ def _apply_move_to_new(fold: Fold, action: MoveOperationToNewComponent):
     theta = fold.row(source_id)[1]
     components, comp = _detach_operation(fold, source_id, op_id)
     comp[host_id] = ((op_id,), theta, target_node)
-    return (
-        fold._replace(components=components + (host_id,), comp=comp, owner={**fold.owner, op_id: host_id}),
-        fold.root.scenarios_of.get(op_id, ()),
-    )
+    return _moved(fold, op_id, components + (host_id,), comp, host_id)
 
 
 def _apply_redeploy(fold: Fold, action: RedeployComponent):
@@ -324,11 +319,12 @@ def _apply_redeploy(fold: Fold, action: RedeployComponent):
     if isinstance(resolved, str):
         return None, resolved
     fold, target_node = resolved
-    return fold._replace(comp={**fold.comp, action.component: (ops, theta, target_node)}), _invoking(fold, ops)
+    comp = {**fold.comp, action.component: (ops, theta, target_node)}
+    return Fold(fold.root, fold.components, fold.nodes, fold.links, fold.steps, fold.n_ops, comp, fold.owner, fold.added), ops
 
 
 # Each applier checks its action's preconditions and returns (the new fold,
-# the scenarios whose calls it may have rerouted) or (None, the reason).
+# the operations it put on another node or added) or (None, the reason).
 _APPLIERS = {
     ActionKind.CLONE: _apply_clone,
     ActionKind.MOVE_TO_COMPONENT: _apply_move_to_component,
@@ -344,15 +340,15 @@ def is_feasible(fold: Fold, action: RefactoringAction) -> tuple[Fold | None, str
 
     The input must be valid.  Each applier checks its own preconditions
     and builds a result that keeps every ``validate`` invariant, so only
-    routing is checked here.  Links are only ever added, so the calls of a
-    scenario invoking no operation the action moved or cloned stay
-    routable: only the scenarios the applier names are walked, which finds
-    the same first unrouted call as a walk of all.
+    routing is checked here.  Links are only ever added, so a call whose
+    caller and callee stay on their nodes stays routable: only the calls
+    into and out of the operations the applier names are checked, which
+    finds the same first unrouted call as a walk of all.
     """
-    result, changed = _APPLIERS[action.kind](fold, action)
+    result, moved = _APPLIERS[action.kind](fold, action)
     if result is None:
-        return None, changed
-    call = unrouted_call(result, changed)
+        return None, moved
+    call = unrouted_call(result, moved)
     if call is not None:
         return None, f"result would be unroutable: {call}"
     return result, ""

@@ -9,7 +9,13 @@ solve must give the same bits (``test_qn_batch.py``).  The
 refactoring functions apply actions to ``Architecture`` values, as the
 program did before it folded them onto a root and an overlay; folds must
 give the same outcomes, reasons, random draws and ``save()`` bytes
-(``test_fold.py``).  NSGA-II's survival and parent choice sort the union
+(``test_fold.py``).  Its routing check walks every call of every
+scenario, as the program did before a probe checked only the calls next
+to what its action moved; the reasons must be the same
+(``test_root_tables.py``).  ``chunk_arrays`` numbers a chunk's operations
+in component order, as the program did before it numbered them
+root-first; ``chunk_operation_rows`` maps one numbering onto the other
+(``test_fold.py``, ``test_chunk.py``).  NSGA-II's survival and parent choice sort the union
 and then its survivors, as the program did before one step sorted each
 generation once, and the cumulative front admits candidates one at a time,
 as it did before a scored chunk was offered at once; the step and the
@@ -608,6 +614,18 @@ def chunk_arrays(archs) -> dict[str, list]:
         "link_start": link_start,
         "station_ids": station_ids,
     }
+
+
+def chunk_operation_rows(root: Architecture, arch: Architecture, added) -> list[int]:
+    """For each operation row that ``CompiledChunk`` gives a fold of
+    ``root``, the row ``chunk_arrays`` gives it, local to the fold: the
+    chunk numbers the root's operations first, in the root's component
+    order, then each twin in the order the plan added it (``added``, the
+    fold's generated ids in order); ``chunk_arrays`` numbers them in
+    ``arch``'s component order."""
+    row = {op.id: k for k, op in enumerate(op for comp in arch.components for op in comp.operations)}
+    root_ids = [op.id for comp in root.components for op in comp.operations]
+    return [row[op] for op in root_ids] + [row[op] for op in added if op in row and op not in root_ids]
 
 
 # ---------------------------------------------------------------------------

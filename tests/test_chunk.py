@@ -96,6 +96,7 @@ def test_chunk_scores_match_per_architecture_path_bit_for_bit(
         assert same_bits(survival[b], overall)
         assert counts[b] == pas
         fired = oracle.rules(folded, perf, th)
+        fired["pipe_and_filter"] = fired["pipe_and_filter"][oracle.chunk_operation_rows(arch, folded, fold.added)]
         for name, start in (("blob", chunk.component_start), ("hot", chunk.node_start),
                             ("idle", chunk.node_start), ("pipe_and_filter", chunk.operation_start)):
             assert same_bits(getattr(rules, name)[start[b] : start[b + 1]], fired[name]), name

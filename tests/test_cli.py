@@ -63,6 +63,28 @@ def test_unknown_model_key_is_a_domain_error(tmp_path, capsys, command, where, k
     assert capsys.readouterr().err == f"error: {path}.{key}: unknown key\n"
 
 
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        (("components", 0, "operations", 0), "cpu_demand", "$.components[0].operations[0].cpu_demand"),
+        (("nodes", 0), "cores", "$.nodes[0].cores"),
+        (("scenarios", 0), "population", "$.scenarios[0].population"),
+    ],
+    ids=["number", "cores", "population"],
+)
+def test_an_integer_too_large_for_a_float_is_a_domain_error(tmp_path, capsys, where, key, path):
+    # json reads 1 followed by 400 zeros as an int that no float can hold
+    doc = to_dict(load(Path(SMALL).read_text()))
+    element = doc
+    for step in where:
+        element = element[step]
+    element[key] = 10**400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: {path}: integer too large for a float\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "eval", "optimize"])
 def test_unknown_case_study_is_a_usage_error(tmp_path, capsys, command):
     model = "casestudy:medium"

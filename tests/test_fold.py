@@ -100,9 +100,21 @@ def test_fold_probes_match_the_oracle(name, seed, length, allow_new_nodes):
         folds.append(fold)
         archs.append(current)
         rng = mine
-    # a chunk of the folds has the rows of the oracle's compile pass
+    # a chunk of the folds has the rows of the oracle's compile pass, with
+    # each fold's operation rows in the chunk's numbering
     chunk = CompiledChunk(folds)
-    for attribute, rows in oracle.chunk_arrays(archs).items():
+    expected = oracle.chunk_arrays(archs)
+    order = [
+        start + k
+        for start, fold, folded in zip(expected["operation_start"], folds, archs)
+        for k in oracle.chunk_operation_rows(arch, folded, fold.added)
+    ]
+    assert sorted(order) == list(range(len(order)))
+    chunk_row = {k: row for row, k in enumerate(order)}
+    for attribute in ("operation_demand", "operation_component"):
+        expected[attribute] = [expected[attribute][k] for k in order]
+    expected["step_operation"] = [chunk_row[k] for k in expected["step_operation"]]
+    for attribute, rows in expected.items():
         compiled = getattr(chunk, attribute)
         if attribute == "station_ids":
             assert [tuple(ids) for ids in compiled] == rows

@@ -221,6 +221,10 @@ def _delete(*path_and_key):
         (_set("links", 0, "nodes", ["n1", 2]), "$.links[0].nodes: expected a pair of node ids"),
         (_set("deployment", "c2", 1), "$.deployment.c2: expected a node id string"),
         (_set("nodes", 0, "cpu", 1), "$.nodes[0].cpu: unknown key"),
+        # every number and integer must fit a float
+        (_set("components", 0, "operations", 0, "cpu_demand", 10**400), "$.components[0].operations[0].cpu_demand: integer too large for a float"),
+        (_set("nodes", 1, "cores", 10**400), "$.nodes[1].cores: integer too large for a float"),
+        (_set("scenarios", 0, "population", -(10**400)), "$.scenarios[0].population: integer too large for a float"),
         # the first error in reading order wins: a nested list before its
         # owner's id, an unknown key before any value of its object
         (_delete("links", 0, "id"), "$.links[0].id: required key is missing"),

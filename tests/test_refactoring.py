@@ -352,9 +352,9 @@ def probe_model(name: str):
     length=st.integers(0, 4),
 )
 def test_probe_routing_agrees_with_full_routing(name, seed, length):
-    # the probe walks only the scenarios an action changed; full routing
-    # matches link pairs on the compiled chunk: both must reject the same
-    # results, with one text
+    # the probe checks only the calls next to what an action moved; full
+    # routing matches link pairs on the compiled chunk: both must reject the
+    # same results, with one text
     arch = probe_model(name)
     rng = np.random.default_rng(seed)
     _, prefix = random_sequence(arch.fold, length, rng)
