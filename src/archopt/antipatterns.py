@@ -14,13 +14,12 @@ rules' masks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import CompiledChunk
+from .model import _FIELDS, CompiledChunk, _Field, _parse
 from .perfqn import QnSolution
 
 
@@ -32,11 +31,17 @@ class Thresholds:
     paf_demand_share: float = 0.5  # fraction of a scenario's total demand
 
     def __post_init__(self):
-        if not 0.0 <= self.util_low < self.util_high <= 1.0:
-            raise ValueError(f"need 0 <= util_low < util_high <= 1, got {self.util_low}, {self.util_high}")
-        for name in ("blob_share", "paf_demand_share"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a positive finite number, got {getattr(self, name)}")
+        _parse(Thresholds, vars(self), "$")  # each field, as a config's thresholds object is read
+        if not self.util_low < self.util_high:
+            raise ValueError(f"util_low must be below util_high, got {self.util_low!r} and {self.util_high!r}")
+
+
+_FIELDS[Thresholds] = {
+    "util_high": _Field(float, bound="in [0, 1]"),
+    "util_low": _Field(float, bound="in [0, 1]"),
+    "blob_share": _Field(float, bound="> 0"),
+    "paf_demand_share": _Field(float, bound="> 0"),
+}
 
 
 class _Rules(NamedTuple):

@@ -18,17 +18,15 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
-from .antipatterns import Thresholds
-from .model import Architecture, CompiledChunk, ModelFormatError, _is_number, load, unique_keys, validate
-from .moea import ParetoFront, SearchConfig, check_field_types, front_to_json_dict, objective_vector, run, score
+from .model import _FIELDS, Architecture, CompiledChunk, ModelFormatError, _Field, _parse, load, unique_keys, validate
+from .moea import ParetoFront, SearchConfig, front_to_json_dict, objective_vector, run, score
 from .pareto import hypervolume
 from .perfqn import SolverError, solve_amva, to_qn
 from .refactoring import (
-    DEFAULT_BRF,
-    ActionKind,
     InfeasibleActionError,
     NoFeasibleActionError,
     Plan,
@@ -46,10 +44,6 @@ EXIT_USAGE = 2
 SEED_ENV_VAR = "ARCHOPT_SEED"
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # compare grid key -> the SearchConfig field its values set
 _GRIDS = {"algorithms": "algorithm", "budgets_seconds": "budget_seconds",
           "budgets_evaluations": "max_evaluations", "seeds": "seed"}
@@ -63,70 +57,42 @@ class RunConfig:
     # fields; every default lives on SearchConfig
     search: dict = field(default_factory=dict)
     # compare-only grids; absent means the single value in ``search``
-    algorithms: list[str] | None = None
-    budgets_seconds: list[float] | None = None
-    budgets_evaluations: list[int] | None = None
-    seeds: list[int] | None = None
-
-    def __post_init__(self):
-        check_field_types(self)
-        for key in _GRIDS:
-            if getattr(self, key) == []:
-                raise ConfigError(f"{key} must be a non-empty list")
+    algorithms: tuple[str, ...] | None = None
+    budgets_seconds: tuple[float, ...] | None = None
+    budgets_evaluations: tuple[int, ...] | None = None
+    seeds: tuple[int, ...] | None = None
 
     def search_config(self, **overrides) -> SearchConfig:
         return SearchConfig(**{**self.search, **overrides})
 
 
-def _parse_brf(raw) -> dict[ActionKind, float]:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"brf: must be an object of action kind -> factor, got {raw!r}")
-    table = dict(DEFAULT_BRF)
-    for key, value in raw.items():
-        try:
-            table[ActionKind(key)] = value
-        except ValueError as exc:
-            raise ConfigError(f"brf: unknown action kind '{key}'") from exc
-    return table
+def _grid_field(key: str) -> _Field:
+    """A compare grid's field: a non-empty list of values of the SearchConfig key it sets."""
+    kind = _FIELDS[SearchConfig][key].type
+    return _Field(list[get_args(kind)[0] if get_args(kind) else kind] | None, bound="a non-empty list")
 
 
-def _parse_thresholds(raw) -> Thresholds:
-    if not isinstance(raw, dict) or not all(map(_is_number, raw.values())):
-        raise ConfigError(f"thresholds: must be an object of name -> number, got {raw!r}")
-    try:
-        return Thresholds(**raw)
-    except (TypeError, ValueError) as exc:  # an unknown name, or out of range
-        raise ConfigError(f"thresholds: {exc}") from exc
+# A run config's own keys (README's table under "optimize"); its other keys are SearchConfig's.
+_FIELDS[RunConfig] = {"model": _Field(str), "output_dir": _Field(str), **{grid: _grid_field(key) for grid, key in _GRIDS.items()}}
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ConfigError))
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ValueError))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be an object")
-    if "model" not in raw:
-        raise ConfigError(f"{path}: required key 'model' is missing")
-
-    search_keys = set(SearchConfig.__dataclass_fields__)
-    run_keys = set(RunConfig.__dataclass_fields__) - {"search"}
-    unknown = set(raw) - search_keys - run_keys
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-
-    search = {key: value for key, value in raw.items() if key in search_keys}
-    if "brf" in search:
-        search["brf"] = _parse_brf(search["brf"])
-    if "thresholds" in search:
-        search["thresholds"] = _parse_thresholds(search["thresholds"])
+        raise ValueError(f"{path}: config root must be an object")
+    search_keys = _FIELDS[SearchConfig]
+    run = _parse(RunConfig, {key: value for key, value in raw.items() if key not in search_keys}, "$")
+    search = _parse(SearchConfig, {key: value for key, value in raw.items() if key in search_keys}, "$")
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
             search["seed"] = int(env_seed)
         except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    return RunConfig(search=search, **{key: value for key, value in raw.items() if key in run_keys})
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
+    return RunConfig(search=search, **run)
 
 
 def _resolve_model_path(path: str) -> Path:
@@ -143,9 +109,9 @@ def _load_model(path: str) -> Architecture:
 
 
 def _load_sequence(path: str) -> Plan:
-    records = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ConfigError))
+    records = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: unique_keys(pairs, ValueError))
     if not isinstance(records, list):
-        raise ConfigError(f"{path}: sequence file must be a JSON array of action records")
+        raise ValueError(f"{path}: sequence file must be a JSON array of action records")
     return sequence_from_records(records)
 
 
@@ -329,7 +295,7 @@ def _front_points(front: ParetoFront) -> np.ndarray:
 def _reference_point(fronts: list[ParetoFront]) -> np.ndarray:
     nonempty = [p for p in (_front_points(f) for f in fronts) if p.size]
     if not nonempty:
-        raise ConfigError("no run produced a valid individual; cannot build a reference point")
+        raise ValueError("no run produced a valid individual; cannot build a reference point")
     stacked = np.vstack(nonempty)
     worst = stacked.max(axis=0)
     best = stacked.min(axis=0)
@@ -454,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a missing or unreadable file
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ModelFormatError, InfeasibleActionError, NoFeasibleActionError, SolverError, ValueError) as exc:
+    except (ModelFormatError, InfeasibleActionError, NoFeasibleActionError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -17,8 +17,9 @@ import json
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import cached_property
+from types import GenericAlias, UnionType
 from typing import NamedTuple
 
 import numpy as np
@@ -363,12 +364,13 @@ def _is_integer(value) -> bool:
 
 
 class _Field(NamedTuple):
-    """One key of an element's document object.  ``type`` is float, int, str, an element
-    class (a list of them), tuple (a pair of node ids) or dict (component id -> node id)."""
+    """A key of a model element's, config's or action record's document object.  ``type`` is float
+    (a number), int (an integer), bool, str, an element class (its object), ``list[T]`` (a tuple),
+    tuple (a pair of node ids) or dict (component id -> node id); ``T | None`` also takes null."""
 
-    type: type
-    default: object = None  # the JSON value of an absent key; None: required
-    rule: str = ""  # the violation that a value outside ``bound`` raises
+    type: object
+    default: object = None  # the JSON value of an absent key; None: the class's default, else required
+    rule: str = ""  # the violation ``validate`` reports for a value outside ``bound``; "": raised where read
     bound: str = ""  # a key of _BOUNDS
     attr: str = ""  # the element's attribute, when it is not the key
 
@@ -376,33 +378,34 @@ class _Field(NamedTuple):
 # The document format (README's "Model format" table): each element class's keys
 # in the order they are read; a nested list comes first, so its errors precede its owner's id.
 # A float (number) or int (integer) field takes only values that fit a float, as a compiled chunk holds them.
-_FIELDS = {
+# The config and action record modules add their classes' tables.
+_FIELDS: dict[object, dict[str, _Field]] = {
     Architecture: {
-        "components": _Field(Component),
-        "nodes": _Field(ProcessorNode),
-        "links": _Field(NetworkLink, []),
-        "scenarios": _Field(UsageScenario),
+        "components": _Field(list[Component]),
+        "nodes": _Field(list[ProcessorNode]),
+        "links": _Field(list[NetworkLink], []),
+        "scenarios": _Field(list[UsageScenario]),
         "deployment": _Field(dict),
     },
     Component: {
-        "operations": _Field(Operation),
+        "operations": _Field(list[Operation]),
         "id": _Field(str),
         "failure_probability": _Field(float, None, "failure-probability-range", "in [0, 1]"),
     },
     Operation: {"id": _Field(str), "cpu_demand": _Field(float, None, "cpu-demand-range", "finite and >= 0")},
     ProcessorNode: {
         "id": _Field(str),
-        "speed_factor": _Field(float, 1.0, "speed-factor-range", "> 0"),
-        "cores": _Field(int, 1, "cores-range", "an integer >= 1"),
+        "speed_factor": _Field(float, None, "speed-factor-range", "> 0"),
+        "cores": _Field(int, None, "cores-range", "an integer >= 1"),
     },
     NetworkLink: {
         "nodes": _Field(tuple, attr="endpoints"),
         "id": _Field(str),
-        "failure_probability": _Field(float, 0.0, "failure-probability-range", "in [0, 1]"),
-        "delay": _Field(float, 0.0, "delay-range", "finite and >= 0"),
+        "failure_probability": _Field(float, None, "failure-probability-range", "in [0, 1]"),
+        "delay": _Field(float, None, "delay-range", "finite and >= 0"),
     },
     UsageScenario: {
-        "steps": _Field(CallStep),
+        "steps": _Field(list[CallStep]),
         "id": _Field(str),
         "mix_weight": _Field(float, None, "scenario-mix-weight-range", "in [0, 1]"),
         "population": _Field(int, None, "scenario-population", "an integer >= 1"),
@@ -411,13 +414,26 @@ _FIELDS = {
     CallStep: {"operation": _Field(str), "count": _Field(float, None, "step-count-range", "finite and >= 0")},
 }
 
-# Each bound of a range rule, as its violation states it, and its test.
+# Each bound of a range rule, as its error states it, and its test.
 _BOUNDS = {
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
     "> 0": lambda v: math.isfinite(v) and v > 0.0,
+    ">= 0": lambda v: v >= 0,
     "an integer >= 1": lambda v: _is_integer(v) and v >= 1,
+    "a non-empty list": len,
 }
+
+
+class _Style(NamedTuple):
+    """How reading a document words a key its table does not list, a missing key and a value of the
+    wrong type, each text naming key {key} of the object at {path}, the two as a path {at}, the type
+    {expected} and the one {got}; and the error it raises."""
+
+    unknown: str = "{at}: unknown key"
+    missing: str = "{at}: required key is missing"
+    wrong: str = "{at}: expected {expected}, got {got}"
+    error: type = ValueError
 
 
 def _out_of_range(element, subject: str) -> list[str]:
@@ -524,12 +540,12 @@ def validate(arch: Architecture) -> list[str]:
 
 
 def to_dict(element) -> dict:
-    """The document object of an architecture, or of one of its elements."""
+    """The document object of an element of a table: of an architecture, a config or an action."""
     document = {}
     for key, f in _FIELDS[type(element)].items():
-        value, kind = getattr(element, f.attr or key), f.type
-        value = [to_dict(e) for e in value] if kind in _FIELDS else list(value) if kind is tuple else value
-        document[key] = dict(value) if kind is dict else value  # a copy: the document may be edited
+        value = getattr(element, f.attr or key)  # a tuple is a list, or a pair of node ids; a dict is copied
+        value = [to_dict(e) if type(e) in _FIELDS else e for e in value] if type(value) is tuple else value
+        document[key] = to_dict(value) if type(value) in _FIELDS else dict(value) if type(value) is dict else value
     return document
 
 
@@ -547,43 +563,74 @@ def digest(arch: Architecture) -> str:
     return hashlib.sha256(_canonical(to_dict(arch)).encode("utf-8")).hexdigest()
 
 
-def _parse(cls, raw, path: str):
-    """The ``cls`` element of the document object ``raw`` at ``path``,
-    unvalidated.  A key the format does not define is rejected, not ignored."""
+def _at(path: str, key) -> str:
+    """The path of key ``key`` of the object at ``path``; None: ``path`` itself."""
+    return path if key is None else f"{path}.{key}"
+
+
+def _wrong(style: _Style, path: str, key, expected: str, value) -> ValueError:
+    """The error of ``value`` at key ``key`` of the object at ``path``, which is not of the type ``expected``."""
+    return style.error(style.wrong.format(at=_at(path, key), path=path, key=key, expected=expected, got=type(value).__name__))
+
+
+def _value(f: _Field, value, path: str, key, style: _Style = _Style()):
+    """The value of field ``f`` at key ``key`` of the object at ``path`` (see ``_at``), as its
+    element stores it.  A bound without a rule is checked here, one with a rule by ``validate``."""
+    given, kind = value, f.type
+    if kind is float or kind is int:
+        if not (_is_number(value) if kind is float else _is_integer(value)):
+            raise _wrong(style, path, key, "a number" if kind is float else "an integer", value)
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer can be too large for a float
+            raise style.error(f"{_at(path, key)}: integer too large for a float") from None
+        value = number if kind is float else value
+    elif type(kind) is GenericAlias:  # list[T]
+        if not isinstance(value, list):
+            raise _wrong(style, path, key, "list", value)
+        where, item = _at(path, key), kind.__args__[0]
+        if item in _FIELDS:
+            value = tuple(item(**_parse(item, e, f"{where}[{i}]", style)) for i, e in enumerate(value))
+        else:
+            value = tuple(_value(_Field(item), e, f"{where}[{i}]", None, style) for i, e in enumerate(value))
+    elif kind in _FIELDS:  # an element's object
+        value = kind(**_parse(kind, value, _at(path, key), style))
+    elif type(kind) is UnionType:  # T | None
+        return None if value is None else _value(f._replace(type=kind.__args__[0]), value, path, key, style)
+    elif not isinstance(value, json_type := list if kind is tuple else kind):  # str, bool, tuple or dict
+        raise _wrong(style, path, key, json_type.__name__, value)
+    elif kind is tuple:
+        if len(value) != 2 or not all(isinstance(e, str) for e in value):
+            raise style.error(f"{_at(path, key)}: expected a pair of node ids")
+        value = tuple(value)
+    elif kind is dict:
+        for comp_id, node_id in value.items():
+            if not isinstance(node_id, str):
+                raise style.error(f"{_at(path, key)}.{comp_id}: expected a node id string")
+    if f.bound and not f.rule and not _BOUNDS[f.bound](value):
+        raise style.error(f"{_at(path, key)} must be {f.bound}, got {given!r}")
+    return value
+
+
+def _parse(cls, raw, path: str, style: _Style = _Style()) -> dict:
+    """The constructor arguments of ``cls`` from its document object ``raw`` at ``path``,
+    unvalidated.  A key the table does not list is rejected, not ignored; an absent key takes
+    the table's default, else the class's own."""
     if not isinstance(raw, dict):
-        raise ModelFormatError(f"{path}: expected an object")
+        raise style.error(f"{path}: expected an object")
     fields = _FIELDS[cls]
     for key in raw:
         if key not in fields:
-            raise ModelFormatError(f"{path}.{key}: unknown key")
+            raise style.error(style.unknown.format(at=_at(path, key), path=path, key=key))
     values = {}
     for key, f in fields.items():
-        if key not in raw and f.default is None:
-            raise ModelFormatError(f"{path}.{key}: required key is missing")
-        value, kind, where = raw.get(key, f.default), f.type, f"{path}.{key}"
-        if kind is float or kind is int:
-            if not (_is_number(value) if kind is float else _is_integer(value)):
-                expected = "a number" if kind is float else "an integer"
-                raise ModelFormatError(f"{where}: expected {expected}, got {type(value).__name__}")
-            try:
-                number = float(value)
-            except OverflowError:  # a JSON integer can be too large for a float
-                raise ModelFormatError(f"{where}: integer too large for a float") from None
-            value = number if kind is float else value
-        elif not isinstance(value, json_type := kind if kind is str or kind is dict else list):
-            raise ModelFormatError(f"{where}: expected {json_type.__name__}, got {type(value).__name__}")
-        elif kind in _FIELDS:
-            value = tuple(_parse(kind, e, f"{where}[{i}]") for i, e in enumerate(value))
-        elif kind is tuple:
-            if len(value) != 2 or not all(isinstance(e, str) for e in value):
-                raise ModelFormatError(f"{where}: expected a pair of node ids")
-            value = tuple(value)
-        elif kind is dict:
-            for comp_id, node_id in value.items():
-                if not isinstance(node_id, str):
-                    raise ModelFormatError(f"{where}.{comp_id}: expected a node id string")
-        values[f.attr or key] = value
-    return cls(**values)
+        attr, value = f.attr or key, raw.get(key, f.default)
+        if value is None and key not in raw:
+            if (own := cls.__dataclass_fields__[attr]).default is not MISSING or own.default_factory is not MISSING:
+                continue
+            raise style.error(style.missing.format(at=_at(path, key), path=path, key=key))
+        values[attr] = _value(f, value, path, key, style)
+    return values
 
 
 def unique_keys(pairs: list[tuple[str, object]], error: type[ValueError] = ModelFormatError) -> dict:
@@ -603,7 +650,7 @@ def load(document: str, check: bool = True) -> Architecture:
         doc = json.loads(document, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    arch = _parse(Architecture, doc, "$")
+    arch = Architecture(**_parse(Architecture, doc, "$", _Style(error=ModelFormatError)))
     if check:
         violations = validate(arch)
         if violations:

@@ -13,11 +13,11 @@ kept.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .antipatterns import Thresholds, detect
 from .kernels import BLOCK_ROWS, BudgetSpent, dominates
-from .model import Architecture, CompiledChunk, Fold, _is_integer, _is_number, digest, validate
+from .model import _FIELDS, Architecture, CompiledChunk, Fold, _Field, _parse, digest, to_dict, validate
 from .pareto import crowding_distance, fast_nondominated_sort
 from .perfqn import PerformanceResult, SolverError, perfq, solve_amva, solve_amva_many, to_qn
 from .refactoring import (
@@ -35,6 +35,7 @@ from .refactoring import (
     Folds,
     Plan,
     apply_sequence,
+    brf_table,
     distance,
     random_sequence,
     repair,
@@ -57,33 +58,6 @@ EVALUATION_FAILURES = (SolverError, ValueError)
 CHUNK_SIZE = 128
 
 
-# Type checks of the dataclass fields annotated with these types (the
-# annotations are strings).
-_TYPE_CHECKS = {
-    "int": _is_integer,
-    "float": _is_number,
-    "bool": lambda value: isinstance(value, bool),
-    "str": lambda value: isinstance(value, str),
-    "list": lambda value: isinstance(value, list),
-    "dict": lambda value: isinstance(value, dict),
-    "Thresholds": lambda value: isinstance(value, Thresholds),
-}
-
-
-def check_field_types(instance) -> None:
-    """Raise ValueError naming the first field of the dataclass ``instance``
-    whose value does not have its annotated type.  ``T | None`` also takes
-    None, and ``list[T]`` checks each item against T too."""
-    for f in fields(instance):
-        kind, _, optional = f.type.partition(" | ")
-        base, _, item = kind.rstrip("]").partition("[")
-        value = getattr(instance, f.name)
-        if base not in _TYPE_CHECKS or (optional and value is None):
-            continue
-        if not _TYPE_CHECKS[base](value) or (item in _TYPE_CHECKS and not all(map(_TYPE_CHECKS[item], value))):
-            raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     algorithm: str = "nsga2"
@@ -102,37 +76,44 @@ class SearchConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        check_field_types(self)
+        # each field as a config's key is read; brf and thresholds are checked below
+        _parse(SearchConfig, {key: value for key, value in vars(self).items() if key not in ("brf", "thresholds")}, "$")
+        if not isinstance(self.thresholds, Thresholds):
+            raise ValueError(f"$.thresholds: expected Thresholds, got {type(self.thresholds).__name__}")
+        if not isinstance(self.brf, dict) or set(self.brf) != set(ActionKind):
+            raise ValueError(f"brf must have a factor for each of {[kind.value for kind in ActionKind]}, got {self.brf!r}")
+        _parse(brf_table, {kind.value: factor for kind, factor in self.brf.items()}, "$.brf")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {tuple(_ALGORITHMS)}")
         if self.budget_seconds is None and self.max_evaluations is None:
             raise ValueError("at least one of budget_seconds / max_evaluations must be set")
         if self.population < 4 or self.population % 2:
             raise ValueError(f"population must be >= 4 and even, got {self.population}")
-        for name in ("sequence_length", "archive_size", "divisions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("crossover_prob", "mutation_prob"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("seed", "budget_seconds", "max_evaluations"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.budget_seconds is not None and not math.isfinite(self.budget_seconds):
-            raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds}")
-        if set(self.brf) != set(ActionKind):
-            raise ValueError(f"brf must have a factor for each of {[kind.value for kind in ActionKind]}, got {self.brf!r}")
-        for kind, factor in self.brf.items():
-            if not (_TYPE_CHECKS["float"](factor) and 0 < factor < math.inf):
-                raise ValueError(f"brf.{ActionKind(kind).value}: factor must be a positive finite number, got {factor!r}")
 
     @property
     def gene_mutation_prob(self) -> float:
         if self.mutation_prob is not None:
             return self.mutation_prob
         return 1.0 / max(1, self.sequence_length)
+
+
+# A run config's search keys (README's table under "optimize"), checked on construction too.
+_FIELDS[SearchConfig] = {
+    "algorithm": _Field(str),
+    "seed": _Field(int, bound=">= 0"),
+    "population": _Field(int),
+    "archive_size": _Field(int, bound="an integer >= 1"),
+    "sequence_length": _Field(int, bound="an integer >= 1"),
+    "crossover_prob": _Field(float, bound="in [0, 1]"),
+    "mutation_prob": _Field(float | None, bound="in [0, 1]"),
+    "divisions": _Field(int, bound="an integer >= 1"),
+    "budget_seconds": _Field(float | None, bound="finite and >= 0"),
+    "max_evaluations": _Field(int | None, bound=">= 0"),
+    "use_pas_objective": _Field(bool),
+    "allow_new_nodes": _Field(bool),
+    "brf": _Field(brf_table),
+    "thresholds": _Field(Thresholds),
+}
 
 
 @dataclass(frozen=True)
@@ -222,9 +203,11 @@ class _Budget:
 
     def spent(self, evaluations: int) -> bool:
         """Whether the time budget or the evaluation cap is used up."""
-        if self.seconds is not None and self.elapsed() >= self.seconds:
-            return True
-        return self.max_evaluations is not None and evaluations >= self.max_evaluations
+        return self.out_of_time() or self.max_evaluations is not None and evaluations >= self.max_evaluations
+
+    def out_of_time(self) -> bool:
+        """Whether the time budget is used up."""
+        return self.seconds is not None and self.elapsed() >= self.seconds
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -303,23 +286,24 @@ class Evaluator:
 
     def evaluate_many(self, candidates: Iterable[Candidate], budget: _Budget) -> list[Individual]:
         """Evaluate in submission order.  Candidates are drawn one at a time;
-        a genotype already scored or pending is a cache hit, and new ones
-        are scored in chunks of ``CHUNK_SIZE``.  Once ``budget`` is spent,
-        counting the pending ones as evaluated, no further candidate is
-        drawn; the pending ones are still scored."""
+        a genotype already scored or pending is a cache hit, and new ones are
+        scored in chunks of ``CHUNK_SIZE``.  Once ``budget`` is spent, counting
+        the pending ones as evaluated, or a draw gives up with ``BudgetSpent``,
+        no further candidate is drawn; the pending ones are still scored."""
         drawn: list[Plan] = []
         pending: dict[Plan, Fold] = {}
-        for seq, folded in candidates:
-            drawn.append(seq)
-            if seq in self.individuals or seq in pending:
-                self.cache_hits += 1
-            else:
-                pending[seq] = folded
-                if len(pending) == CHUNK_SIZE:
-                    self._score_chunk(list(pending.items()))
-                    pending.clear()
-            if budget.spent(len(self.individuals) + len(pending)):
-                break
+        with suppress(BudgetSpent):
+            for seq, folded in candidates:
+                drawn.append(seq)
+                if seq in self.individuals or seq in pending:
+                    self.cache_hits += 1
+                else:
+                    pending[seq] = folded
+                    if len(pending) == CHUNK_SIZE:
+                        self._score_chunk(list(pending.items()))
+                        pending.clear()
+                if budget.spent(len(self.individuals) + len(pending)):
+                    break
         self._score_chunk(list(pending.items()))
         return [self.individuals[seq] for seq in drawn]
 
@@ -338,6 +322,7 @@ def crossover(
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
+    spent: Callable[[], bool] | None = None,
 ) -> tuple[Candidate, Candidate]:
     """Single-point crossover at a uniform cut in [1, L-1], then repair of
     each child, reading and recording prefix folds in ``folds``."""
@@ -346,8 +331,8 @@ def crossover(
     length = len(a)
     cut = int(rng.integers(1, length)) if length >= 2 else length
     return (
-        repair(initial, a[:cut] + b[cut:], rng, allow_new_nodes, folds=folds),
-        repair(initial, b[:cut] + a[cut:], rng, allow_new_nodes, folds=folds),
+        repair(initial, a[:cut] + b[cut:], rng, allow_new_nodes, folds=folds, spent=spent),
+        repair(initial, b[:cut] + a[cut:], rng, allow_new_nodes, folds=folds, spent=spent),
     )
 
 
@@ -358,11 +343,12 @@ def mutate(
     gene_prob: float,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
+    spent: Callable[[], bool] | None = None,
 ) -> Candidate:
     """Replace each gene with probability ``gene_prob`` by a random feasible
     action at its prefix position; infeasible survivors are repaired.
     Returns the child with its fold."""
-    return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds)
+    return repair(initial, seq, rng, allow_new_nodes, gene_prob, folds, spent)
 
 
 def _offspring(
@@ -370,18 +356,20 @@ def _offspring(
     select: Callable[[], Individual],
     rng: np.random.Generator,
     folds: Folds,
+    spent: Callable[[], bool] | None = None,
 ) -> Iterator[Candidate]:
     """One generation of children, bred two at a time from parents drawn by
-    ``select``, folded through the store ``folds``.  Lazy, and scoring
-    draws no random numbers, so the children are the same as if all were
-    bred first."""
+    ``select``, folded through the store ``folds``; breeding gives up with
+    ``BudgetSpent`` before a gene once ``spent()`` is true.  Lazy, and
+    scoring draws no random numbers, so the children are the same as if
+    all were bred first."""
     config = evaluator.config
     for _ in range(config.population // 2):
         a, b = select().sequence, select().sequence
         if rng.random() < config.crossover_prob:
-            (a, _), (b, _) = crossover(evaluator.fold, a, b, rng, config.allow_new_nodes, folds)
+            (a, _), (b, _) = crossover(evaluator.fold, a, b, rng, config.allow_new_nodes, folds, spent)
         for child in (a, b):
-            yield mutate(evaluator.fold, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds)
+            yield mutate(evaluator.fold, child, rng, config.gene_mutation_prob, config.allow_new_nodes, folds, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +619,20 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
     config = evaluator.config
     rng = np.random.default_rng(config.seed)
     step = _ALGORITHMS[config.algorithm]
-    # the fold of each action prefix built from the initial architecture
-    folds: Folds = {}
-    initial = (
-        random_sequence(evaluator.fold, config.sequence_length, rng, config.allow_new_nodes, folds)
-        for _ in range(config.population)
-    )
 
     # The step runs only while the budget lasts: nothing reads what it
     # builds for a spent search, and it draws no random numbers before it
-    # returns.
+    # returns.  Sampling and breeding give a plan up once the time is used
+    # up, checked before each gene; the evaluation cap is met between plans.
     def spent() -> bool:
         return budget.spent(len(evaluator.individuals))
+
+    # the fold of each action prefix built from the initial architecture
+    folds: Folds = {}
+    initial = (
+        random_sequence(evaluator.fold, config.sequence_length, rng, config.allow_new_nodes, folds, budget.out_of_time)
+        for _ in range(config.population)
+    )
 
     kept, evaluated = [], evaluator.evaluate_many(initial, budget)
     generations = 0
@@ -657,7 +647,7 @@ def _search(evaluator: Evaluator, budget: _Budget) -> tuple[int, bool]:
         # child equal to a kept plan then probes nothing.
         prefixes = {ind.sequence[:i] for ind in kept for i in range(1, len(ind.sequence) + 1)}
         folds = {prefix: folds[prefix] for prefix in prefixes}
-        offspring = _offspring(evaluator, select, rng, folds)
+        offspring = _offspring(evaluator, select, rng, folds, budget.out_of_time)
         evaluated = evaluator.evaluate_many(offspring, budget)
         generations += 1
         if len(evaluator.individuals) == evaluations:
@@ -674,14 +664,7 @@ def run(initial: Architecture, config: SearchConfig) -> ParetoFront:
     wall = budget.elapsed()
 
     metadata = {
-        "algorithm": config.algorithm,
-        "seed": config.seed,
-        "population": config.population,
-        "archive_size": config.archive_size,
-        "sequence_length": config.sequence_length,
-        "budget_seconds": config.budget_seconds,
-        "max_evaluations": config.max_evaluations,
-        "use_pas_objective": config.use_pas_objective,
+        **to_dict(config),  # the whole search config, as a run config's keys read it
         "evaluations_used": len(evaluator.individuals),
         "cache_hits": evaluator.cache_hits,
         "invalid_by_type": dict(evaluator.invalid_by_type),

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
-from typing import ClassVar, Mapping, Union
+from typing import Callable, ClassVar, Mapping, Union, get_args
 
 import numpy as np
 
-from .model import Fold, unrouted_call
+from .kernels import BudgetSpent
+from .model import _FIELDS, Fold, _Field, _parse, _Style, to_dict, unrouted_call
 
 NEW_NODE_PREFIX = "new-node:"
 
@@ -93,6 +94,15 @@ DEFAULT_BRF: dict[ActionKind, float] = {
     ActionKind.MOVE_TO_COMPONENT: 1.64,
     ActionKind.REDEPLOY: 1.45,
 }
+
+
+def brf_table(**factors: float) -> dict[ActionKind, float]:
+    """The brf table of a document's ``brf`` object, keyed by each action kind's value."""
+    return {ActionKind(kind): factor for kind, factor in factors.items()}
+
+
+# A config's brf object: a positive finite factor per action kind; a kind left out keeps its default.
+_FIELDS[brf_table] = {kind.value: _Field(float, DEFAULT_BRF[kind], bound="> 0") for kind in ActionKind}
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +461,24 @@ def repair(
     allow_new_nodes: bool = True,
     resample_probability: float = 0.0,
     folds: Folds | None = None,
+    spent: Callable[[], bool] | None = None,
 ) -> Candidate:
-    """Walk the genes in prefix order and rewrite each infeasible one, and
-    each one forced with ``resample_probability``, with a random feasible one.
+    """Walk the genes in prefix order and rewrite each infeasible or None one,
+    and each one forced with ``resample_probability``, with a random feasible one.
 
     Returns the repaired sequence with its fold.  A kept gene's fold is
     read from ``folds`` when its prefix is there, instead of probed, and
     every prefix's fold is recorded in it; the force draws are the same
-    either way.
+    either way.  Raises ``BudgetSpent`` before a gene once ``spent()`` is true.
     """
     folds = {} if folds is None else folds
     prefix: Plan = ()
     for action in seq:
+        if spent is not None and spent():
+            raise BudgetSpent
         force = resample_probability > 0.0 and rng.random() < resample_probability
         result = None
-        if not force:
+        if action is not None and not force:
             result = folds.get(prefix + (action,)) or is_feasible(fold, action)[0]
         if result is None:
             action, result = random_action(fold, rng, allow_new_nodes)
@@ -480,16 +493,11 @@ def random_sequence(
     rng: np.random.Generator,
     allow_new_nodes: bool = True,
     folds: Folds | None = None,
+    spent: Callable[[], bool] | None = None,
 ) -> Candidate:
-    """Sample a feasible sequence by chaining random actions; returns it
-    with its fold, and records each prefix's fold in ``folds``."""
-    folds = {} if folds is None else folds
-    prefix: Plan = ()
-    for _ in range(length):
-        action, fold = random_action(fold, rng, allow_new_nodes)
-        prefix += (action,)
-        folds[prefix] = fold
-    return prefix, fold
+    """Sample a feasible sequence by chaining random actions: ``repair`` of
+    ``length`` None genes, with the same returns and records."""
+    return repair(fold, (None,) * length, rng, allow_new_nodes, folds=folds, spent=spent)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +505,18 @@ def random_sequence(
 # ---------------------------------------------------------------------------
 
 
-# Record keys of each action kind's two fields, in field order; the text
-# form ``kind(first->second)`` uses the same order.
-_RECORD_FIELDS = {
-    ActionKind.CLONE: (CloneComponent, ("component", "target")),
-    ActionKind.MOVE_TO_NEW: (MoveOperationToNewComponent, ("operation", "target")),
-    ActionKind.MOVE_TO_COMPONENT: (MoveOperationToComponent, ("operation", "component")),
-    ActionKind.REDEPLOY: (RedeployComponent, ("component", "target")),
-}
+# Each action kind's record: "kind", then its two keys in field order, which
+# the text form ``kind(first->second)`` uses too.
+_FIELDS[CloneComponent] = {"component": _Field(str), "target": _Field(str)}
+_FIELDS[MoveOperationToNewComponent] = {"operation": _Field(str), "target": _Field(str, attr="target_node")}
+_FIELDS[MoveOperationToComponent] = {"operation": _Field(str), "component": _Field(str, attr="target_component")}
+_FIELDS[RedeployComponent] = {"component": _Field(str), "target": _Field(str)}
+_ACTIONS = {cls.kind.value: cls for cls in get_args(RefactoringAction)}  # in ActionKind order
+_RECORD_STYLE = _Style("{path} has unknown key '{key}'", "{path} is missing key '{key}'", "{path}: '{key}' must be a string")
 
 
 def action_to_dict(action: RefactoringAction) -> dict:
-    _, keys = _RECORD_FIELDS[action.kind]
-    return {"kind": action.kind.value, **dict(zip(keys, astuple(action)))}
+    return {"kind": action.kind.value, **to_dict(action)}
 
 
 def action_from_dict(record: dict) -> RefactoringAction:
@@ -518,19 +525,10 @@ def action_from_dict(record: dict) -> RefactoringAction:
         raise ValueError(f"action record must be a JSON object, got {record!r}")
     if "kind" not in record:
         raise ValueError(f"action record {record!r} is missing key 'kind'")
-    kinds = [kind.value for kind in ActionKind]
-    if record["kind"] not in kinds:
-        raise ValueError(f"action record {record!r} has unknown kind, expected one of {', '.join(kinds)}")
-    cls, keys = _RECORD_FIELDS[ActionKind(record["kind"])]
-    for key in record:
-        if key != "kind" and key not in keys:
-            raise ValueError(f"{record['kind']} action record {record!r} has unknown key '{key}'")
-    for key in keys:
-        if key not in record:
-            raise ValueError(f"{record['kind']} action record {record!r} is missing key '{key}'")
-        if not isinstance(record[key], str):
-            raise ValueError(f"{record['kind']} action record {record!r}: '{key}' must be a string")
-    return cls(*(record[key] for key in keys))
+    if record["kind"] not in list(_ACTIONS):  # a list: the kind may be any JSON value, a list too
+        raise ValueError(f"action record {record!r} has unknown kind, expected one of {', '.join(_ACTIONS)}")
+    cls, fields = _ACTIONS[record["kind"]], {key: value for key, value in record.items() if key != "kind"}
+    return cls(**_parse(cls, fields, f"{record['kind']} action record {record!r}", _RECORD_STYLE))
 
 
 def sequence_to_records(seq: Plan) -> list[dict]:

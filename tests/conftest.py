@@ -5,8 +5,9 @@ from hypothesis import settings
 from archopt import casestudies
 
 # ``--hypothesis-profile=thorough`` runs every property test that sets no
-# ``max_examples`` of its own (the fold-, root-table-, batch-solve-, step- and model-format-versus-oracle tests)
-# on several hundred examples; tier-1 keeps hypothesis's default profile.
+# ``max_examples`` of its own (the fold-, root-table-, batch-solve-, step-,
+# model-format- and config-format-versus-oracle tests) on several hundred
+# examples; tier-1 keeps hypothesis's default profile.
 settings.register_profile("thorough", max_examples=500)
 
 # filled by test_acceptance.check(); echoed after the run so the

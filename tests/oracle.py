@@ -35,15 +35,24 @@ before a fold joined its root's encoded fragments; the digests must be
 the same (``test_fold.py``).  The document format is parsed, serialized
 and range-checked field by field by hand, as the program did before one
 field table drove all three; the table must give the same error texts,
-violations, ``save()`` text and digests (``test_model_format.py``).
+violations, ``save()`` text and digests (``test_model_format.py``).  A
+run config, its thresholds and brf table, and an action record are
+checked key by key by hand, as the program did before field tables drove
+those checks too; the tables must accept the same documents and build the
+same configs and actions, with the same error texts but for the changes
+that ``test_config_format.py`` lists.
 """
+
+from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -78,6 +87,7 @@ from archopt.pareto import crowding_distance, fast_nondominated_sort
 from archopt.perfqn import SolverError
 from archopt.refactoring import (
     _MAX_TRIES,
+    DEFAULT_BRF,
     NEW_NODE_PREFIX,
     ActionKind,
     CloneComponent,
@@ -1189,3 +1199,205 @@ def from_dict(doc: dict) -> Architecture:
         scenarios=tuple(scenarios),
         deployment=dict(deployment),
     )
+
+
+# ---------------------------------------------------------------------------
+# The run config, its thresholds and brf table, and action records, checked
+# key by key by hand
+# ---------------------------------------------------------------------------
+
+
+# Type checks of the dataclass fields annotated with these types (the
+# annotations are strings).
+_TYPE_CHECKS = {
+    "int": _is_integer,
+    "float": _is_number,
+    "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "list": lambda value: isinstance(value, list),
+    "dict": lambda value: isinstance(value, dict),
+    "ThresholdsByHand": lambda value: isinstance(value, ThresholdsByHand),
+}
+
+
+def check_field_types(instance) -> None:
+    """Raise ValueError naming the first field of the dataclass ``instance``
+    whose value does not have its annotated type.  ``T | None`` also takes
+    None, and ``list[T]`` checks each item against T too."""
+    for f in fields(instance):
+        kind, _, optional = f.type.partition(" | ")
+        base, _, item = kind.rstrip("]").partition("[")
+        value = getattr(instance, f.name)
+        if base not in _TYPE_CHECKS or (optional and value is None):
+            continue
+        if not _TYPE_CHECKS[base](value) or (item in _TYPE_CHECKS and not all(map(_TYPE_CHECKS[item], value))):
+            raise ValueError(f"{f.name} must be of type {kind.replace('ByHand', '')}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ThresholdsByHand:
+    util_high: float = 0.8
+    util_low: float = 0.3
+    blob_share: float = 2.0
+    paf_demand_share: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.util_low < self.util_high <= 1.0:
+            raise ValueError(f"need 0 <= util_low < util_high <= 1, got {self.util_low}, {self.util_high}")
+        for name in ("blob_share", "paf_demand_share"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class SearchConfigByHand:
+    algorithm: str = "nsga2"
+    seed: int = 0
+    population: int = 32
+    archive_size: int = 32
+    sequence_length: int = 4
+    crossover_prob: float = 0.8
+    mutation_prob: float | None = None
+    divisions: int = 8
+    budget_seconds: float | None = None
+    max_evaluations: int | None = None
+    use_pas_objective: bool = True
+    allow_new_nodes: bool = True
+    brf: dict[ActionKind, float] = field(default_factory=lambda: dict(DEFAULT_BRF))
+    thresholds: ThresholdsByHand = field(default_factory=ThresholdsByHand)
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm '{self.algorithm}', expected one of {tuple(ALGORITHMS)}")
+        if self.budget_seconds is None and self.max_evaluations is None:
+            raise ValueError("at least one of budget_seconds / max_evaluations must be set")
+        if self.population < 4 or self.population % 2:
+            raise ValueError(f"population must be >= 4 and even, got {self.population}")
+        for name in ("sequence_length", "archive_size", "divisions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("crossover_prob", "mutation_prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("seed", "budget_seconds", "max_evaluations"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.budget_seconds is not None and not math.isfinite(self.budget_seconds):
+            raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds}")
+        if set(self.brf) != set(ActionKind):
+            raise ValueError(f"brf must have a factor for each of {[kind.value for kind in ActionKind]}, got {self.brf!r}")
+        for kind, factor in self.brf.items():
+            if not (_TYPE_CHECKS["float"](factor) and 0 < factor < math.inf):
+                raise ValueError(f"brf.{ActionKind(kind).value}: factor must be a positive finite number, got {factor!r}")
+
+
+ALGORITHMS = ("nsga2", "spea2", "pesa2")
+GRIDS = {"algorithms": "algorithm", "budgets_seconds": "budget_seconds", "budgets_evaluations": "max_evaluations", "seeds": "seed"}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class RunConfigByHand:
+    model: str
+    output_dir: str = "archopt-out"
+    search: dict = field(default_factory=dict)
+    algorithms: list[str] | None = None
+    budgets_seconds: list[float] | None = None
+    budgets_evaluations: list[int] | None = None
+    seeds: list[int] | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        for key in GRIDS:
+            if getattr(self, key) == []:
+                raise ConfigError(f"{key} must be a non-empty list")
+
+    def search_config(self, **overrides) -> SearchConfigByHand:
+        return SearchConfigByHand(**{**self.search, **overrides})
+
+
+def _parse_brf(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"brf: must be an object of action kind -> factor, got {raw!r}")
+    table = dict(DEFAULT_BRF)
+    for key, value in raw.items():
+        try:
+            table[ActionKind(key)] = value
+        except ValueError as exc:
+            raise ConfigError(f"brf: unknown action kind '{key}'") from exc
+    return table
+
+
+def _parse_thresholds(raw) -> ThresholdsByHand:
+    if not isinstance(raw, dict) or not all(map(_is_number, raw.values())):
+        raise ConfigError(f"thresholds: must be an object of name -> number, got {raw!r}")
+    try:
+        return ThresholdsByHand(**raw)
+    except (TypeError, ValueError) as exc:  # an unknown name, or out of range
+        raise ConfigError(f"thresholds: {exc.args[0].replace('ThresholdsByHand', 'Thresholds')}") from exc
+
+
+def load_config(path: str) -> RunConfigByHand:
+    try:
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=lambda pairs: model.unique_keys(pairs, ConfigError))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config root must be an object")
+    if "model" not in raw:
+        raise ConfigError(f"{path}: required key 'model' is missing")
+
+    search_keys = set(SearchConfigByHand.__dataclass_fields__)
+    run_keys = set(RunConfigByHand.__dataclass_fields__) - {"search"}
+    unknown = set(raw) - search_keys - run_keys
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+
+    search = {key: value for key, value in raw.items() if key in search_keys}
+    if "brf" in search:
+        search["brf"] = _parse_brf(search["brf"])
+    if "thresholds" in search:
+        search["thresholds"] = _parse_thresholds(search["thresholds"])
+    env_seed = os.environ.get("ARCHOPT_SEED")
+    if env_seed is not None:
+        try:
+            search["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"ARCHOPT_SEED must be an integer, got {env_seed!r}") from exc
+    return RunConfigByHand(search=search, **{key: value for key, value in raw.items() if key in run_keys})
+
+
+# Record keys of each action kind's two fields, in field order; the text
+# form ``kind(first->second)`` uses the same order.
+_RECORD_FIELDS = {
+    ActionKind.CLONE: (CloneComponent, ("component", "target")),
+    ActionKind.MOVE_TO_NEW: (MoveOperationToNewComponent, ("operation", "target")),
+    ActionKind.MOVE_TO_COMPONENT: (MoveOperationToComponent, ("operation", "component")),
+    ActionKind.REDEPLOY: (RedeployComponent, ("component", "target")),
+}
+
+
+def action_from_dict(record: dict):
+    if not isinstance(record, dict):
+        raise ValueError(f"action record must be a JSON object, got {record!r}")
+    if "kind" not in record:
+        raise ValueError(f"action record {record!r} is missing key 'kind'")
+    kinds = [kind.value for kind in ActionKind]
+    if record["kind"] not in kinds:
+        raise ValueError(f"action record {record!r} has unknown kind, expected one of {', '.join(kinds)}")
+    cls, keys = _RECORD_FIELDS[ActionKind(record["kind"])]
+    for key in record:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"{record['kind']} action record {record!r} has unknown key '{key}'")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{record['kind']} action record {record!r} is missing key '{key}'")
+        if not isinstance(record[key], str):
+            raise ValueError(f"{record['kind']} action record {record!r}: '{key}' must be a string")
+    return cls(*(record[key] for key in keys))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from archopt import casestudies
-from archopt.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from archopt.model import load, save, to_dict
+from archopt.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _compare_runs, load_config, main
+from archopt.model import _FIELDS, load, save, to_dict
 from archopt.moea import Evaluator, SearchConfig
 from archopt.refactoring import RedeployComponent, sequence_from_records, sequence_to_text
 
@@ -243,6 +243,20 @@ def test_optimize_seed_env_override(tmp_path, monkeypatch):
     assert meta["seed"] == 99
 
 
+def test_front_json_metadata_reruns_the_search(tmp_path):
+    # every search key is recorded, so a config of them reruns the same search
+    config = write_config(
+        tmp_path, brf={"clone": 1.5}, thresholds={"util_high": 0.9}, crossover_prob=0.7, mutation_prob=0.5, divisions=4, allow_new_nodes=False
+    )
+    assert main(["optimize", "--config", str(config)]) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "front.json").read_text())["metadata"]
+    rebuilt = tmp_path / "rebuilt.json"
+    rebuilt.write_text(json.dumps({"model": SMALL, "output_dir": str(tmp_path / "again"), **{key: meta[key] for key in _FIELDS[SearchConfig]}}))
+    assert load_config(str(rebuilt)).search_config() == load_config(str(config)).search_config()
+    assert main(["optimize", "--config", str(rebuilt)]) == EXIT_OK
+    assert (tmp_path / "again" / "front.csv").read_bytes() == (tmp_path / "out" / "front.csv").read_bytes()
+
+
 def test_optimize_rejects_bad_config(tmp_path, capsys):
     bad = [
         {"max_evaluations": None},
@@ -305,6 +319,20 @@ def test_compare_rejects_bad_grid_values_before_any_run(tmp_path, capsys):
         assert main(["compare", "--config", str(config)]) == EXIT_DOMAIN, overrides
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_compare_grids_override_their_single_value_keys(tmp_path, monkeypatch):
+    # a grid replaces its key's single value, compare runs each cell with and
+    # without the antipattern objective, and a key with no grid keeps its value
+    monkeypatch.setenv("ARCHOPT_SEED", "99")
+    config = write_config(
+        tmp_path, algorithms=["pesa2"], seeds=[1, 2], budgets_evaluations=[20], budget_seconds=30, use_pas_objective=False
+    )
+    cells = {(s.algorithm, s.seed, s.max_evaluations, s.budget_seconds, s.use_pas_objective) for s in _compare_runs(load_config(str(config)))}
+    assert cells == {("pesa2", seed, 20, 30, pas) for seed in (1, 2) for pas in (True, False)}
+    # with no seeds grid, ARCHOPT_SEED sets every cell's seed
+    config = write_config(tmp_path, algorithms=["pesa2"])
+    assert {search.seed for search in _compare_runs(load_config(str(config)))} == {99}
 
 
 @pytest.mark.parametrize("command", ["optimize", "compare"])

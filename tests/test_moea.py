@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracle
 from archopt import casestudies, kernels, moea
+from archopt.antipatterns import Thresholds
 from archopt.cli import front_csv_text, write_front
 from archopt.model import RoutingError, digest, save
 from archopt.moea import (
@@ -97,11 +99,21 @@ def test_config_population_must_be_even():
         # written to front.json
         ("seed", np.int64(3)),
         ("max_evaluations", np.int64(20)),
+        pytest.param("seed", 10**400, id="seed-too-large-for-a-float"),
+        # a threshold takes a number: a bool is none, and a string is a
+        # ValueError, not a TypeError
+        ("util_high", True),
+        ("util_low", False),
+        ("blob_share", True),
+        ("util_high", "x"),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
-        SearchConfig(**{"max_evaluations": 10, field: value})
+        if field in Thresholds.__dataclass_fields__:
+            SearchConfig(max_evaluations=10, thresholds=Thresholds(**{field: value}))
+        else:
+            SearchConfig(**{"max_evaluations": 10, field: value})
 
 
 def test_objective_vector_modes():
@@ -520,6 +532,38 @@ def test_run_zero_budget_front_of_initial_population(small_arch):
     assert front.metadata["budget_truncated"]
     assert front.metadata["generations"] == 0
     assert len(front.individuals) >= 1
+
+
+def test_a_long_plan_keeps_to_the_time_budget(small_arch):
+    # sampling one plan of 512 actions takes seconds, so the time budget is
+    # checked before each action, not only between plans: criterion 08's +10%
+    started = time.monotonic()
+    front = run(small_arch, SearchConfig(seed=1, budget_seconds=1.0, sequence_length=512))
+    assert time.monotonic() - started <= 1.1
+    assert front.metadata["budget_truncated"]
+
+
+def test_a_spent_budget_stops_sampling_and_breeding_before_a_gene(small_arch):
+    fold, rng = small_arch.fold, np.random.default_rng(0)
+    seq, _ = random_sequence(fold, 4, rng)
+    for breed in (
+        lambda spent: random_sequence(fold, 4, rng, spent=spent),
+        lambda spent: mutate(fold, seq, rng, 0.5, spent=spent),
+        lambda spent: crossover(fold, seq, seq, rng, spent=spent),
+    ):
+        with pytest.raises(kernels.BudgetSpent):
+            breed(lambda: True)
+
+    # the candidates drawn before sampling gave up are still scored
+    def candidates():
+        yield random_sequence(fold, 2, rng)
+        yield random_sequence(fold, 3, rng)
+        raise kernels.BudgetSpent
+
+    evaluator = Evaluator(small_arch, SearchConfig(max_evaluations=100))
+    evaluated = evaluator.evaluate_many(candidates(), _Budget(evaluator.config))
+    assert [len(ind.sequence) for ind in evaluated] == [2, 3]
+    assert len(evaluator.individuals) == 2
 
 
 # few distinct one-action plans: offspring soon are all cache hits
